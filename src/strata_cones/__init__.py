@@ -3,7 +3,7 @@
 The package has five layers:
 
 * `cone_kernel`: exact rational polyhedral cones (double description,
-  duality, membership certificates, Fourier-Motzkin projection);
+  duality, containment witnesses, membership certificates);
 * `splitting`: Frobenius-orbit combinatorics of strata (chains, tilde
   closure, ramification and Iwahori data, index tables);
 * `weights`: distinguished weights, generating sets and half-space
@@ -28,9 +28,9 @@ from strata_cones.cone_kernel import (
     cone_intersect,
     cone_lineality,
     cone_member,
-    cone_project,
     cone_subset,
     cone_sum,
+    first_escape,
     full_space,
     normalize_primitive,
     zero_cone,
@@ -51,9 +51,9 @@ __all__ = [
     "cone_intersect",
     "cone_lineality",
     "cone_member",
-    "cone_project",
     "cone_subset",
     "cone_sum",
+    "first_escape",
     "full_space",
     "normalize_primitive",
     "zero_cone",

@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Sequence
 
-from .cone_kernel import cone_member
+from .cone_kernel import _violated_form, cone_member
 from .splitting import (
     SplittingConfig,
     Stratum,
@@ -302,10 +302,7 @@ def _cmd_gl2(args) -> int:
                 "integer lists")
         lam = _weight_from(parts[0], config, "--biweight first component")
         kappa = _weight_from(parts[1], config, "--biweight second component")
-        forms = explicit_constraints(stratum).ineqs
-        violated = next(
-            (form for form in forms
-             if sum(a * b for a, b in zip(form, kappa)) < 0), None)
+        violated = _violated_form(explicit_constraints(stratum), kappa)
         inside = violated is None
         if args.json:
             payload = {"schema": SCHEMA_VERSION, "t": stratum.key(),

@@ -14,8 +14,9 @@ Canonical form, produced by `cone_complete` and the factory helpers:
   deduplicated, and sorted lexicographically.
 
 Representation conversion is done by the double description method with
-exact rank-based adjacency pruning; `cone_project` eliminates coordinates by
-Fourier-Motzkin with redundancy removal via exact Farkas membership tests.
+exact rank-based adjacency pruning.  Containment is decided from constraints
+alone (`first_escape`); only an inside membership certificate needs the
+phase-1 simplex.
 The zero cone and the full space are ordinary values, as is the
 zero-dimensional space.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -363,6 +363,22 @@ def _phase1_coeffs(columns: Sequence[Vec], target) -> list[Fraction] | None:
     return out
 
 
+def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
+    """The first constraint that `vec` breaks, as a form negative on it.
+
+    Equations come first, negated where needed so the returned form is < 0
+    on `vec`; then inequalities.  None when every constraint holds.
+    """
+    for e in con.eqns:
+        val = _dot(e, vec)
+        if val != 0:
+            return e if val < 0 else _neg(e)
+    for a in con.ineqs:
+        if _dot(a, vec) < 0:
+            return a
+    return None
+
+
 def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     """Membership with certificate; see MembershipCertificate."""
     c = cone_complete(cone)
@@ -370,14 +386,9 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     if len(v) != c.dim:
         raise ValueError(
             f"vector has length {len(v)}, expected ambient dimension {c.dim}")
-    for e in c.con.eqns:
-        val = _dot(e, v)
-        if val != 0:
-            return MembershipCertificate(
-                inside=False, violated_form=e if val < 0 else _neg(e))
-    for a in c.con.ineqs:
-        if _dot(a, v) < 0:
-            return MembershipCertificate(inside=False, violated_form=a)
+    form = _violated_form(c.con, v)
+    if form is not None:
+        return MembershipCertificate(inside=False, violated_form=form)
     line_coeffs: dict[int, Fraction] = {}
     rest = list(v)
     for j, b in enumerate(c.gen.lines):
@@ -418,23 +429,29 @@ def certificate_valid(cone: Cone, vec: Sequence[Rational],
         _dot(f, l) == 0 for l in c.gen.lines)
 
 
-def cone_subset(inner: Cone, outer: Cone) -> bool:
-    """Is every point of `inner` inside `outer`?"""
+def first_escape(inner: Cone, outer: Cone) -> tuple[Vec, Vec] | None:
+    """The first generator of `inner` outside `outer`, with the constraint of
+    `outer` it breaks; None when `inner` is a subset of `outer`.
+
+    Generators are walked as rays, then lines, then negated lines.  On a
+    completed cone a vector is inside exactly when no constraint is broken,
+    so the returned form is a re-checkable witness: < 0 on the generator
+    and >= 0 on every generator of `outer`.
+    """
     a = cone_complete(inner)
     b = cone_complete(outer)
     if a.dim != b.dim:
         raise ValueError("cones live in different ambient dimensions")
-    for r in a.gen.rays:
-        if any(_dot(f, r) < 0 for f in b.con.ineqs):
-            return False
-        if any(_dot(e, r) != 0 for e in b.con.eqns):
-            return False
-    for l in a.gen.lines:
-        if any(_dot(f, l) != 0 for f in b.con.ineqs):
-            return False
-        if any(_dot(e, l) != 0 for e in b.con.eqns):
-            return False
-    return True
+    for gen in a.gen.rays + a.gen.lines + tuple(map(_neg, a.gen.lines)):
+        form = _violated_form(b.con, gen)
+        if form is not None:
+            return gen, form
+    return None
+
+
+def cone_subset(inner: Cone, outer: Cone) -> bool:
+    """Is every point of `inner` inside `outer`?"""
+    return first_escape(inner, outer) is None
 
 
 def cone_equal(a: Cone, b: Cone) -> bool:
@@ -478,63 +495,3 @@ def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
 def cone_lineality(cone: Cone) -> list[Vec]:
     """Canonical basis of the largest linear subspace inside the cone."""
     return list(cone_complete(cone).gen.lines)
-
-
-def _implied(form: Vec, ineqs: Sequence[Vec], eqns: Sequence[Vec]) -> bool:
-    """Farkas test: is `form >= 0` implied by the other constraints?"""
-    columns = list(ineqs) + list(eqns) + [_neg(e) for e in eqns]
-    return _phase1_coeffs(columns, form) is not None
-
-
-def cone_project(cone: Cone, keep: Sequence[int]) -> Cone:
-    """Project onto the coordinates in `keep` by Fourier-Motzkin elimination.
-
-    Equal to the image under the coordinate-selection map; non-kept
-    coordinates are eliminated one by one, with redundant inequalities
-    removed after each step by exact membership tests.
-    """
-    c = cone_complete(cone)
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(
-            j < 0 or j >= c.dim for j in keep):
-        raise ValueError("keep must be distinct valid coordinate indices")
-    ineq = [tuple(Fraction(x) for x in r) for r in c.con.ineqs]
-    eqs = [tuple(Fraction(x) for x in e) for e in c.con.eqns]
-    for j in range(c.dim):
-        if j in keep:
-            continue
-        pivot_eq = next((e for e in eqs if e[j] != 0), None)
-        if pivot_eq is not None:
-            def subst(row):
-                if row[j] == 0:
-                    return row
-                f = row[j] / pivot_eq[j]
-                return tuple(a - f * b for a, b in zip(row, pivot_eq))
-            eqs = [subst(e) for e in eqs if e is not pivot_eq]
-            ineq = [subst(r) for r in ineq]
-        else:
-            pos = [r for r in ineq if r[j] > 0]
-            zero = [r for r in ineq if r[j] == 0]
-            negs = [r for r in ineq if r[j] < 0]
-            combos = {
-                normalize_primitive(
-                    tuple(a * (-n[j]) + b * p[j] for a, b in zip(p, n)))
-                for p in pos for n in negs
-                if any(a * (-n[j]) + b * p[j] != 0 for a, b in zip(p, n))}
-            ineq = zero + [tuple(Fraction(x) for x in r) for r in sorted(combos)]
-        ineq = [r for r in ineq if any(x != 0 for x in r)]
-        eqs = [e for e in eqs if any(x != 0 for x in e)]
-        # prune implied inequalities to keep intermediate systems small
-        pruned: list[tuple] = []
-        rest = [normalize_primitive(r) for r in ineq]
-        eqs_n = [normalize_primitive(e) for e in eqs]
-        for i in range(len(rest)):
-            others = pruned + rest[i + 1:]
-            if not _implied(rest[i], others, eqs_n):
-                pruned.append(rest[i])
-        ineq = [tuple(Fraction(x) for x in r) for r in pruned]
-    sel_i = [tuple(row[c_] for c_ in keep) for row in ineq]
-    sel_e = [tuple(row[c_] for c_ in keep) for row in eqs]
-    return cone_from_constraints(
-        [r for r in sel_i if any(r)], [e for e in sel_e if any(e)],
-        dim=len(keep))

@@ -25,12 +25,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .cone_kernel import (
     Cone,
+    _dot,
+    _rref,
     cone_complete,
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
     cone_image,
     cone_member,
+    first_escape,
 )
 from .splitting import (
     EmbeddingId,
@@ -41,7 +44,7 @@ from .splitting import (
     index_tables,
     places_and_iw,
     sign_epsilon,
-    tilde_closure,
+    stratum_from_text,
 )
 from .weights import (
     cone_D,
@@ -57,6 +60,7 @@ from .weights import (
     lift_jT,
     minimal_cone,
     monomial_weight,
+    pair_targets,
     reduce_iT,
     reduction_matrix,
     section_recipe,
@@ -136,49 +140,32 @@ def _cone_record(cone: Cone) -> dict:
     }
 
 
-def _dot(form: Sequence, vec: Sequence):
-    return sum(a * b for a, b in zip(form, vec))
-
-
 # ---------------------------------------------------------------------------
 # witness builders
 
 
-def _outside_witness(vec: Sequence, cert) -> dict:
-    return {"weight": _vec(vec), "violated_form": _vec(cert.violated_form)}
+def _escape_witness(inner: Cone, outer: Cone, **labels) -> dict | None:
+    """None if `inner` lies in `outer`; else the first generator of `inner`
+    outside `outer` with the constraint it breaks, followed by `labels`."""
+    escape = first_escape(inner, outer)
+    if escape is None:
+        return None
+    gen, form = escape
+    return {"weight": _vec(gen), "violated_form": _vec(form)} | labels
 
 
-def _inside_witness(vec: Sequence, cert, cone: Cone) -> dict:
-    c = cone_complete(cone)
-    return {
-        "weight": _vec(vec),
-        "ray_coeffs": {_num(i): _num(x)
-                       for i, x in sorted(cert.ray_coeffs.items())},
-        "line_coeffs": {_num(i): _num(x)
-                        for i, x in sorted(cert.line_coeffs.items())},
-        "rays": _vecs(c.gen.rays),
-        "lines": _vecs(c.gen.lines),
-    }
+def _verdict(name: str, key: str, witness: dict | None) -> CheckResult:
+    return CheckResult(name, key, PASS if witness is None else FAIL, witness)
 
 
 def _equality_result(name: str, key: str, left: Cone, right: Cone,
                      left_label: str, right_label: str) -> CheckResult:
     """Pass iff the completed cones agree; on failure, witness a generator
     of one side with a violated constraint of the other."""
-    a = cone_complete(left)
-    b = cone_complete(right)
-    for source, target, src_label, tgt_label in (
-            (a, b, left_label, right_label),
-            (b, a, right_label, left_label)):
-        for gen in source.gen.rays + source.gen.lines + tuple(
-                tuple(-x for x in line) for line in source.gen.lines):
-            cert = cone_member(target, gen)
-            if not cert.inside:
-                witness = _outside_witness(gen, cert)
-                witness["generator_of"] = src_label
-                witness["not_in"] = tgt_label
-                return CheckResult(name, key, FAIL, witness)
-    return CheckResult(name, key, PASS)
+    return _verdict(name, key, _escape_witness(
+        left, right, generator_of=left_label, not_in=right_label)
+        or _escape_witness(
+            right, left, generator_of=right_label, not_in=left_label))
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +265,24 @@ def _check_admissible_dichotomy(data: _StratumData) -> CheckResult:
     key = t.key()
     name = "admissible_dichotomy"
     hasse = _hasse_type_cone(t)
-    for gen in hasse.gen.rays + hasse.gen.lines + tuple(
-            tuple(-x for x in line) for line in hasse.gen.lines):
-        cert = cone_member(data.dcone, gen)
-        if not cert.inside:
-            witness = _outside_witness(gen, cert)
-            witness["generator_of"] = "Hasse-type cone"
-            witness["not_in"] = "weight cone"
-            return CheckResult(name, key, FAIL, witness)
-    tilde = data.tables.tilde
-    if tilde.members == t.members:
-        return _equality_result(name, key, hasse, data.dcone,
-                                "Hasse-type cone", "weight cone")
+    witness = _escape_witness(hasse, data.dcone,
+                              generator_of="Hasse-type cone",
+                              not_in="weight cone")
+    if witness is not None:
+        return CheckResult(name, key, FAIL, witness)
+    if data.tables.tilde.members == t.members:
+        return _verdict(name, key, _escape_witness(
+            data.dcone, hasse, generator_of="weight cone",
+            not_in="Hasse-type cone"))
     memberships = []
     for beta in sorted(t.complement()):
         fw = f_weight(t, beta)
         cert = cone_member(hasse, fw)
         if not cert.inside:
-            witness = _outside_witness(fw, cert)
-            witness["strict_via"] = _emb_key(beta)
-            return CheckResult(name, key, PASS, witness)
+            return CheckResult(name, key, PASS, {
+                "weight": _vec(fw),
+                "violated_form": _vec(cert.violated_form),
+                "strict_via": _emb_key(beta)})
         memberships.append({
             "generator_at": _emb_key(beta),
             "weight": _vec(fw),
@@ -376,13 +361,11 @@ def _check_recipe_weights(data: _StratumData) -> CheckResult:
     tilde = data.tables.tilde
     for c, f in enumerate(config.cycle_lengths):
         in_t = t.cycle_members(c)
-        in_tilde = tilde.cycle_members(c)
-        targets = ({i for i in range(f) if i not in in_tilde}
-                   | {(i + 1) % f for i in in_tilde - in_t})
+        targets = pair_targets(t, tilde, c)
         for i in range(f):
             if i in in_t:
                 continue
-            for j in sorted(targets):
+            for j in targets:
                 emb, target = EmbeddingId(c, i), EmbeddingId(c, j)
                 try:
                     monomial = section_recipe(t, emb, target)
@@ -455,18 +438,12 @@ def _check_minimal_nesting(data: _StratumData) -> CheckResult:
     mini = cone_complete(minimal_cone(t, "min"))
     mini0 = cone_complete(minimal_cone(t, "min0"))
     reduced = cone_complete(cone_image(reduction_matrix(t), data.dcone))
-    for small, big, small_label, big_label in (
-            (mini, mini0, "minimal cone", "diagonal minimal cone"),
-            (mini0, reduced, "diagonal minimal cone", "reduced weight cone")):
-        for gen in small.gen.rays + small.gen.lines + tuple(
-                tuple(-x for x in line) for line in small.gen.lines):
-            cert = cone_member(big, gen)
-            if not cert.inside:
-                witness = _outside_witness(gen, cert)
-                witness["generator_of"] = small_label
-                witness["not_in"] = big_label
-                return CheckResult(name, key, FAIL, witness)
-    return CheckResult(name, key, PASS)
+    return _verdict(name, key, _escape_witness(
+        mini, mini0, generator_of="minimal cone",
+        not_in="diagonal minimal cone")
+        or _escape_witness(
+            mini0, reduced, generator_of="diagonal minimal cone",
+            not_in="reduced weight cone"))
 
 
 def _check_diagonal_minimal(data: _StratumData) -> CheckResult:
@@ -517,22 +494,13 @@ def _hasse_coordinates(config: SplittingConfig,
     coords: list[Fraction] = []
     offset = 0
     for f in config.cycle_lengths:
-        aug = [[Fraction(0)] * f + [Fraction(weight[offset + i])]
-               for i in range(f)]
+        # the augmented matrix [H | w]: column j of H is the Hasse weight at j
+        aug = [[0] * f + [weight[offset + i]] for i in range(f)]
         for j in range(f):
             aug[j][j] -= 1
             aug[(j - 1) % f][j] += config.p
-        for col in range(f):
-            piv = next(r for r in range(col, f) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(f):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b
-                              for a, b in zip(aug[r], aug[col])]
-        coords.extend(row[-1] for row in aug)
+        solved, _ = _rref(aug, f)
+        coords.extend(row[-1] for row in solved)
         offset += f
     return coords
 
@@ -614,21 +582,16 @@ def check_min_question(stratum: Stratum) -> CheckResult:
 
     Their equality is an open question, so the result is informational
     either way; an unequal pair is reported with a witness ray."""
-    key = stratum.key()
     mini = cone_complete(minimal_cone(stratum, "min"))
     mini0 = cone_complete(minimal_cone(stratum, "min0"))
     if cone_equal(mini, mini0):
-        return CheckResult("minimal_equality", key, INFO, {"equal": True})
-    for gen in mini0.gen.rays + mini0.gen.lines + tuple(
-            tuple(-x for x in line) for line in mini0.gen.lines):
-        cert = cone_member(mini, gen)
-        if not cert.inside:
-            witness = _outside_witness(gen, cert)
-            witness["equal"] = False
-            return CheckResult("minimal_equality", key, INFO, witness)
-    # minimal is contained in the diagonal variant by construction, so an
-    # unequal pair always yields a witness above
-    return CheckResult("minimal_equality", key, INFO, {"equal": False})
+        witness = {"equal": True}
+    else:
+        # minimal is contained in the diagonal variant by construction, so
+        # an unequal pair always yields a witness here
+        witness = _escape_witness(mini0, mini, equal=False) or {
+            "equal": False}
+    return CheckResult("minimal_equality", stratum.key(), INFO, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -715,15 +678,7 @@ def check_report(config: SplittingConfig,
                  jobs: int = 1) -> Report:
     """Report over the given strata (default: all strata of the config),
     sorted by canonical key."""
-    if strata is None:
-        embeddings = config.embeddings()
-        strata = [Stratum(config, frozenset(
-            e for i, e in enumerate(embeddings) if mask >> i & 1))
-            for mask in range(1 << config.degree)]
-    tasks = sorted(
-        ((config.p, config.cycle_lengths, s.key()) for s in strata),
-        key=lambda task: task[2])
-    records = _run_tasks(tasks, jobs)
+    records = _run_tasks(_config_tasks(config, strata), jobs)
     open_question, summary = _summarize(records)
     return Report(
         schema=SCHEMA_VERSION,
@@ -745,15 +700,22 @@ def partitions(d: int) -> Iterator[tuple[int, ...]]:
     yield from rec(d, d, ())
 
 
+def _config_tasks(config: SplittingConfig,
+                  strata: Sequence[Stratum] | None = None) -> list[tuple]:
+    """One record task per stratum (default: all 2^d strata of the
+    config), sorted by canonical key."""
+    if strata is None:
+        embeddings = config.embeddings()
+        strata = [Stratum(config, frozenset(
+            e for i, e in enumerate(embeddings) if mask >> i & 1))
+            for mask in range(1 << config.degree)]
+    return [(config.p, config.cycle_lengths, key)
+            for key in sorted(s.key() for s in strata)]
+
+
 def _record_task(task: tuple[int, tuple[int, ...], str]) -> dict:
     p, lengths, key = task
-    config = SplittingConfig(p, lengths)
-    members = frozenset()
-    if key:
-        members = frozenset(
-            EmbeddingId(int(part.split(".")[0]), int(part.split(".")[1]))
-            for part in key.split(","))
-    return stratum_record(Stratum(config, members))
+    return stratum_record(stratum_from_text(SplittingConfig(p, lengths), key))
 
 
 def _run_tasks(tasks: Sequence[tuple], jobs: int) -> list[dict]:
@@ -779,14 +741,7 @@ def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:
     for p in primes:
         for d in range(1, d_max + 1):
             for lengths in sorted(partitions(d)):
-                config = SplittingConfig(p, lengths)
-                embeddings = config.embeddings()
-                keys = sorted(
-                    Stratum(config, frozenset(
-                        e for i, e in enumerate(embeddings)
-                        if mask >> i & 1)).key()
-                    for mask in range(1 << d))
-                tasks.extend((p, lengths, key) for key in keys)
+                tasks.extend(_config_tasks(SplittingConfig(p, lengths)))
     records = _run_tasks(tasks, jobs)
     open_question, summary = _summarize(records)
     return Report(

@@ -29,6 +29,7 @@ from .cone_kernel import (
     Cone,
     ConstraintRep,
     Vec,
+    _dot,
     cone_complete,
     cone_from_constraints,
     cone_from_rays,
@@ -47,10 +48,6 @@ from .splitting import (
 )
 
 Rational = int | Fraction
-
-
-def _dot(form: Sequence[Rational], vec: Sequence[Rational]):
-    return sum(a * b for a, b in zip(form, vec))
 
 
 def _as_vec(config: SplittingConfig,
@@ -119,6 +116,17 @@ def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
     return weight_pair(stratum.config, "h", sub, emb)
 
 
+def pair_targets(stratum: Stratum, tilde: Stratum, cycle: int) -> list[int]:
+    """Sorted positions on one cycle that the Hasse-pair family reaches:
+    those off the tilde closure `tilde` of the stratum, and those one step
+    ahead of (tilde minus T)."""
+    f = stratum.config.cycle_lengths[cycle]
+    in_t = stratum.cycle_members(cycle)
+    in_tilde = tilde.cycle_members(cycle)
+    return sorted({i for i in range(f) if i not in in_tilde}
+                  | {(i + 1) % f for i in in_tilde - in_t})
+
+
 def generators_G(stratum: Stratum) -> list[tuple[Vec, bool]]:
     """The Hasse-pair generating family: one ray h_beta^target for every
     beta outside T and every target outside the tilde closure or one step
@@ -131,9 +139,7 @@ def generators_G(stratum: Stratum) -> list[tuple[Vec, bool]]:
     out: list[tuple[Vec, bool]] = []
     for c, f in enumerate(config.cycle_lengths):
         in_t = stratum.cycle_members(c)
-        in_tilde = tilde.cycle_members(c)
-        targets = sorted({i for i in range(f) if i not in in_tilde}
-                         | {(i + 1) % f for i in in_tilde - in_t})
+        targets = pair_targets(stratum, tilde, c)
         for i in range(f):
             if i in in_t:
                 continue
@@ -486,10 +492,9 @@ def section_recipe(stratum: Stratum, emb: EmbeddingId,
     c = emb.cycle
     f = config.cycle_lengths[c]
     in_t = stratum.cycle_members(c)
-    in_tilde = tilde_closure(stratum).cycle_members(c)
-    targets = ({i for i in range(f) if i not in in_tilde}
-               | {(i + 1) % f for i in in_tilde - in_t})
-    if emb.pos in in_t or target.pos not in targets:
+    tilde = tilde_closure(stratum)
+    in_tilde = tilde.cycle_members(c)
+    if emb.pos in in_t or target.pos not in pair_targets(stratum, tilde, c):
         raise ValueError(
             f"invalid pair ({emb}, {target}): the first embedding must lie "
             "outside T and the second must be a generating-family target")

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from strata_cones.cone_kernel import (
     Cone,
@@ -16,10 +16,10 @@ from strata_cones.cone_kernel import (
     cone_intersect,
     cone_lineality,
     cone_member,
-    cone_project,
     cone_subset,
     cone_sum,
     certificate_valid,
+    first_escape,
     full_space,
     normalize_primitive,
     zero_cone,
@@ -223,17 +223,31 @@ def test_lineality_is_inside_both_ways(c):
         assert cone_member(c, tuple(-x for x in v)).inside
 
 
-@settings(max_examples=60)
+def _lp_escape(inner, outer):
+    """The first escaping generator found by membership LPs, one per
+    generator, as containment was decided before `first_escape`."""
+    a = cone_complete(inner)
+    for gen in a.gen.rays + a.gen.lines + tuple(
+            tuple(-x for x in line) for line in a.gen.lines):
+        cert = cone_member(outer, gen)
+        if not cert.inside:
+            return gen, cert.violated_form
+    return None
+
+
 @given(st.data())
-def test_project_agrees_with_image(data):
-    dim = data.draw(st.integers(2, 4))
-    c = data.draw(random_cones(dim=dim))
-    k = data.draw(st.integers(1, dim - 1))
-    keep = sorted(data.draw(
-        st.sets(st.integers(0, dim - 1), min_size=k, max_size=k)))
-    rows = []
-    for i in keep:
-        row = [0] * dim
-        row[i] = 1
-        rows.append(tuple(row))
-    assert cone_equal(cone_project(c, keep), cone_image(rows, c))
+def test_first_escape_agrees_with_membership_lps(data):
+    dim = data.draw(st.integers(1, 4))
+    a = data.draw(random_cones(dim=dim))
+    b = data.draw(random_cones(dim=dim))
+    escape = first_escape(a, b)
+    assert escape == _lp_escape(a, b)
+    assert (escape is None) == cone_subset(a, b)
+    if escape is not None:
+        gen, form = escape
+        assert sum(x * y for x, y in zip(form, gen)) < 0
+        done = cone_complete(b)
+        assert all(sum(x * y for x, y in zip(form, r)) >= 0
+                   for r in done.gen.rays)
+        assert all(sum(x * y for x, y in zip(form, l)) == 0
+                   for l in done.gen.lines)

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from strata_cones.cone_kernel import cone_from_rays
 from strata_cones.splitting import SplittingConfig, stratum_from_text
 from strata_cones.verify import (
+    _equality_result,
     check_min_question,
     check_report,
     check_stratum,
@@ -69,6 +71,32 @@ def test_pass_witness_violated_form_separates_by_hand():
     form = [Fraction(x) for x in witness["violated_form"]]
     weight = [Fraction(x) for x in witness["weight"]]
     assert sum(a * b for a, b in zip(form, weight)) < 0
+
+
+def test_equality_failure_witnesses_separate_in_each_direction():
+    # the orthant lies inside the upper half-plane, so whichever side comes
+    # first the witness is a half-plane generator (the negated x line)
+    # escaping the orthant
+    gens = {"orthant": ([(1, 0), (0, 1)], []),
+            "half-plane": ([(0, 1)], [(1, 0)])}
+    cones = {label: cone_from_rays(rays, lines, dim=2)
+             for label, (rays, lines) in gens.items()}
+    for left, right in (("orthant", "half-plane"), ("half-plane", "orthant")):
+        result = _equality_result("probe", "", cones[left], cones[right],
+                                  left, right)
+        assert result.status == "fail"
+        witness = result.witness
+        assert list(witness) == ["weight", "violated_form", "generator_of",
+                                 "not_in"]
+        assert (witness["generator_of"], witness["not_in"]) == (
+            "half-plane", "orthant")
+        weight = [int(x) for x in witness["weight"]]
+        form = [int(x) for x in witness["violated_form"]]
+        assert weight == [-1, 0]
+        assert sum(a * b for a, b in zip(form, weight)) < 0
+        rays, lines = gens["orthant"]
+        assert all(sum(a * b for a, b in zip(form, r)) >= 0 for r in rays)
+        assert all(sum(a * b for a, b in zip(form, l)) == 0 for l in lines)
 
 
 def test_min_question_is_informational():
