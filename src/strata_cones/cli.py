@@ -19,16 +19,13 @@ import sys
 from typing import Sequence
 
 from .cone_kernel import _violated_form, cone_member
-from .splitting import (
-    SplittingConfig,
-    Stratum,
-    index_tables,
-    places_and_iw,
-    sign_epsilon,
-    stratum_from_text,
-)
+from .splitting import SplittingConfig, Stratum, stratum_from_text
 from .verify import (
     SCHEMA_VERSION,
+    _emb_key,
+    _num,
+    _vec,
+    _vecs,
     check_report,
     explore,
     stratum_dossier,
@@ -129,24 +126,21 @@ def _cmd_describe(args) -> int:
         _emit(json.dumps({"schema": SCHEMA_VERSION} | dossier, indent=2),
               args)
         return EXIT_OK
-    tables = index_tables(stratum, extended_n=True)
-    eps = sign_epsilon(stratum)
-    s, iw = places_and_iw(stratum)
+    tables = dossier["tables"]
     lines = [
-        f"stratum T = [{stratum.key()}] over p={config.p}, "
-        f"cycles {_fmt_vec(config.cycle_lengths)}",
-        f"tilde closure: [{tables.tilde.key()}]",
-        "S: embeddings [" + ",".join(f"{e.cycle}.{e.pos}"
-                                     for e in sorted(s.embeddings))
-        + "], primes " + str(sorted(s.primes)),
-        f"Iw: {sorted(iw)}",
+        f"stratum T = [{dossier['t']}] over p={dossier['p']}, "
+        f"cycles {_fmt_vec(dossier['cycles'])}",
+        f"tilde closure: [{dossier['tilde']}]",
+        f"S: embeddings [{','.join(dossier['S']['embeddings'])}], "
+        f"primes [{', '.join(dossier['S']['primes'])}]",
+        f"Iw: [{', '.join(dossier['iw'])}]",
         "emb   mu  nu   n  eps",
     ]
-    for emb in config.embeddings():
-        nu = tables.nu.get(emb, "-")
-        n = tables.n.get(emb, "-")
-        lines.append(f"{f'{emb.cycle}.{emb.pos}':<5} {tables.mu[emb]:>2} "
-                     f"{nu:>3} {n:>3} {eps[emb]:>4}")
+    for emb, mu in tables["mu"].items():
+        nu = tables["nu"].get(emb, "-")
+        n = tables["n"].get(emb, "-")
+        lines.append(f"{emb:<5} {mu:>2} {nu:>3} {n:>3} "
+                     f"{tables['epsilon'][emb]:>4}")
     lines.append("generators (pair family):")
     for entry in dossier["generators_G"]:
         kind = "line" if entry["line"] else "ray "
@@ -232,17 +226,16 @@ def _cmd_member(args) -> int:
     cert = cone_member(cone, weight)
     if args.json:
         payload = {"schema": SCHEMA_VERSION, "t": stratum.key(),
-                   "weight": [str(x) for x in weight],
-                   "inside": cert.inside}
+                   "weight": _vec(weight), "inside": cert.inside}
         if cert.inside:
-            payload["ray_coeffs"] = {str(i): str(x) for i, x in
+            payload["ray_coeffs"] = {_num(i): _num(x) for i, x in
                                      sorted(cert.ray_coeffs.items())}
-            payload["line_coeffs"] = {str(i): str(x) for i, x in
+            payload["line_coeffs"] = {_num(i): _num(x) for i, x in
                                       sorted(cert.line_coeffs.items())}
-            payload["rays"] = [[str(x) for x in r] for r in cone.gen.rays]
-            payload["lines"] = [[str(x) for x in l] for l in cone.gen.lines]
+            payload["rays"] = _vecs(cone.gen.rays)
+            payload["lines"] = _vecs(cone.gen.lines)
         else:
-            payload["violated_form"] = [str(x) for x in cert.violated_form]
+            payload["violated_form"] = _vec(cert.violated_form)
         _emit(json.dumps(payload, indent=2), args)
         return EXIT_OK
     if cert.inside:
@@ -268,15 +261,16 @@ def _cmd_minimal(args) -> int:
     weight = _weight_from(args.weight, config, "--weight")
     reduced = reduce_iT(stratum, weight)
     forced = sorted(forced_divisors(stratum, weight))
-    in_min = cone_member(minimal_cone(stratum, "min"), reduced).inside
-    in_min0 = cone_member(minimal_cone(stratum, "min0"), reduced).inside
+    in_min = _violated_form(minimal_cone(stratum, "min").con, reduced) is None
+    in_min0 = _violated_form(minimal_cone(stratum, "min0").con,
+                             reduced) is None
     if args.json:
         _emit(json.dumps({
             "schema": SCHEMA_VERSION,
             "t": stratum.key(),
-            "weight": [str(x) for x in weight],
-            "reduced": [str(x) for x in reduced],
-            "forced_divisors": [f"{e.cycle}.{e.pos}" for e in forced],
+            "weight": _vec(weight),
+            "reduced": _vec(reduced),
+            "forced_divisors": [_emb_key(e) for e in forced],
             "in_minimal": in_min,
             "in_minimal0": in_min0,
         }, indent=2), args)
@@ -284,7 +278,7 @@ def _cmd_minimal(args) -> int:
     lines = [f"reduction of {_fmt_vec(weight)} on [{stratum.key()}]: "
              f"{_fmt_vec(reduced)}",
              "forced divisors: ["
-             + ",".join(f"{e.cycle}.{e.pos}" for e in forced) + "]",
+             + ",".join(_emb_key(e) for e in forced) + "]",
              f"in minimal cone: {'yes' if in_min else 'no'}",
              f"in diagonal minimal cone: {'yes' if in_min0 else 'no'}"]
     _emit("\n".join(lines), args)
@@ -306,12 +300,11 @@ def _cmd_gl2(args) -> int:
         inside = violated is None
         if args.json:
             payload = {"schema": SCHEMA_VERSION, "t": stratum.key(),
-                       "lam": [str(x) for x in lam],
-                       "kappa": [str(x) for x in kappa],
+                       "lam": _vec(lam), "kappa": _vec(kappa),
                        "inside": inside}
             if violated is not None:
-                payload["violated_form"] = \
-                    ["0"] * config.degree + [str(x) for x in violated]
+                payload["violated_form"] = _vec((0,) * config.degree
+                                                + violated)
             _emit(json.dumps(payload, indent=2), args)
         elif inside:
             _emit(f"({_fmt_vec(lam)}; {_fmt_vec(kappa)}) lies in the "
@@ -329,9 +322,9 @@ def _cmd_gl2(args) -> int:
     if args.json:
         _emit(json.dumps({
             "schema": SCHEMA_VERSION,
-            "weight": [str(x) for x in weight],
-            "residues": [str(x) for x in cls.residues],
-            "moduli": [str(x) for x in cls.moduli],
+            "weight": _vec(weight),
+            "residues": _vec(cls.residues),
+            "moduli": _vec(cls.moduli),
             "zero": cls.is_zero(),
         }, indent=2), args)
         return EXIT_OK

@@ -11,6 +11,8 @@ condition for descending a weight along a refinement.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -88,10 +90,17 @@ def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
 
 @dataclass(frozen=True)
 class Stratum:
-    """A subset T of the embeddings of a fixed configuration."""
+    """A subset T of the embeddings of a fixed configuration.
+
+    Data derived from T alone is computed once per stratum and kept in
+    `_memo` (see `_memoised`); the memo takes no part in equality, hashing
+    or the repr.
+    """
 
     config: SplittingConfig
     members: frozenset[EmbeddingId]
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self) -> None:
         for emb in self.members:
@@ -113,6 +122,27 @@ class Stratum:
 
     def complement(self) -> frozenset[EmbeddingId]:
         return frozenset(self.config.embeddings()) - self.members
+
+
+def _memoised(fn):
+    """Keep fn(stratum, *args) in the stratum's memo, keyed by the function
+    name and the argument values with defaults filled in.  Later calls
+    return the stored value itself, so callers must not mutate it."""
+    params = tuple(inspect.signature(fn).parameters.values())[1:]
+
+    @functools.wraps(fn)
+    def wrapper(stratum, *args, **kwargs):
+        key = (fn.__name__, *args, *(kwargs.pop(param.name, param.default)
+                                     for param in params[len(args):]))
+        if kwargs:
+            raise TypeError(f"{fn.__name__}() got unexpected arguments "
+                            f"{sorted(kwargs)}")
+        memo = stratum._memo
+        if key not in memo:
+            memo[key] = fn(stratum, *key[1:])
+        return memo[key]
+
+    return wrapper
 
 
 def stratum_from_text(config: SplittingConfig, text: str) -> Stratum:
@@ -192,6 +222,7 @@ def chain_decomposition(stratum: Stratum) -> dict[int, list[Chain] | None]:
     return out
 
 
+@_memoised
 def tilde_closure(stratum: Stratum) -> Stratum:
     """Extend each even-m chain one step backward; full cycles stay full.
 
@@ -250,9 +281,7 @@ class StratumTables:
     built with extended_n=True, in which case it is the cycle length there.
     """
 
-    stratum: Stratum
     tilde: Stratum
-    extended_n: bool
     mu: Mapping[EmbeddingId, int]
     nu: Mapping[EmbeddingId, int]
     n: Mapping[EmbeddingId, int]
@@ -274,6 +303,7 @@ class StratumTables:
         return self.n[emb]
 
 
+@_memoised
 def index_tables(stratum: Stratum, extended_n: bool = False) -> StratumTables:
     config = stratum.config
     tilde = tilde_closure(stratum)
@@ -297,10 +327,10 @@ def index_tables(stratum: Stratum, extended_n: bool = False) -> StratumTables:
                                if (i + k) % f not in in_tilde)
             elif extended_n:
                 n[beta] = f
-    return StratumTables(stratum=stratum, tilde=tilde, extended_n=extended_n,
-                         mu=mu, nu=nu, n=n)
+    return StratumTables(tilde=tilde, mu=mu, nu=nu, n=n)
 
 
+@_memoised
 def sign_epsilon(stratum: Stratum) -> dict[EmbeddingId, int]:
     """The sign function: 0 on full cycles, +1 outside the tilde closure,
     (-1)^(mu-1) on the tilde closure."""
@@ -321,6 +351,7 @@ def sign_epsilon(stratum: Stratum) -> dict[EmbeddingId, int]:
     return out
 
 
+@_memoised
 def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
     """The embeddings whose distinguished weight can vanish without forcing
     the whole cycle: per cycle, the complement of T, shrunk by one element
@@ -332,7 +363,7 @@ def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
     differs from beta.
     """
     config = stratum.config
-    tables = index_tables(stratum, extended_n=False)
+    tables = index_tables(stratum)
     out: set[EmbeddingId] = set()
     for c, f in enumerate(config.cycle_lengths):
         in_t = stratum.cycle_members(c)

@@ -45,6 +45,7 @@ from .splitting import (
     places_and_iw,
     sign_epsilon,
     stratum_from_text,
+    tilde_closure,
 )
 from .weights import (
     cone_D,
@@ -169,52 +170,30 @@ def _equality_result(name: str, key: str, left: Cone, right: Cone,
 
 
 # ---------------------------------------------------------------------------
-# per-stratum shared data
-
-
-@dataclass
-class _StratumData:
-    stratum: Stratum
-    tables: object
-    dcone: Cone
-    forms: tuple
-
-
-def _prepare(stratum: Stratum) -> _StratumData:
-    return _StratumData(
-        stratum=stratum,
-        tables=index_tables(stratum, extended_n=True),
-        dcone=cone_D(stratum),
-        forms=explicit_constraints(stratum).ineqs,
-    )
-
-
-# ---------------------------------------------------------------------------
 # individual checks
 
 
-def _check_optimal_basis(data: _StratumData) -> CheckResult:
+def _check_optimal_basis(t: Stratum) -> CheckResult:
     return _equality_result(
-        "optimal_basis", data.stratum.key(),
-        cone_D(data.stratum, "G"), data.dcone,
+        "optimal_basis", t.key(), cone_D(t, "G"), cone_D(t),
         "pair-generated cone", "one-ray-per-embedding cone")
 
 
-def _check_explicit_halfspaces(data: _StratumData) -> CheckResult:
-    cut = cone_from_constraints(data.forms, dim=data.stratum.config.degree)
+def _check_explicit_halfspaces(t: Stratum) -> CheckResult:
+    cut = cone_from_constraints(explicit_constraints(t).ineqs,
+                                dim=t.config.degree)
     return _equality_result(
-        "explicit_halfspaces", data.stratum.key(),
-        data.dcone, cut, "generated cone", "half-space cone")
+        "explicit_halfspaces", t.key(),
+        cone_D(t), cut, "generated cone", "half-space cone")
 
 
-def _check_biorthogonality(data: _StratumData) -> CheckResult:
-    t = data.stratum
+def _check_biorthogonality(t: Stratum) -> CheckResult:
     key = t.key()
     outside = sorted(t.complement())
     gens = generators_Gprime(t)
     rays = [w for w, is_line in gens if not is_line]
     lines = [w for w, is_line in gens if is_line]
-    for beta, form in zip(outside, data.forms):
+    for beta, form in zip(outside, explicit_constraints(t).ineqs):
         for tau, ray in zip(outside, rays):
             value = _dot(form, ray)
             good = value > 0 if tau == beta else value == 0
@@ -244,7 +223,7 @@ def _hasse_type_cone(stratum: Stratum) -> Cone:
     return cone_complete(cone_from_rays(rays, lines, dim=config.degree))
 
 
-def _check_admissible_dichotomy(data: _StratumData) -> CheckResult:
+def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
     """Test the admissibility dichotomy in its strong form.
 
     Admissible strata (tilde closure equal to T) carry exactly the
@@ -261,18 +240,17 @@ def _check_admissible_dichotomy(data: _StratumData) -> CheckResult:
     -(1 + p^f) e_j = h_j + sum_{i=1}^{f-1} (-p)^i b_{j-i} telescopes the
     generator at j into the Hasse-type cone.  Acceptance criterion 3 pins
     this exact split."""
-    t = data.stratum
     key = t.key()
     name = "admissible_dichotomy"
     hasse = _hasse_type_cone(t)
-    witness = _escape_witness(hasse, data.dcone,
+    witness = _escape_witness(hasse, cone_D(t),
                               generator_of="Hasse-type cone",
                               not_in="weight cone")
     if witness is not None:
         return CheckResult(name, key, FAIL, witness)
-    if data.tables.tilde.members == t.members:
+    if tilde_closure(t) == t:
         return _verdict(name, key, _escape_witness(
-            data.dcone, hasse, generator_of="weight cone",
+            cone_D(t), hasse, generator_of="weight cone",
             not_in="Hasse-type cone"))
     memberships = []
     for beta in sorted(t.complement()):
@@ -300,9 +278,9 @@ def _check_admissible_dichotomy(data: _StratumData) -> CheckResult:
     })
 
 
-def _check_hasse_identity(data: _StratumData) -> CheckResult:
-    config = data.stratum.config
-    key = data.stratum.key()
+def _check_hasse_identity(t: Stratum) -> CheckResult:
+    config = t.config
+    key = t.key()
     for c, f in enumerate(config.cycle_lengths):
         for n in range(1, f):
             for m in range(1, f - n + 1):
@@ -321,8 +299,7 @@ def _check_hasse_identity(data: _StratumData) -> CheckResult:
     return CheckResult("hasse_identity", key, PASS)
 
 
-def _check_reduction_identities(data: _StratumData) -> CheckResult:
-    t = data.stratum
+def _check_reduction_identities(t: Stratum) -> CheckResult:
     key = t.key()
     name = "reduction_identities"
     config = t.config
@@ -342,26 +319,23 @@ def _check_reduction_identities(data: _StratumData) -> CheckResult:
                               "reduction kernel", "span of b lines on T")
     if result.status != PASS:
         return result
-    reduced = cone_image(rows, data.dcone)
-    lifted_rays = [lift_jT(t, ray) for ray in cone_complete(reduced).gen.rays]
-    lifted_lines = [lift_jT(t, line)
-                    for line in cone_complete(reduced).gen.lines]
+    reduced = cone_complete(cone_image(rows, cone_D(t)))
+    lifted_rays = [lift_jT(t, ray) for ray in reduced.gen.rays]
+    lifted_lines = [lift_jT(t, line) for line in reduced.gen.lines]
     lifted_lines += [weight_basis(config, "b", beta)
                      for beta in sorted(t.members)]
     rebuilt = cone_from_rays(lifted_rays, lifted_lines, dim=config.degree)
-    return _equality_result(name, key, data.dcone, rebuilt,
+    return _equality_result(name, key, cone_D(t), rebuilt,
                             "weight cone", "lifted reduction plus kernel")
 
 
-def _check_recipe_weights(data: _StratumData) -> CheckResult:
-    t = data.stratum
+def _check_recipe_weights(t: Stratum) -> CheckResult:
     key = t.key()
     name = "recipe_weights"
     config = t.config
-    tilde = data.tables.tilde
     for c, f in enumerate(config.cycle_lengths):
         in_t = t.cycle_members(c)
-        targets = pair_targets(t, tilde, c)
+        targets = pair_targets(t, c)
         for i in range(f):
             if i in in_t:
                 continue
@@ -391,18 +365,17 @@ def _check_recipe_weights(data: _StratumData) -> CheckResult:
                 "generator_at": _emb_key(beta),
                 "monomial_weight": _vec(monomial_weight(monomial)),
                 "generator_weight": _vec(f_weight(t, beta))})
-        if tag.is_zero() != (beta not in tilde):
+        if tag.is_zero() != (beta not in tilde_closure(t)):
             return CheckResult(name, key, FAIL, {
                 "generator_at": _emb_key(beta),
                 "tag_residues": _vec(tag.residues)})
     return CheckResult(name, key, PASS)
 
 
-def _check_divisor_functionals(data: _StratumData) -> CheckResult:
+def _check_divisor_functionals(t: Stratum) -> CheckResult:
     """Each distinguished generator at an admissible embedding violates its
     own divisibility functional, and the pairing is -2 p^(n + delta) with
     delta >= 0."""
-    t = data.stratum
     key = t.key()
     name = "divisor_functionals"
     adm = sorted(admissible_set(t))
@@ -414,7 +387,7 @@ def _check_divisor_functionals(data: _StratumData) -> CheckResult:
         fw = f_weight(t, beta)
         form = functional_Lf(t, beta, beta)
         value = _dot(form, fw)
-        n = data.tables.n_of(beta)
+        n = index_tables(t).n_of(beta)
         power = -value
         good = value < 0 and power % 2 == 0
         if good:
@@ -431,35 +404,30 @@ def _check_divisor_functionals(data: _StratumData) -> CheckResult:
     return CheckResult(name, key, PASS)
 
 
-def _check_minimal_nesting(data: _StratumData) -> CheckResult:
-    t = data.stratum
-    key = t.key()
-    name = "minimal_nesting"
-    mini = cone_complete(minimal_cone(t, "min"))
-    mini0 = cone_complete(minimal_cone(t, "min0"))
-    reduced = cone_complete(cone_image(reduction_matrix(t), data.dcone))
-    return _verdict(name, key, _escape_witness(
-        mini, mini0, generator_of="minimal cone",
+def _check_minimal_nesting(t: Stratum) -> CheckResult:
+    mini0 = minimal_cone(t, "min0")
+    reduced = cone_image(reduction_matrix(t), cone_D(t))
+    return _verdict("minimal_nesting", t.key(), _escape_witness(
+        minimal_cone(t, "min"), mini0, generator_of="minimal cone",
         not_in="diagonal minimal cone")
         or _escape_witness(
             mini0, reduced, generator_of="diagonal minimal cone",
             not_in="reduced weight cone"))
 
 
-def _check_diagonal_minimal(data: _StratumData) -> CheckResult:
+def _check_diagonal_minimal(t: Stratum) -> CheckResult:
     """For admissible strata the minimal cone has the explicit diagonal
     description p^n l(shift^n beta) >= l(beta)."""
-    t = data.stratum
     key = t.key()
     name = "diagonal_minimal"
-    if data.tables.tilde.members != t.members:
+    if tilde_closure(t) != t:
         return CheckResult(name, key, INFO,
                            {"reason": "tilde closure differs from T"})
     outside = sorted(t.complement())
     index = {beta: i for i, beta in enumerate(outside)}
     forms = []
     for beta in outside:
-        n = data.tables.n_of(beta)
+        n = index_tables(t).n_of(beta)
         form = [0] * len(outside)
         form[index[beta]] -= 1
         shifted = frobenius_shift(t.config, beta, n)
@@ -470,15 +438,15 @@ def _check_diagonal_minimal(data: _StratumData) -> CheckResult:
                             "minimal cone", "diagonal description")
 
 
-def _check_gl2_product(data: _StratumData) -> CheckResult:
-    t = data.stratum
+def _check_gl2_product(t: Stratum) -> CheckResult:
     dim = t.config.degree
     gens = gl2_generators(t)
     rays = [bw.lam + bw.kappa for bw, is_line in gens if not is_line]
     lines = [bw.lam + bw.kappa for bw, is_line in gens if is_line]
     built = cone_from_rays(rays, lines, dim=2 * dim)
     product = cone_from_constraints(
-        [(0,) * dim + form for form in data.forms], dim=2 * dim)
+        [(0,) * dim + form for form in explicit_constraints(t).ineqs],
+        dim=2 * dim)
     return _equality_result(
         "gl2_product", t.key(), built, product,
         "bi-weight generated cone", "free-by-weight-cone product")
@@ -505,11 +473,10 @@ def _hasse_coordinates(config: SplittingConfig,
     return coords
 
 
-def _check_delta_kernel(data: _StratumData) -> CheckResult:
+def _check_delta_kernel(t: Stratum) -> CheckResult:
     """The per-cycle residue invariant vanishes exactly on the lattice
     spanned by the Hasse weights; checked on all basis Hasse weights and a
     deterministic sample of random integer weights."""
-    t = data.stratum
     config = t.config
     key = t.key()
     name = "delta_kernel"
@@ -528,9 +495,8 @@ def _check_delta_kernel(data: _StratumData) -> CheckResult:
     return CheckResult(name, key, PASS)
 
 
-def _check_product_structure(data: _StratumData) -> CheckResult:
+def _check_product_structure(t: Stratum) -> CheckResult:
     """Multi-cycle weight cones factor through the per-cycle cones."""
-    t = data.stratum
     config = t.config
     key = t.key()
     name = "product_structure"
@@ -550,7 +516,7 @@ def _check_product_structure(data: _StratumData) -> CheckResult:
             (lines if is_line else rays).append(pad(w))
         offset += f
     built = cone_from_rays(rays, lines, dim=config.degree)
-    return _equality_result(name, key, built, data.dcone,
+    return _equality_result(name, key, built, cone_D(t),
                             "per-cycle product cone", "weight cone")
 
 
@@ -573,8 +539,7 @@ _CHECKS = (
 
 def check_stratum(stratum: Stratum) -> list[CheckResult]:
     """Run every named check on one stratum."""
-    data = _prepare(stratum)
-    return [check(data) for check in _CHECKS]
+    return [check(stratum) for check in _CHECKS]
 
 
 def check_min_question(stratum: Stratum) -> CheckResult:
@@ -582,8 +547,8 @@ def check_min_question(stratum: Stratum) -> CheckResult:
 
     Their equality is an open question, so the result is informational
     either way; an unequal pair is reported with a witness ray."""
-    mini = cone_complete(minimal_cone(stratum, "min"))
-    mini0 = cone_complete(minimal_cone(stratum, "min0"))
+    mini = minimal_cone(stratum, "min")
+    mini0 = minimal_cone(stratum, "min0")
     if cone_equal(mini, mini0):
         witness = {"equal": True}
     else:

@@ -30,16 +30,17 @@ from .cone_kernel import (
     ConstraintRep,
     Vec,
     _dot,
+    _violated_form,
     cone_complete,
     cone_from_constraints,
     cone_from_rays,
     cone_image,
-    cone_member,
 )
 from .splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    _memoised,
     admissible_set,
     frobenius_shift,
     index_tables,
@@ -116,13 +117,13 @@ def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
     return weight_pair(stratum.config, "h", sub, emb)
 
 
-def pair_targets(stratum: Stratum, tilde: Stratum, cycle: int) -> list[int]:
+def pair_targets(stratum: Stratum, cycle: int) -> list[int]:
     """Sorted positions on one cycle that the Hasse-pair family reaches:
-    those off the tilde closure `tilde` of the stratum, and those one step
-    ahead of (tilde minus T)."""
+    those off the tilde closure of the stratum, and those one step ahead
+    of (tilde minus T)."""
     f = stratum.config.cycle_lengths[cycle]
     in_t = stratum.cycle_members(cycle)
-    in_tilde = tilde.cycle_members(cycle)
+    in_tilde = tilde_closure(stratum).cycle_members(cycle)
     return sorted({i for i in range(f) if i not in in_tilde}
                   | {(i + 1) % f for i in in_tilde - in_t})
 
@@ -135,11 +136,10 @@ def generators_G(stratum: Stratum) -> list[tuple[Vec, bool]]:
     Entries are (weight, is_line).
     """
     config = stratum.config
-    tilde = tilde_closure(stratum)
     out: list[tuple[Vec, bool]] = []
     for c, f in enumerate(config.cycle_lengths):
         in_t = stratum.cycle_members(c)
-        targets = pair_targets(stratum, tilde, c)
+        targets = pair_targets(stratum, c)
         for i in range(f):
             if i in in_t:
                 continue
@@ -179,6 +179,7 @@ def generators_Gprime(stratum: Stratum) -> list[tuple[Vec, bool]]:
     return out
 
 
+@_memoised
 def cone_D(stratum: Stratum, basis: str = "Gprime") -> Cone:
     """The weight cone of the stratum, from either generating family,
     completed to both representations."""
@@ -231,6 +232,7 @@ def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
     return functional_window(config, eps, frobenius_shift(config, emb, mu))
 
 
+@_memoised
 def explicit_constraints(stratum: Stratum) -> ConstraintRep:
     """The half-space description of the weight cone: one facet functional
     per embedding outside T (cycles inside T contribute nothing)."""
@@ -239,6 +241,7 @@ def explicit_constraints(stratum: Stratum) -> ConstraintRep:
     return ConstraintRep(ineqs=ineqs, eqns=())
 
 
+@_memoised
 def reduction_matrix(stratum: Stratum) -> tuple[Vec, ...]:
     """Rows of the reduction map: the row at beta (outside T, sorted) takes
     the alternating sum of (-p)^i times the coordinate at shift^i(beta) over
@@ -280,7 +283,7 @@ def lift_jT(stratum: Stratum, reduced: Sequence[Rational]) -> tuple:
 
 def _flipped_epsilon(stratum: Stratum, beta: EmbeddingId) -> dict[EmbeddingId, int]:
     tables = index_tables(stratum)
-    eps = sign_epsilon(stratum)
+    eps = dict(sign_epsilon(stratum))
     for i in range(tables.mu_of(beta)):
         tau = frobenius_shift(stratum.config, beta, i)
         eps[tau] = -eps[tau]
@@ -343,6 +346,7 @@ def cone_Dtf(stratum: Stratum, beta: EmbeddingId) -> Cone:
         _divisor_forms(stratum, beta), dim=stratum.config.degree))
 
 
+@_memoised
 def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
     """The minimal cone in reduced coordinates.
 
@@ -418,9 +422,8 @@ def phi_reduce(stratum: Stratum, weight: Sequence[Rational],
             kappa0 = [x - a * y for x, y in zip(kappa0, fw)]
     kappa0_t = tuple(kappa0)
     reduced = reduce_iT(stratum, kappa0_t)
-    in_cone = all(_dot(form, kappa0_t) >= 0
-                  for form in explicit_constraints(stratum).ineqs)
-    in_min = cone_member(minimal_cone(stratum, "min"), reduced).inside
+    in_cone = _violated_form(explicit_constraints(stratum), kappa0_t) is None
+    in_min = _violated_form(minimal_cone(stratum, "min").con, reduced) is None
     return PhiReduction(kappa0=kappa0_t, reduced=reduced,
                         kappa0_in_cone=in_cone, reduced_in_minimal=in_min)
 
@@ -492,9 +495,8 @@ def section_recipe(stratum: Stratum, emb: EmbeddingId,
     c = emb.cycle
     f = config.cycle_lengths[c]
     in_t = stratum.cycle_members(c)
-    tilde = tilde_closure(stratum)
-    in_tilde = tilde.cycle_members(c)
-    if emb.pos in in_t or target.pos not in pair_targets(stratum, tilde, c):
+    in_tilde = tilde_closure(stratum).cycle_members(c)
+    if emb.pos in in_t or target.pos not in pair_targets(stratum, c):
         raise ValueError(
             f"invalid pair ({emb}, {target}): the first embedding must lie "
             "outside T and the second must be a generating-family target")

@@ -17,8 +17,12 @@ form; degenerate strata fail with certificates that the cones are equal,
 because on such a cycle the distinguished generator telescopes into the
 Hasse-type cone.  The sweep has 264 degenerate strata, the refutation of
 the strong form.
+
+The sweep's report bytes are pinned by their sha256, so any change to
+the report shows up in tier-1.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -55,6 +59,10 @@ from strata_cones.weights import (
 SWEEP_PRIMES = [2, 3, 5]
 SWEEP_DEGREE = 5
 SWEEP_BUDGET_SECONDS = 300.0
+# sha256 of the sweep's `Report.to_json()`: the bytes of
+# `strata-cones explore --p-list 2,3,5 --json` without the final newline
+SWEEP_REPORT_SHA256 = (
+    "1e934b093bcb47a217feefd3ff052ba4a88dbc7e0d2ee64e4033794744d1236f")
 
 
 @pytest.fixture(scope="session")
@@ -386,3 +394,9 @@ def test_criterion_10_kernel_properties():
     ok = elapsed < 60.0
     announce(10, "kernel invariants hold on 500 seeded random cones", ok)
     assert ok, f"{elapsed:.1f}s"
+
+
+def test_sweep_report_bytes_are_pinned(sweep):
+    report, _ = sweep
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == SWEEP_REPORT_SHA256

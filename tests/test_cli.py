@@ -16,12 +16,102 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the full describe text: T = all with nonempty S primes and Iw (one and
+# two of each), and a stratum whose tables and cones are all nontrivial
+DESCRIBE_TEXTS = {
+    ("2,1", "all"): """\
+stratum T = [0.0,0.1,1.0] over p=2, cycles (2, 1)
+tilde closure: [0.0,0.1,1.0]
+S: embeddings [0.0,0.1,1.0], primes [1]
+Iw: [0]
+emb   mu  nu   n  eps
+0.0    0   -   2    0
+0.1    0   -   2    0
+1.0    0   -   1    0
+generators (pair family):
+  line (1, 2, 0)
+  line (2, 1, 0)
+  line (0, 0, 3)
+generators (one ray per embedding):
+  line (1, 2, 0)
+  line (2, 1, 0)
+  line (0, 0, 3)
+half-spaces:
+minimal cone (reduced coordinates, dim 0):
+  (no constraints)
+diagonal minimal cone (reduced coordinates, dim 0):
+  (no constraints)
+""",
+    ("2,2,1,1", "all"): """\
+stratum T = [0.0,0.1,1.0,1.1,2.0,3.0] over p=2, cycles (2, 2, 1, 1)
+tilde closure: [0.0,0.1,1.0,1.1,2.0,3.0]
+S: embeddings [0.0,0.1,1.0,1.1,2.0,3.0], primes [2, 3]
+Iw: [0, 1]
+emb   mu  nu   n  eps
+0.0    0   -   2    0
+0.1    0   -   2    0
+1.0    0   -   2    0
+1.1    0   -   2    0
+2.0    0   -   1    0
+3.0    0   -   1    0
+generators (pair family):
+  line (1, 2, 0, 0, 0, 0)
+  line (2, 1, 0, 0, 0, 0)
+  line (0, 0, 1, 2, 0, 0)
+  line (0, 0, 2, 1, 0, 0)
+  line (0, 0, 0, 0, 3, 0)
+  line (0, 0, 0, 0, 0, 3)
+generators (one ray per embedding):
+  line (1, 2, 0, 0, 0, 0)
+  line (2, 1, 0, 0, 0, 0)
+  line (0, 0, 1, 2, 0, 0)
+  line (0, 0, 2, 1, 0, 0)
+  line (0, 0, 0, 0, 3, 0)
+  line (0, 0, 0, 0, 0, 3)
+half-spaces:
+minimal cone (reduced coordinates, dim 0):
+  (no constraints)
+diagonal minimal cone (reduced coordinates, dim 0):
+  (no constraints)
+""",
+    ("3", "0.1"): """\
+stratum T = [0.1] over p=2, cycles (3)
+tilde closure: [0.0,0.1]
+S: embeddings [0.0,0.1], primes []
+Iw: []
+emb   mu  nu   n  eps
+0.0    2   0   2   -1
+0.1    1   1   1    1
+0.2    1   0   3    1
+generators (pair family):
+  ray  (-1, 4, 0)
+  ray  (-1, 0, 2)
+  ray  (0, 2, -1)
+  ray  (0, 0, 7)
+  line (2, 1, 0)
+generators (one ray per embedding):
+  ray  (-4, 0, -1)
+  ray  (0, 0, 7)
+  line (2, 1, 0)
+half-spaces:
+  (-1, 2, 0) >= 0
+  (-1, 2, 4) >= 0
+minimal cone (reduced coordinates, dim 2):
+  (-1, 0) >= 0
+  (1, 4) >= 0
+diagonal minimal cone (reduced coordinates, dim 2):
+  (-1, 0) >= 0
+  (1, 4) >= 0
+""",
+}
+
+
 def test_describe_text(capsys):
-    code, out, _ = run(capsys, "describe", "--p", "2", "--cycles", "3",
-                       "--t", "0.1")
-    assert code == 0
-    assert "tilde closure: [0.0,0.1]" in out
-    assert "half-spaces:" in out
+    for (cycles, t), text in DESCRIBE_TEXTS.items():
+        code, out, _ = run(capsys, "describe", "--p", "2", "--cycles",
+                           cycles, "--t", t)
+        assert code == 0
+        assert out == text
 
 
 def test_describe_json(capsys):

@@ -251,3 +251,23 @@ def test_first_escape_agrees_with_membership_lps(data):
                    for r in done.gen.rays)
         assert all(sum(x * y for x, y in zip(form, l)) == 0
                    for l in done.gen.lines)
+
+
+@given(st.data())
+def test_cone_equal_is_equality_of_canonical_forms(data):
+    dim = data.draw(st.integers(1, 4))
+    a = data.draw(random_cones(dim=dim))
+    b = data.draw(random_cones(dim=dim))
+    done = cone_complete(a)
+    # the same cone as `a`, given by redundant scaled rays and by constraints
+    rays = [tuple(2 * x for x in r) for r in done.gen.rays]
+    if rays:
+        rays.append(tuple(map(sum, zip(*rays))))
+    by_rays = cone_from_rays(rays, done.gen.lines, dim=dim)
+    by_constraints = cone_from_constraints(done.con.ineqs, done.con.eqns,
+                                           dim=dim)
+    pairs = [(a, b), (b, a), (a, by_rays), (by_rays, by_constraints),
+             (by_constraints, b)]
+    for x, y in pairs:
+        assert cone_equal(x, y) == (cone_complete(x) == cone_complete(y))
+    assert cone_equal(by_rays, by_constraints)

@@ -348,3 +348,32 @@ def test_refinements_properties(t):
 @given(random_strata())
 def test_key_round_trips(t):
     assert stratum_from_text(t.config, t.key()).members == t.members
+
+
+# ---------------------------------------------------------------------------
+# the per-stratum memo
+
+
+def test_memo_keys_fill_in_defaults():
+    t = stratum(CFG_C, (0, 1))
+    tables = index_tables(t)
+    assert index_tables(t, False) is tables
+    assert index_tables(t, extended_n=False) is tables
+    assert index_tables(t, extended_n=True) is index_tables(t, True)
+    assert index_tables(t, True) is not tables
+    with pytest.raises(TypeError, match="unexpected"):
+        index_tables(t, extended=True)
+
+
+@given(random_strata())
+def test_memo_is_invisible_to_equality_and_hashing(t):
+    filled = Stratum(t.config, t.members)
+    for extended in (False, True):
+        index_tables(filled, extended)
+    sign_epsilon(filled)
+    admissible_set(filled)
+    empty = Stratum(t.config, t.members)
+    assert filled._memo and not empty._memo
+    assert filled == empty and hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    assert {filled: "found"}[empty] == "found"

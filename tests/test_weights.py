@@ -1,5 +1,7 @@
 """Weight vectors, cones, functionals, reductions, recipes, bi-weights."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,8 +22,10 @@ from strata_cones.splitting import (
     admissible_set,
     frobenius_shift,
     index_tables,
+    sign_epsilon,
     tilde_closure,
 )
+from strata_cones.verify import stratum_record
 from strata_cones.weights import (
     BiWeight,
     FormalMonomial,
@@ -631,3 +635,56 @@ def test_minimal_cone_lives_under_the_reduced_cone(t):
     for line in mini.gen.lines:
         assert cone_member(mini0, line).inside
         assert cone_member(mini0, tuple(-x for x in line)).inside
+
+
+# ---------------------------------------------------------------------------
+# the per-stratum memo: values shared across calls are never changed
+
+
+MEMOISED_CALLS = (
+    (tilde_closure, ()),
+    (index_tables, (False,)),
+    (index_tables, (True,)),
+    (sign_epsilon, ()),
+    (admissible_set, ()),
+    (explicit_constraints, ()),
+    (reduction_matrix, ()),
+    (cone_D, ("G",)),
+    (cone_D, ("Gprime",)),
+    (minimal_cone, ("min",)),
+    (minimal_cone, ("min0",)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_strata(max_degree=4))
+def test_memoised_values_survive_a_full_record(t):
+    stratum_record(t)
+    fresh = Stratum(t.config, t.members)
+    for builder, args in MEMOISED_CALLS:
+        assert builder(t, *args) == builder(fresh, *args), builder.__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_strata(max_degree=4))
+def test_sign_epsilon_is_not_mutated_by_its_users(t):
+    before = dict(sign_epsilon(t))
+    minimal_cone(t, "min")
+    minimal_cone(t, "min0")
+    for beta in sorted(admissible_set(t)):
+        beta2 = frobenius_shift(t.config, beta, index_tables(t).n_of(beta))
+        for tau in sorted(t.complement() - {beta2}):
+            functional_Lf(t, beta, tau)
+    assert sign_epsilon(t) == before
+
+
+def test_the_memo_dies_with_its_stratum():
+    t = stratum(CFG_C, (0, 1))
+    stratum_record(t)
+    gone = weakref.ref(t)
+    gc.disable()
+    try:
+        del t
+        assert gone() is None
+    finally:
+        gc.enable()
