@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 3
 
+# every worker process is started up front, so the count is bounded
+JOBS_MAX = 64
+
 
 class _UsageError(Exception):
     pass
@@ -90,16 +93,19 @@ def _weight_from(text: str, config: SplittingConfig, what: str) -> tuple:
 
 
 def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("STRATA_CONES_JOBS", "")
-    if env:
+    what, jobs = "--jobs", args.jobs
+    if jobs is None:
+        what = "STRATA_CONES_JOBS"
+        env = os.environ.get(what) or "1"
         try:
-            return int(env)
+            jobs = int(env)
         except ValueError:
             raise _UsageError(
-                f"STRATA_CONES_JOBS must be an integer, got {env!r}") from None
-    return 1
+                f"{what} must be an integer, got {env!r}") from None
+    if not 1 <= jobs <= JOBS_MAX:
+        raise _UsageError(
+            f"{what} must be between 1 and {JOBS_MAX}, got {jobs}")
+    return jobs
 
 
 def _emit(text: str, args) -> None:

@@ -13,10 +13,10 @@ Canonical form, produced by `cone_complete` and the factory helpers:
   zeroed), scaled primitive (gcd one, denominators cleared, direction kept),
   deduplicated, and sorted lexicographically.
 
-Representation conversion is done by the double description method with
-exact rank-based adjacency pruning.  Containment is decided from constraints
-alone (`first_escape`); only an inside membership certificate needs the
-phase-1 simplex.
+Representation conversion is done by the double description method, which
+decides adjacency combinatorially from the tight sets of its rays.
+Containment is decided from constraints alone (`first_escape`); only an
+inside membership certificate needs the phase-1 simplex.
 The zero cone and the full space are ordinary values, as is the
 zero-dimensional space.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -38,13 +38,9 @@ def normalize_primitive(vec: Sequence[Rational]) -> Vec:
     Raises ValueError on the zero vector, which has no direction.
     """
     fr = [Fraction(x) for x in vec]
-    den = 1
-    for f in fr:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fr))
     ints = [int(f * den) for f in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("cannot normalize a zero ray")
     return tuple(x // g for x in ints)
@@ -79,10 +75,6 @@ def _rref(rows: Iterable[Sequence[Rational]], dim: int):
         if r == len(mat):
             break
     return [tuple(row) for row in mat[:r]], pivots
-
-
-def _rank(rows, dim: int) -> int:
-    return len(_rref(rows, dim)[0])
 
 
 def _canon_basis(rows, dim: int) -> tuple[Vec, ...]:
@@ -157,14 +149,14 @@ def _ray_enum(ineqs: Sequence[Vec], eqns: Sequence[Vec], dim: int):
     not orthogonal to the current lineality shrinks it by one line
     (the freed direction re-enters as a ray for an inequality); otherwise
     rays are split by sign and adjacent positive/negative pairs combine.
-    Adjacency uses the exact rank test on commonly tight constraints.
+    Adjacency is combinatorial (Fukuda & Prodon): p and n are adjacent when
+    no third ray's tight set contains theirs in common.  Every step is
+    invariant under positive scaling, so constraints are taken as given.
     """
     lines: list[Vec] = [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     rays: list[tuple[Vec, frozenset[int]]] = []
-    cons = [(normalize_primitive(e), True) for e in eqns if any(e)] + [
-        (normalize_primitive(a), False) for a in ineqs if any(a)]
-    processed: list[Vec] = []
+    cons = [(e, True) for e in eqns] + [(a, False) for a in ineqs]
     for idx, (a, is_eq) in enumerate(cons):
         nz = next((l for l in lines if _dot(a, l) != 0), None)
         if nz is not None:
@@ -189,26 +181,21 @@ def _ray_enum(ineqs: Sequence[Vec], eqns: Sequence[Vec], dim: int):
             for r, tight in rays:
                 d = _dot(a, r)
                 groups[0 if d == 0 else (1 if d > 0 else -1)].append((r, tight))
-            lin_dim = len(lines)
             kept = [(r, tight | {idx}) for r, tight in groups[0]]
             if not is_eq:
                 kept += groups[1]
             for p, tp in groups[1]:
                 for n, tn in groups[-1]:
                     common = tp & tn
-                    if _rank([processed[j] for j in common], dim) != dim - lin_dim - 2:
+                    # p and n themselves are tight on `common`
+                    if sum(common <= t for _, t in rays) > 2:
                         continue
                     dp, dn = _dot(a, p), _dot(a, n)
                     w = normalize_primitive(
                         tuple(dp * y - dn * x for x, y in zip(p, n)))
-                    # tight sets must be exact for the rank test; a
-                    # combination can be accidentally tight at constraints
-                    # where p and n have opposite strict signs
-                    tw = frozenset(
-                        j for j in range(idx) if _dot(processed[j], w) == 0)
-                    kept.append((w, tw | {idx}))
+                    # exact, as p and n meet every constraint so far
+                    kept.append((w, common | {idx}))
             rays = kept
-        processed.append(a)
     return [r for r, _ in rays], lines
 
 
@@ -429,6 +416,14 @@ def certificate_valid(cone: Cone, vec: Sequence[Rational],
         _dot(f, l) == 0 for l in c.gen.lines)
 
 
+def _completed_pair(a: Cone, b: Cone) -> tuple[Cone, Cone]:
+    """Both cones completed; they must share an ambient dimension."""
+    ca, cb = cone_complete(a), cone_complete(b)
+    if ca.dim != cb.dim:
+        raise ValueError("cones live in different ambient dimensions")
+    return ca, cb
+
+
 def first_escape(inner: Cone, outer: Cone) -> tuple[Vec, Vec] | None:
     """The first generator of `inner` outside `outer`, with the constraint of
     `outer` it breaks; None when `inner` is a subset of `outer`.
@@ -438,10 +433,7 @@ def first_escape(inner: Cone, outer: Cone) -> tuple[Vec, Vec] | None:
     so the returned form is a re-checkable witness: < 0 on the generator
     and >= 0 on every generator of `outer`.
     """
-    a = cone_complete(inner)
-    b = cone_complete(outer)
-    if a.dim != b.dim:
-        raise ValueError("cones live in different ambient dimensions")
+    a, b = _completed_pair(inner, outer)
     for gen in a.gen.rays + a.gen.lines + tuple(map(_neg, a.gen.lines)):
         form = _violated_form(b.con, gen)
         if form is not None:
@@ -455,25 +447,21 @@ def cone_subset(inner: Cone, outer: Cone) -> bool:
 
 
 def cone_equal(a: Cone, b: Cone) -> bool:
-    return cone_subset(a, b) and cone_subset(b, a)
+    """Equal cones have equal canonical forms."""
+    ca, cb = _completed_pair(a, b)
+    return ca == cb
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
     """Intersection: concatenate constraints and recomplete."""
-    ca = cone_complete(a)
-    cb = cone_complete(b)
-    if ca.dim != cb.dim:
-        raise ValueError("cones live in different ambient dimensions")
+    ca, cb = _completed_pair(a, b)
     return cone_from_constraints(ca.con.ineqs + cb.con.ineqs,
                                  ca.con.eqns + cb.con.eqns, dim=ca.dim)
 
 
 def cone_sum(a: Cone, b: Cone) -> Cone:
     """Minkowski sum: concatenate generators and recomplete."""
-    ca = cone_complete(a)
-    cb = cone_complete(b)
-    if ca.dim != cb.dim:
-        raise ValueError("cones live in different ambient dimensions")
+    ca, cb = _completed_pair(a, b)
     return cone_from_rays(ca.gen.rays + cb.gen.rays,
                           ca.gen.lines + cb.gen.lines, dim=ca.dim)
 

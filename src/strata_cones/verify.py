@@ -31,7 +31,6 @@ from .cone_kernel import (
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
-    cone_image,
     cone_member,
     first_escape,
 )
@@ -63,6 +62,7 @@ from .weights import (
     monomial_weight,
     pair_targets,
     reduce_iT,
+    reduced_cone,
     reduction_matrix,
     section_recipe,
     weight_basis,
@@ -319,7 +319,7 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
                               "reduction kernel", "span of b lines on T")
     if result.status != PASS:
         return result
-    reduced = cone_complete(cone_image(rows, cone_D(t)))
+    reduced = reduced_cone(t)
     lifted_rays = [lift_jT(t, ray) for ray in reduced.gen.rays]
     lifted_lines = [lift_jT(t, line) for line in reduced.gen.lines]
     lifted_lines += [weight_basis(config, "b", beta)
@@ -406,12 +406,11 @@ def _check_divisor_functionals(t: Stratum) -> CheckResult:
 
 def _check_minimal_nesting(t: Stratum) -> CheckResult:
     mini0 = minimal_cone(t, "min0")
-    reduced = cone_image(reduction_matrix(t), cone_D(t))
     return _verdict("minimal_nesting", t.key(), _escape_witness(
         minimal_cone(t, "min"), mini0, generator_of="minimal cone",
         not_in="diagonal minimal cone")
         or _escape_witness(
-            mini0, reduced, generator_of="diagonal minimal cone",
+            mini0, reduced_cone(t), generator_of="diagonal minimal cone",
             not_in="reduced weight cone"))
 
 
@@ -453,24 +452,23 @@ def _check_gl2_product(t: Stratum) -> CheckResult:
 
 
 def _hasse_coordinates(config: SplittingConfig,
-                       weight: Sequence[int]) -> list[Fraction]:
-    """Rational coordinates of a weight in the Hasse-weight basis.
-
-    Per cycle the basis matrix has determinant +-(p^f - (-1)^f), never
-    zero, so the solution exists and is unique; lattice membership is its
-    integrality."""
-    coords: list[Fraction] = []
+                       weights: Sequence[Sequence[int]]) -> list[tuple]:
+    """Rational coordinates of each weight in the Hasse-weight basis, from
+    one elimination of [H | w_1 ... w_N] per cycle.  There det H is
+    +-(p^f - 1), never zero, so each solution exists and is unique; lattice
+    membership is its integrality."""
+    blocks = []
     offset = 0
     for f in config.cycle_lengths:
-        # the augmented matrix [H | w]: column j of H is the Hasse weight at j
-        aug = [[0] * f + [weight[offset + i]] for i in range(f)]
+        # column j of H is the Hasse weight at j
+        aug = [[0] * f + [w[offset + i] for w in weights] for i in range(f)]
         for j in range(f):
             aug[j][j] -= 1
             aug[(j - 1) % f][j] += config.p
         solved, _ = _rref(aug, f)
-        coords.extend(row[-1] for row in solved)
+        blocks.append(zip(*(row[f:] for row in solved)))
         offset += f
-    return coords
+    return [sum(parts, ()) for parts in zip(*blocks)]
 
 
 def _check_delta_kernel(t: Stratum) -> CheckResult:
@@ -484,8 +482,7 @@ def _check_delta_kernel(t: Stratum) -> CheckResult:
     rng = random.Random(f"delta:{config.p}:{config.cycle_lengths}:{key}")
     samples += [tuple(rng.randint(-40, 40) for _ in range(config.degree))
                 for _ in range(25)]
-    for weight in samples:
-        coords = _hasse_coordinates(config, weight)
+    for weight, coords in zip(samples, _hasse_coordinates(config, samples)):
         in_lattice = all(c.denominator == 1 for c in coords)
         if delta_class(config, weight).is_zero() != in_lattice:
             return CheckResult(name, key, FAIL, {
@@ -684,7 +681,9 @@ def _record_task(task: tuple[int, tuple[int, ...], str]) -> dict:
 
 
 def _run_tasks(tasks: Sequence[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
+    # the pool starts every worker up front, so never more than one per task
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         return [_record_task(task) for task in tasks]
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

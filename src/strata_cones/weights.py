@@ -256,6 +256,12 @@ def reduction_matrix(stratum: Stratum) -> tuple[Vec, ...]:
     return tuple(rows)
 
 
+@_memoised
+def reduced_cone(stratum: Stratum) -> Cone:
+    """The weight cone's image under the reduction matrix."""
+    return cone_image(reduction_matrix(stratum), cone_D(stratum))
+
+
 def reduce_iT(stratum: Stratum, weight: Sequence[Rational]) -> tuple:
     """Apply the reduction map, landing in coordinates on the complement
     of T."""

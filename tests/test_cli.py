@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from strata_cones.cli import main
+from strata_cones import verify
+from strata_cones.cli import JOBS_MAX, main
 from strata_cones.verify import check_report, explore
 from strata_cones.splitting import SplittingConfig
 
@@ -264,6 +265,23 @@ def test_jobs_env_default(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "--p", "2", "--cycles", "2")
     assert code == 3
     assert "STRATA_CONES_JOBS" in err
+
+
+def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused worker count reached the pool")
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    for jobs in ("0", "-1", str(JOBS_MAX + 1), "100000"):
+        for argv in (("check", "--p", "2", "--cycles", "2"),
+                     ("explore", "--p-list", "2", "--d-max", "1")):
+            code, out, err = run(capsys, *argv, "--jobs", jobs)
+            assert (code, out) == (3, "")
+            assert f"--jobs must be between 1 and {JOBS_MAX}" in err
+        monkeypatch.setenv("STRATA_CONES_JOBS", jobs)
+        code, out, err = run(capsys, "check", "--p", "2", "--cycles", "2")
+        assert (code, out) == (3, "")
+        assert "STRATA_CONES_JOBS must be between" in err
+        monkeypatch.delenv("STRATA_CONES_JOBS")
 
 
 def test_unknown_subcommand_exits_with_usage(capsys):

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracle import dual_vrep
 
 from strata_cones.cone_kernel import (
     Cone,
@@ -163,20 +165,55 @@ def coord_vectors(dim, bound=3):
 
 
 @st.composite
-def random_cones(draw, dim=None):
+def random_systems(draw, dim=None):
+    """The data of a random cone: (dim, given by rays, rays or inequalities,
+    lines or equations), zero vectors dropped."""
     if dim is None:
         dim = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        rays = draw(st.lists(coord_vectors(dim), max_size=4))
-        lines = draw(st.lists(coord_vectors(dim), max_size=2))
-        rays = [r for r in rays if any(r)]
-        lines = [l for l in lines if any(l)]
-        return cone_from_rays(rays, lines, dim=dim)
-    ineqs = draw(st.lists(coord_vectors(dim), max_size=4))
-    eqns = draw(st.lists(coord_vectors(dim), max_size=2))
-    ineqs = [q for q in ineqs if any(q)]
-    eqns = [q for q in eqns if any(q)]
-    return cone_from_constraints(ineqs, eqns, dim=dim)
+    by_rays = draw(st.booleans())
+    vecs = draw(st.lists(coord_vectors(dim), max_size=4))
+    lin = draw(st.lists(coord_vectors(dim), max_size=2))
+    return (dim, by_rays, [v for v in vecs if any(v)],
+            [v for v in lin if any(v)])
+
+
+def cone_of(system):
+    dim, by_rays, vecs, lin = system
+    build = cone_from_rays if by_rays else cone_from_constraints
+    return build(vecs, lin, dim=dim)
+
+
+def random_cones(dim=None):
+    return random_systems(dim).map(cone_of)
+
+
+@st.composite
+def crowded_systems(draw):
+    """Five or six vectors with a positive last coordinate in dimension 3
+    or 4.  Read as rays they span a pointed cone, read as inequalities they
+    cut out a full-dimensional one; either way double description meets
+    positive/negative pairs that are not adjacent, which the systems of
+    `random_systems` are too small to reach."""
+    dim = draw(st.integers(3, 4))
+    last = st.integers(1, 3)
+    vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (dim - 1), last),
+                         min_size=5, max_size=6))
+    return dim, draw(st.booleans()), vecs, []
+
+
+# on crowded systems the oracle's subset search can outlast the default
+# hypothesis deadline
+@settings(deadline=None)
+@given(st.one_of(random_systems(), crowded_systems()))
+def test_complete_agrees_with_the_oracle(system):
+    dim, by_rays, vecs, lin = system
+    done = cone_of(system)
+    # the oracle turns either representation into the other, canonically
+    first = dual_vrep(vecs, lin, dim)
+    second = dual_vrep(*first, dim)
+    gen, con = (second, first) if by_rays else (first, second)
+    assert (list(done.gen.rays), list(done.gen.lines)) == gen
+    assert (list(done.con.ineqs), list(done.con.eqns)) == con
 
 
 @given(random_cones())

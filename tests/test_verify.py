@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from strata_cones import verify
 from strata_cones.cone_kernel import cone_from_rays
 from strata_cones.splitting import SplittingConfig, stratum_from_text
 from strata_cones.verify import (
+    _config_tasks,
     _equality_result,
+    _run_tasks,
     check_min_question,
     check_report,
     check_stratum,
@@ -134,6 +137,28 @@ def test_check_report_is_deterministic_across_jobs():
     sequential = check_report(config, jobs=1).to_json()
     parallel = check_report(config, jobs=2).to_json()
     assert sequential == parallel
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    tasks = _config_tasks(SplittingConfig(2, (1,)))
+    assert _run_tasks(tasks, 64) == _run_tasks(tasks, 1)
+    assert started == [len(tasks)] == [2]
 
 
 def test_explore_orders_configurations_by_degree_then_partition():

@@ -47,6 +47,7 @@ from strata_cones.weights import (
     monomial_weight,
     phi_reduce,
     reduce_iT,
+    reduced_cone,
     reduction_matrix,
     section_recipe,
     weight_basis,
@@ -649,6 +650,7 @@ MEMOISED_CALLS = (
     (admissible_set, ()),
     (explicit_constraints, ()),
     (reduction_matrix, ()),
+    (reduced_cone, ()),
     (cone_D, ("G",)),
     (cone_D, ("Gprime",)),
     (minimal_cone, ("min",)),
