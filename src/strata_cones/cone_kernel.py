@@ -222,8 +222,8 @@ def cone_from_rays(rays: Iterable[Sequence[Rational]],
     _check_dim(dim, rays, "ray")
     _check_dim(dim, lines, "line")
     return cone_complete(Cone(dim=dim, gen=GeneratorRep(
-        rays=tuple(normalize_primitive(r) for r in rays if any(r)),
-        lines=tuple(normalize_primitive(l) for l in lines if any(l)))))
+        rays=tuple(r for r in rays if any(r)),
+        lines=tuple(l for l in lines if any(l)))))
 
 
 def cone_from_constraints(ineqs: Iterable[Sequence[Rational]],
@@ -239,8 +239,8 @@ def cone_from_constraints(ineqs: Iterable[Sequence[Rational]],
     _check_dim(dim, ineqs, "inequality")
     _check_dim(dim, eqns, "equation")
     return cone_complete(Cone(dim=dim, con=ConstraintRep(
-        ineqs=tuple(normalize_primitive(a) for a in ineqs if any(a)),
-        eqns=tuple(normalize_primitive(e) for e in eqns if any(e)))))
+        ineqs=tuple(a for a in ineqs if any(a)),
+        eqns=tuple(e for e in eqns if any(e)))))
 
 
 def full_space(dim: int) -> Cone:
@@ -469,7 +469,7 @@ def cone_sum(a: Cone, b: Cone) -> Cone:
 def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
     """Image under a linear map, generator representation mapped ray by ray."""
     c = cone_complete(cone)
-    rows = [tuple(Fraction(x) for x in row) for row in matrix]
+    rows = [tuple(row) for row in matrix]
     _check_dim(c.dim, rows, "matrix row")
     out_dim = len(rows)
     def apply(v):

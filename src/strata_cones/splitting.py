@@ -276,9 +276,8 @@ class StratumTables:
     mu[beta]: smallest i > 0 with shift^i(beta) outside T (0 on full cycles).
     nu[beta]: smallest i >= 0 with shift^-i(beta) outside T (absent on full
     cycles).
-    n[beta]: smallest i > 0 with shift^i(beta) outside the tilde closure;
-    absent on cycles whose tilde closure is everything unless the table was
-    built with extended_n=True, in which case it is the cycle length there.
+    n[beta]: smallest i > 0 with shift^i(beta) outside the tilde closure,
+    and the cycle length on cycles whose tilde closure is everything.
     """
 
     tilde: Stratum
@@ -296,15 +295,11 @@ class StratumTables:
         return self.nu[emb]
 
     def n_of(self, emb: EmbeddingId) -> int:
-        if emb not in self.n:
-            raise UndefinedIndexError(
-                f"undefined index n at {emb}: tilde closure covers the cycle "
-                "(build tables with extended_n=True for the extended value)")
         return self.n[emb]
 
 
 @_memoised
-def index_tables(stratum: Stratum, extended_n: bool = False) -> StratumTables:
+def index_tables(stratum: Stratum) -> StratumTables:
     config = stratum.config
     tilde = tilde_closure(stratum)
     mu: dict[EmbeddingId, int] = {}
@@ -322,11 +317,8 @@ def index_tables(stratum: Stratum, extended_n: bool = False) -> StratumTables:
                 mu[beta] = next(k for k in range(1, f + 1)
                                 if (i + k) % f not in in_t)
                 nu[beta] = next(k for k in range(f) if (i - k) % f not in in_t)
-            if len(in_tilde) < f:
-                n[beta] = next(k for k in range(1, f + 1)
-                               if (i + k) % f not in in_tilde)
-            elif extended_n:
-                n[beta] = f
+            n[beta] = next((k for k in range(1, f + 1)
+                            if (i + k) % f not in in_tilde), f)
     return StratumTables(tilde=tilde, mu=mu, nu=nu, n=n)
 
 
@@ -359,8 +351,7 @@ def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
     when the tilde closure covers the cycle.
 
     Cross-checked on the complement of T against the index-table description:
-    beta is in the set iff n is defined (non-extended) and shift^n(beta)
-    differs from beta.
+    beta is in the set iff shift^n(beta) differs from beta.
     """
     config = stratum.config
     tables = index_tables(stratum)
@@ -378,8 +369,7 @@ def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
         for i in range(f):
             beta = EmbeddingId(c, i)
             if i not in in_t:
-                via_n = (beta in tables.n
-                         and frobenius_shift(config, beta, tables.n[beta]) != beta)
+                via_n = frobenius_shift(config, beta, tables.n[beta]) != beta
                 if via_n != (i in chosen):
                     raise AssertionError(
                         f"admissible-set descriptions disagree at {beta}")

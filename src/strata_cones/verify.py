@@ -20,19 +20,18 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .cone_kernel import (
     Cone,
     _dot,
     _rref,
-    cone_complete,
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
     cone_member,
     first_escape,
+    full_space,
 )
 from .splitting import (
     EmbeddingId,
@@ -131,13 +130,12 @@ def _emb_key(emb: EmbeddingId) -> str:
 
 
 def _cone_record(cone: Cone) -> dict:
-    c = cone_complete(cone)
     return {
-        "dim": c.dim,
-        "ineqs": _vecs(c.con.ineqs),
-        "eqns": _vecs(c.con.eqns),
-        "rays": _vecs(c.gen.rays),
-        "lines": _vecs(c.gen.lines),
+        "dim": cone.dim,
+        "ineqs": _vecs(cone.con.ineqs),
+        "eqns": _vecs(cone.con.eqns),
+        "rays": _vecs(cone.gen.rays),
+        "lines": _vecs(cone.gen.lines),
     }
 
 
@@ -220,7 +218,7 @@ def _hasse_type_cone(stratum: Stratum) -> Cone:
             for beta in sorted(stratum.complement())]
     lines = [weight_basis(config, "b", beta)
              for beta in sorted(stratum.members)]
-    return cone_complete(cone_from_rays(rays, lines, dim=config.degree))
+    return cone_from_rays(rays, lines, dim=config.degree)
 
 
 def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
@@ -438,17 +436,28 @@ def _check_diagonal_minimal(t: Stratum) -> CheckResult:
 
 
 def _check_gl2_product(t: Stratum) -> CheckResult:
+    """The bi-weight cone is Q^d times the half-space cone, decided in
+    dimension d: the Hasse lines (h, 0) span the first slot (det H is
+    +-(p^f - 1) on each cycle), and modulo them every generator is
+    (0, kappa).  A witness (v, form) lifts to (v, 0), (form, 0) for the
+    first slot and to (0, v), (0, form) for the second.  A rational check
+    cannot see the first slot's integral content; `delta_kernel` tests it."""
     dim = t.config.degree
     gens = gl2_generators(t)
-    rays = [bw.lam + bw.kappa for bw, is_line in gens if not is_line]
-    lines = [bw.lam + bw.kappa for bw, is_line in gens if is_line]
-    built = cone_from_rays(rays, lines, dim=2 * dim)
-    product = cone_from_constraints(
-        [(0,) * dim + form for form in explicit_constraints(t).ineqs],
-        dim=2 * dim)
-    return _equality_result(
-        "gl2_product", t.key(), built, product,
-        "bi-weight generated cone", "free-by-weight-cone product")
+    hasse = [bw.lam for bw, is_line in gens if is_line and not any(bw.kappa)]
+    witness = _escape_witness(full_space(dim),
+                              cone_from_rays([], hasse, dim=dim),
+                              generator_of="first slot",
+                              not_in="span of the Hasse lines")
+    if witness is not None:
+        return CheckResult("gl2_product", t.key(), FAIL, witness)
+    built = cone_from_rays([bw.kappa for bw, is_line in gens if not is_line],
+                           [bw.kappa for bw, is_line in gens if is_line],
+                           dim=dim)
+    cut = cone_from_constraints(explicit_constraints(t).ineqs, dim=dim)
+    return _equality_result("gl2_product", t.key(), built, cut,
+                            "second slots of the bi-weight generators",
+                            "half-space cone")
 
 
 def _hasse_coordinates(config: SplittingConfig,
@@ -542,8 +551,9 @@ def check_stratum(stratum: Stratum) -> list[CheckResult]:
 def check_min_question(stratum: Stratum) -> CheckResult:
     """Compare the two minimal-cone variants.
 
-    Their equality is an open question, so the result is informational
-    either way; an unequal pair is reported with a witness ray."""
+    Informational either way; an unequal pair comes with a witness ray.
+    They agree on every stratum of degree up to 5 for p = 2, 3, 5, but at
+    degree 6 differ on 18: cycles (6), T a single embedding, each p."""
     mini = minimal_cone(stratum, "min")
     mini0 = minimal_cone(stratum, "min0")
     if cone_equal(mini, mini0):
@@ -564,7 +574,7 @@ def stratum_dossier(stratum: Stratum) -> dict:
     """The JSON-ready dossier of one stratum: derived combinatorial data,
     generators, half-spaces, and minimal cones."""
     config = stratum.config
-    tables = index_tables(stratum, extended_n=True)
+    tables = index_tables(stratum)
     eps = sign_epsilon(stratum)
     s, iw = places_and_iw(stratum)
     embeddings = config.embeddings()
@@ -582,8 +592,7 @@ def stratum_dossier(stratum: Stratum) -> dict:
             "mu": {_emb_key(e): _num(tables.mu[e]) for e in embeddings},
             "nu": {_emb_key(e): _num(tables.nu[e]) for e in embeddings
                    if e in tables.nu},
-            "n": {_emb_key(e): _num(tables.n[e]) for e in embeddings
-                  if e in tables.n},
+            "n": {_emb_key(e): _num(tables.n[e]) for e in embeddings},
             "epsilon": {_emb_key(e): _num(eps[e]) for e in embeddings},
         },
         "generators_G": [
@@ -610,7 +619,9 @@ def stratum_record(stratum: Stratum) -> dict:
     return record
 
 
-def _summarize(records: Sequence[dict]) -> tuple[dict, dict]:
+def _report(config: dict, tasks: Sequence[tuple], jobs: int) -> Report:
+    """Run the record tasks and aggregate their results under `config`."""
+    records = _run_tasks(tasks, jobs)
     counts = {PASS: 0, FAIL: 0, INFO: 0}
     unequal = []
     for record in records:
@@ -632,7 +643,9 @@ def _summarize(records: Sequence[dict]) -> tuple[dict, dict]:
         "unequal": len(unequal),
         "instances": unequal,
     }
-    return open_question, summary
+    return Report(schema=SCHEMA_VERSION, config=config,
+                  strata=tuple(records), open_question=open_question,
+                  summary=summary)
 
 
 def check_report(config: SplittingConfig,
@@ -640,15 +653,8 @@ def check_report(config: SplittingConfig,
                  jobs: int = 1) -> Report:
     """Report over the given strata (default: all strata of the config),
     sorted by canonical key."""
-    records = _run_tasks(_config_tasks(config, strata), jobs)
-    open_question, summary = _summarize(records)
-    return Report(
-        schema=SCHEMA_VERSION,
-        config={"p": _num(config.p), "cycles": _vec(config.cycle_lengths)},
-        strata=tuple(records),
-        open_question=open_question,
-        summary=summary,
-    )
+    header = {"p": _num(config.p), "cycles": _vec(config.cycle_lengths)}
+    return _report(header, _config_tasks(config, strata), jobs)
 
 
 def partitions(d: int) -> Iterator[tuple[int, ...]]:
@@ -706,12 +712,5 @@ def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:
         for d in range(1, d_max + 1):
             for lengths in sorted(partitions(d)):
                 tasks.extend(_config_tasks(SplittingConfig(p, lengths)))
-    records = _run_tasks(tasks, jobs)
-    open_question, summary = _summarize(records)
-    return Report(
-        schema=SCHEMA_VERSION,
-        config={"p_list": _vec(primes), "d_max": _num(d_max)},
-        strata=tuple(records),
-        open_question=open_question,
-        summary=summary,
-    )
+    return _report({"p_list": _vec(primes), "d_max": _num(d_max)}, tasks,
+                   jobs)

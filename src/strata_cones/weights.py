@@ -31,7 +31,7 @@ from .cone_kernel import (
     Vec,
     _dot,
     _violated_form,
-    cone_complete,
+    cone_complete,  # unused here; bench/test_bench.py traces it by this name
     cone_from_constraints,
     cone_from_rays,
     cone_image,
@@ -104,13 +104,13 @@ def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
 
     Outside the tilde closure it is the pair weight h from the n-step shift
     down to the embedding; on the tilde closure minus T it is minus the pair
-    weight b, with the extended n (the cycle length when the tilde closure
-    covers the whole cycle, which recovers -(1 + p^f) e).
+    weight b (where the tilde closure covers the whole cycle, n is the
+    cycle length and this recovers -(1 + p^f) e).
     """
     if emb in stratum:
         raise ValueError(f"{emb} lies in the stratum, no distinguished "
                          "generator is attached to it")
-    tables = index_tables(stratum, extended_n=True)
+    tables = index_tables(stratum)
     sub = frobenius_shift(stratum.config, emb, tables.n_of(emb))
     if emb in tables.tilde:
         return tuple(-c for c in weight_pair(stratum.config, "b", sub, emb))
@@ -191,8 +191,7 @@ def cone_D(stratum: Stratum, basis: str = "Gprime") -> Cone:
         raise ValueError(f"unknown basis {basis!r}, expected 'G' or 'Gprime'")
     rays = [w for w, is_line in gens if not is_line]
     lines = [w for w, is_line in gens if is_line]
-    return cone_complete(cone_from_rays(rays, lines,
-                                        dim=stratum.config.degree))
+    return cone_from_rays(rays, lines, dim=stratum.config.degree)
 
 
 def functional_window(config: SplittingConfig,
@@ -348,19 +347,21 @@ def cone_Dtf(stratum: Stratum, beta: EmbeddingId) -> Cone:
     facet functionals nonnegative."""
     if beta not in admissible_set(stratum):
         raise ValueError(f"{beta} is not in the admissible set")
-    return cone_complete(cone_from_constraints(
-        _divisor_forms(stratum, beta), dim=stratum.config.degree))
+    return cone_from_constraints(_divisor_forms(stratum, beta),
+                                 dim=stratum.config.degree)
 
 
 @_memoised
 def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
-    """The minimal cone in reduced coordinates.
+    """The minimal cone in reduced coordinates on the complement of T.
 
     Variant "min" intersects the weight cone with every divisibility cone;
     variant "min0" keeps only the diagonal functional of each admissible
-    embedding.  The reduction kernel (the b lines on T) must vanish on all
-    collected constraints, which keeps the image exact; that containment is
-    asserted rather than assumed.
+    embedding.  The collected forms, restricted to the coordinates outside
+    T in sorted order (composed with `lift_jT`), cut out the cone.  This is
+    exact because every form vanishes on the b lines on T, asserted here:
+    `reduce_iT` after `lift_jT` is the identity and the b lines span the
+    kernel of the reduction, so every form agrees on x and lift(reduce(x)).
     """
     if variant not in ("min", "min0"):
         raise ValueError(f"unknown variant {variant!r}, "
@@ -371,15 +372,16 @@ def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
             ineqs.extend(_divisor_forms(stratum, beta))
         else:
             ineqs.append(functional_Lf(stratum, beta, beta))
-    dim = stratum.config.degree
+    config = stratum.config
     for emb in sorted(stratum.members):
-        b = weight_basis(stratum.config, "b", emb)
+        b = weight_basis(config, "b", emb)
         if any(_dot(form, b) != 0 for form in ineqs):
             raise AssertionError(
                 f"reduction kernel line at {emb} is not annihilated by the "
                 "minimal-cone constraints")
-    pre = cone_complete(cone_from_constraints(ineqs, dim=dim))
-    return cone_complete(cone_image(reduction_matrix(stratum), pre))
+    keep = [config.flat_index(beta) for beta in sorted(stratum.complement())]
+    return cone_from_constraints(
+        [tuple(form[i] for i in keep) for form in ineqs], dim=len(keep))
 
 
 def forced_divisors(stratum: Stratum,
@@ -545,7 +547,7 @@ def f_recipe(stratum: Stratum,
     if emb in stratum:
         raise ValueError(f"{emb} lies in the stratum, no distinguished "
                          "generator is attached to it")
-    tables = index_tables(stratum, extended_n=True)
+    tables = index_tables(stratum)
     n = tables.n_of(emb)
     sub = frobenius_shift(config, emb, n)
     if emb not in tables.tilde:
@@ -617,7 +619,7 @@ def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
     basis weight at the n-step shift on tilde minus T and zero elsewhere."""
     config = stratum.config
     zero = (0,) * config.degree
-    tables = index_tables(stratum, extended_n=True)
+    tables = index_tables(stratum)
     out: list[tuple[BiWeight, bool]] = []
     for emb in config.embeddings():
         out.append((BiWeight(weight_basis(config, "h", emb), zero), True))

@@ -20,6 +20,7 @@ from strata_cones.splitting import (
     stratum_from_text,
     tilde_closure,
 )
+from strata_cones.weights import minimal_cone
 
 CFG_A = SplittingConfig(3, (2,))
 CFG_B = SplittingConfig(2, (3,))
@@ -156,20 +157,17 @@ def test_index_tables_undefined_entries():
     assert tables.mu_of(EmbeddingId(0, 0)) == 0
     with pytest.raises(UndefinedIndexError, match="undefined index nu"):
         tables.nu_of(EmbeddingId(0, 0))
-    with pytest.raises(UndefinedIndexError, match="undefined index n"):
-        tables.n_of(EmbeddingId(0, 0))
-    extended = index_tables(full, extended_n=True)
-    assert extended.n_of(EmbeddingId(0, 1)) == 2
+    # the tilde closure covers the cycle, so n is the cycle length
+    assert tables.n_of(EmbeddingId(0, 0)) == 2
+    assert tables.n_of(EmbeddingId(0, 1)) == 2
 
 
 def test_index_tables_cfg_c():
     t = stratum(CFG_C, (0, 0), (0, 1), (0, 2))
     tables = index_tables(t)
     assert [tables.mu_of(EmbeddingId(0, i)) for i in range(4)] == [3, 2, 1, 4]
-    # tilde closure is the whole cycle, so n needs the extension
-    with pytest.raises(UndefinedIndexError):
-        tables.n_of(EmbeddingId(0, 3))
-    assert index_tables(t, extended_n=True).n_of(EmbeddingId(0, 3)) == 4
+    # tilde closure is the whole cycle, so n is the cycle length
+    assert tables.n_of(EmbeddingId(0, 3)) == 4
 
 
 def test_sign_epsilon_examples():
@@ -275,7 +273,7 @@ def test_mu_is_even_on_added_embeddings(t):
 
 @given(random_strata())
 def test_index_tables_match_definitions(t):
-    tables = index_tables(t, extended_n=True)
+    tables = index_tables(t)
     config = t.config
     for beta in config.embeddings():
         if t.cycle_full(beta.cycle):
@@ -297,7 +295,7 @@ def test_index_tables_match_definitions(t):
 
 @given(random_strata())
 def test_n_at_least_two_on_added_embeddings(t):
-    tables = index_tables(t, extended_n=True)
+    tables = index_tables(t)
     for beta in tables.tilde.members - t.members:
         assert tables.n_of(beta) >= 2
 
@@ -356,20 +354,19 @@ def test_key_round_trips(t):
 
 def test_memo_keys_fill_in_defaults():
     t = stratum(CFG_C, (0, 1))
-    tables = index_tables(t)
-    assert index_tables(t, False) is tables
-    assert index_tables(t, extended_n=False) is tables
-    assert index_tables(t, extended_n=True) is index_tables(t, True)
-    assert index_tables(t, True) is not tables
+    cone = minimal_cone(t)
+    assert minimal_cone(t, "min") is cone
+    assert minimal_cone(t, variant="min") is cone
+    assert minimal_cone(t, variant="min0") is minimal_cone(t, "min0")
+    assert minimal_cone(t, "min0") is not cone
     with pytest.raises(TypeError, match="unexpected"):
-        index_tables(t, extended=True)
+        minimal_cone(t, kind="min")
 
 
 @given(random_strata())
 def test_memo_is_invisible_to_equality_and_hashing(t):
     filled = Stratum(t.config, t.members)
-    for extended in (False, True):
-        index_tables(filled, extended)
+    index_tables(filled)
     sign_epsilon(filled)
     admissible_set(filled)
     empty = Stratum(t.config, t.members)

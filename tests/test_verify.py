@@ -7,9 +7,14 @@ from fractions import Fraction
 import pytest
 
 from strata_cones import verify
-from strata_cones.cone_kernel import cone_from_rays
-from strata_cones.splitting import SplittingConfig, stratum_from_text
+from strata_cones.cone_kernel import (
+    cone_equal,
+    cone_from_constraints,
+    cone_from_rays,
+)
+from strata_cones.splitting import SplittingConfig, Stratum, stratum_from_text
 from strata_cones.verify import (
+    _check_gl2_product,
     _config_tasks,
     _equality_result,
     _run_tasks,
@@ -18,6 +23,11 @@ from strata_cones.verify import (
     check_stratum,
     explore,
     stratum_record,
+)
+from strata_cones.weights import (
+    BiWeight,
+    explicit_constraints,
+    gl2_generators,
 )
 
 CFG_A = SplittingConfig(3, (2,))
@@ -100,6 +110,67 @@ def test_equality_failure_witnesses_separate_in_each_direction():
         rays, lines = gens["orthant"]
         assert all(sum(a * b for a, b in zip(form, r)) >= 0 for r in rays)
         assert all(sum(a * b for a, b in zip(form, l)) == 0 for l in lines)
+
+
+def _gl2_product_in_2d(t, gens):
+    """The bi-weight decision made the long way: the generated cone and
+    the free-by-weight-cone product compared in dimension 2d."""
+    dim = t.config.degree
+    rays = [bw.lam + bw.kappa for bw, is_line in gens if not is_line]
+    lines = [bw.lam + bw.kappa for bw, is_line in gens if is_line]
+    product = cone_from_constraints(
+        [(0,) * dim + form for form in explicit_constraints(t).ineqs],
+        dim=2 * dim)
+    return cone_equal(cone_from_rays(rays, lines, dim=2 * dim), product)
+
+
+GL2_SAMPLE = [Stratum(config, frozenset(
+    e for i, e in enumerate(config.embeddings()) if mask >> i & 1))
+    for config in (SplittingConfig(2, (3,)), SplittingConfig(3, (2, 1)),
+                   SplittingConfig(5, (1, 1, 1)), SplittingConfig(2, (4,)))
+    for mask in range(1 << config.degree)]
+
+
+def _drop_a_hasse_line(gens):
+    first = next(i for i, (bw, is_line) in enumerate(gens)
+                 if is_line and not any(bw.kappa))
+    return gens[:first] + gens[first + 1:]
+
+
+def _negate_a_ray(gens):
+    first = next(i for i, (_, is_line) in enumerate(gens) if not is_line)
+    bw = gens[first][0]
+    flipped = BiWeight(tuple(-x for x in bw.lam), tuple(-x for x in bw.kappa))
+    return gens[:first] + [(flipped, False)] + gens[first + 1:]
+
+
+def test_gl2_product_agrees_with_the_2d_decision():
+    for t in GL2_SAMPLE:
+        passed = _check_gl2_product(t).status == "pass"
+        assert passed == _gl2_product_in_2d(t, gl2_generators(t)), t.key()
+        assert passed, t.key()
+
+
+@pytest.mark.parametrize("mutate", [_drop_a_hasse_line, _negate_a_ray])
+def test_gl2_product_rejects_mutated_generators_like_the_2d_decision(
+        monkeypatch, mutate):
+    checked = 0
+    for t in GL2_SAMPLE:
+        gens = gl2_generators(t)
+        if not any(not is_line for _, is_line in gens):
+            continue  # T is everything: no ray to negate, skipped for both
+        mutated = mutate(gens)
+        monkeypatch.setattr(verify, "gl2_generators", lambda _: mutated)
+        result = _check_gl2_product(t)
+        assert result.status == "fail", t.key()
+        assert not _gl2_product_in_2d(t, mutated), t.key()
+        # the witness is in d coordinates and separates by hand
+        weight = [int(x) for x in result.witness["weight"]]
+        form = [int(x) for x in result.witness["violated_form"]]
+        assert len(weight) == len(form) == t.config.degree
+        assert sum(a * b for a, b in zip(form, weight)) < 0
+        checked += 1
+    assert checked == len(GL2_SAMPLE) - 4
 
 
 def test_min_question_is_informational():

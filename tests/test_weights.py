@@ -5,14 +5,16 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strata_cones.cone_kernel import (
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
     cone_complete,
+    cone_image,
     cone_member,
+    first_escape,
     full_space,
 )
 from strata_cones.splitting import (
@@ -638,14 +640,53 @@ def test_minimal_cone_lives_under_the_reduced_cone(t):
         assert cone_member(mini0, tuple(-x for x in line)).inside
 
 
+def _minimal_cone_by_image(t, variant):
+    """The minimal cone built the long way: cut it out in all d
+    coordinates, then map it into reduced coordinates."""
+    ineqs = list(explicit_constraints(t).ineqs)
+    for beta in sorted(admissible_set(t)):
+        if variant == "min0":
+            ineqs.append(functional_Lf(t, beta, beta))
+            continue
+        beta2 = frobenius_shift(t.config, beta, index_tables(t).n_of(beta))
+        ineqs.extend(functional_Lf(t, beta, tau)
+                     for tau in sorted(t.complement() - {beta2}))
+    pre = cone_from_constraints(ineqs, dim=t.config.degree)
+    return cone_image(reduction_matrix(t), pre)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_strata())
+@example(stratum(SplittingConfig(2, (6,)), (0, 0)))
+@example(stratum(SplittingConfig(3, (6,)), (0, 0)))
+@example(stratum(SplittingConfig(5, (6,)), (0, 0)))
+def test_minimal_cone_matches_the_image_construction(t):
+    # the restricted forms cut out exactly the image of the full cone, in
+    # canonical form; degree 6 is where the two variants first differ
+    for variant in ("min", "min0"):
+        assert minimal_cone(t, variant) == _minimal_cone_by_image(t, variant)
+
+
+def test_degree_six_minimal_cones_differ_by_one_facet():
+    t = stratum(SplittingConfig(2, (6,)), (0, 0))
+    mini, mini0 = minimal_cone(t, "min"), minimal_cone(t, "min0")
+    assert (len(mini.con.ineqs), len(mini0.con.ineqs)) == (7, 6)
+    extra = (16, 32, 1, 2, 4)
+    assert set(mini.con.ineqs) - set(mini0.con.ineqs) == {extra}
+    assert set(mini0.con.ineqs) < set(mini.con.ineqs)
+    ray = (-16, -8, 516, 258, -193)
+    assert ray in mini0.gen.rays
+    assert dot(extra, ray) < 0
+    assert first_escape(mini0, mini) == (ray, extra)
+
+
 # ---------------------------------------------------------------------------
 # the per-stratum memo: values shared across calls are never changed
 
 
 MEMOISED_CALLS = (
     (tilde_closure, ()),
-    (index_tables, (False,)),
-    (index_tables, (True,)),
+    (index_tables, ()),
     (sign_epsilon, ()),
     (admissible_set, ()),
     (explicit_constraints, ()),
