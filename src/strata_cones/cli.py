@@ -13,6 +13,7 @@ Mathematical integers in JSON output are decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ from .cone_kernel import _violated_form, cone_member
 from .splitting import SplittingConfig, Stratum, stratum_from_text
 from .verify import (
     SCHEMA_VERSION,
+    _certificate,
     _emb_key,
-    _num,
     _vec,
     _vecs,
     check_report,
@@ -45,6 +46,10 @@ EXIT_USAGE = 3
 
 # every worker process is started up front, so the count is bounded
 JOBS_MAX = 64
+# primality is decided by trial division, and a configuration has 2^degree
+# strata, so both are bounded before any configuration is built
+P_MAX = 10**6
+DEGREE_MAX = 10
 
 
 class _UsageError(Exception):
@@ -67,10 +72,17 @@ def _parse_int_list(text: str, what: str) -> list[int]:
                           f"got {text!r}") from None
 
 
+def _at_most(what: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise _UsageError(f"{what} must be at most {bound}, got {value}")
+
+
 def _config_from(args) -> SplittingConfig:
+    _at_most("--p", args.p, P_MAX)
+    lengths = _parse_int_list(args.cycles, "--cycles")
+    _at_most("the sum of --cycles", sum(lengths), DEGREE_MAX)
     try:
-        return SplittingConfig(args.p, tuple(_parse_int_list(args.cycles,
-                                                             "--cycles")))
+        return SplittingConfig(args.p, tuple(lengths))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -84,7 +96,11 @@ def _stratum_from(args, config: SplittingConfig) -> Stratum:
         raise _UsageError(str(exc)) from None
 
 
-def _weight_from(text: str, config: SplittingConfig, what: str) -> tuple:
+def _weight_from(text: str | None, config: SplittingConfig, what: str,
+                 missing: str | None = None) -> tuple:
+    """The weight in `text`; `missing` is the error when there is none."""
+    if text is None:
+        raise _UsageError(missing)
     weight = tuple(_parse_int_list(text, what))
     if len(weight) != config.degree:
         raise _UsageError(
@@ -116,22 +132,36 @@ def _emit(text: str, args) -> None:
         print(text)
 
 
+def _reply(args, doc: dict, lines) -> int:
+    """Print one reply document: as JSON under --json, else as the text
+    lines that `lines(doc)` reads off it."""
+    if args.json:
+        _emit(json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2), args)
+    else:
+        _emit("\n".join(lines(doc)), args)
+    return EXIT_OK
+
+
+def _report_reply(args, report, lines) -> int:
+    _emit(report.to_json() if args.json else "\n".join(lines(report)), args)
+    return EXIT_CHECK_FAILED if report.summary["fail"] else EXIT_OK
+
+
 def _fmt_vec(vec) -> str:
     return "(" + ", ".join(str(x) for x in vec) + ")"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its reply once, the text lines read it
 
 
 def _cmd_describe(args) -> int:
     config = _config_from(args)
-    stratum = _stratum_from(args, config)
-    dossier = stratum_dossier(stratum)
-    if args.json:
-        _emit(json.dumps({"schema": SCHEMA_VERSION} | dossier, indent=2),
-              args)
-        return EXIT_OK
+    return _reply(args, stratum_dossier(_stratum_from(args, config)),
+                  _describe_lines)
+
+
+def _describe_lines(dossier: dict) -> list[str]:
     tables = dossier["tables"]
     lines = [
         f"stratum T = [{dossier['t']}] over p={dossier['p']}, "
@@ -167,8 +197,7 @@ def _cmd_describe(args) -> int:
             lines.append(f"  ({', '.join(form)}) = 0")
         if not cone["ineqs"] and not cone["eqns"]:
             lines.append("  (no constraints)")
-    _emit("\n".join(lines), args)
-    return EXIT_OK
+    return lines
 
 
 def _cmd_check(args) -> int:
@@ -177,238 +206,200 @@ def _cmd_check(args) -> int:
     if args.t is not None:
         strata = [_stratum_from(args, config)]
     report = check_report(config, strata, jobs=_jobs_from(args))
-    if args.json:
-        _emit(report.to_json(), args)
-    else:
-        lines = []
-        for record in report.strata:
-            for check in record["checks"]:
-                lines.append(f"[{record['t']}] {check['name']}: "
-                             f"{check['status']}")
-        lines.append(f"summary: {report.summary['pass']} pass, "
-                     f"{report.summary['fail']} fail, "
-                     f"{report.summary['info']} info over "
-                     f"{report.summary['strata']} strata")
-        _emit("\n".join(lines), args)
-    return EXIT_CHECK_FAILED if report.summary["fail"] else EXIT_OK
+    return _report_reply(args, report, _check_lines)
+
+
+def _check_lines(report) -> list[str]:
+    lines = [f"[{record['t']}] {check['name']}: {check['status']}"
+             for record in report.strata for check in record["checks"]]
+    lines.append(f"summary: {report.summary['pass']} pass, "
+                 f"{report.summary['fail']} fail, "
+                 f"{report.summary['info']} info over "
+                 f"{report.summary['strata']} strata")
+    return lines
 
 
 def _cmd_explore(args) -> int:
     p_list = _parse_int_list(args.p_list, "--p-list") if args.p_list else \
         [2, 3, 5]
+    for p in p_list:
+        _at_most("--p-list entry", p, P_MAX)
     if args.d_max < 1:
         raise _UsageError("--d-max must be at least 1")
+    _at_most("--d-max", args.d_max, DEGREE_MAX)
     try:
         report = explore(p_list, args.d_max, jobs=_jobs_from(args))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.json:
-        _emit(report.to_json(), args)
-    else:
-        lines = [f"checked {report.summary['strata']} strata: "
-                 f"{report.summary['pass']} pass, "
-                 f"{report.summary['fail']} fail, "
-                 f"{report.summary['info']} info"]
-        for record in report.strata:
-            for check in record["checks"]:
-                if check["status"] == "fail":
-                    lines.append(
-                        f"FAIL p={record['p']} "
-                        f"cycles=({','.join(record['cycles'])}) "
-                        f"[{record['t']}] {check['name']}")
-        lines.append(f"open question: {report.open_question['unequal']} "
-                     "strata with distinct minimal-cone variants")
-        _emit("\n".join(lines), args)
-    return EXIT_CHECK_FAILED if report.summary["fail"] else EXIT_OK
+    return _report_reply(args, report, _explore_lines)
+
+
+def _explore_lines(report) -> list[str]:
+    lines = [f"checked {report.summary['strata']} strata: "
+             f"{report.summary['pass']} pass, "
+             f"{report.summary['fail']} fail, "
+             f"{report.summary['info']} info"]
+    lines += [f"FAIL p={record['p']} cycles=({','.join(record['cycles'])}) "
+              f"[{record['t']}] {check['name']}"
+              for record in report.strata for check in record["checks"]
+              if check["status"] == "fail"]
+    lines.append(f"open question: {report.open_question['unequal']} "
+                 "strata with distinct minimal-cone variants")
+    return lines
 
 
 def _cmd_member(args) -> int:
     config = _config_from(args)
     stratum = _stratum_from(args, config)
-    if args.weight is None:
-        raise _UsageError("--weight is required for member")
-    weight = _weight_from(args.weight, config, "--weight")
+    weight = _weight_from(args.weight, config, "--weight",
+                          "--weight is required for member")
     cone = cone_D(stratum)
     cert = cone_member(cone, weight)
-    if args.json:
-        payload = {"schema": SCHEMA_VERSION, "t": stratum.key(),
-                   "weight": _vec(weight), "inside": cert.inside}
-        if cert.inside:
-            payload["ray_coeffs"] = {_num(i): _num(x) for i, x in
-                                     sorted(cert.ray_coeffs.items())}
-            payload["line_coeffs"] = {_num(i): _num(x) for i, x in
-                                      sorted(cert.line_coeffs.items())}
-            payload["rays"] = _vecs(cone.gen.rays)
-            payload["lines"] = _vecs(cone.gen.lines)
-        else:
-            payload["violated_form"] = _vec(cert.violated_form)
-        _emit(json.dumps(payload, indent=2), args)
-        return EXIT_OK
+    doc = {"t": stratum.key(), "weight": _vec(weight), "inside": cert.inside}
     if cert.inside:
-        lines = [f"{_fmt_vec(weight)} lies in the weight cone of "
-                 f"[{stratum.key()}]"]
-        for i, x in sorted(cert.ray_coeffs.items()):
-            lines.append(f"  {x} * ray {_fmt_vec(cone.gen.rays[i])}")
-        for i, x in sorted(cert.line_coeffs.items()):
-            lines.append(f"  {x} * line {_fmt_vec(cone.gen.lines[i])}")
-        _emit("\n".join(lines), args)
+        doc |= _certificate(cert) | {"rays": _vecs(cone.gen.rays),
+                                     "lines": _vecs(cone.gen.lines)}
     else:
-        _emit(f"{_fmt_vec(weight)} is outside the weight cone of "
-              f"[{stratum.key()}]: violated form "
-              f"{_fmt_vec(cert.violated_form)}", args)
-    return EXIT_OK
+        doc["violated_form"] = _vec(cert.violated_form)
+    return _reply(args, doc, _member_lines)
+
+
+def _member_lines(doc: dict) -> list[str]:
+    weight = _fmt_vec(doc["weight"])
+    cone = f"the weight cone of [{doc['t']}]"
+    if not doc["inside"]:
+        return [f"{weight} is outside {cone}: violated form "
+                f"{_fmt_vec(doc['violated_form'])}"]
+    return ([f"{weight} lies in {cone}"]
+            + [f"  {x} * ray {_fmt_vec(doc['rays'][int(i)])}"
+               for i, x in doc["ray_coeffs"].items()]
+            + [f"  {x} * line {_fmt_vec(doc['lines'][int(i)])}"
+               for i, x in doc["line_coeffs"].items()])
 
 
 def _cmd_minimal(args) -> int:
     config = _config_from(args)
     stratum = _stratum_from(args, config)
-    if args.weight is None:
-        raise _UsageError("--weight is required for minimal")
-    weight = _weight_from(args.weight, config, "--weight")
+    weight = _weight_from(args.weight, config, "--weight",
+                          "--weight is required for minimal")
     reduced = reduce_iT(stratum, weight)
-    forced = sorted(forced_divisors(stratum, weight))
-    in_min = _violated_form(minimal_cone(stratum, "min").con, reduced) is None
-    in_min0 = _violated_form(minimal_cone(stratum, "min0").con,
-                             reduced) is None
-    if args.json:
-        _emit(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "t": stratum.key(),
-            "weight": _vec(weight),
-            "reduced": _vec(reduced),
-            "forced_divisors": [_emb_key(e) for e in forced],
-            "in_minimal": in_min,
-            "in_minimal0": in_min0,
-        }, indent=2), args)
-        return EXIT_OK
-    lines = [f"reduction of {_fmt_vec(weight)} on [{stratum.key()}]: "
-             f"{_fmt_vec(reduced)}",
-             "forced divisors: ["
-             + ",".join(_emb_key(e) for e in forced) + "]",
-             f"in minimal cone: {'yes' if in_min else 'no'}",
-             f"in diagonal minimal cone: {'yes' if in_min0 else 'no'}"]
-    _emit("\n".join(lines), args)
-    return EXIT_OK
+    return _reply(args, {
+        "t": stratum.key(),
+        "weight": _vec(weight),
+        "reduced": _vec(reduced),
+        "forced_divisors": [_emb_key(e)
+                            for e in sorted(forced_divisors(stratum, weight))],
+        "in_minimal": _violated_form(minimal_cone(stratum, "min").con,
+                                     reduced) is None,
+        "in_minimal0": _violated_form(minimal_cone(stratum, "min0").con,
+                                      reduced) is None,
+    }, _minimal_lines)
+
+
+def _minimal_lines(doc: dict) -> list[str]:
+    def yes(key):
+        return "yes" if doc[key] else "no"
+    return [f"reduction of {_fmt_vec(doc['weight'])} on [{doc['t']}]: "
+            f"{_fmt_vec(doc['reduced'])}",
+            f"forced divisors: [{','.join(doc['forced_divisors'])}]",
+            f"in minimal cone: {yes('in_minimal')}",
+            f"in diagonal minimal cone: {yes('in_minimal0')}"]
 
 
 def _cmd_gl2(args) -> int:
     config = _config_from(args)
-    if args.biweight is not None:
-        stratum = _stratum_from(args, config)
-        parts = args.biweight.split(";")
-        if len(parts) != 2:
-            raise _UsageError(
-                "--biweight must be 'lam;kappa', two comma-separated "
-                "integer lists")
-        lam = _weight_from(parts[0], config, "--biweight first component")
-        kappa = _weight_from(parts[1], config, "--biweight second component")
-        violated = _violated_form(explicit_constraints(stratum), kappa)
-        inside = violated is None
-        if args.json:
-            payload = {"schema": SCHEMA_VERSION, "t": stratum.key(),
-                       "lam": _vec(lam), "kappa": _vec(kappa),
-                       "inside": inside}
-            if violated is not None:
-                payload["violated_form"] = _vec((0,) * config.degree
-                                                + violated)
-            _emit(json.dumps(payload, indent=2), args)
-        elif inside:
-            _emit(f"({_fmt_vec(lam)}; {_fmt_vec(kappa)}) lies in the "
-                  f"bi-weight cone of [{stratum.key()}] (first component "
-                  "free, second in the weight cone)", args)
-        else:
-            _emit(f"({_fmt_vec(lam)}; {_fmt_vec(kappa)}) is outside the "
-                  f"bi-weight cone of [{stratum.key()}]: violated form "
-                  f"{_fmt_vec(violated)} on the second component", args)
-        return EXIT_OK
-    if args.weight is None:
-        raise _UsageError("gl2 needs --weight or --t with --biweight")
-    weight = _weight_from(args.weight, config, "--weight")
-    cls = delta_class(config, weight)
-    if args.json:
-        _emit(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "weight": _vec(weight),
-            "residues": _vec(cls.residues),
-            "moduli": _vec(cls.moduli),
-            "zero": cls.is_zero(),
-        }, indent=2), args)
-        return EXIT_OK
+    if args.biweight is None:
+        weight = _weight_from(args.weight, config, "--weight",
+                              "gl2 needs --weight or --t with --biweight")
+        cls = delta_class(config, weight)
+        return _reply(args, {"weight": _vec(weight),
+                             "residues": _vec(cls.residues),
+                             "moduli": _vec(cls.moduli),
+                             "zero": cls.is_zero()}, _delta_lines)
+    stratum = _stratum_from(args, config)
+    parts = args.biweight.split(";")
+    if len(parts) != 2:
+        raise _UsageError(
+            "--biweight must be 'lam;kappa', two comma-separated "
+            "integer lists")
+    lam = _weight_from(parts[0], config, "--biweight first component")
+    kappa = _weight_from(parts[1], config, "--biweight second component")
+    violated = _violated_form(explicit_constraints(stratum), kappa)
+    doc = {"t": stratum.key(), "lam": _vec(lam), "kappa": _vec(kappa),
+           "inside": violated is None}
+    if violated is not None:
+        doc["violated_form"] = _vec((0,) * config.degree + violated)
+    return _reply(args, doc, _biweight_lines)
+
+
+def _delta_lines(doc: dict) -> list[str]:
     per_cycle = ", ".join(f"{r} mod {m}"
-                          for r, m in zip(cls.residues, cls.moduli))
-    _emit(f"delta class of {_fmt_vec(weight)}: {per_cycle}"
-          + (" (zero)" if cls.is_zero() else ""), args)
-    return EXIT_OK
+                          for r, m in zip(doc["residues"], doc["moduli"]))
+    return [f"delta class of {_fmt_vec(doc['weight'])}: {per_cycle}"
+            + (" (zero)" if doc["zero"] else "")]
+
+
+def _biweight_lines(doc: dict) -> list[str]:
+    pair = f"({_fmt_vec(doc['lam'])}; {_fmt_vec(doc['kappa'])})"
+    cone = f"the bi-weight cone of [{doc['t']}]"
+    if doc["inside"]:
+        return [f"{pair} lies in {cone} (first component free, second in "
+                "the weight cone)"]
+    form = doc["violated_form"][len(doc["lam"]):]
+    return [f"{pair} is outside {cone}: violated form {_fmt_vec(form)} on "
+            "the second component"]
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
+# every flag, declared once; "-o" also answers to "--output"
+_FLAGS = {
+    "--p": dict(type=int, required=True, help="the rational prime"),
+    "--cycles": dict(required=True, help="comma-separated cycle lengths"),
+    "--t": dict(help="stratum: 'cycle.pos' comma list, '' for the empty "
+                     "stratum, 'all' for everything"),
+    "--weight": dict(help="comma-separated integer weight"),
+    "--biweight": dict(help="'lam;kappa' pair of comma-separated lists"),
+    "--p-list": dict(help="comma-separated primes (default 2,3,5)"),
+    "--d-max": dict(type=int, default=5,
+                    help="largest total degree (default 5)"),
+    "--jobs": dict(type=int,
+                   help="worker processes (default: STRATA_CONES_JOBS or 1)"),
+    "--json": dict(action="store_true", help="emit JSON instead of text"),
+    "-o": dict(help="write output to this path instead of stdout"),
+}
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and then shared by every call."""
     parser = _Parser(prog="strata-cones",
                      description="Exact weight-cone computations for "
                                  "Goren-Oort strata.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(cmd, t_flag=True, weight_flag=False):
-        cmd.add_argument("--p", type=int, required=True,
-                         help="the rational prime")
-        cmd.add_argument("--cycles", required=True,
-                         help="comma-separated cycle lengths")
-        if t_flag:
-            cmd.add_argument("--t", default=None,
-                             help="stratum: 'cycle.pos' comma list, '' for "
-                                  "the empty stratum, 'all' for everything")
-        if weight_flag:
-            cmd.add_argument("--weight", default=None,
-                             help="comma-separated integer weight")
-        cmd.add_argument("--json", action="store_true",
-                         help="emit JSON instead of text")
-        cmd.add_argument("-o", "--output", default=None,
-                         help="write output to this path instead of stdout")
+    def command(name, handler, help, *flags):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        for flag in flags:
+            names = (flag, "--output") if flag == "-o" else (flag,)
+            cmd.add_argument(*names, **_FLAGS[flag])
 
-    describe = sub.add_parser("describe", help="stratum dossier")
-    common(describe)
-
-    check = sub.add_parser("check", help="run all checks")
-    common(check)
-    check.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: STRATA_CONES_JOBS "
-                            "or 1)")
-
-    explore_cmd = sub.add_parser("explore", help="sweep primes and degrees")
-    explore_cmd.add_argument("--p-list", default=None,
-                             help="comma-separated primes (default 2,3,5)")
-    explore_cmd.add_argument("--d-max", type=int, default=5,
-                             help="largest total degree (default 5)")
-    explore_cmd.add_argument("--jobs", type=int, default=None)
-    explore_cmd.add_argument("--json", action="store_true")
-    explore_cmd.add_argument("-o", "--output", default=None)
-
-    member = sub.add_parser("member", help="weight-cone membership")
-    common(member, weight_flag=True)
-
-    minimal = sub.add_parser("minimal",
-                             help="reduction and minimal-cone data")
-    common(minimal, weight_flag=True)
-
-    gl2 = sub.add_parser("gl2", help="delta class / bi-weight membership")
-    common(gl2, weight_flag=True)
-    gl2.add_argument("--biweight", default=None,
-                     help="'lam;kappa' pair of comma-separated lists")
-
+    stratum, out = ("--p", "--cycles", "--t"), ("--json", "-o")
+    command("describe", _cmd_describe, "stratum dossier", *stratum, *out)
+    command("check", _cmd_check, "run all checks", *stratum, *out, "--jobs")
+    command("explore", _cmd_explore, "sweep primes and degrees",
+            "--p-list", "--d-max", "--jobs", *out)
+    command("member", _cmd_member, "weight-cone membership",
+            *stratum, "--weight", *out)
+    command("minimal", _cmd_minimal, "reduction and minimal-cone data",
+            *stratum, "--weight", *out)
+    command("gl2", _cmd_gl2, "delta class / bi-weight membership",
+            *stratum, "--weight", *out, "--biweight")
     return parser
 
-
-_COMMANDS = {
-    "describe": _cmd_describe,
-    "check": _cmd_check,
-    "explore": _cmd_explore,
-    "member": _cmd_member,
-    "minimal": _cmd_minimal,
-    "gl2": _cmd_gl2,
-}
 
 # flags whose value may start with a minus sign, which argparse would
 # otherwise read as another option
@@ -430,15 +421,14 @@ def _merge_dash_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_dash_values(argv))
+        args = _build_parser().parse_args(_merge_dash_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.subcommand](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"strata-cones: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

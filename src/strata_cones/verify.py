@@ -20,12 +20,13 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .cone_kernel import (
     Cone,
+    MembershipCertificate,
     _dot,
-    _rref,
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
@@ -51,14 +52,13 @@ from .weights import (
     explicit_constraints,
     f_recipe,
     f_weight,
-    functional_LT,
     functional_Lf,
     generators_G,
     generators_Gprime,
     gl2_generators,
+    halfspace_cone,
     lift_jT,
     minimal_cone,
-    monomial_weight,
     pair_targets,
     reduce_iT,
     reduced_cone,
@@ -129,6 +129,14 @@ def _emb_key(emb: EmbeddingId) -> str:
     return f"{emb.cycle}.{emb.pos}"
 
 
+def _certificate(cert: MembershipCertificate) -> dict:
+    """The coefficients of an inside membership certificate, keyed by
+    generator index."""
+    return {key: {_num(i): _num(x) for i, x in sorted(coeffs.items())}
+            for key, coeffs in (("ray_coeffs", cert.ray_coeffs),
+                                ("line_coeffs", cert.line_coeffs))}
+
+
 def _cone_record(cone: Cone) -> dict:
     return {
         "dim": cone.dim,
@@ -178,11 +186,9 @@ def _check_optimal_basis(t: Stratum) -> CheckResult:
 
 
 def _check_explicit_halfspaces(t: Stratum) -> CheckResult:
-    cut = cone_from_constraints(explicit_constraints(t).ineqs,
-                                dim=t.config.degree)
     return _equality_result(
         "explicit_halfspaces", t.key(),
-        cone_D(t), cut, "generated cone", "half-space cone")
+        cone_D(t), halfspace_cone(t), "generated cone", "half-space cone")
 
 
 def _check_biorthogonality(t: Stratum) -> CheckResult:
@@ -262,11 +268,7 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
         memberships.append({
             "generator_at": _emb_key(beta),
             "weight": _vec(fw),
-            "ray_coeffs": {_num(i): _num(x)
-                           for i, x in sorted(cert.ray_coeffs.items())},
-            "line_coeffs": {_num(i): _num(x)
-                            for i, x in sorted(cert.line_coeffs.items())},
-        })
+        } | _certificate(cert))
     return CheckResult(name, key, FAIL, {
         "claimed": "strict inclusion of the Hasse-type cone",
         "found": "the cones are equal",
@@ -328,10 +330,11 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
 
 
 def _check_recipe_weights(t: Stratum) -> CheckResult:
+    """Every pair and distinguished generator has its recipe; the recipes
+    compare their own weights and raise AssertionError on a mismatch."""
     key = t.key()
     name = "recipe_weights"
-    config = t.config
-    for c, f in enumerate(config.cycle_lengths):
+    for c, f in enumerate(t.config.cycle_lengths):
         in_t = t.cycle_members(c)
         targets = pair_targets(t, c)
         for i in range(f):
@@ -340,29 +343,17 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
             for j in targets:
                 emb, target = EmbeddingId(c, i), EmbeddingId(c, j)
                 try:
-                    monomial = section_recipe(t, emb, target)
+                    section_recipe(t, emb, target)
                 except AssertionError as exc:
                     return CheckResult(name, key, FAIL, {
                         "pair": [_emb_key(emb), _emb_key(target)],
                         "error": str(exc)})
-                got = monomial_weight(monomial)
-                want = weight_pair(config, "h", emb, target)
-                if got != want:
-                    return CheckResult(name, key, FAIL, {
-                        "pair": [_emb_key(emb), _emb_key(target)],
-                        "monomial_weight": _vec(got),
-                        "pair_weight": _vec(want)})
     for beta in sorted(t.complement()):
         try:
-            monomial, tag = f_recipe(t, beta)
+            _, tag = f_recipe(t, beta)
         except AssertionError as exc:
             return CheckResult(name, key, FAIL, {
                 "generator_at": _emb_key(beta), "error": str(exc)})
-        if monomial_weight(monomial) != f_weight(t, beta):
-            return CheckResult(name, key, FAIL, {
-                "generator_at": _emb_key(beta),
-                "monomial_weight": _vec(monomial_weight(monomial)),
-                "generator_weight": _vec(f_weight(t, beta))})
         if tag.is_zero() != (beta not in tilde_closure(t)):
             return CheckResult(name, key, FAIL, {
                 "generator_at": _emb_key(beta),
@@ -454,30 +445,35 @@ def _check_gl2_product(t: Stratum) -> CheckResult:
     built = cone_from_rays([bw.kappa for bw, is_line in gens if not is_line],
                            [bw.kappa for bw, is_line in gens if is_line],
                            dim=dim)
-    cut = cone_from_constraints(explicit_constraints(t).ineqs, dim=dim)
-    return _equality_result("gl2_product", t.key(), built, cut,
+    return _equality_result("gl2_product", t.key(), built, halfspace_cone(t),
                             "second slots of the bi-weight generators",
                             "half-space cone")
 
 
 def _hasse_coordinates(config: SplittingConfig,
-                       weights: Sequence[Sequence[int]]) -> list[tuple]:
-    """Rational coordinates of each weight in the Hasse-weight basis, from
-    one elimination of [H | w_1 ... w_N] per cycle.  There det H is
-    +-(p^f - 1), never zero, so each solution exists and is unique; lattice
-    membership is its integrality."""
-    blocks = []
+                      weight: Sequence[int]) -> list[tuple[int, int]]:
+    """Each coordinate of `weight` in the Hasse-weight basis as a pair
+    (s_i, p^f - 1) of numerator and denominator, in closed form.
+
+    On a cycle of length f, H x = w reads p x_{i+1} - x_i = w_i, so
+    x_i = s_i / (p^f - 1) with s_i = sum_{k<f} p^k w_{i+k} (indices mod f).
+    Each solution is confirmed in integers, p s_{i+1} - s_i = (p^f - 1) w_i,
+    and lattice membership is the divisibility of every s_i."""
+    p = config.p
+    out = []
     offset = 0
     for f in config.cycle_lengths:
-        # column j of H is the Hasse weight at j
-        aug = [[0] * f + [w[offset + i] for w in weights] for i in range(f)]
-        for j in range(f):
-            aug[j][j] -= 1
-            aug[(j - 1) % f][j] += config.p
-        solved, _ = _rref(aug, f)
-        blocks.append(zip(*(row[f:] for row in solved)))
+        w = weight[offset:offset + f]
+        modulus = p ** f - 1
+        s = [sum(p ** k * w[(i + k) % f] for k in range(f))
+             for i in range(f)]
+        if any(p * s[(i + 1) % f] - s[i] != modulus * w[i]
+               for i in range(f)):
+            raise AssertionError(f"Hasse coordinates of {tuple(weight)} do "
+                                 "not solve H x = w")
+        out += [(num, modulus) for num in s]
         offset += f
-    return [sum(parts, ()) for parts in zip(*blocks)]
+    return out
 
 
 def _check_delta_kernel(t: Stratum) -> CheckResult:
@@ -491,13 +487,15 @@ def _check_delta_kernel(t: Stratum) -> CheckResult:
     rng = random.Random(f"delta:{config.p}:{config.cycle_lengths}:{key}")
     samples += [tuple(rng.randint(-40, 40) for _ in range(config.degree))
                 for _ in range(25)]
-    for weight, coords in zip(samples, _hasse_coordinates(config, samples)):
-        in_lattice = all(c.denominator == 1 for c in coords)
+    for weight in samples:
+        coords = _hasse_coordinates(config, weight)
+        in_lattice = all(num % den == 0 for num, den in coords)
         if delta_class(config, weight).is_zero() != in_lattice:
             return CheckResult(name, key, FAIL, {
                 "weight": _vec(weight),
                 "residues": _vec(delta_class(config, weight).residues),
-                "hasse_coordinates": _vec(coords)})
+                "hasse_coordinates": _vec([Fraction(num, den)
+                                           for num, den in coords])})
     return CheckResult(name, key, PASS)
 
 

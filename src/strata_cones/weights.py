@@ -241,6 +241,13 @@ def explicit_constraints(stratum: Stratum) -> ConstraintRep:
 
 
 @_memoised
+def halfspace_cone(stratum: Stratum) -> Cone:
+    """The cone cut out by the explicit half-spaces, completed."""
+    return cone_from_constraints(explicit_constraints(stratum).ineqs,
+                                 dim=stratum.config.degree)
+
+
+@_memoised
 def reduction_matrix(stratum: Stratum) -> tuple[Vec, ...]:
     """Rows of the reduction map: the row at beta (outside T, sorted) takes
     the alternating sum of (-p)^i times the coordinate at shift^i(beta) over

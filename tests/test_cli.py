@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from strata_cones import verify
-from strata_cones.cli import JOBS_MAX, main
+from strata_cones import cli, verify
+from strata_cones.cli import DEGREE_MAX, JOBS_MAX, P_MAX, main
 from strata_cones.verify import check_report, explore
 from strata_cones.splitting import SplittingConfig
 
@@ -113,6 +113,126 @@ def test_describe_text(capsys):
                            cycles, "--t", t)
         assert code == 0
         assert out == text
+
+
+# the full reply of every other text form and one usage error per
+# subcommand, whose usage line pins the order of its flags (80 columns)
+REPLIES = {
+    ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
+     "--weight", "-1,0,0"): (0, """\
+(-1, 0, 0) lies in the weight cone of [0.1]
+  1/4 * ray (0, 0, 1)
+  1/4 * ray (0, 2, -1)
+  -1/2 * line (2, 1, 0)
+""", ""),
+    ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
+     "--weight", "1,0,0"): (0, """\
+(1, 0, 0) is outside the weight cone of [0.1]: violated form (-1, 2, 0)
+""", ""),
+    ("minimal", "--p", "2", "--cycles", "3", "--t", "0.1",
+     "--weight", "-1,0,0"): (0, """\
+reduction of (-1, 0, 0) on [0.1]: (-1, 0)
+forced divisors: [0.0]
+in minimal cone: no
+in diagonal minimal cone: no
+""", ""),
+    ("gl2", "--p", "3", "--cycles", "2", "--weight", "1,1"): (0, """\
+delta class of (1, 1): 4 mod 8
+""", ""),
+    ("gl2", "--p", "3", "--cycles", "2", "--t", "0.1",
+     "--biweight", "5,7;-1,3"): (0, """\
+((5, 7); (-1, 3)) lies in the bi-weight cone of [0.1] (first component free, \
+second in the weight cone)
+""", ""),
+    ("gl2", "--p", "3", "--cycles", "2", "--t", "0.1",
+     "--biweight", "5,7;1,0"): (0, """\
+((5, 7); (1, 0)) is outside the bi-weight cone of [0.1]: violated form \
+(-1, 3) on the second component
+""", ""),
+    ("check", "--p", "2", "--cycles", "3", "--t", "0.1"): (0, """\
+[0.1] optimal_basis: pass
+[0.1] explicit_halfspaces: pass
+[0.1] biorthogonality: pass
+[0.1] admissible_dichotomy: pass
+[0.1] hasse_identity: pass
+[0.1] reduction_identities: pass
+[0.1] recipe_weights: pass
+[0.1] divisor_functionals: pass
+[0.1] minimal_nesting: pass
+[0.1] diagonal_minimal: info
+[0.1] gl2_product: pass
+[0.1] delta_kernel: pass
+[0.1] product_structure: info
+[0.1] minimal_equality: info
+summary: 11 pass, 0 fail, 3 info over 1 strata
+""", ""),
+    ("explore", "--p-list", "3", "--d-max", "1"): (0, """\
+checked 2 strata: 22 pass, 0 fail, 6 info
+open question: 0 strata with distinct minimal-cone variants
+""", ""),
+    ("describe", "--p", "x"): (3, "", """\
+usage: strata-cones describe [-h] --p P --cycles CYCLES [--t T] [--json]
+                             [-o OUTPUT]
+strata-cones describe: error: argument --p: invalid int value: 'x'
+"""),
+    ("check", "--p", "x"): (3, "", """\
+usage: strata-cones check [-h] --p P --cycles CYCLES [--t T] [--json]
+                          [-o OUTPUT] [--jobs JOBS]
+strata-cones check: error: argument --p: invalid int value: 'x'
+"""),
+    ("explore", "--d-max", "y"): (3, "", """\
+usage: strata-cones explore [-h] [--p-list P_LIST] [--d-max D_MAX]
+                            [--jobs JOBS] [--json] [-o OUTPUT]
+strata-cones explore: error: argument --d-max: invalid int value: 'y'
+"""),
+    ("member", "--p", "x"): (3, "", """\
+usage: strata-cones member [-h] --p P --cycles CYCLES [--t T]
+                           [--weight WEIGHT] [--json] [-o OUTPUT]
+strata-cones member: error: argument --p: invalid int value: 'x'
+"""),
+    ("minimal", "--p", "x"): (3, "", """\
+usage: strata-cones minimal [-h] --p P --cycles CYCLES [--t T]
+                            [--weight WEIGHT] [--json] [-o OUTPUT]
+strata-cones minimal: error: argument --p: invalid int value: 'x'
+"""),
+    ("gl2", "--p", "x"): (3, "", """\
+usage: strata-cones gl2 [-h] --p P --cycles CYCLES [--t T] [--weight WEIGHT]
+                        [--json] [-o OUTPUT] [--biweight BIWEIGHT]
+strata-cones gl2: error: argument --p: invalid int value: 'x'
+"""),
+}
+
+
+def test_replies_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, reply in REPLIES.items():
+        assert run(capsys, *argv) == reply, argv
+
+
+def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli._build_parser.cache_clear()
+    try:
+        calls = [("member", "--p", "2", "--cycles", "3", "--t", "0.1",
+                  "--weight", "1,0,0"),
+                 ("gl2", "--p", "x"),
+                 ("gl2", "--p", "3", "--cycles", "2", "--weight", "1,1"),
+                 ("explore", "--d-max", "y"),
+                 ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
+                  "--weight", "1,0,0")]
+        for argv in calls:
+            assert run(capsys, *argv) == REPLIES[argv], argv
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(built) <= 7
 
 
 def test_describe_json(capsys):
@@ -282,6 +402,41 @@ def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
         assert (code, out) == (3, "")
         assert "STRATA_CONES_JOBS must be between" in err
         monkeypatch.delenv("STRATA_CONES_JOBS")
+
+
+def test_inputs_at_the_bounds_are_accepted(capsys):
+    weight = ",".join(["1"] * DEGREE_MAX)
+    # 999983 is the largest prime below P_MAX
+    code, out, _ = run(capsys, "gl2", "--p", "999983", "--cycles",
+                       f"{DEGREE_MAX - 1},1", "--weight", weight)
+    assert code == 0
+    assert out.startswith(f"delta class of ({weight.replace(',', ', ')})")
+
+
+def test_inputs_beyond_the_bounds_are_usage_errors(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused input reached the work")
+    for name in ("SplittingConfig", "check_report", "explore"):
+        monkeypatch.setattr(cli, name, unreachable)
+    over = P_MAX + 1
+    refused = {
+        ("describe", "--p", str(over), "--cycles", "1", "--t", ""):
+            f"--p must be at most {P_MAX}, got {over}",
+        ("check", "--p", str(10**40), "--cycles", "1"):
+            f"--p must be at most {P_MAX}, got {10**40}",
+        ("check", "--p", "2", "--cycles", ",".join(["1"] * 11)):
+            f"the sum of --cycles must be at most {DEGREE_MAX}, got 11",
+        ("gl2", "--p", "2", "--cycles", "6,6", "--weight", "1"):
+            f"the sum of --cycles must be at most {DEGREE_MAX}, got 12",
+        ("explore", "--p-list", f"2,{over}", "--d-max", "1"):
+            f"--p-list entry must be at most {P_MAX}, got {over}",
+        ("explore", "--d-max", str(DEGREE_MAX + 1)):
+            f"--d-max must be at most {DEGREE_MAX}, got {DEGREE_MAX + 1}",
+        ("explore", "--p-list", "2", "--d-max", "100000", "--json"):
+            f"--d-max must be at most {DEGREE_MAX}, got 100000",
+    }
+    for argv, message in refused.items():
+        assert run(capsys, *argv) == (3, "", f"strata-cones: error: {message}\n")
 
 
 def test_unknown_subcommand_exits_with_usage(capsys):

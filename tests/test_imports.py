@@ -1,0 +1,42 @@
+"""Import hygiene of the package modules."""
+
+import ast
+from pathlib import Path
+
+import strata_cones
+
+PACKAGE = Path(strata_cones.__file__).parent
+
+# names imported on purpose without a use: the package's re-exports, and
+# the from-import that the benchmark's tracer test follows by this name
+EXEMPT = {("weights", "cone_complete")}
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _exported_names(tree)
+        unused += [f"{path.stem}.{name}"
+                   for name in sorted(_imported_names(tree) - used)
+                   if (path.stem, name) not in EXEMPT]
+    assert unused == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from strata_cones import verify
+from strata_cones import verify, weights
 from strata_cones.cone_kernel import (
     cone_equal,
     cone_from_constraints,
@@ -26,8 +26,10 @@ from strata_cones.verify import (
 )
 from strata_cones.weights import (
     BiWeight,
+    DeltaClass,
     explicit_constraints,
     gl2_generators,
+    weight_basis,
 )
 
 CFG_A = SplittingConfig(3, (2,))
@@ -171,6 +173,44 @@ def test_gl2_product_rejects_mutated_generators_like_the_2d_decision(
         assert sum(a * b for a, b in zip(form, weight)) < 0
         checked += 1
     assert checked == len(GL2_SAMPLE) - 4
+
+
+def test_delta_kernel_witness_rebuilds_its_weight(monkeypatch):
+    # delta_class lies on the first sample that is not a Hasse weight: the
+    # check must fail there, and the witness coordinates times the Hasse
+    # weights must give the weight back
+    config = SplittingConfig(3, (2, 1))
+    hasse = [weight_basis(config, "h", emb) for emb in config.embeddings()]
+    real = verify.delta_class
+    lied = []
+
+    def lying(config, weight):
+        cls = real(config, weight)
+        if weight not in hasse and not lied:
+            lied.append(weight)
+        if lied != [weight]:
+            return cls
+        return DeltaClass(tuple(int(cls.is_zero()) for _ in cls.moduli),
+                          cls.moduli)
+
+    monkeypatch.setattr(verify, "delta_class", lying)
+    t = stratum_from_text(config, "0.1")
+    result = verify._check_delta_kernel(t)
+    assert result.status == "fail"
+    assert result.witness["weight"] == [str(x) for x in lied[0]]
+    coords = [Fraction(x) for x in result.witness["hasse_coordinates"]]
+    rebuilt = [sum(c * h[k] for c, h in zip(coords, hasse))
+               for k in range(config.degree)]
+    assert rebuilt == list(lied[0])
+
+
+def test_recipe_weights_fails_when_a_recipe_raises(monkeypatch):
+    monkeypatch.setattr(weights, "monomial_weight", lambda monomial: (0,) * 3)
+    result = verify._check_recipe_weights(stratum_from_text(CFG_B, "0.1"))
+    assert (result.status, result.witness) == ("fail", {
+        "pair": ["0.0", "0.1"],
+        "error": "recipe weight mismatch for pair "
+                 "(EmbeddingId(cycle=0, pos=0), EmbeddingId(cycle=0, pos=1))"})
 
 
 def test_min_question_is_informational():

@@ -17,6 +17,7 @@ from strata_cones.cone_kernel import (
     first_escape,
     full_space,
 )
+from strata_cones.cone_kernel import _rref
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
@@ -27,7 +28,7 @@ from strata_cones.splitting import (
     sign_epsilon,
     tilde_closure,
 )
-from strata_cones.verify import stratum_record
+from strata_cones.verify import _hasse_coordinates, stratum_record
 from strata_cones.weights import (
     BiWeight,
     FormalMonomial,
@@ -44,6 +45,7 @@ from strata_cones.weights import (
     generators_G,
     generators_Gprime,
     gl2_generators,
+    halfspace_cone,
     lift_jT,
     minimal_cone,
     monomial_weight,
@@ -485,6 +487,33 @@ def test_delta_class_kills_exactly_the_hasse_lattice(args):
     assert delta_class(config, weight).is_zero() == in_lattice
 
 
+def _eliminated_coordinates(config, weight):
+    """The Hasse coordinates as the elimination of [H | w] on each cycle
+    found them, column j of H being the Hasse weight at j."""
+    coords = []
+    offset = 0
+    for f in config.cycle_lengths:
+        aug = [[0] * f + [weight[offset + i]] for i in range(f)]
+        for j in range(f):
+            aug[j][j] -= 1
+            aug[(j - 1) % f][j] += config.p
+        solved, _ = _rref(aug, f)
+        coords += [row[f] for row in solved]
+        offset += f
+    return coords
+
+
+@given(config_and_weight())
+def test_closed_form_hasse_coordinates_match_the_elimination(args):
+    config, weight = args
+    coords = _hasse_coordinates(config, weight)
+    assert [Fraction(num, den) for num, den in coords] == \
+        _eliminated_coordinates(config, weight)
+    in_lattice = all(num % den == 0 for num, den in coords)
+    assert in_lattice == all(c.denominator == 1 for c in
+                             _solve_against_hasse_lattice(config, weight))
+
+
 @given(config_and_weight())
 def test_delta_class_is_shift_invariant(args):
     config, weight = args
@@ -690,6 +719,7 @@ MEMOISED_CALLS = (
     (sign_epsilon, ()),
     (admissible_set, ()),
     (explicit_constraints, ()),
+    (halfspace_cone, ()),
     (reduction_matrix, ()),
     (reduced_cone, ()),
     (cone_D, ("G",)),
