@@ -36,7 +36,7 @@ from .weights import (
     delta_class,
     explicit_constraints,
     forced_divisors,
-    minimal_cone,
+    in_minimal_cone,
     reduce_iT,
 )
 
@@ -50,6 +50,8 @@ JOBS_MAX = 64
 # strata, so both are bounded before any configuration is built
 P_MAX = 10**6
 DEGREE_MAX = 10
+# every --p-list entry adds a configuration per partition up to --d-max
+P_LIST_MAX = 16
 
 
 class _UsageError(Exception):
@@ -222,6 +224,7 @@ def _check_lines(report) -> list[str]:
 def _cmd_explore(args) -> int:
     p_list = _parse_int_list(args.p_list, "--p-list") if args.p_list else \
         [2, 3, 5]
+    _at_most("the number of --p-list entries", len(p_list), P_LIST_MAX)
     for p in p_list:
         _at_most("--p-list entry", p, P_MAX)
     if args.d_max < 1:
@@ -289,10 +292,8 @@ def _cmd_minimal(args) -> int:
         "reduced": _vec(reduced),
         "forced_divisors": [_emb_key(e)
                             for e in sorted(forced_divisors(stratum, weight))],
-        "in_minimal": _violated_form(minimal_cone(stratum, "min").con,
-                                     reduced) is None,
-        "in_minimal0": _violated_form(minimal_cone(stratum, "min0").con,
-                                      reduced) is None,
+        "in_minimal": in_minimal_cone(stratum, reduced, "min"),
+        "in_minimal0": in_minimal_cone(stratum, reduced, "min0"),
     }, _minimal_lines)
 
 

@@ -2,8 +2,12 @@
 
 A cone is held in up to two representations: generators (extreme rays plus a
 basis of the lineality space) and constraints (facet inequalities plus
-equations).  All arithmetic is over arbitrary-precision integers and
-`fractions.Fraction`; no floating point is used anywhere.
+equations).  All arithmetic is exact: arbitrary-precision integers, and
+`fractions.Fraction` only where a quotient is needed, in the phase-1 simplex,
+membership certificates and rational input.  No floating point is used
+anywhere.  Completing a cone given by integer vectors constructs no
+`Fraction`: canonicalisation is fraction-free, and each of its steps is a
+positive rescaling of the rational one, so the canonical form is the same.
 
 Canonical form, produced by `cone_complete` and the factory helpers:
 
@@ -35,15 +39,18 @@ Rational = int | Fraction
 def normalize_primitive(vec: Sequence[Rational]) -> Vec:
     """Scale a rational vector to primitive integers (gcd 1, direction kept).
 
+    Integer input is divided by its content directly; only rational input
+    has its denominators cleared through `Fraction`.
     Raises ValueError on the zero vector, which has no direction.
     """
-    fr = [Fraction(x) for x in vec]
-    den = lcm(*(f.denominator for f in fr))
-    ints = [int(f * den) for f in fr]
-    g = gcd(*ints)
+    if not all(type(x) is int for x in vec):
+        fr = [Fraction(x) for x in vec]
+        den = lcm(*(f.denominator for f in fr))
+        vec = [int(f * den) for f in fr]
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("cannot normalize a zero ray")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 def _dot(a: Sequence[Rational], b: Sequence[Rational]):
@@ -54,44 +61,54 @@ def _neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
 
 
-def _rref(rows: Iterable[Sequence[Rational]], dim: int):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
+def _canon_basis(rows, dim: int) -> tuple[Vec, ...]:
+    """Primitive integer RREF basis of the span of the given rows.
+
+    Fraction-free Gauss-Jordan on primitive integer rows: each pivot is
+    made positive, every other row becomes `pv*row - row[c]*pivot_row`
+    divided by its content.  Every row stays a positive multiple of the
+    row the same elimination over `Fraction` holds, so each surviving row
+    is the primitive form of its RREF row: same pivots, same order.
+    """
+    mat = [normalize_primitive(row) for row in rows if any(row)]
     r = 0
     for c in range(dim):
         pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        if mat[r][c] < 0:
+            mat[r] = _neg(mat[r])
+        top = mat[r]
+        pv = top[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
+            f = mat[i][c]
+            if i != r and f != 0:
+                row = [pv * a - f * b for a, b in zip(mat[i], top)]
+                g = gcd(*row)
+                mat[i] = tuple(x // g for x in row) if g else tuple(row)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
-def _canon_basis(rows, dim: int) -> tuple[Vec, ...]:
-    """Primitive integer RREF basis of the span of the given rows."""
-    red, _ = _rref(rows, dim)
-    return tuple(normalize_primitive(row) for row in red)
+    return tuple(mat[:r])
 
 
 def _reduce_mod(vec, basis: Sequence[Vec]):
-    """Reduce a vector modulo the span of an RREF-like basis."""
-    v = [Fraction(x) for x in vec]
+    """Reduce a vector modulo the span of a canonical basis (pivot
+    coordinates zeroed), up to a positive factor.
+
+    Each step is `v <- b[j]*v - v[j]*b` at the pivot j of b, a positive
+    rescaling of `v - (v[j]/b[j])*b` because canonical pivots are positive,
+    so integer input stays integer and its primitive form is unchanged.
+    """
+    v = tuple(vec)
     for b in basis:
         j = next(i for i, x in enumerate(b) if x != 0)
-        if v[j] != 0:
-            f = v[j] / b[j]
-            v = [a - f * c for a, c in zip(v, b)]
-    return tuple(v)
+        f = v[j]
+        if f != 0:
+            bj = b[j]
+            v = tuple(bj * a - f * c for a, c in zip(v, b))
+    return v
 
 
 @dataclass(frozen=True)

@@ -359,16 +359,19 @@ def cone_Dtf(stratum: Stratum, beta: EmbeddingId) -> Cone:
 
 
 @_memoised
-def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
-    """The minimal cone in reduced coordinates on the complement of T.
+def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
+    """The forms cutting out the minimal cone, in reduced coordinates on the
+    complement of T.
 
     Variant "min" intersects the weight cone with every divisibility cone;
     variant "min0" keeps only the diagonal functional of each admissible
-    embedding.  The collected forms, restricted to the coordinates outside
-    T in sorted order (composed with `lift_jT`), cut out the cone.  This is
-    exact because every form vanishes on the b lines on T, asserted here:
+    embedding.  The collected forms are restricted to the coordinates
+    outside T in sorted order (composed with `lift_jT`).  This is exact
+    because every form vanishes on the b lines on T, asserted here:
     `reduce_iT` after `lift_jT` is the identity and the b lines span the
     kernel of the reduction, so every form agrees on x and lift(reduce(x)).
+    A reduced weight lies in the minimal cone exactly when every form is
+    nonnegative on it.
     """
     if variant not in ("min", "min0"):
         raise ValueError(f"unknown variant {variant!r}, "
@@ -387,8 +390,22 @@ def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
                 f"reduction kernel line at {emb} is not annihilated by the "
                 "minimal-cone constraints")
     keep = [config.flat_index(beta) for beta in sorted(stratum.complement())]
-    return cone_from_constraints(
-        [tuple(form[i] for i in keep) for form in ineqs], dim=len(keep))
+    return tuple(tuple(form[i] for i in keep) for form in ineqs)
+
+
+def in_minimal_cone(stratum: Stratum, reduced: Sequence[Rational],
+                    variant: str = "min") -> bool:
+    """Does the reduced weight satisfy every form of the minimal cone?"""
+    return all(_dot(form, reduced) >= 0
+               for form in minimal_forms(stratum, variant))
+
+
+@_memoised
+def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
+    """The minimal cone in reduced coordinates on the complement of T, cut
+    out by `minimal_forms`."""
+    return cone_from_constraints(minimal_forms(stratum, variant),
+                                 dim=len(stratum.complement()))
 
 
 def forced_divisors(stratum: Stratum,
@@ -438,7 +455,7 @@ def phi_reduce(stratum: Stratum, weight: Sequence[Rational],
     kappa0_t = tuple(kappa0)
     reduced = reduce_iT(stratum, kappa0_t)
     in_cone = _violated_form(explicit_constraints(stratum), kappa0_t) is None
-    in_min = _violated_form(minimal_cone(stratum, "min").con, reduced) is None
+    in_min = in_minimal_cone(stratum, reduced)
     return PhiReduction(kappa0=kappa0_t, reduced=reduced,
                         kappa0_in_cone=in_cone, reduced_in_minimal=in_min)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from strata_cones import cli, verify
-from strata_cones.cli import DEGREE_MAX, JOBS_MAX, P_MAX, main
+from strata_cones.cli import DEGREE_MAX, JOBS_MAX, P_LIST_MAX, P_MAX, main
 from strata_cones.verify import check_report, explore
 from strata_cones.splitting import SplittingConfig
 
@@ -437,6 +437,31 @@ def test_inputs_beyond_the_bounds_are_usage_errors(capsys, monkeypatch):
     }
     for argv, message in refused.items():
         assert run(capsys, *argv) == (3, "", f"strata-cones: error: {message}\n")
+
+
+def test_the_number_of_p_list_entries_is_bounded(capsys, monkeypatch):
+    reached = []
+
+    class Reached(Exception):
+        pass
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused input reached the work")
+
+    def explore_stub(p_list, d_max, jobs):
+        reached.append(p_list)
+        raise Reached
+    monkeypatch.setattr(cli, "SplittingConfig", unreachable)
+    monkeypatch.setattr(cli, "explore", explore_stub)
+    over = ",".join(["2"] * (P_LIST_MAX + 1))
+    assert run(capsys, "explore", "--p-list", over, "--d-max", "1") == (
+        3, "", "strata-cones: error: the number of --p-list entries must be "
+        f"at most {P_LIST_MAX}, got {P_LIST_MAX + 1}\n")
+    assert reached == []
+    at_bound = ",".join(["2"] * P_LIST_MAX)
+    with pytest.raises(Reached):
+        main(["explore", "--p-list", at_bound, "--d-max", "1"])
+    assert reached == [[2] * P_LIST_MAX]
 
 
 def test_unknown_subcommand_exits_with_usage(capsys):

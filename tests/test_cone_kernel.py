@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import dual_vrep
+from oracle import dual_vrep, rref
 
+from strata_cones import cone_kernel
 from strata_cones.cone_kernel import (
     Cone,
+    GeneratorRep,
     cone_complete,
     cone_dual,
     cone_equal,
@@ -25,7 +27,11 @@ from strata_cones.cone_kernel import (
     full_space,
     normalize_primitive,
     zero_cone,
+    _canon_basis,
+    _canon_gen,
 )
+from strata_cones.splitting import SplittingConfig, stratum_from_text
+from strata_cones.weights import cone_D, minimal_cone
 
 
 def test_normalize_primitive():
@@ -308,3 +314,96 @@ def test_cone_equal_is_equality_of_canonical_forms(data):
     for x, y in pairs:
         assert cone_equal(x, y) == (cone_complete(x) == cone_complete(y))
     assert cone_equal(by_rays, by_constraints)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free canonical form against the rational construction
+
+
+@st.composite
+def row_families(draw, dim):
+    """Rows spanning a random subspace, with negative pivots, dependent,
+    repeated and zero rows, some given as `Fraction`s."""
+    base = draw(st.lists(coord_vectors(dim), max_size=4))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        if not base:
+            break
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        k = draw(st.integers(-3, 3))
+        rows.append(tuple(x + k * y for x, y in zip(a, b)))
+    rows += [(0,) * dim] * draw(st.integers(0, 1))
+    rows = draw(st.permutations(rows))
+    out = []
+    for row in rows:
+        den = draw(st.sampled_from([None, 1, 2, -3]))
+        out.append(row if den is None else
+                   tuple(Fraction(x, den) if i % 2 else x
+                         for i, x in enumerate(row)))
+    return out
+
+
+def _rational_canon_gen(rays, lines, dim):
+    """The canonical generators computed over `Fraction`, as they were
+    before canonicalisation went fraction-free."""
+    basis = tuple(normalize_primitive(row) for row in rref(lines, dim)[0])
+    out = set()
+    for r in rays:
+        v = [Fraction(x) for x in r]
+        for b in basis:
+            j = next(i for i, x in enumerate(b) if x != 0)
+            if v[j] != 0:
+                f = v[j] / b[j]
+                v = [a - f * c for a, c in zip(v, b)]
+        if any(v):
+            out.add(normalize_primitive(v))
+    return GeneratorRep(rays=tuple(sorted(out)), lines=basis)
+
+
+@given(st.data())
+def test_canon_basis_is_the_primitive_rref(data):
+    dim = data.draw(st.integers(1, 5))
+    rows = data.draw(row_families(dim))
+    red, _ = rref(rows, dim)
+    assert _canon_basis(rows, dim) == tuple(map(normalize_primitive, red))
+
+
+@given(st.data())
+def test_canon_gen_agrees_with_the_rational_construction(data):
+    dim = data.draw(st.integers(1, 5))
+    lines = data.draw(row_families(dim))
+    rays = data.draw(row_families(dim))
+    assert _canon_gen(rays, lines, dim) == \
+        _rational_canon_gen(rays, lines, dim)
+
+
+@given(coord_vectors(4, bound=60), st.integers(1, 12))
+def test_normalize_primitive_int_and_rational_paths_agree(v, k):
+    if any(v):
+        want = normalize_primitive([Fraction(x) for x in v])
+        assert normalize_primitive(v) == want
+        assert normalize_primitive([k * x for x in v]) == want
+        assert normalize_primitive([Fraction(x, k) for x in v]) == want
+
+
+def _fraction_forbidden(*args, **kwargs):
+    raise AssertionError("a Fraction was built while completing an "
+                         "integer cone")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(random_systems(), crowded_systems()))
+def test_integer_cones_complete_without_fractions(system):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
+        done = cone_of(system)
+    assert done == cone_of(system)
+
+
+def test_stratum_cones_complete_without_fractions(monkeypatch):
+    # a fresh stratum, so nothing comes from its memo
+    t = stratum_from_text(SplittingConfig(2, (6,)), "0.0")
+    monkeypatch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
+    cones = [cone_D(t, "G"), cone_D(t, "Gprime"),
+             minimal_cone(t, "min"), minimal_cone(t, "min0")]
+    assert [len(c.con.ineqs) for c in cones[2:]] == [7, 6]

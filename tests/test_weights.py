@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle import rref
+
 from strata_cones.cone_kernel import (
     cone_equal,
     cone_from_constraints,
@@ -16,8 +18,8 @@ from strata_cones.cone_kernel import (
     cone_member,
     first_escape,
     full_space,
+    _violated_form,
 )
-from strata_cones.cone_kernel import _rref
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
@@ -46,8 +48,10 @@ from strata_cones.weights import (
     generators_Gprime,
     gl2_generators,
     halfspace_cone,
+    in_minimal_cone,
     lift_jT,
     minimal_cone,
+    minimal_forms,
     monomial_weight,
     phi_reduce,
     reduce_iT,
@@ -497,7 +501,7 @@ def _eliminated_coordinates(config, weight):
         for j in range(f):
             aug[j][j] -= 1
             aug[(j - 1) % f][j] += config.p
-        solved, _ = _rref(aug, f)
+        solved, _ = rref(aug, f)
         coords += [row[f] for row in solved]
         offset += f
     return coords
@@ -696,6 +700,23 @@ def test_minimal_cone_matches_the_image_construction(t):
         assert minimal_cone(t, variant) == _minimal_cone_by_image(t, variant)
 
 
+@settings(max_examples=30, deadline=None)
+@given(random_strata(), st.data())
+def test_the_forms_decide_minimal_membership_like_the_cone(t, data):
+    # the completed cone's constraints and the raw forms cut out one cone;
+    # its rays, lines and their negations sit on its boundary
+    dim = len(t.complement())
+    for variant in ("min", "min0"):
+        cone = minimal_cone(t, variant)
+        probes = list(cone.gen.rays + cone.gen.lines)
+        probes += [tuple(-x for x in v) for v in probes]
+        probes += data.draw(st.lists(
+            st.tuples(*[st.integers(-50, 50)] * dim), max_size=20))
+        for w in probes:
+            assert in_minimal_cone(t, w, variant) == (
+                _violated_form(cone.con, w) is None), (variant, w)
+
+
 def test_degree_six_minimal_cones_differ_by_one_facet():
     t = stratum(SplittingConfig(2, (6,)), (0, 0))
     mini, mini0 = minimal_cone(t, "min"), minimal_cone(t, "min0")
@@ -707,6 +728,8 @@ def test_degree_six_minimal_cones_differ_by_one_facet():
     assert ray in mini0.gen.rays
     assert dot(extra, ray) < 0
     assert first_escape(mini0, mini) == (ray, extra)
+    assert in_minimal_cone(t, ray, "min0")
+    assert not in_minimal_cone(t, ray, "min")
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +747,8 @@ MEMOISED_CALLS = (
     (reduced_cone, ()),
     (cone_D, ("G",)),
     (cone_D, ("Gprime",)),
+    (minimal_forms, ("min",)),
+    (minimal_forms, ("min0",)),
     (minimal_cone, ("min",)),
     (minimal_cone, ("min0",)),
 )
