@@ -386,15 +386,14 @@ def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
 def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     """Membership with certificate; see MembershipCertificate."""
     c = cone_complete(cone)
-    v = tuple(Fraction(x) for x in vec)
-    if len(v) != c.dim:
+    if len(vec) != c.dim:
         raise ValueError(
-            f"vector has length {len(v)}, expected ambient dimension {c.dim}")
-    form = _violated_form(c.con, v)
+            f"vector has length {len(vec)}, expected ambient dimension {c.dim}")
+    form = _violated_form(c.con, vec)
     if form is not None:
         return MembershipCertificate(inside=False, violated_form=form)
     line_coeffs: dict[int, Fraction] = {}
-    rest = list(v)
+    rest = [Fraction(x) for x in vec]
     for j, b in enumerate(c.gen.lines):
         pj = next(i for i, x in enumerate(b) if x != 0)
         if rest[pj] != 0:

@@ -5,8 +5,7 @@ Frobenius shift acts on each cycle by rotation.  A stratum is a subset T of
 the embeddings.  This module computes the derived combinatorial data: chain
 decompositions of T inside each cycle, the even-parity tilde closure, the
 ramification set S(T) and Iwahori primes Iw(T), the index tables mu / n / nu,
-the sign function, the admissible set, refinements, and the weight-support
-condition for descending a weight along a refinement.
+the sign function and the admissible set.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 
 class EmbeddingId(NamedTuple):
@@ -22,10 +21,6 @@ class EmbeddingId(NamedTuple):
 
     cycle: int
     pos: int
-
-
-class UndefinedIndexError(KeyError):
-    """Raised when an index table is queried where it is not defined."""
 
 
 def _is_prime(n: int) -> bool:
@@ -43,10 +38,15 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SplittingConfig:
-    """A prime p and the cycle lengths of the primes above it."""
+    """A prime p and the cycle lengths of the primes above it.
+
+    `_offsets[c]` is the flat coordinate of position 0 on cycle c, computed
+    once; it takes no part in equality, hashing or the repr.
+    """
 
     p: int
     cycle_lengths: tuple[int, ...]
+    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -55,7 +55,10 @@ class SplittingConfig:
             raise ValueError("at least one cycle is required")
         if any(f < 1 for f in self.cycle_lengths):
             raise ValueError("cycle lengths must be positive")
-        object.__setattr__(self, "cycle_lengths", tuple(self.cycle_lengths))
+        lengths = tuple(self.cycle_lengths)
+        object.__setattr__(self, "cycle_lengths", lengths)
+        object.__setattr__(self, "_offsets",
+                           tuple(sum(lengths[:c]) for c in range(len(lengths))))
 
     @property
     def degree(self) -> int:
@@ -69,7 +72,7 @@ class SplittingConfig:
     def flat_index(self, emb: EmbeddingId) -> int:
         """Coordinate of an embedding in the (cycle, pos) lex order."""
         self._check(emb)
-        return sum(self.cycle_lengths[: emb.cycle]) + emb.pos
+        return self._offsets[emb.cycle] + emb.pos
 
     def _check(self, emb: EmbeddingId) -> None:
         if not (0 <= emb.cycle < len(self.cycle_lengths)):
@@ -280,22 +283,9 @@ class StratumTables:
     and the cycle length on cycles whose tilde closure is everything.
     """
 
-    tilde: Stratum
     mu: Mapping[EmbeddingId, int]
     nu: Mapping[EmbeddingId, int]
     n: Mapping[EmbeddingId, int]
-
-    def mu_of(self, emb: EmbeddingId) -> int:
-        return self.mu[emb]
-
-    def nu_of(self, emb: EmbeddingId) -> int:
-        if emb not in self.nu:
-            raise UndefinedIndexError(
-                f"undefined index nu at {emb}: cycle entirely in T")
-        return self.nu[emb]
-
-    def n_of(self, emb: EmbeddingId) -> int:
-        return self.n[emb]
 
 
 @_memoised
@@ -319,7 +309,7 @@ def index_tables(stratum: Stratum) -> StratumTables:
                 nu[beta] = next(k for k in range(f) if (i - k) % f not in in_t)
             n[beta] = next((k for k in range(1, f + 1)
                             if (i + k) % f not in in_tilde), f)
-    return StratumTables(tilde=tilde, mu=mu, nu=nu, n=n)
+    return StratumTables(mu=mu, nu=nu, n=n)
 
 
 @_memoised
@@ -328,10 +318,11 @@ def sign_epsilon(stratum: Stratum) -> dict[EmbeddingId, int]:
     (-1)^(mu-1) on the tilde closure."""
     config = stratum.config
     tables = index_tables(stratum)
+    tilde = tilde_closure(stratum)
     out: dict[EmbeddingId, int] = {}
     for c, f in enumerate(config.cycle_lengths):
         full = stratum.cycle_full(c)
-        in_tilde = tables.tilde.cycle_members(c)
+        in_tilde = tilde.cycle_members(c)
         for i in range(f):
             beta = EmbeddingId(c, i)
             if full:
@@ -355,10 +346,11 @@ def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
     """
     config = stratum.config
     tables = index_tables(stratum)
+    tilde = tilde_closure(stratum)
     out: set[EmbeddingId] = set()
     for c, f in enumerate(config.cycle_lengths):
         in_t = stratum.cycle_members(c)
-        in_tilde = tables.tilde.cycle_members(c)
+        in_tilde = tilde.cycle_members(c)
         outside_tilde = [i for i in range(f) if i not in in_tilde]
         if not outside_tilde:
             chosen: set[int] = set()
@@ -376,38 +368,3 @@ def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
         out.update(EmbeddingId(c, i) for i in chosen)
     return frozenset(out)
 
-
-def refinements(stratum: Stratum) -> list[Stratum]:
-    """All strata between T and its tilde closure with the same Iwahori set,
-    sorted by canonical key."""
-    _, iw = places_and_iw(stratum)
-    extra = sorted(tilde_closure(stratum).members - stratum.members)
-    found = []
-    for mask in range(1 << len(extra)):
-        members = set(stratum.members)
-        members.update(e for b, e in enumerate(extra) if mask >> b & 1)
-        cand = Stratum(stratum.config, frozenset(members))
-        if places_and_iw(cand)[1] == iw:
-            found.append(cand)
-    return sorted(found, key=lambda s: s.key())
-
-
-def pullback_compatible(stratum: Stratum, refined: Stratum,
-                        weight: Sequence[int]) -> bool:
-    """Can a weight on the refined stratum descend along the bundle map?
-
-    True iff the weight vanishes on the forward mu-window of every embedding
-    added by the refinement (mu taken relative to the source stratum T).
-    """
-    config = stratum.config
-    if refined not in refinements(stratum):
-        raise ValueError("second stratum is not a refinement of the first")
-    if len(weight) != config.degree:
-        raise ValueError(
-            f"weight has length {len(weight)}, expected {config.degree}")
-    tables = index_tables(stratum)
-    for beta in refined.members - stratum.members:
-        for i in range(tables.mu[beta]):
-            if weight[config.flat_index(frobenius_shift(config, beta, i))] != 0:
-                return False
-    return True

@@ -376,7 +376,7 @@ def _check_divisor_functionals(t: Stratum) -> CheckResult:
         fw = f_weight(t, beta)
         form = functional_Lf(t, beta, beta)
         value = _dot(form, fw)
-        n = index_tables(t).n_of(beta)
+        n = index_tables(t).n[beta]
         power = -value
         good = value < 0 and power % 2 == 0
         if good:
@@ -415,7 +415,7 @@ def _check_diagonal_minimal(t: Stratum) -> CheckResult:
     index = {beta: i for i, beta in enumerate(outside)}
     forms = []
     for beta in outside:
-        n = index_tables(t).n_of(beta)
+        n = index_tables(t).n[beta]
         form = [0] * len(outside)
         form[index[beta]] -= 1
         shifted = frobenius_shift(t.config, beta, n)
@@ -580,7 +580,7 @@ def stratum_dossier(stratum: Stratum) -> dict:
         "p": _num(config.p),
         "cycles": _vec(config.cycle_lengths),
         "t": stratum.key(),
-        "tilde": tables.tilde.key(),
+        "tilde": tilde_closure(stratum).key(),
         "S": {
             "embeddings": [_emb_key(e) for e in sorted(s.embeddings)],
             "primes": _vec(sorted(s.primes)),

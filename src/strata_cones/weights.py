@@ -30,7 +30,6 @@ from .cone_kernel import (
     ConstraintRep,
     Vec,
     _dot,
-    _violated_form,
     cone_complete,  # unused here; bench/test_bench.py traces it by this name
     cone_from_constraints,
     cone_from_rays,
@@ -61,7 +60,7 @@ def _as_vec(config: SplittingConfig,
     items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
     out = [0] * config.degree
     for emb, c in items:
-        out[config.flat_index(emb)] = out[config.flat_index(emb)] + c
+        out[config.flat_index(emb)] += c
     return tuple(out)
 
 
@@ -110,9 +109,8 @@ def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
     if emb in stratum:
         raise ValueError(f"{emb} lies in the stratum, no distinguished "
                          "generator is attached to it")
-    tables = index_tables(stratum)
-    sub = frobenius_shift(stratum.config, emb, tables.n_of(emb))
-    if emb in tables.tilde:
+    sub = frobenius_shift(stratum.config, emb, index_tables(stratum).n[emb])
+    if emb in tilde_closure(stratum):
         return tuple(-c for c in weight_pair(stratum.config, "b", sub, emb))
     return weight_pair(stratum.config, "h", sub, emb)
 
@@ -224,8 +222,8 @@ def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
     config = stratum.config
     tables = index_tables(stratum)
     eps = sign_epsilon(stratum)
-    mu = tables.mu_of(emb)
-    if emb in tables.tilde:
+    mu = tables.mu[emb]
+    if emb in tilde_closure(stratum):
         return functional_window(config, eps, emb,
                                  frobenius_shift(config, emb, mu - 1))
     return functional_window(config, eps, frobenius_shift(config, emb, mu))
@@ -257,7 +255,7 @@ def reduction_matrix(stratum: Stratum) -> tuple[Vec, ...]:
     rows = []
     for beta in sorted(stratum.complement()):
         coeffs = {frobenius_shift(config, beta, i): (-config.p) ** i
-                  for i in range(tables.mu_of(beta))}
+                  for i in range(tables.mu[beta])}
         rows.append(_as_vec(config, coeffs))
     return tuple(rows)
 
@@ -296,7 +294,7 @@ def lift_jT(stratum: Stratum, reduced: Sequence[Rational]) -> tuple:
 def _flipped_epsilon(stratum: Stratum, beta: EmbeddingId) -> dict[EmbeddingId, int]:
     tables = index_tables(stratum)
     eps = dict(sign_epsilon(stratum))
-    for i in range(tables.mu_of(beta)):
+    for i in range(tables.mu[beta]):
         tau = frobenius_shift(stratum.config, beta, i)
         eps[tau] = -eps[tau]
     return eps
@@ -319,7 +317,7 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
     if beta not in admissible_set(stratum):
         raise ValueError(f"{beta} is not in the admissible set")
     tables = index_tables(stratum)
-    beta2 = frobenius_shift(config, beta, tables.n_of(beta))
+    beta2 = frobenius_shift(config, beta, tables.n[beta])
     if tau in stratum:
         raise ValueError(f"no divisibility functional at {tau}: it lies in T")
     if tau == beta2:
@@ -329,13 +327,13 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
     if tau.cycle != beta.cycle:
         return functional_LT(stratum, tau)
     eps = _flipped_epsilon(stratum, beta)
-    in_tilde = tau in tables.tilde
+    in_tilde = tau in tilde_closure(stratum)
     if tau != beta:
         if in_tilde:
             return functional_LT(stratum, tau)
         return functional_window(
-            config, eps, frobenius_shift(config, tau, tables.mu_of(tau)))
-    btilde = frobenius_shift(config, beta2, tables.mu_of(beta2))
+            config, eps, frobenius_shift(config, tau, tables.mu[tau]))
+    btilde = frobenius_shift(config, beta2, tables.mu[beta2])
     if in_tilde:
         return functional_window(config, eps, btilde)
     return functional_window(config, eps, beta,
@@ -343,19 +341,10 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
 
 
 def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> list[Vec]:
-    tables = index_tables(stratum)
-    beta2 = frobenius_shift(stratum.config, beta, tables.n_of(beta))
+    beta2 = frobenius_shift(stratum.config, beta,
+                            index_tables(stratum).n[beta])
     return [functional_Lf(stratum, beta, tau)
             for tau in sorted(stratum.complement() - {beta2})]
-
-
-def cone_Dtf(stratum: Stratum, beta: EmbeddingId) -> Cone:
-    """The divisibility cone attached to an admissible embedding: all its
-    facet functionals nonnegative."""
-    if beta not in admissible_set(stratum):
-        raise ValueError(f"{beta} is not in the admissible set")
-    return cone_from_constraints(_divisor_forms(stratum, beta),
-                                 dim=stratum.config.degree)
 
 
 @_memoised
@@ -421,43 +410,6 @@ def forced_divisors(stratum: Stratum,
         if any(_dot(form, weight) < 0 for form in _divisor_forms(stratum, beta)):
             out.add(beta)
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class PhiReduction:
-    """Result of stripping distinguished-generator multiples off a weight."""
-
-    kappa0: tuple
-    reduced: tuple
-    kappa0_in_cone: bool
-    reduced_in_minimal: bool
-
-
-def phi_reduce(stratum: Stratum, weight: Sequence[Rational],
-               multiplicities: Mapping[EmbeddingId, int]) -> PhiReduction:
-    """Subtract the given nonnegative multiples of the distinguished
-    generators from the weight and reduce; reports whether the stripped
-    weight still lies in the weight cone and whether its reduction lies in
-    the minimal cone."""
-    config = stratum.config
-    if len(weight) != config.degree:
-        raise ValueError(
-            f"weight has length {len(weight)}, expected {config.degree}")
-    kappa0 = list(weight)
-    for emb, a in multiplicities.items():
-        if emb in stratum:
-            raise ValueError(f"multiplicity given at {emb}, which lies in T")
-        if a < 0:
-            raise ValueError(f"negative multiplicity at {emb}")
-        if a:
-            fw = f_weight(stratum, emb)
-            kappa0 = [x - a * y for x, y in zip(kappa0, fw)]
-    kappa0_t = tuple(kappa0)
-    reduced = reduce_iT(stratum, kappa0_t)
-    in_cone = _violated_form(explicit_constraints(stratum), kappa0_t) is None
-    in_min = in_minimal_cone(stratum, reduced)
-    return PhiReduction(kappa0=kappa0_t, reduced=reduced,
-                        kappa0_in_cone=in_cone, reduced_in_minimal=in_min)
 
 
 @dataclass(frozen=True)
@@ -571,10 +523,9 @@ def f_recipe(stratum: Stratum,
     if emb in stratum:
         raise ValueError(f"{emb} lies in the stratum, no distinguished "
                          "generator is attached to it")
-    tables = index_tables(stratum)
-    n = tables.n_of(emb)
+    n = index_tables(stratum).n[emb]
     sub = frobenius_shift(config, emb, n)
-    if emb not in tables.tilde:
+    if emb not in tilde_closure(stratum):
         monomial = section_recipe(stratum, sub, emb)
         tag = delta_class(config, (0,) * config.degree)
     else:
@@ -644,6 +595,7 @@ def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
     config = stratum.config
     zero = (0,) * config.degree
     tables = index_tables(stratum)
+    tilde = tilde_closure(stratum)
     out: list[tuple[BiWeight, bool]] = []
     for emb in config.embeddings():
         out.append((BiWeight(weight_basis(config, "h", emb), zero), True))
@@ -652,8 +604,8 @@ def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
         out.append((BiWeight(neg_e, weight_basis(config, "b", emb)), True))
     for emb in sorted(stratum.complement()):
         fw = f_weight(stratum, emb)
-        if emb in tables.tilde:
-            sub = frobenius_shift(config, emb, tables.n_of(emb))
+        if emb in tilde:
+            sub = frobenius_shift(config, emb, tables.n[emb])
             lam = weight_basis(config, "e", sub)
         else:
             lam = zero

@@ -1,10 +1,18 @@
 """The acceptance gate, one test per criterion.
 
-Criteria 1-8 run over a shared sweep: primes 2, 3, 5, every cycle
+Criteria 1-8 and 11 run over a shared sweep: primes 2, 3, 5, every cycle
 partition of every total degree up to 5, every stratum (1014 in all).
 Criterion 4 additionally walks single cycles up to length 6 on its own.
 Criterion 9 re-asserts the oracle-confirmed fixture values and criterion
 10 stress-tests the cone kernel on seeded random input.
+
+Criterion 11 is the eigenform theorem in cone form: on every stratum of
+the sweep and for both minimal-cone variants, the reduced weight cone is
+the minimal cone plus the cone of the reduced distinguished generators
+at the admissible embeddings.  The test computes it from the library, so
+the report bytes do not carry it.  The minimal cone is strictly smaller
+than the reduced weight cone on 411 strata, so there the generators are
+not redundant.
 
 Criterion 3 pins the exact admissibility dichotomy.  The check itself
 tests the strong form (a growing tilde closure makes the Hasse-type cone
@@ -40,11 +48,13 @@ from strata_cones.cone_kernel import (
     cone_lineality,
     cone_member,
     cone_sum,
+    first_escape,
 )
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    admissible_set,
     frobenius_shift,
 )
 from strata_cones.verify import explore
@@ -53,6 +63,8 @@ from strata_cones.weights import (
     explicit_constraints,
     f_weight,
     minimal_cone,
+    reduce_iT,
+    reduced_cone,
     weight_pair,
 )
 
@@ -394,6 +406,41 @@ def test_criterion_10_kernel_properties():
     ok = elapsed < 60.0
     announce(10, "kernel invariants hold on 500 seeded random cones", ok)
     assert ok, f"{elapsed:.1f}s"
+
+
+def test_criterion_11_eigenform_identity(sweep):
+    report, _ = sweep
+    checked = 0
+    strict = 0
+    bad = []
+    for record in report.strata:
+        p, lengths, members = parse_stratum(record["p"], record["cycles"],
+                                            record["t"])
+        t = Stratum(SplittingConfig(p, lengths),
+                    frozenset(EmbeddingId(c, i) for c, i in members))
+        reduced = reduced_cone(t)
+        twins = cone_from_rays(
+            [reduce_iT(t, f_weight(t, beta))
+             for beta in sorted(admissible_set(t))],
+            dim=len(t.complement()))
+        for variant in ("min", "min0"):
+            checked += 1
+            total = cone_sum(minimal_cone(t, variant), twins)
+            if not cone_equal(reduced, total):
+                bad.append((record["p"], record["cycles"], record["t"],
+                            variant, first_escape(reduced, total),
+                            first_escape(total, reduced)))
+        strict += not cone_equal(minimal_cone(t, "min"), reduced)
+    ok = checked == 2028 and not bad and strict == 411
+    announce(11, "the reduced cone is the minimal cone plus the reduced "
+             "distinguished generators", ok)
+    assert ok, (
+        f"{checked} pairs, {strict} strata with a smaller minimal cone, "
+        f"{len(bad)} bad"
+        + (f", the first being p={bad[0][0]} cycles=({','.join(bad[0][1])}) "
+           f"T=[{bad[0][2]}] variant {bad[0][3]}: reduced escapes the sum by "
+           f"{bad[0][4]}, the sum escapes reduced by {bad[0][5]}"
+           if bad else ""))
 
 
 def test_sweep_report_bytes_are_pinned(sweep):

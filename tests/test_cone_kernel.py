@@ -387,8 +387,7 @@ def test_normalize_primitive_int_and_rational_paths_agree(v, k):
 
 
 def _fraction_forbidden(*args, **kwargs):
-    raise AssertionError("a Fraction was built while completing an "
-                         "integer cone")
+    raise AssertionError("a Fraction was built from integer input")
 
 
 @settings(max_examples=50, deadline=None)
@@ -407,3 +406,13 @@ def test_stratum_cones_complete_without_fractions(monkeypatch):
     cones = [cone_D(t, "G"), cone_D(t, "Gprime"),
              minimal_cone(t, "min"), minimal_cone(t, "min0")]
     assert [len(c.con.ineqs) for c in cones[2:]] == [7, 6]
+
+
+def test_outside_membership_builds_no_fraction(monkeypatch):
+    pair = cone_complete(cone_from_rays([(-1, 3), (3, -1)]))
+    monkeypatch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
+    cert = cone_member(pair, (-1, 0))
+    assert not cert.inside
+    assert cert.violated_form in {(1, 3), (3, 1)}
+    with pytest.raises(AssertionError, match="integer input"):
+        cone_member(pair, (1, 1))

@@ -40,3 +40,21 @@ def test_every_imported_name_is_used():
                    for name in sorted(_imported_names(tree) - used)
                    if (path.stem, name) not in EXEMPT]
     assert unused == []
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            } | {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+
+
+def test_every_definition_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set(strata_cones.__all__).union(
+        *map(_referenced_names, trees.values()))
+    dead = [f"{stem}.{node.name}" for stem, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in referenced]
+    assert dead == []

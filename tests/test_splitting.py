@@ -1,4 +1,4 @@
-"""Combinatorics of strata: chains, closures, index tables, refinements."""
+"""Combinatorics of strata: chains, closures, index tables, admissible sets."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,14 +8,11 @@ from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
-    UndefinedIndexError,
     admissible_set,
     chain_decomposition,
     frobenius_shift,
     index_tables,
     places_and_iw,
-    pullback_compatible,
-    refinements,
     sign_epsilon,
     stratum_from_text,
     tilde_closure,
@@ -49,6 +46,13 @@ def test_embedding_order_and_flat_index():
     assert CFG_D.degree == 2
     assert CFG_D.embeddings() == [EmbeddingId(0, 0), EmbeddingId(1, 0)]
     assert [CFG_C.flat_index(e) for e in CFG_C.embeddings()] == [0, 1, 2, 3]
+    # the stored cycle offsets take no part in equality, hashing or the repr
+    config = SplittingConfig(3, [2, 1, 3])
+    assert [config.flat_index(e) for e in config.embeddings()] == \
+        list(range(6))
+    assert config == SplittingConfig(3, (2, 1, 3))
+    assert hash(config) == hash(SplittingConfig(3, (2, 1, 3)))
+    assert repr(config) == "SplittingConfig(p=3, cycle_lengths=(2, 1, 3))"
     with pytest.raises(ValueError, match="no cycle 2"):
         CFG_D.flat_index(EmbeddingId(2, 0))
     with pytest.raises(ValueError, match="out of range"):
@@ -144,30 +148,30 @@ def test_places_and_iw_examples():
 def test_index_tables_cfg_b():
     t = stratum(CFG_B, (0, 1))
     tables = index_tables(t)
-    assert [tables.mu_of(EmbeddingId(0, i)) for i in range(3)] == [2, 1, 1]
-    assert [tables.n_of(EmbeddingId(0, i)) for i in range(3)] == [2, 1, 3]
-    assert tables.nu_of(EmbeddingId(0, 0)) == 0
-    assert tables.nu_of(EmbeddingId(0, 1)) == 1
-    assert tables.nu_of(EmbeddingId(0, 2)) == 0
+    assert [tables.mu[EmbeddingId(0, i)] for i in range(3)] == [2, 1, 1]
+    assert [tables.n[EmbeddingId(0, i)] for i in range(3)] == [2, 1, 3]
+    assert tables.nu[EmbeddingId(0, 0)] == 0
+    assert tables.nu[EmbeddingId(0, 1)] == 1
+    assert tables.nu[EmbeddingId(0, 2)] == 0
 
 
 def test_index_tables_undefined_entries():
     full = stratum(CFG_A, (0, 0), (0, 1))
     tables = index_tables(full)
-    assert tables.mu_of(EmbeddingId(0, 0)) == 0
-    with pytest.raises(UndefinedIndexError, match="undefined index nu"):
-        tables.nu_of(EmbeddingId(0, 0))
+    assert tables.mu[EmbeddingId(0, 0)] == 0
+    # nu is undefined on a cycle entirely in T
+    assert EmbeddingId(0, 0) not in tables.nu
     # the tilde closure covers the cycle, so n is the cycle length
-    assert tables.n_of(EmbeddingId(0, 0)) == 2
-    assert tables.n_of(EmbeddingId(0, 1)) == 2
+    assert tables.n[EmbeddingId(0, 0)] == 2
+    assert tables.n[EmbeddingId(0, 1)] == 2
 
 
 def test_index_tables_cfg_c():
     t = stratum(CFG_C, (0, 0), (0, 1), (0, 2))
     tables = index_tables(t)
-    assert [tables.mu_of(EmbeddingId(0, i)) for i in range(4)] == [3, 2, 1, 4]
+    assert [tables.mu[EmbeddingId(0, i)] for i in range(4)] == [3, 2, 1, 4]
     # tilde closure is the whole cycle, so n is the cycle length
-    assert tables.n_of(EmbeddingId(0, 3)) == 4
+    assert tables.n[EmbeddingId(0, 3)] == 4
 
 
 def test_sign_epsilon_examples():
@@ -180,7 +184,7 @@ def test_sign_epsilon_examples():
 
 
 # ---------------------------------------------------------------------------
-# admissible set, refinements, pullback
+# admissible set
 
 
 def test_admissible_set_examples():
@@ -188,32 +192,6 @@ def test_admissible_set_examples():
     assert admissible_set(stratum(CFG_A)) == {EmbeddingId(0, 0),
                                               EmbeddingId(0, 1)}
     assert admissible_set(stratum(CFG_A, (0, 1))) == frozenset()
-
-
-def test_refinements_examples():
-    t = stratum(CFG_B, (0, 1))
-    refs = refinements(t)
-    assert [r.key() for r in refs] == ["0.0,0.1", "0.1"]
-    refs_a = refinements(stratum(CFG_A, (0, 1)))
-    assert [r.key() for r in refs_a] == ["0.1"]
-
-
-def test_pullback_compatible_examples():
-    t = stratum(CFG_B, (0, 1))
-    bigger = refinements(t)[0]
-    assert pullback_compatible(t, bigger, (0, 0, 1)) is True
-    assert pullback_compatible(t, bigger, (1, 0, 0)) is False
-    # the window is {beta0, beta1}: mu relative to T is 2 at the added beta0
-    assert pullback_compatible(t, bigger, (0, 1, 0)) is False
-
-
-def test_pullback_rejects_non_refinement():
-    t = stratum(CFG_B, (0, 1))
-    other = stratum(CFG_B, (0, 2))
-    with pytest.raises(ValueError, match="not a refinement"):
-        pullback_compatible(t, other, (0, 0, 0))
-    with pytest.raises(ValueError, match="length"):
-        pullback_compatible(t, refinements(t)[0], (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,38 +244,40 @@ def test_tilde_closure_properties(t):
 @given(random_strata())
 def test_mu_is_even_on_added_embeddings(t):
     tables = index_tables(t)
-    for beta in tables.tilde.members - t.members:
-        assert tables.mu_of(beta) % 2 == 0
-        assert tables.mu_of(beta) >= 2
+    for beta in tilde_closure(t).members - t.members:
+        assert tables.mu[beta] % 2 == 0
+        assert tables.mu[beta] >= 2
 
 
 @given(random_strata())
 def test_index_tables_match_definitions(t):
     tables = index_tables(t)
+    tilde = tilde_closure(t)
     config = t.config
     for beta in config.embeddings():
         if t.cycle_full(beta.cycle):
-            assert tables.mu_of(beta) == 0
+            assert tables.mu[beta] == 0
+            assert beta not in tables.nu
             continue
-        mu = tables.mu_of(beta)
+        mu = tables.mu[beta]
         assert frobenius_shift(config, beta, mu) not in t
         assert all(frobenius_shift(config, beta, i) in t for i in range(1, mu))
-        nu = tables.nu_of(beta)
+        nu = tables.nu[beta]
         assert frobenius_shift(config, beta, -nu) not in t
         assert all(frobenius_shift(config, beta, -i) in t for i in range(nu))
-        n = tables.n_of(beta)
+        n = tables.n[beta]
         assert 1 <= n <= config.cycle_lengths[beta.cycle]
         if n < config.cycle_lengths[beta.cycle]:
-            assert frobenius_shift(config, beta, n) not in tables.tilde
-        assert all(frobenius_shift(config, beta, i) in tables.tilde
+            assert frobenius_shift(config, beta, n) not in tilde
+        assert all(frobenius_shift(config, beta, i) in tilde
                    for i in range(1, n))
 
 
 @given(random_strata())
 def test_n_at_least_two_on_added_embeddings(t):
     tables = index_tables(t)
-    for beta in tables.tilde.members - t.members:
-        assert tables.n_of(beta) >= 2
+    for beta in tilde_closure(t).members - t.members:
+        assert tables.n[beta] >= 2
 
 
 @given(random_strata())
@@ -327,20 +307,6 @@ def test_admissible_set_avoids_stratum(t):
     adm = admissible_set(t)
     assert adm.isdisjoint(t.members)
     assert adm <= t.complement()
-
-
-@given(random_strata())
-def test_refinements_properties(t):
-    tilde = tilde_closure(t)
-    _, iw = places_and_iw(t)
-    refs = refinements(t)
-    keys = [r.key() for r in refs]
-    assert keys == sorted(keys)
-    assert len(keys) == len(set(keys))
-    assert any(r.members == t.members for r in refs)
-    for r in refs:
-        assert t.members <= r.members <= tilde.members
-        assert places_and_iw(r)[1] == iw
 
 
 @given(random_strata())

@@ -35,7 +35,6 @@ from strata_cones.weights import (
     BiWeight,
     FormalMonomial,
     cone_D,
-    cone_Dtf,
     delta_class,
     explicit_constraints,
     f_recipe,
@@ -53,7 +52,6 @@ from strata_cones.weights import (
     minimal_cone,
     minimal_forms,
     monomial_weight,
-    phi_reduce,
     reduce_iT,
     reduced_cone,
     reduction_matrix,
@@ -279,20 +277,16 @@ def test_functional_lf_errors():
 
 
 def test_cone_dtf_and_divisor_values():
-    cone = cone_Dtf(stratum(CFG_A), EmbeddingId(0, 0))
-    assert cone.con.ineqs == ((-1, 3),)
+    # at beta0 the divisibility cone has one facet, the diagonal form
+    beta = EmbeddingId(0, 0)
+    assert functional_Lf(stratum(CFG_A), beta, beta) == (-1, 3)
     t = stratum(CFG_B, (0, 1))
-    cone = cone_Dtf(t, EmbeddingId(0, 0))
-    assert cone.con.ineqs == ((1, -2, 4),)
+    assert functional_Lf(t, beta, beta) == (1, -2, 4)
     # the distinguished generator sits strictly outside its own
     # divisibility cone, with pairing -2 p^n against the facet
-    fw = f_weight(t, EmbeddingId(0, 0))
-    assert dot(functional_Lf(t, EmbeddingId(0, 0), EmbeddingId(0, 0)), fw) \
-        == -8
-    assert not cone_member(cone, fw).inside
-    assert dot(functional_Lf(stratum(CFG_A), EmbeddingId(0, 0),
-                             EmbeddingId(0, 0)),
-               f_weight(stratum(CFG_A), EmbeddingId(0, 0))) == -6
+    assert dot(functional_Lf(t, beta, beta), f_weight(t, beta)) == -8
+    assert dot(functional_Lf(stratum(CFG_A), beta, beta),
+               f_weight(stratum(CFG_A), beta)) == -6
 
 
 def test_forced_divisors_examples():
@@ -325,28 +319,6 @@ def test_minimal_cone_examples():
 
     with pytest.raises(ValueError, match="unknown variant"):
         minimal_cone(t, "minimal")
-
-
-def test_phi_reduce_examples():
-    r = phi_reduce(stratum(CFG_A), (-1, 3), {EmbeddingId(0, 1): 1})
-    assert r.kappa0 == (0, 0)
-    assert r.reduced == (0, 0)
-    assert r.kappa0_in_cone and r.reduced_in_minimal
-
-    t = stratum(CFG_B, (0, 1))
-    r = phi_reduce(t, (-1, 0, 0), {EmbeddingId(0, 0): 1})
-    assert r.kappa0 == (3, 0, 1)
-    assert r.reduced == (3, 1)
-    assert not r.kappa0_in_cone and not r.reduced_in_minimal
-
-    r = phi_reduce(t, (-1, 0, 0), {})
-    assert r.kappa0 == (-1, 0, 0)
-    assert r.reduced == (-1, 0)
-
-    with pytest.raises(ValueError, match="lies in T"):
-        phi_reduce(t, (0, 0, 0), {EmbeddingId(0, 1): 1})
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        phi_reduce(t, (0, 0, 0), {EmbeddingId(0, 0): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +653,7 @@ def _minimal_cone_by_image(t, variant):
         if variant == "min0":
             ineqs.append(functional_Lf(t, beta, beta))
             continue
-        beta2 = frobenius_shift(t.config, beta, index_tables(t).n_of(beta))
+        beta2 = frobenius_shift(t.config, beta, index_tables(t).n[beta])
         ineqs.extend(functional_Lf(t, beta, tau)
                      for tau in sorted(t.complement() - {beta2}))
     pre = cone_from_constraints(ineqs, dim=t.config.degree)
@@ -770,7 +742,7 @@ def test_sign_epsilon_is_not_mutated_by_its_users(t):
     minimal_cone(t, "min")
     minimal_cone(t, "min0")
     for beta in sorted(admissible_set(t)):
-        beta2 = frobenius_shift(t.config, beta, index_tables(t).n_of(beta))
+        beta2 = frobenius_shift(t.config, beta, index_tables(t).n[beta])
         for tau in sorted(t.complement() - {beta2}):
             functional_Lf(t, beta, tau)
     assert sign_epsilon(t) == before
