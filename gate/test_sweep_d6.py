@@ -6,7 +6,10 @@ pins the report: its sha256, its summary and the 18 strata where the two
 minimal-cone variants differ.  Degree 6 is where they first differ, on a
 single cycle of length 6 with T a single embedding, for each prime.  The
 witness of each such stratum is re-checked with plain integer arithmetic
-against the cone records of the report.
+against the cone records of the report.  Criterion 3's classifier and
+witness checks (`tests/test_acceptance.py`) run on every row: the exact
+admissibility dichotomy holds at degree 6 too, and its degenerate strata
+are exactly the failures.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import time
 import pytest
 
 from strata_cones.verify import explore
+from test_acceptance import dichotomy_message, dichotomy_rows
 
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
@@ -26,6 +30,7 @@ GATE_REPORT_SHA256 = (
     "54979ecb7d97dac73fd6ad28994cfda866dfe5fb8034cced0d00c35bcb75ecc5")
 GATE_SUMMARY = {"strata": 3126, "checks": 43764, "pass": 36063, "fail": 882,
                 "info": 6819}
+DICHOTOMY_COUNTS = {"closed": 1383, "strict": 861, "degenerate": 882}
 UNEQUAL = [{"p": p, "cycles": ["6"], "t": f"0.{i}"}
            for p in ("2", "3", "5") for i in range(6)]
 
@@ -89,3 +94,14 @@ def test_unequal_witnesses_recheck_by_hand(sweep):
         assert all(dot(form, line) == 0 for line in outer["lines"])
         checked += 1
     assert checked == 18
+
+
+def test_dichotomy_classes_are_pinned(sweep):
+    report, _ = sweep
+    counts, bad, degenerate = dichotomy_rows(report)
+    assert counts == DICHOTOMY_COUNTS and not bad, \
+        dichotomy_message(counts, bad)
+    failing = {(record["p"], tuple(record["cycles"]), record["t"])
+               for record in report.strata for check in record["checks"]
+               if check["status"] == "fail"}
+    assert degenerate == failing

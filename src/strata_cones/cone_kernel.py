@@ -18,7 +18,11 @@ Canonical form, produced by `cone_complete` and the factory helpers:
   deduplicated, and sorted lexicographically.
 
 Representation conversion is done by the double description method, which
-decides adjacency combinatorially from the tight sets of its rays.
+decides adjacency combinatorially from the tight sets of its rays.  Its
+canonical result is memoised (`_dual_canon`, the 256 most recently used),
+keyed on the constraint tuples and the dimension.  Sharing it is safe: it
+depends only on the cone, equal keys (an `int` and an equal `Fraction`)
+describe the same cone, and it is a frozen dataclass of tuples.
 Containment is decided from constraints alone (`first_escape`); only an
 inside membership certificate needs the phase-1 simplex.
 The zero cone and the full space are ordinary values, as is the
@@ -27,9 +31,11 @@ zero-dimensional space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -54,7 +60,7 @@ def normalize_primitive(vec: Sequence[Rational]) -> Vec:
 
 
 def _dot(a: Sequence[Rational], b: Sequence[Rational]):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _neg(v: Vec) -> Vec:
@@ -169,50 +175,52 @@ def _ray_enum(ineqs: Sequence[Vec], eqns: Sequence[Vec], dim: int):
     Adjacency is combinatorial (Fukuda & Prodon): p and n are adjacent when
     no third ray's tight set contains theirs in common.  Every step is
     invariant under positive scaling, so constraints are taken as given.
+    Each dot product is taken once; tight sets are bitmasks of constraints.
     """
-    lines: list[Vec] = [
-        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    rays: list[tuple[Vec, frozenset[int]]] = []
+    lines = [(0,) * j + (1,) + (0,) * (dim - j - 1) for j in range(dim)]
+    rays: list[tuple[Vec, int]] = []
     cons = [(e, True) for e in eqns] + [(a, False) for a in ineqs]
     for idx, (a, is_eq) in enumerate(cons):
-        nz = next((l for l in lines if _dot(a, l) != 0), None)
-        if nz is not None:
-            l0, d0 = nz, _dot(a, nz)
+        bit = 1 << idx
+        ldots = [_dot(a, l) for l in lines]
+        k = next((i for i, d in enumerate(ldots) if d != 0), None)
+        signed = [(r, tight, _dot(a, r)) for r, tight in rays]
+        if k is not None:
+            l0, d0 = lines.pop(k), ldots.pop(k)
             if d0 < 0:
                 # keep d0 positive: ray adjustments below scale by d0, which
                 # must not flip directions
                 l0, d0 = _neg(l0), -d0
-            lines = [
-                l if _dot(a, l) == 0 else normalize_primitive(
-                    tuple(x * d0 - y * _dot(a, l) for x, y in zip(l, l0)))
-                for l in lines if l is not nz]
-            rays = [
-                (r if _dot(a, r) == 0 else normalize_primitive(
-                    tuple(x * d0 - y * _dot(a, r) for x, y in zip(r, l0))),
-                 tight | {idx})
-                for r, tight in rays]
+            def project(v, d):
+                return v if d == 0 else normalize_primitive(
+                    tuple(x * d0 - y * d for x, y in zip(v, l0)))
+            lines = [project(l, d) for l, d in zip(lines, ldots)]
+            rays = [(project(r, d), tight | bit) for r, tight, d in signed]
             if not is_eq:
-                rays.append((l0, frozenset(range(idx))))
-        else:
-            groups: dict[int, list[tuple[Vec, frozenset[int]]]] = {1: [], 0: [], -1: []}
-            for r, tight in rays:
-                d = _dot(a, r)
-                groups[0 if d == 0 else (1 if d > 0 else -1)].append((r, tight))
-            kept = [(r, tight | {idx}) for r, tight in groups[0]]
-            if not is_eq:
-                kept += groups[1]
-            for p, tp in groups[1]:
-                for n, tn in groups[-1]:
-                    common = tp & tn
-                    # p and n themselves are tight on `common`
-                    if sum(common <= t for _, t in rays) > 2:
-                        continue
-                    dp, dn = _dot(a, p), _dot(a, n)
+                rays.append((l0, bit - 1))
+            continue
+        pos = [s for s in signed if s[2] > 0]
+        neg = [s for s in signed if s[2] < 0]
+        kept = [(r, tight | bit) for r, tight, d in signed if d == 0]
+        if not is_eq:
+            kept += [(r, tight) for r, tight, _ in pos]
+        tights = [tight for _, tight in rays]
+        for p, tp, dp in pos:
+            for n, tn, dn in neg:
+                common = tp & tn
+                # p and n themselves are tight on `common`; stop at a third
+                count = 0
+                for tight in tights:
+                    if tight & common == common:
+                        count += 1
+                        if count > 2:
+                            break
+                else:
                     w = normalize_primitive(
                         tuple(dp * y - dn * x for x, y in zip(p, n)))
                     # exact, as p and n meet every constraint so far
-                    kept.append((w, common | {idx}))
-            rays = kept
+                    kept.append((w, common | bit))
+        rays = kept
     return [r for r, _ in rays], lines
 
 
@@ -224,6 +232,12 @@ def _canon_gen(rays, lines, dim: int) -> GeneratorRep:
         if any(x != 0 for x in red):
             out.add(normalize_primitive(red))
     return GeneratorRep(rays=tuple(sorted(out)), lines=basis)
+
+
+@functools.lru_cache(maxsize=256)
+def _dual_canon(ineqs, eqns, dim: int) -> GeneratorRep:
+    """Canonical rays and lines of the cone `ineqs >= 0`, `eqns = 0`."""
+    return _canon_gen(*_ray_enum(ineqs, eqns, dim), dim)
 
 
 def cone_from_rays(rays: Iterable[Sequence[Rational]],
@@ -277,17 +291,15 @@ def cone_complete(cone: Cone) -> Cone:
         # facets of the cone are the extreme rays of its dual system, and
         # re-enumerating from them makes the generator side minimal whatever
         # the input was
-        dineqs, deqns = _ray_enum(cone.gen.rays, cone.gen.lines, dim)
-        con_rep = _canon_gen(dineqs, deqns, dim)
-        rays, lines = _ray_enum(con_rep.rays, con_rep.lines, dim)
-        gen_rep = _canon_gen(rays, lines, dim)
+        given = (cone.gen.rays, cone.gen.lines)
     elif cone.con is not None:
-        rays, lines = _ray_enum(cone.con.ineqs, cone.con.eqns, dim)
-        gen_rep = _canon_gen(rays, lines, dim)
-        dineqs, deqns = _ray_enum(gen_rep.rays, gen_rep.lines, dim)
-        con_rep = _canon_gen(dineqs, deqns, dim)
+        given = (cone.con.ineqs, cone.con.eqns)
     else:
         raise ValueError("cone has neither representation")
+    # the memo's keys are tuples, whatever sequences the cone was given
+    first = _dual_canon(*(tuple(map(tuple, v)) for v in given), dim)
+    second = _dual_canon(first.rays, first.lines, dim)
+    gen_rep, con_rep = (second, first) if cone.gen else (first, second)
     return Cone(dim=dim, gen=gen_rep,
                 con=ConstraintRep(ineqs=con_rep.rays, eqns=con_rep.lines))
 

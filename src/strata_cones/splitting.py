@@ -40,13 +40,14 @@ def _is_prime(n: int) -> bool:
 class SplittingConfig:
     """A prime p and the cycle lengths of the primes above it.
 
-    `_offsets[c]` is the flat coordinate of position 0 on cycle c, computed
-    once; it takes no part in equality, hashing or the repr.
+    `_offsets[c]` (flat coordinate of position 0 on cycle c) and `_valid`
+    (all embeddings) are computed once, outside equality, hashing and repr.
     """
 
     p: int
     cycle_lengths: tuple[int, ...]
     _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _valid: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -59,6 +60,7 @@ class SplittingConfig:
         object.__setattr__(self, "cycle_lengths", lengths)
         object.__setattr__(self, "_offsets",
                            tuple(sum(lengths[:c]) for c in range(len(lengths))))
+        object.__setattr__(self, "_valid", frozenset(self.embeddings()))
 
     @property
     def degree(self) -> int:
@@ -75,12 +77,13 @@ class SplittingConfig:
         return self._offsets[emb.cycle] + emb.pos
 
     def _check(self, emb: EmbeddingId) -> None:
+        if emb in self._valid:
+            return
         if not (0 <= emb.cycle < len(self.cycle_lengths)):
             raise ValueError(f"no cycle {emb.cycle} in this configuration")
-        if not (0 <= emb.pos < self.cycle_lengths[emb.cycle]):
-            raise ValueError(
-                f"position {emb.pos} out of range for cycle {emb.cycle} "
-                f"of length {self.cycle_lengths[emb.cycle]}")
+        raise ValueError(
+            f"position {emb.pos} out of range for cycle {emb.cycle} "
+            f"of length {self.cycle_lengths[emb.cycle]}")
 
 
 def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,

@@ -5,6 +5,8 @@ exhaustive subset search over generator tightness patterns, projection is
 plain Fourier-Motzkin with no pruning beyond exact deduplication, and the
 only data types are tuples of ints and Fractions.  It imports nothing from
 the package under test, so agreement between the two is meaningful.
+`ray_enum` is the double description loop in its first, plain form, the
+reference for the kernel's single-pass one.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -209,3 +211,53 @@ def same_cone_from_h(h1, h2, dim):
                 return False
         return True
     return fits(r1, l1, h2[0], h2[1]) and fits(r2, l2, h1[0], h1[1])
+
+
+def ray_enum(ineqs, eqns, dim):
+    """Double description as `cone_kernel._ray_enum` ran it before it kept
+    each dot product and held tight sets as bitmasks: the reference for the
+    exact rays and lines, order included, of a constraint system."""
+    lines = [
+        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    rays = []
+    cons = [(e, True) for e in eqns] + [(a, False) for a in ineqs]
+    for idx, (a, is_eq) in enumerate(cons):
+        nz = next((l for l in lines if dot(a, l) != 0), None)
+        if nz is not None:
+            l0, d0 = nz, dot(a, nz)
+            if d0 < 0:
+                # keep d0 positive: ray adjustments below scale by d0, which
+                # must not flip directions
+                l0, d0 = neg(l0), -d0
+            lines = [
+                l if dot(a, l) == 0 else prim(
+                    tuple(x * d0 - y * dot(a, l) for x, y in zip(l, l0)))
+                for l in lines if l is not nz]
+            rays = [
+                (r if dot(a, r) == 0 else prim(
+                    tuple(x * d0 - y * dot(a, r) for x, y in zip(r, l0))),
+                 tight | {idx})
+                for r, tight in rays]
+            if not is_eq:
+                rays.append((l0, frozenset(range(idx))))
+        else:
+            groups = {1: [], 0: [], -1: []}
+            for r, tight in rays:
+                d = dot(a, r)
+                groups[0 if d == 0 else (1 if d > 0 else -1)].append((r, tight))
+            kept = [(r, tight | {idx}) for r, tight in groups[0]]
+            if not is_eq:
+                kept += groups[1]
+            for p, tp in groups[1]:
+                for n, tn in groups[-1]:
+                    common = tp & tn
+                    # p and n themselves are tight on `common`
+                    if sum(common <= t for _, t in rays) > 2:
+                        continue
+                    dp, dn = dot(a, p), dot(a, n)
+                    w = prim(
+                        tuple(dp * y - dn * x for x, y in zip(p, n)))
+                    # exact, as p and n meet every constraint so far
+                    kept.append((w, common | {idx}))
+            rays = kept
+    return [r for r, _ in rays], lines

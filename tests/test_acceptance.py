@@ -253,17 +253,20 @@ def strict_problems(p, lengths, members, witness):
     return problems
 
 
-def test_criterion_03_admissibility_dichotomy(sweep):
-    report, _ = sweep
-    found = rows(report, "admissible_dichotomy")
+def dichotomy_rows(report):
+    """Criterion 3 on every `admissible_dichotomy` row of a report: the
+    class counts, the rows whose status or witness is wrong, and the
+    degenerate rows as (p, cycles, t) in the report's own text."""
     counts = {"closed": 0, "strict": 0, "degenerate": 0}
     bad = []
-    for p, cycles, t, check in found:
-        p, lengths, members = parse_stratum(p, cycles, t)
+    degenerate = set()
+    for p_text, cycles, t, check in rows(report, "admissible_dichotomy"):
+        p, lengths, members = parse_stratum(p_text, cycles, t)
         kind, degenerate_cycles = dichotomy_class(lengths, members)
         counts[kind] += 1
         witness = check.get("witness")
         if kind == "degenerate":
+            degenerate.add((p_text, tuple(cycles), t))
             problems = (["status is not fail"] if check["status"] != "fail"
                         else degenerate_problems(p, lengths, members,
                                                  degenerate_cycles, witness))
@@ -275,14 +278,23 @@ def test_criterion_03_admissibility_dichotomy(sweep):
             problems = []
         if problems:
             bad.append((p, cycles, t, kind, problems))
-    ok = (len(found) == 1014 and not bad
+    return counts, bad, degenerate
+
+
+def dichotomy_message(counts, bad):
+    return f"{sum(counts.values())} rows, classes {counts}, {len(bad)} bad" + (
+        f", the first being p={bad[0][0]} cycles=({','.join(bad[0][1])}) "
+        f"T=[{bad[0][2]}] ({bad[0][3]}): {bad[0][4][:3]}" if bad else "")
+
+
+def test_criterion_03_admissibility_dichotomy(sweep):
+    report, _ = sweep
+    counts, bad, _ = dichotomy_rows(report)
+    ok = (sum(counts.values()) == 1014 and not bad
           and counts == {"closed": 537, "strict": 213, "degenerate": 264})
     announce(3, "strict inclusion off the even one-gap family, certified "
              "equality on it", ok)
-    assert ok, (
-        f"{len(found)} rows, classes {counts}, {len(bad)} bad"
-        + (f", the first being p={bad[0][0]} cycles=({','.join(bad[0][1])}) "
-           f"T=[{bad[0][2]}] ({bad[0][3]}): {bad[0][4][:3]}" if bad else ""))
+    assert ok, dichotomy_message(counts, bad)
 
 
 def test_criterion_04_pair_weight_composition(sweep):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import dual_vrep, rref
+from oracle import dual_vrep, ray_enum, rref
 
 from strata_cones import cone_kernel
 from strata_cones.cone_kernel import (
     Cone,
+    ConstraintRep,
     GeneratorRep,
     cone_complete,
     cone_dual,
@@ -317,6 +318,80 @@ def test_cone_equal_is_equality_of_canonical_forms(data):
 
 
 # ---------------------------------------------------------------------------
+# the single-pass double description and its memo
+
+
+@st.composite
+def repeated_systems(draw):
+    """A random or crowded system with some vectors repeated, scaled by a
+    positive factor or added in pairs (redundant as inequalities), and with
+    equations repeated too, in a random order."""
+    dim, by_rays, vecs, lin = draw(st.one_of(random_systems(),
+                                             crowded_systems()))
+
+    def grow(pool):
+        out = list(pool)
+        for _ in range(draw(st.integers(0, 3)) if pool else 0):
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            k = draw(st.integers(1, 3))
+            out.append(draw(st.sampled_from([
+                a, tuple(k * x for x in a),
+                tuple(x + y for x, y in zip(a, b))])))
+        return draw(st.permutations(out))
+
+    return dim, by_rays, grow(vecs), grow(lin)
+
+
+@settings(deadline=None)
+@given(st.one_of(random_systems(), crowded_systems(), repeated_systems()))
+def test_ray_enum_agrees_with_the_plain_loop(system):
+    dim, _, vecs, lin = system
+    assert cone_kernel._ray_enum(vecs, lin, dim) == ray_enum(vecs, lin, dim)
+
+
+@settings(deadline=None)
+@given(st.one_of(random_systems(), crowded_systems()))
+def test_memoised_completion_equals_a_fresh_one(system):
+    first = cone_of(system)
+    again = cone_of(system)
+    cone_kernel._dual_canon.cache_clear()
+    assert first == again == cone_of(system)
+
+
+@given(random_systems(), st.integers(1, 4))
+def test_equal_fraction_and_int_inputs_complete_alike(system, k):
+    dim, by_rays, vecs, lin = system
+    as_fractions = (dim, by_rays,
+                    [tuple(Fraction(k * x, k) for x in v) for v in vecs],
+                    [tuple(Fraction(k * x, k) for x in v) for v in lin])
+    cone_kernel._dual_canon.cache_clear()
+    from_fractions = cone_of(as_fractions)
+    before = cone_kernel._dual_canon.cache_info()
+    # the integer keys equal the Fraction ones, so the memo serves them
+    from_ints = cone_of(system)
+    assert cone_kernel._dual_canon.cache_info().misses == before.misses
+    cone_kernel._dual_canon.cache_clear()
+    assert from_fractions == from_ints == cone_of(system)
+
+
+def test_cones_held_in_lists_complete():
+    # the memo is keyed on tuples; lists are converted, not refused
+    by_rays = Cone(2, gen=GeneratorRep(rays=[[1, 0], [0, 1]], lines=[]))
+    by_forms = Cone(2, con=ConstraintRep(ineqs=[[1, 0], [0, 1]], eqns=[]))
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    assert cone_complete(by_rays) == cone_complete(by_forms) == orthant
+
+
+def test_the_memo_is_bounded():
+    cone_kernel._dual_canon.cache_clear()
+    for k in range(300):
+        cone_from_rays([(1, k), (k + 1, -1)])
+    info = cone_kernel._dual_canon.cache_info()
+    assert info.misses >= 300
+    assert info.currsize <= 256
+
+
+# ---------------------------------------------------------------------------
 # the fraction-free canonical form against the rational construction
 
 
@@ -393,6 +468,8 @@ def _fraction_forbidden(*args, **kwargs):
 @settings(max_examples=50, deadline=None)
 @given(st.one_of(random_systems(), crowded_systems()))
 def test_integer_cones_complete_without_fractions(system):
+    # an empty kernel memo, so the cone is completed under the patch
+    cone_kernel._dual_canon.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
         done = cone_of(system)
@@ -400,8 +477,9 @@ def test_integer_cones_complete_without_fractions(system):
 
 
 def test_stratum_cones_complete_without_fractions(monkeypatch):
-    # a fresh stratum, so nothing comes from its memo
+    # a fresh stratum and an empty kernel memo, so nothing comes from either
     t = stratum_from_text(SplittingConfig(2, (6,)), "0.0")
+    cone_kernel._dual_canon.cache_clear()
     monkeypatch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
     cones = [cone_D(t, "G"), cone_D(t, "Gprime"),
              minimal_cone(t, "min"), minimal_cone(t, "min0")]

@@ -1,5 +1,7 @@
 """Combinatorics of strata: chains, closures, index tables, admissible sets."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,15 +48,33 @@ def test_embedding_order_and_flat_index():
     assert CFG_D.degree == 2
     assert CFG_D.embeddings() == [EmbeddingId(0, 0), EmbeddingId(1, 0)]
     assert [CFG_C.flat_index(e) for e in CFG_C.embeddings()] == [0, 1, 2, 3]
-    # the stored cycle offsets take no part in equality, hashing or the repr
+    # the stored cycle offsets and embedding set take no part in equality,
+    # hashing or the repr
     config = SplittingConfig(3, [2, 1, 3])
     assert [config.flat_index(e) for e in config.embeddings()] == \
         list(range(6))
+    assert config._valid == frozenset(config.embeddings())
     assert config == SplittingConfig(3, (2, 1, 3))
     assert hash(config) == hash(SplittingConfig(3, (2, 1, 3)))
     assert repr(config) == "SplittingConfig(p=3, cycle_lengths=(2, 1, 3))"
-    with pytest.raises(ValueError, match="no cycle 2"):
-        CFG_D.flat_index(EmbeddingId(2, 0))
+    for name in ("_offsets", "_valid"):
+        other = SplittingConfig(3, (2, 1, 3))
+        object.__setattr__(other, name, ())
+        assert other == config and hash(other) == hash(config)
+        assert repr(other) == repr(config)
+    # every validating call site keeps its messages
+    calls = [CFG_D.flat_index, lambda e: frobenius_shift(CFG_D, e),
+             lambda e: stratum(CFG_D, e)]
+    for call in calls:
+        for emb, msg in [
+                (EmbeddingId(2, 0), "no cycle 2 in this configuration"),
+                (EmbeddingId(-1, 0), "no cycle -1 in this configuration"),
+                (EmbeddingId(1, 1),
+                 "position 1 out of range for cycle 1 of length 1"),
+                (EmbeddingId(0, -1),
+                 "position -1 out of range for cycle 0 of length 1")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                call(emb)
     with pytest.raises(ValueError, match="out of range"):
         CFG_B.flat_index(EmbeddingId(0, 3))
 
