@@ -4,8 +4,8 @@ The package has five layers:
 
 * `cone_kernel`: exact rational polyhedral cones (double description,
   duality, containment witnesses, membership certificates);
-* `splitting`: Frobenius-orbit combinatorics of strata (chains, tilde
-  closure, ramification and Iwahori data, index tables);
+* `splitting`: Frobenius-orbit combinatorics of strata (index tables,
+  tilde closure, signs, ramification and Iwahori data);
 * `weights`: distinguished weights, generating sets and half-space
   descriptions of the weight cones, reductions, minimal cones, section
   recipes, and the bi-weight variant;

@@ -2,10 +2,10 @@
 
 The embedding set is partitioned into cycles, one per prime above p, and the
 Frobenius shift acts on each cycle by rotation.  A stratum is a subset T of
-the embeddings.  This module computes the derived combinatorial data: chain
-decompositions of T inside each cycle, the even-parity tilde closure, the
-ramification set S(T) and Iwahori primes Iw(T), the index tables mu / n / nu,
-the sign function and the admissible set.
+the embeddings.  This module computes the derived combinatorial data: the
+index tables mu / n / nu, and from mu the even-parity tilde closure and the
+sign function; then the ramification set S(T), the Iwahori primes Iw(T) and
+the admissible set.
 """
 
 from __future__ import annotations
@@ -151,6 +151,16 @@ def _memoised(fn):
     return wrapper
 
 
+def _component(piece: str) -> EmbeddingId:
+    fields = piece.split(".")
+    if len(fields) != 2:
+        raise ValueError("expected 'cycle.pos'")
+    try:
+        return EmbeddingId(int(fields[0]), int(fields[1]))
+    except ValueError:
+        raise ValueError("expected integers") from None
+
+
 def stratum_from_text(config: SplittingConfig, text: str) -> Stratum:
     """Parse the stratum encoding: '' empty, 'all' everything, else 'c.i,...'."""
     text = text.strip()
@@ -161,91 +171,36 @@ def stratum_from_text(config: SplittingConfig, text: str) -> Stratum:
     members = set()
     for k, part in enumerate(text.split(","), start=1):
         piece = part.strip()
-        fields = piece.split(".")
-        if len(fields) != 2:
-            raise ValueError(
-                f"invalid stratum component #{k} '{piece}': "
-                "expected 'cycle.pos'")
         try:
-            c, i = int(fields[0]), int(fields[1])
-        except ValueError:
+            emb = _component(piece)
+            config._check(emb)
+            if emb in members:
+                raise ValueError("repeated")
+        except ValueError as exc:
             raise ValueError(
-                f"invalid stratum component #{k} '{piece}': "
-                "expected integers") from None
-        if not (0 <= c < len(config.cycle_lengths)):
-            raise ValueError(
-                f"invalid stratum component #{k} '{piece}': "
-                f"no cycle {c} in this configuration")
-        f = config.cycle_lengths[c]
-        if not (0 <= i < f):
-            raise ValueError(
-                f"invalid stratum component #{k} '{piece}': "
-                f"position {i} out of range for cycle {c} of length {f}")
-        emb = EmbeddingId(c, i)
-        if emb in members:
-            raise ValueError(
-                f"invalid stratum component #{k} '{piece}': repeated")
+                f"invalid stratum component #{k} '{piece}': {exc}") from None
         members.add(emb)
     return Stratum(config, frozenset(members))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A maximal backward-consecutive run of T inside one cycle.
-
-    `members` walks from the head against the shift direction, so
-    members[i] is the head shifted back i times; m = len(members) - 1.
-    """
-
-    head: EmbeddingId
-    members: tuple[EmbeddingId, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.members) - 1
-
-
-def chain_decomposition(stratum: Stratum) -> dict[int, list[Chain] | None]:
-    """Chains of T per cycle; a cycle entirely inside T maps to None."""
-    config = stratum.config
-    out: dict[int, list[Chain] | None] = {}
-    for c, f in enumerate(config.cycle_lengths):
-        in_t = stratum.cycle_members(c)
-        if len(in_t) == f:
-            out[c] = None
-            continue
-        chains = []
-        for h in sorted(in_t):
-            if (h + 1) % f in in_t:
-                continue
-            members = [EmbeddingId(c, h)]
-            j = (h - 1) % f
-            while j in in_t:
-                members.append(EmbeddingId(c, j))
-                j = (j - 1) % f
-            chains.append(Chain(head=EmbeddingId(c, h), members=tuple(members)))
-        out[c] = chains
-    return out
-
-
 @_memoised
 def tilde_closure(stratum: Stratum) -> Stratum:
-    """Extend each even-m chain one step backward; full cycles stay full.
+    """T together with the even-parity extension of each chain.
 
-    Every extended chain has even cardinality, so the closure minus the full
-    cycles has even cardinality on each cycle.
+    A chain of T is a maximal run of T inside one cycle, walked backward
+    from its head (the member whose shift leaves T) to its tail; with
+    m + 1 members, the chain grows one step backward when m is even.  Full cycles have no
+    chains and stay full.  Every extended chain has even cardinality, so
+    the closure minus the full cycles has even cardinality on each cycle.
+
+    The closure is read off mu alone.  The embedding just behind a chain's
+    tail lies outside T and its forward run is that chain, so mu = m + 2
+    there; every other beta outside T has mu = 1.  So the closure adds
+    exactly the beta outside T with mu(beta) even.
     """
-    config = stratum.config
-    members = set(stratum.members)
-    for c, chains in chain_decomposition(stratum).items():
-        if chains is None:
-            continue
-        f = config.cycle_lengths[c]
-        for ch in chains:
-            if ch.m % 2 == 0:
-                tail = ch.members[-1]
-                members.add(EmbeddingId(c, (tail.pos - 1) % f))
-    return Stratum(config, frozenset(members))
+    mu = index_tables(stratum).mu
+    return Stratum(stratum.config, stratum.members | {
+        beta for beta, m in mu.items() if beta not in stratum and m % 2 == 0})
 
 
 @dataclass(frozen=True)
@@ -283,7 +238,9 @@ class StratumTables:
     nu[beta]: smallest i >= 0 with shift^-i(beta) outside T (absent on full
     cycles).
     n[beta]: smallest i > 0 with shift^i(beta) outside the tilde closure,
-    and the cycle length on cycles whose tilde closure is everything.
+    and the cycle length on cycles whose tilde closure is everything.  The
+    embeddings outside the tilde closure are those outside T with odd mu
+    (see `tilde_closure`), so n is read off mu.
     """
 
     mu: Mapping[EmbeddingId, int]
@@ -294,47 +251,38 @@ class StratumTables:
 @_memoised
 def index_tables(stratum: Stratum) -> StratumTables:
     config = stratum.config
-    tilde = tilde_closure(stratum)
     mu: dict[EmbeddingId, int] = {}
     nu: dict[EmbeddingId, int] = {}
     n: dict[EmbeddingId, int] = {}
     for c, f in enumerate(config.cycle_lengths):
         in_t = stratum.cycle_members(c)
-        in_tilde = tilde.cycle_members(c)
-        full = len(in_t) == f
-        for i in range(f):
-            beta = EmbeddingId(c, i)
-            if full:
-                mu[beta] = 0
-            else:
+        if len(in_t) == f:
+            mu.update((EmbeddingId(c, i), 0) for i in range(f))
+        else:
+            for i in range(f):
+                beta = EmbeddingId(c, i)
                 mu[beta] = next(k for k in range(1, f + 1)
                                 if (i + k) % f not in in_t)
-                nu[beta] = next(k for k in range(f) if (i - k) % f not in in_t)
-            n[beta] = next((k for k in range(1, f + 1)
-                            if (i + k) % f not in in_tilde), f)
+                nu[beta] = next(k for k in range(f)
+                                if (i - k) % f not in in_t)
+        off_tilde = {i for i in range(f)
+                     if i not in in_t and mu[EmbeddingId(c, i)] % 2}
+        for i in range(f):
+            n[EmbeddingId(c, i)] = next((k for k in range(1, f + 1)
+                                         if (i + k) % f in off_tilde), f)
     return StratumTables(mu=mu, nu=nu, n=n)
 
 
 @_memoised
 def sign_epsilon(stratum: Stratum) -> dict[EmbeddingId, int]:
     """The sign function: 0 on full cycles, +1 outside the tilde closure,
-    (-1)^(mu-1) on the tilde closure."""
-    config = stratum.config
-    tables = index_tables(stratum)
-    tilde = tilde_closure(stratum)
-    out: dict[EmbeddingId, int] = {}
-    for c, f in enumerate(config.cycle_lengths):
-        full = stratum.cycle_full(c)
-        in_tilde = tilde.cycle_members(c)
-        for i in range(f):
-            beta = EmbeddingId(c, i)
-            if full:
-                out[beta] = 0
-            elif i in in_tilde:
-                out[beta] = -1 if tables.mu[beta] % 2 == 0 else 1
-            else:
-                out[beta] = 1
-    return out
+    (-1)^(mu-1) on the tilde closure.
+
+    mu is 0 exactly on full cycles, odd outside the tilde closure and even
+    on the closure minus T, so all three cases read (-1)^(mu-1) where mu is
+    positive."""
+    return {beta: (-1) ** (m - 1) if m else 0
+            for beta, m in index_tables(stratum).mu.items()}
 
 
 @_memoised

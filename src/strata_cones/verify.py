@@ -27,7 +27,6 @@ from .cone_kernel import (
     Cone,
     MembershipCertificate,
     _dot,
-    cone_equal,
     cone_from_constraints,
     cone_from_rays,
     cone_member,
@@ -80,7 +79,6 @@ class CheckResult:
     """Outcome of one named check on one stratum."""
 
     name: str
-    stratum: str
     status: str
     witness: dict | None = None
 
@@ -161,15 +159,15 @@ def _escape_witness(inner: Cone, outer: Cone, **labels) -> dict | None:
     return {"weight": _vec(gen), "violated_form": _vec(form)} | labels
 
 
-def _verdict(name: str, key: str, witness: dict | None) -> CheckResult:
-    return CheckResult(name, key, PASS if witness is None else FAIL, witness)
+def _verdict(name: str, witness: dict | None) -> CheckResult:
+    return CheckResult(name, PASS if witness is None else FAIL, witness)
 
 
-def _equality_result(name: str, key: str, left: Cone, right: Cone,
+def _equality_result(name: str, left: Cone, right: Cone,
                      left_label: str, right_label: str) -> CheckResult:
     """Pass iff the completed cones agree; on failure, witness a generator
     of one side with a violated constraint of the other."""
-    return _verdict(name, key, _escape_witness(
+    return _verdict(name, _escape_witness(
         left, right, generator_of=left_label, not_in=right_label)
         or _escape_witness(
             right, left, generator_of=right_label, not_in=left_label))
@@ -181,18 +179,17 @@ def _equality_result(name: str, key: str, left: Cone, right: Cone,
 
 def _check_optimal_basis(t: Stratum) -> CheckResult:
     return _equality_result(
-        "optimal_basis", t.key(), cone_D(t, "G"), cone_D(t),
+        "optimal_basis", cone_D(t, "G"), cone_D(t),
         "pair-generated cone", "one-ray-per-embedding cone")
 
 
 def _check_explicit_halfspaces(t: Stratum) -> CheckResult:
     return _equality_result(
-        "explicit_halfspaces", t.key(),
-        cone_D(t), halfspace_cone(t), "generated cone", "half-space cone")
+        "explicit_halfspaces", cone_D(t), halfspace_cone(t),
+        "generated cone", "half-space cone")
 
 
 def _check_biorthogonality(t: Stratum) -> CheckResult:
-    key = t.key()
     outside = sorted(t.complement())
     gens = generators_Gprime(t)
     rays = [w for w, is_line in gens if not is_line]
@@ -202,7 +199,7 @@ def _check_biorthogonality(t: Stratum) -> CheckResult:
             value = _dot(form, ray)
             good = value > 0 if tau == beta else value == 0
             if not good:
-                return CheckResult("biorthogonality", key, FAIL, {
+                return CheckResult("biorthogonality", FAIL, {
                     "functional_at": _emb_key(beta),
                     "generator_at": _emb_key(tau),
                     "functional": _vec(form),
@@ -210,12 +207,12 @@ def _check_biorthogonality(t: Stratum) -> CheckResult:
                     "value": _num(value)})
         for line in lines:
             if _dot(form, line) != 0:
-                return CheckResult("biorthogonality", key, FAIL, {
+                return CheckResult("biorthogonality", FAIL, {
                     "functional_at": _emb_key(beta),
                     "functional": _vec(form),
                     "line": _vec(line),
                     "value": _num(_dot(form, line))})
-    return CheckResult("biorthogonality", key, PASS)
+    return CheckResult("biorthogonality", PASS)
 
 
 def _hasse_type_cone(stratum: Stratum) -> Cone:
@@ -244,16 +241,15 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
     -(1 + p^f) e_j = h_j + sum_{i=1}^{f-1} (-p)^i b_{j-i} telescopes the
     generator at j into the Hasse-type cone.  Acceptance criterion 3 pins
     this exact split."""
-    key = t.key()
     name = "admissible_dichotomy"
     hasse = _hasse_type_cone(t)
     witness = _escape_witness(hasse, cone_D(t),
                               generator_of="Hasse-type cone",
                               not_in="weight cone")
     if witness is not None:
-        return CheckResult(name, key, FAIL, witness)
+        return CheckResult(name, FAIL, witness)
     if tilde_closure(t) == t:
-        return _verdict(name, key, _escape_witness(
+        return _verdict(name, _escape_witness(
             cone_D(t), hasse, generator_of="weight cone",
             not_in="Hasse-type cone"))
     memberships = []
@@ -261,7 +257,7 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
         fw = f_weight(t, beta)
         cert = cone_member(hasse, fw)
         if not cert.inside:
-            return CheckResult(name, key, PASS, {
+            return CheckResult(name, PASS, {
                 "weight": _vec(fw),
                 "violated_form": _vec(cert.violated_form),
                 "strict_via": _emb_key(beta)})
@@ -269,7 +265,7 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
             "generator_at": _emb_key(beta),
             "weight": _vec(fw),
         } | _certificate(cert))
-    return CheckResult(name, key, FAIL, {
+    return CheckResult(name, FAIL, {
         "claimed": "strict inclusion of the Hasse-type cone",
         "found": "the cones are equal",
         "rays": _vecs(hasse.gen.rays),
@@ -280,7 +276,6 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
 
 def _check_hasse_identity(t: Stratum) -> CheckResult:
     config = t.config
-    key = t.key()
     for c, f in enumerate(config.cycle_lengths):
         for n in range(1, f):
             for m in range(1, f - n + 1):
@@ -293,14 +288,13 @@ def _check_hasse_identity(t: Stratum) -> CheckResult:
                     for a, b in zip(weight_pair(config, "h", top, mid),
                                     weight_pair(config, "h", mid, beta)))
                 if long != split:
-                    return CheckResult("hasse_identity", key, FAIL, {
+                    return CheckResult("hasse_identity", FAIL, {
                         "cycle": _num(c), "n": _num(n), "m": _num(m),
                         "direct": _vec(long), "composed": _vec(split)})
-    return CheckResult("hasse_identity", key, PASS)
+    return CheckResult("hasse_identity", PASS)
 
 
 def _check_reduction_identities(t: Stratum) -> CheckResult:
-    key = t.key()
     name = "reduction_identities"
     config = t.config
     outside = sorted(t.complement())
@@ -308,14 +302,14 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
         probe = tuple(1 if j == i else 0 for j in range(len(outside)))
         back = reduce_iT(t, lift_jT(t, probe))
         if back != probe:
-            return CheckResult(name, key, FAIL, {
+            return CheckResult(name, FAIL, {
                 "probe": _vec(probe), "round_trip": _vec(back)})
     rows = reduction_matrix(t)
     kernel = cone_from_constraints([], rows, dim=config.degree)
     spanned = cone_from_rays(
         [], [weight_basis(config, "b", beta) for beta in sorted(t.members)],
         dim=config.degree)
-    result = _equality_result(name, key, kernel, spanned,
+    result = _equality_result(name, kernel, spanned,
                               "reduction kernel", "span of b lines on T")
     if result.status != PASS:
         return result
@@ -325,14 +319,13 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
     lifted_lines += [weight_basis(config, "b", beta)
                      for beta in sorted(t.members)]
     rebuilt = cone_from_rays(lifted_rays, lifted_lines, dim=config.degree)
-    return _equality_result(name, key, cone_D(t), rebuilt,
+    return _equality_result(name, cone_D(t), rebuilt,
                             "weight cone", "lifted reduction plus kernel")
 
 
 def _check_recipe_weights(t: Stratum) -> CheckResult:
     """Every pair and distinguished generator has its recipe; the recipes
     compare their own weights and raise AssertionError on a mismatch."""
-    key = t.key()
     name = "recipe_weights"
     for c, f in enumerate(t.config.cycle_lengths):
         in_t = t.cycle_members(c)
@@ -345,32 +338,30 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
                 try:
                     section_recipe(t, emb, target)
                 except AssertionError as exc:
-                    return CheckResult(name, key, FAIL, {
+                    return CheckResult(name, FAIL, {
                         "pair": [_emb_key(emb), _emb_key(target)],
                         "error": str(exc)})
     for beta in sorted(t.complement()):
         try:
             _, tag = f_recipe(t, beta)
         except AssertionError as exc:
-            return CheckResult(name, key, FAIL, {
+            return CheckResult(name, FAIL, {
                 "generator_at": _emb_key(beta), "error": str(exc)})
         if tag.is_zero() != (beta not in tilde_closure(t)):
-            return CheckResult(name, key, FAIL, {
+            return CheckResult(name, FAIL, {
                 "generator_at": _emb_key(beta),
                 "tag_residues": _vec(tag.residues)})
-    return CheckResult(name, key, PASS)
+    return CheckResult(name, PASS)
 
 
 def _check_divisor_functionals(t: Stratum) -> CheckResult:
     """Each distinguished generator at an admissible embedding violates its
     own divisibility functional, and the pairing is -2 p^(n + delta) with
     delta >= 0."""
-    key = t.key()
     name = "divisor_functionals"
     adm = sorted(admissible_set(t))
     if not adm:
-        return CheckResult(name, key, INFO,
-                           {"reason": "no admissible embeddings"})
+        return CheckResult(name, INFO, {"reason": "no admissible embeddings"})
     p = t.config.p
     for beta in adm:
         fw = f_weight(t, beta)
@@ -385,17 +376,17 @@ def _check_divisor_functionals(t: Stratum) -> CheckResult:
                 power //= p
             good = power == 1 and -value >= 2 * p ** n
         if not good:
-            return CheckResult(name, key, FAIL, {
+            return CheckResult(name, FAIL, {
                 "beta": _emb_key(beta),
                 "functional": _vec(form),
                 "generator": _vec(fw),
                 "value": _num(value)})
-    return CheckResult(name, key, PASS)
+    return CheckResult(name, PASS)
 
 
 def _check_minimal_nesting(t: Stratum) -> CheckResult:
     mini0 = minimal_cone(t, "min0")
-    return _verdict("minimal_nesting", t.key(), _escape_witness(
+    return _verdict("minimal_nesting", _escape_witness(
         minimal_cone(t, "min"), mini0, generator_of="minimal cone",
         not_in="diagonal minimal cone")
         or _escape_witness(
@@ -406,10 +397,9 @@ def _check_minimal_nesting(t: Stratum) -> CheckResult:
 def _check_diagonal_minimal(t: Stratum) -> CheckResult:
     """For admissible strata the minimal cone has the explicit diagonal
     description p^n l(shift^n beta) >= l(beta)."""
-    key = t.key()
     name = "diagonal_minimal"
     if tilde_closure(t) != t:
-        return CheckResult(name, key, INFO,
+        return CheckResult(name, INFO,
                            {"reason": "tilde closure differs from T"})
     outside = sorted(t.complement())
     index = {beta: i for i, beta in enumerate(outside)}
@@ -422,7 +412,7 @@ def _check_diagonal_minimal(t: Stratum) -> CheckResult:
         form[index[shifted]] += t.config.p ** n
         forms.append(tuple(form))
     described = cone_from_constraints(forms, dim=len(outside))
-    return _equality_result(name, key, minimal_cone(t, "min"), described,
+    return _equality_result(name, minimal_cone(t, "min"), described,
                             "minimal cone", "diagonal description")
 
 
@@ -441,11 +431,11 @@ def _check_gl2_product(t: Stratum) -> CheckResult:
                               generator_of="first slot",
                               not_in="span of the Hasse lines")
     if witness is not None:
-        return CheckResult("gl2_product", t.key(), FAIL, witness)
+        return CheckResult("gl2_product", FAIL, witness)
     built = cone_from_rays([bw.kappa for bw, is_line in gens if not is_line],
                            [bw.kappa for bw, is_line in gens if is_line],
                            dim=dim)
-    return _equality_result("gl2_product", t.key(), built, halfspace_cone(t),
+    return _equality_result("gl2_product", built, halfspace_cone(t),
                             "second slots of the bi-weight generators",
                             "half-space cone")
 
@@ -481,31 +471,30 @@ def _check_delta_kernel(t: Stratum) -> CheckResult:
     spanned by the Hasse weights; checked on all basis Hasse weights and a
     deterministic sample of random integer weights."""
     config = t.config
-    key = t.key()
     name = "delta_kernel"
     samples = [weight_basis(config, "h", emb) for emb in config.embeddings()]
-    rng = random.Random(f"delta:{config.p}:{config.cycle_lengths}:{key}")
+    rng = random.Random(
+        f"delta:{config.p}:{config.cycle_lengths}:{t.key()}")
     samples += [tuple(rng.randint(-40, 40) for _ in range(config.degree))
                 for _ in range(25)]
     for weight in samples:
         coords = _hasse_coordinates(config, weight)
         in_lattice = all(num % den == 0 for num, den in coords)
         if delta_class(config, weight).is_zero() != in_lattice:
-            return CheckResult(name, key, FAIL, {
+            return CheckResult(name, FAIL, {
                 "weight": _vec(weight),
                 "residues": _vec(delta_class(config, weight).residues),
                 "hasse_coordinates": _vec([Fraction(num, den)
                                            for num, den in coords])})
-    return CheckResult(name, key, PASS)
+    return CheckResult(name, PASS)
 
 
 def _check_product_structure(t: Stratum) -> CheckResult:
     """Multi-cycle weight cones factor through the per-cycle cones."""
     config = t.config
-    key = t.key()
     name = "product_structure"
     if len(config.cycle_lengths) < 2:
-        return CheckResult(name, key, INFO, {"reason": "single cycle"})
+        return CheckResult(name, INFO, {"reason": "single cycle"})
     rays = []
     lines = []
     offset = 0
@@ -520,7 +509,7 @@ def _check_product_structure(t: Stratum) -> CheckResult:
             (lines if is_line else rays).append(pad(w))
         offset += f
     built = cone_from_rays(rays, lines, dim=config.degree)
-    return _equality_result(name, key, built, cone_D(t),
+    return _equality_result(name, built, cone_D(t),
                             "per-cycle product cone", "weight cone")
 
 
@@ -550,18 +539,15 @@ def check_min_question(stratum: Stratum) -> CheckResult:
     """Compare the two minimal-cone variants.
 
     Informational either way; an unequal pair comes with a witness ray.
-    They agree on every stratum of degree up to 5 for p = 2, 3, 5, but at
-    degree 6 differ on 18: cycles (6), T a single embedding, each p."""
-    mini = minimal_cone(stratum, "min")
-    mini0 = minimal_cone(stratum, "min0")
-    if cone_equal(mini, mini0):
-        witness = {"equal": True}
-    else:
-        # minimal is contained in the diagonal variant by construction, so
-        # an unequal pair always yields a witness here
-        witness = _escape_witness(mini0, mini, equal=False) or {
-            "equal": False}
-    return CheckResult("minimal_equality", stratum.key(), INFO, witness)
+    Every admissible beta lies outside T and differs from shift^n(beta), so
+    each form of the diagonal variant is also a form of the minimal cone:
+    the minimal cone lies inside the diagonal one, and they are equal iff
+    no generator of the diagonal one escapes.  They agree on every stratum
+    of degree up to 5 for p = 2, 3, 5, but at degree 6 differ on 18:
+    cycles (6), T a single embedding, each p."""
+    witness = _escape_witness(minimal_cone(stratum, "min0"),
+                              minimal_cone(stratum, "min"), equal=False)
+    return CheckResult("minimal_equality", INFO, witness or {"equal": True})
 
 
 # ---------------------------------------------------------------------------

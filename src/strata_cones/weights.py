@@ -50,32 +50,29 @@ from .splitting import (
 Rational = int | Fraction
 
 
-def _as_vec(config: SplittingConfig,
-            coeffs) -> Vec:
+def _as_vec(config: SplittingConfig, pairs) -> Vec:
     """Accumulate (embedding, coefficient) pairs into a coordinate vector.
 
     Pairs may repeat an embedding (a one-step cycle makes an embedding its
     own shift), so contributions add up instead of overwriting.
     """
-    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
     out = [0] * config.degree
-    for emb, c in items:
+    for emb, c in pairs:
         out[config.flat_index(emb)] += c
     return tuple(out)
 
 
 def weight_basis(config: SplittingConfig, kind: str, emb: EmbeddingId) -> Vec:
     """The basis weight e, the Hasse weight h = -e + p*back-shift, or the
-    nowhere-vanishing weight b = e + p*back-shift at one embedding."""
+    nowhere-vanishing weight b = e + p*back-shift at one embedding: h and b
+    are the one-step pair weights."""
     config._check(emb)
     if kind == "e":
         return _as_vec(config, [(emb, 1)])
-    back = frobenius_shift(config, emb, -1)
-    if kind == "h":
-        return _as_vec(config, [(emb, -1), (back, config.p)])
-    if kind == "b":
-        return _as_vec(config, [(emb, 1), (back, config.p)])
-    raise ValueError(f"unknown weight kind {kind!r}, expected 'e', 'h' or 'b'")
+    if kind not in ("h", "b"):
+        raise ValueError(
+            f"unknown weight kind {kind!r}, expected 'e', 'h' or 'b'")
+    return weight_pair(config, kind, emb, frobenius_shift(config, emb, -1))
 
 
 def weight_pair(config: SplittingConfig, kind: str, emb: EmbeddingId,
@@ -169,7 +166,7 @@ def generators_Gprime(stratum: Stratum) -> list[tuple[Vec, bool]]:
                 continue
             beta = EmbeddingId(c, i)
             if degenerate:
-                out.append((_as_vec(config, {beta: -1}), False))
+                out.append((_as_vec(config, [(beta, -1)]), False))
             else:
                 out.append((f_weight(stratum, beta), False))
         for i in sorted(in_t):
@@ -210,7 +207,7 @@ def functional_window(config: SplittingConfig,
     for i in range(n + 1):
         tau = frobenius_shift(config, emb, i)
         coeffs[tau] = eps[tau] * config.p ** i
-    return _as_vec(config, coeffs)
+    return _as_vec(config, coeffs.items())
 
 
 def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
@@ -256,7 +253,7 @@ def reduction_matrix(stratum: Stratum) -> tuple[Vec, ...]:
     for beta in sorted(stratum.complement()):
         coeffs = {frobenius_shift(config, beta, i): (-config.p) ** i
                   for i in range(tables.mu[beta])}
-        rows.append(_as_vec(config, coeffs))
+        rows.append(_as_vec(config, coeffs.items()))
     return tuple(rows)
 
 

@@ -6,7 +6,9 @@ plain Fourier-Motzkin with no pruning beyond exact deduplication, and the
 only data types are tuples of ints and Fractions.  It imports nothing from
 the package under test, so agreement between the two is meaningful.
 `ray_enum` is the double description loop in its first, plain form, the
-reference for the kernel's single-pass one.
+reference for the kernel's single-pass one; `chain_closure` builds the tilde
+closure, the sign and n of a stratum from its chains, the reference for
+their reading off mu.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -261,3 +263,43 @@ def ray_enum(ineqs, eqns, dim):
                     kept.append((w, common | {idx}))
             rays = kept
     return [r for r, _ in rays], lines
+
+
+def chain_closure(cycle_lengths, members):
+    """The tilde closure, the sign and n of a stratum by the chain
+    definition.  `members` holds (cycle, pos) pairs; returns (tilde, eps, n),
+    the closure as a set of pairs and the other two as dicts keyed by pairs.
+
+    A chain is a maximal run of T inside a cycle that is not wholly in T,
+    walked backward from its head (the member whose shift leaves T); with
+    m + 1 members it grows one step backward when m is even.  Off full
+    cycles eps is (-1)^(mu-1) on the closure and +1 elsewhere, and n(beta)
+    is the first k > 0 with shift^k(beta) outside the closure, else f."""
+    tilde = set(members)
+    for c, f in enumerate(cycle_lengths):
+        in_t = {i for cycle, i in members if cycle == c}
+        if len(in_t) == f:
+            continue
+        for head in in_t:
+            if (head + 1) % f in in_t:
+                continue
+            chain = [head]
+            while (chain[-1] - 1) % f in in_t:
+                chain.append((chain[-1] - 1) % f)
+            if (len(chain) - 1) % 2 == 0:
+                tilde.add((c, (chain[-1] - 1) % f))
+    eps, n = {}, {}
+    for c, f in enumerate(cycle_lengths):
+        full = all((c, i) in members for i in range(f))
+        for i in range(f):
+            if full:
+                eps[(c, i)] = 0
+            elif (c, i) in tilde:
+                mu = next(k for k in range(1, f + 1)
+                          if (c, (i + k) % f) not in members)
+                eps[(c, i)] = -1 if mu % 2 == 0 else 1
+            else:
+                eps[(c, i)] = 1
+            n[(c, i)] = next((k for k in range(1, f + 1)
+                              if (c, (i + k) % f) not in tilde), f)
+    return tilde, eps, n

@@ -257,6 +257,9 @@ def test_describe_rejects_a_bad_stratum(capsys):
                        "--t", "0.7")
     assert code == 3
     assert "out of range" in err
+    code, _, err = run(capsys, "describe", "--p", "2", "--cycles", "3")
+    assert code == 3
+    assert "--t is required" in err
 
 
 def test_check_single_stratum_passes(capsys):
@@ -297,6 +300,12 @@ def test_explore_rejects_a_zero_degree_bound(capsys):
     assert "--d-max" in err
 
 
+def test_explore_rejects_a_composite_p(capsys):
+    code, out, err = run(capsys, "explore", "--p-list", "4", "--d-max", "1")
+    assert (code, out) == (3, "")
+    assert "p must be prime" in err
+
+
 def test_member_inside_certificate_reconstructs_the_weight(capsys):
     code, out, _ = run(capsys, "member", "--p", "2", "--cycles", "3",
                        "--t", "0.1", "--weight", "-1,0,0", "--json")
@@ -327,6 +336,10 @@ def test_member_rejects_a_weight_of_the_wrong_length(capsys):
                        "--t", "0.1", "--weight", "1,0")
     assert code == 3
     assert "length" in err
+    code, _, err = run(capsys, "member", "--p", "2", "--cycles", "2",
+                       "--t", "0.1", "--weight", "1,x")
+    assert code == 3
+    assert "--weight must be a comma-separated integer list" in err
 
 
 def test_minimal_reports_the_forced_divisor(capsys):
@@ -364,6 +377,10 @@ def test_gl2_without_weight_or_biweight_is_a_usage_error(capsys):
     code, _, err = run(capsys, "gl2", "--p", "3", "--cycles", "2")
     assert code == 3
     assert "--weight" in err
+    code, _, err = run(capsys, "gl2", "--p", "3", "--cycles", "2",
+                       "--t", "0.1", "--biweight", "1,2")
+    assert code == 3
+    assert "--biweight must be 'lam;kappa'" in err
 
 
 def test_output_flag_writes_a_file(tmp_path, capsys):
@@ -402,6 +419,16 @@ def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
         assert (code, out) == (3, "")
         assert "STRATA_CONES_JOBS must be between" in err
         monkeypatch.delenv("STRATA_CONES_JOBS")
+
+
+def test_a_failed_worker_pool_exits_one(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise OSError("no processes")
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, "check", "--p", "2", "--cycles", "2",
+                         "--jobs", "2")
+    assert (code, out) == (1, "")
+    assert "no processes; rerun with --jobs 1" in err
 
 
 def test_inputs_at_the_bounds_are_accepted(capsys):

@@ -1,17 +1,16 @@
-"""Combinatorics of strata: chains, closures, index tables, admissible sets."""
+"""Combinatorics of strata: index tables, closures, signs, admissible sets."""
 
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import chain_closure
 from strata_cones.splitting import (
-    Chain,
     EmbeddingId,
     SplittingConfig,
     Stratum,
     admissible_set,
-    chain_decomposition,
     frobenius_shift,
     index_tables,
     places_and_iw,
@@ -19,6 +18,7 @@ from strata_cones.splitting import (
     stratum_from_text,
     tilde_closure,
 )
+from strata_cones.verify import partitions
 from strata_cones.weights import minimal_cone
 
 CFG_A = SplittingConfig(3, (2,))
@@ -109,33 +109,7 @@ def test_stratum_text_errors(bad, msg):
 
 
 # ---------------------------------------------------------------------------
-# chains and the tilde closure
-
-
-def test_chain_decomposition_single_chain():
-    t = stratum(CFG_B, (0, 1))
-    chains = chain_decomposition(t)[0]
-    assert chains == [Chain(head=EmbeddingId(0, 1),
-                            members=(EmbeddingId(0, 1),))]
-    assert chains[0].m == 0
-
-
-def test_chain_decomposition_wraps_backward():
-    # {beta0, beta1, beta2} in a 4-cycle is one chain headed at beta2
-    t = stratum(CFG_C, (0, 0), (0, 1), (0, 2))
-    chains = chain_decomposition(t)[0]
-    assert len(chains) == 1
-    assert chains[0].head == EmbeddingId(0, 2)
-    assert chains[0].members == (EmbeddingId(0, 2), EmbeddingId(0, 1),
-                                 EmbeddingId(0, 0))
-    assert chains[0].m == 2
-
-
-def test_chain_decomposition_full_cycle_is_none():
-    t = stratum(CFG_D, (0, 0))
-    decomp = chain_decomposition(t)
-    assert decomp[0] is None
-    assert decomp[1] == []
+# the tilde closure
 
 
 def test_tilde_closure_examples():
@@ -146,6 +120,12 @@ def test_tilde_closure_examples():
     assert tilde_closure(t2).members == t2.members
     t3 = stratum(CFG_C, (0, 0), (0, 1), (0, 2))
     assert tilde_closure(t3).members == frozenset(CFG_C.embeddings())
+    # a chain running backward through position 0 wraps to the cycle's end
+    t4 = stratum(CFG_C, (0, 1), (0, 0), (0, 3))
+    assert tilde_closure(t4).members == frozenset(CFG_C.embeddings())
+    # a full cycle has no chains and an empty one nothing to extend
+    t5 = stratum(CFG_D, (0, 0))
+    assert tilde_closure(t5).members == t5.members
 
 
 def test_places_and_iw_examples():
@@ -232,21 +212,32 @@ def random_strata(draw, max_degree=6):
     return Stratum(config, members)
 
 
+def assert_matches_chain_closure(t):
+    """The closure, signs and n read off mu agree with the chain
+    construction (EmbeddingId compares equal to its (cycle, pos) pair)."""
+    tilde, eps, n = chain_closure(t.config.cycle_lengths, t.members)
+    assert tilde_closure(t).members == tilde, t
+    assert sign_epsilon(t) == eps, t
+    assert index_tables(t).n == n, t
+
+
+def test_mu_readings_match_the_chains_on_every_small_stratum():
+    count = 0
+    for p in (2, 3):
+        for d in range(1, 7):
+            for lengths in partitions(d):
+                config = SplittingConfig(p, lengths)
+                embeddings = config.embeddings()
+                for mask in range(1 << d):
+                    assert_matches_chain_closure(Stratum(config, frozenset(
+                        e for i, e in enumerate(embeddings) if mask >> i & 1)))
+                    count += 1
+    assert count == 2 * 1042
+
+
 @given(random_strata())
-def test_chains_partition_the_stratum(t):
-    for c, chains in chain_decomposition(t).items():
-        if chains is None:
-            assert t.cycle_full(c)
-            continue
-        seen = []
-        for ch in chains:
-            seen.extend(ch.members)
-            assert ch.members[0] == ch.head
-            # consecutive members step backward along the cycle
-            for a, b in zip(ch.members, ch.members[1:]):
-                assert frobenius_shift(t.config, a, -1) == b
-        assert len(seen) == len(set(seen))
-        assert frozenset(e.pos for e in seen) == t.cycle_members(c)
+def test_mu_readings_match_the_chains(t):
+    assert_matches_chain_closure(t)
 
 
 @given(random_strata())

@@ -97,7 +97,7 @@ def test_equality_failure_witnesses_separate_in_each_direction():
     cones = {label: cone_from_rays(rays, lines, dim=2)
              for label, (rays, lines) in gens.items()}
     for left, right in (("orthant", "half-plane"), ("half-plane", "orthant")):
-        result = _equality_result("probe", "", cones[left], cones[right],
+        result = _equality_result("probe", cones[left], cones[right],
                                   left, right)
         assert result.status == "fail"
         witness = result.witness
@@ -219,6 +219,24 @@ def test_min_question_is_informational():
         assert result.name == "minimal_equality"
         assert result.status == "info"
         assert result.witness["equal"] is True
+
+
+def test_min_question_witnesses_an_unequal_pair():
+    # the minimal cone lies in the diagonal one, so one escape decides
+    config = SplittingConfig(2, (6,))
+    t = stratum_from_text(config, "0.0")
+    result = check_min_question(t)
+    assert (result.name, result.status) == ("minimal_equality", "info")
+    assert result.witness == {
+        "weight": ["-16", "-8", "516", "258", "-193"],
+        "violated_form": ["16", "32", "1", "2", "4"],
+        "equal": False}
+    weight = [int(x) for x in result.witness["weight"]]
+    form = [int(x) for x in result.witness["violated_form"]]
+    assert sum(a * b for a, b in zip(form, weight)) < 0
+    assert check_report(config, [t]).open_question == {
+        "equal": 0, "unequal": 1,
+        "instances": [{"p": "2", "cycles": ["6"], "t": "0.0"}]}
 
 
 def test_stratum_record_serializes_math_integers_as_strings():
