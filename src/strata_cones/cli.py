@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -111,27 +110,22 @@ def _weight_from(text: str | None, config: SplittingConfig, what: str,
 
 
 def _jobs_from(args) -> int:
-    what, jobs = "--jobs", args.jobs
-    if jobs is None:
-        what = "STRATA_CONES_JOBS"
-        env = os.environ.get(what) or "1"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise _UsageError(
-                f"{what} must be an integer, got {env!r}") from None
-    if not 1 <= jobs <= JOBS_MAX:
+    if not 1 <= args.jobs <= JOBS_MAX:
         raise _UsageError(
-            f"{what} must be between 1 and {JOBS_MAX}, got {jobs}")
-    return jobs
+            f"--jobs must be between 1 and {JOBS_MAX}, got {args.jobs}")
+    return args.jobs
 
 
 def _emit(text: str, args) -> None:
-    if args.output:
+    if not args.output:
+        print(text)
+        return
+    try:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot write {args.output}: {exc.strerror}") from None
 
 
 def _reply(args, doc: dict, lines) -> int:
@@ -222,8 +216,8 @@ def _check_lines(report) -> list[str]:
 
 
 def _cmd_explore(args) -> int:
-    p_list = _parse_int_list(args.p_list, "--p-list") if args.p_list else \
-        [2, 3, 5]
+    p_list = [2, 3, 5] if args.p_list is None else \
+        _parse_int_list(args.p_list, "--p-list")
     _at_most("the number of --p-list entries", len(p_list), P_LIST_MAX)
     for p in p_list:
         _at_most("--p-list entry", p, P_MAX)
@@ -366,8 +360,7 @@ _FLAGS = {
     "--p-list": dict(help="comma-separated primes (default 2,3,5)"),
     "--d-max": dict(type=int, default=5,
                     help="largest total degree (default 5)"),
-    "--jobs": dict(type=int,
-                   help="worker processes (default: STRATA_CONES_JOBS or 1)"),
+    "--jobs": dict(type=int, default=1, help="worker processes (default 1)"),
     "--json": dict(action="store_true", help="emit JSON instead of text"),
     "-o": dict(help="write output to this path instead of stdout"),
 }

@@ -319,33 +319,26 @@ def cone_dual(cone: Cone) -> Cone:
 def _phase1_coeffs(columns: Sequence[Vec], target) -> list[Fraction] | None:
     """Nonnegative x with (columns as a matrix) @ x == target, or None.
 
-    Fraction-exact phase-1 simplex with Bland's rule.
+    Fraction-exact phase-1 simplex with Bland's rule.  The artificial
+    variables n..n+m-1 form the starting basis and are barred from
+    re-entering, and the ratio test reads only the entering column and the
+    right-hand side, so no artificial column is ever read: each row keeps
+    the n real columns and the right-hand side, and only `basis` holds the
+    artificial indices, for Bland's tie-break and the final read-off.
     """
     m = len(target)
     n = len(columns)
     if m == 0:
         return [Fraction(0)] * n
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(columns[j][i]) for j in range(n)]
-        b = Fraction(target[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-    # artificial variables n..n+m-1 form the starting basis
-    tab = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-           + [rhs[i]] for i in range(m)]
+    tab = []
+    for i, b in enumerate(target):
+        # negate the row where needed to keep the right-hand side >= 0
+        sign = -1 if b < 0 else 1
+        tab.append([Fraction(sign * c[i]) for c in columns]
+                   + [Fraction(sign * b)])
     basis = list(range(n, n + m))
-    # phase-1 reduced costs: real columns get minus their column sums, the
-    # basic artificials stay at zero, and they are barred from re-entering
-    cost = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n):
-            cost[j] -= tab[i][j]
-        cost[-1] -= tab[i][-1]
+    # phase-1 reduced costs: minus the column sums, right-hand side included
+    cost = [-sum(col) for col in zip(*tab)]
     while True:
         enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:

@@ -4,8 +4,8 @@ The embedding set is partitioned into cycles, one per prime above p, and the
 Frobenius shift acts on each cycle by rotation.  A stratum is a subset T of
 the embeddings.  This module computes the derived combinatorial data: the
 index tables mu / n / nu, and from mu the even-parity tilde closure and the
-sign function; then the ramification set S(T), the Iwahori primes Iw(T) and
-the admissible set.
+sign function; then the ramification set S(T), the Iwahori primes Iw(T) and,
+read off n, the admissible set.
 """
 
 from __future__ import annotations
@@ -288,34 +288,13 @@ def sign_epsilon(stratum: Stratum) -> dict[EmbeddingId, int]:
 @_memoised
 def admissible_set(stratum: Stratum) -> frozenset[EmbeddingId]:
     """The embeddings whose distinguished weight can vanish without forcing
-    the whole cycle: per cycle, the complement of T, shrunk by one element
-    when the complement of the tilde closure is that single element, empty
-    when the tilde closure covers the cycle.
+    the whole cycle: the beta outside T with n(beta) < f, f the length of
+    beta's cycle, that is, with shift^n(beta) different from beta.
 
-    Cross-checked on the complement of T against the index-table description:
-    beta is in the set iff shift^n(beta) differs from beta.
+    Per cycle this is the complement of T, shrunk by one element when the
+    complement of the tilde closure is that single element (its n is f),
+    and empty when the tilde closure covers the cycle (n is f throughout).
     """
-    config = stratum.config
-    tables = index_tables(stratum)
-    tilde = tilde_closure(stratum)
-    out: set[EmbeddingId] = set()
-    for c, f in enumerate(config.cycle_lengths):
-        in_t = stratum.cycle_members(c)
-        in_tilde = tilde.cycle_members(c)
-        outside_tilde = [i for i in range(f) if i not in in_tilde]
-        if not outside_tilde:
-            chosen: set[int] = set()
-        elif len(outside_tilde) == 1:
-            chosen = {i for i in range(f) if i not in in_t} - set(outside_tilde)
-        else:
-            chosen = {i for i in range(f) if i not in in_t}
-        for i in range(f):
-            beta = EmbeddingId(c, i)
-            if i not in in_t:
-                via_n = frobenius_shift(config, beta, tables.n[beta]) != beta
-                if via_n != (i in chosen):
-                    raise AssertionError(
-                        f"admissible-set descriptions disagree at {beta}")
-        out.update(EmbeddingId(c, i) for i in chosen)
-    return frozenset(out)
-
+    lengths = stratum.config.cycle_lengths
+    return frozenset(beta for beta, k in index_tables(stratum).n.items()
+                     if beta not in stratum and k < lengths[beta.cycle])

@@ -6,9 +6,12 @@ plain Fourier-Motzkin with no pruning beyond exact deduplication, and the
 only data types are tuples of ints and Fractions.  It imports nothing from
 the package under test, so agreement between the two is meaningful.
 `ray_enum` is the double description loop in its first, plain form, the
-reference for the kernel's single-pass one; `chain_closure` builds the tilde
-closure, the sign and n of a stratum from its chains, the reference for
-their reading off mu.
+reference for the kernel's single-pass one; `phase1_coeffs` is the phase-1
+simplex on the full tableau, artificial columns included, the reference for
+the kernel's narrower one; `chain_closure` builds the tilde closure, the sign
+and n of a stratum from its chains, the reference for their reading off mu,
+and `admissible_by_cases` the admissible set by its per-cycle case analysis,
+the reference for its reading off n.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -303,3 +306,84 @@ def chain_closure(cycle_lengths, members):
             n[(c, i)] = next((k for k in range(1, f + 1)
                               if (c, (i + k) % f) not in tilde), f)
     return tilde, eps, n
+
+
+def phase1_coeffs(columns, target):
+    """Nonnegative x with (columns as a matrix) @ x == target, or None, by a
+    Fraction-exact phase-1 simplex with Bland's rule on the full tableau: m
+    artificial columns beside the n real ones, updated at every pivot.  The
+    reference for `cone_kernel._phase1_coeffs`, values and pivots alike."""
+    m = len(target)
+    n = len(columns)
+    if m == 0:
+        return [Fraction(0)] * n
+    rows = []
+    rhs = []
+    for i in range(m):
+        row = [Fraction(columns[j][i]) for j in range(n)]
+        b = Fraction(target[i])
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        rows.append(row)
+        rhs.append(b)
+    # artificial variables n..n+m-1 form the starting basis
+    tab = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+           + [rhs[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+    # phase-1 reduced costs: real columns get minus their column sums, the
+    # basic artificials stay at zero, and they are barred from re-entering
+    cost = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n):
+            cost[j] -= tab[i][j]
+        cost[-1] -= tab[i][-1]
+    while True:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best[0] or (
+                        ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            return None
+        _, piv = best
+        pv = tab[piv][enter]
+        tab[piv] = [x / pv for x in tab[piv]]
+        for i in range(m):
+            if i != piv and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[piv])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tab[piv])]
+        basis[piv] = enter
+    if -cost[-1] != 0:
+        return None
+    out = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            out[bv] = tab[i][-1]
+    return out
+
+
+def admissible_by_cases(cycle_lengths, members):
+    """The admissible set of a stratum by cases, as a set of (cycle, pos)
+    pairs: per cycle, the complement of T, minus the single embedding off
+    the tilde closure when there is only one, and empty when the closure
+    covers the cycle."""
+    tilde = chain_closure(cycle_lengths, members)[0]
+    out = set()
+    for c, f in enumerate(cycle_lengths):
+        outside_tilde = [i for i in range(f) if (c, i) not in tilde]
+        if not outside_tilde:
+            continue
+        chosen = {i for i in range(f) if (c, i) not in members}
+        if len(outside_tilde) == 1:
+            chosen -= set(outside_tilde)
+        out.update((c, i) for i in chosen)
+    return out

@@ -392,16 +392,24 @@ def test_output_flag_writes_a_file(tmp_path, capsys):
     assert json.loads(target.read_text())["t"] == "0.1"
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("STRATA_CONES_JOBS", "2")
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    for target, reason in ((missing, "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        for argv in (("describe", "--p", "2", "--cycles", "3", "--t", "0.1",
+                      "--json"),
+                     ("check", "--p", "2", "--cycles", "1")):
+            assert run(capsys, *argv, "-o", str(target)) == (
+                3, "",
+                f"strata-cones: error: cannot write {target}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_with_two_jobs_matches_the_library(capsys):
     code, out, _ = run(capsys, "check", "--p", "2", "--cycles", "2",
-                       "--json")
+                       "--json", "--jobs", "2")
     assert code == 2
     assert json.loads(out) == check_report(SplittingConfig(2, (2,))).to_dict()
-    monkeypatch.setenv("STRATA_CONES_JOBS", "two")
-    code, _, err = run(capsys, "check", "--p", "2", "--cycles", "2")
-    assert code == 3
-    assert "STRATA_CONES_JOBS" in err
 
 
 def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
@@ -414,11 +422,6 @@ def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
             code, out, err = run(capsys, *argv, "--jobs", jobs)
             assert (code, out) == (3, "")
             assert f"--jobs must be between 1 and {JOBS_MAX}" in err
-        monkeypatch.setenv("STRATA_CONES_JOBS", jobs)
-        code, out, err = run(capsys, "check", "--p", "2", "--cycles", "2")
-        assert (code, out) == (3, "")
-        assert "STRATA_CONES_JOBS must be between" in err
-        monkeypatch.delenv("STRATA_CONES_JOBS")
 
 
 def test_a_failed_worker_pool_exits_one(capsys, monkeypatch):
@@ -461,6 +464,8 @@ def test_inputs_beyond_the_bounds_are_usage_errors(capsys, monkeypatch):
             f"--d-max must be at most {DEGREE_MAX}, got {DEGREE_MAX + 1}",
         ("explore", "--p-list", "2", "--d-max", "100000", "--json"):
             f"--d-max must be at most {DEGREE_MAX}, got 100000",
+        ("explore", "--p-list", "", "--d-max", "1"):
+            "--p-list must be a comma-separated integer list, got ''",
     }
     for argv, message in refused.items():
         assert run(capsys, *argv) == (3, "", f"strata-cones: error: {message}\n")

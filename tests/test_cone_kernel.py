@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracle import dual_vrep, ray_enum, rref
+from oracle import dual_vrep, phase1_coeffs, ray_enum, rref
 
 from strata_cones import cone_kernel
 from strata_cones.cone_kernel import (
@@ -494,3 +494,49 @@ def test_outside_membership_builds_no_fraction(monkeypatch):
     assert cert.violated_form in {(1, 3), (3, 1)}
     with pytest.raises(AssertionError, match="integer input"):
         cone_member(pair, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the phase-1 simplex without artificial columns
+
+
+@st.composite
+def phase1_systems(draw):
+    """Columns and a target for the phase-1 simplex.  The target is a
+    nonnegative combination of the columns (feasible) or a random vector
+    (often infeasible); either may gain a scaled copy of its first row, so
+    the ratio test meets ties.  The target is divided by a small integer,
+    as `cone_member` passes `Fraction`s."""
+    dim = draw(st.integers(0, 4))
+    columns = draw(st.lists(coord_vectors(dim, bound=2), max_size=6))
+    if columns and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=len(columns),
+                               max_size=len(columns)))
+        target = tuple(sum(k * c[i] for k, c in zip(coeffs, columns))
+                       for i in range(dim))
+    else:
+        target = draw(coord_vectors(dim))
+    if dim and draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        columns = [c + (k * c[0],) for c in columns]
+        target += (k * target[0],)
+    den = draw(st.integers(1, 3))
+    return columns, tuple(Fraction(b, den) for b in target)
+
+
+# ties in the ratio test rarely change the answer on random systems; on this
+# one, taking the first or the last tied row instead of the one with the
+# smallest basic index each ends at another vertex.  The second example is
+# infeasible: x (1, 0) + y (1, 1) = (0, 1) needs x = -1.
+BLAND_DECIDES = ([(0, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, -1), (-1, 1, 0)],
+                 (-1, 1, -1))
+
+
+@settings(max_examples=300)
+@example(BLAND_DECIDES)
+@example(([(1, 0), (1, 1)], (0, 1)))
+@given(phase1_systems())
+def test_phase1_coeffs_agrees_with_the_full_tableau(system):
+    columns, target = system
+    assert cone_kernel._phase1_coeffs(columns, target) == \
+        phase1_coeffs(columns, target)

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import chain_closure
+from oracle import admissible_by_cases, chain_closure
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
@@ -36,8 +36,10 @@ def stratum(config, *pos):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="prime"):
-        SplittingConfig(4, (2,))
+    # composites, even and odd, and 1, below the smallest prime
+    for p in (4, 9, 1):
+        with pytest.raises(ValueError, match="prime"):
+            SplittingConfig(p, (2,))
     with pytest.raises(ValueError, match="at least one cycle"):
         SplittingConfig(3, ())
     with pytest.raises(ValueError, match="positive"):
@@ -214,11 +216,14 @@ def random_strata(draw, max_degree=6):
 
 def assert_matches_chain_closure(t):
     """The closure, signs and n read off mu agree with the chain
-    construction (EmbeddingId compares equal to its (cycle, pos) pair)."""
+    construction, and the admissible set read off n with its case analysis
+    (EmbeddingId compares equal to its (cycle, pos) pair)."""
     tilde, eps, n = chain_closure(t.config.cycle_lengths, t.members)
     assert tilde_closure(t).members == tilde, t
     assert sign_epsilon(t) == eps, t
     assert index_tables(t).n == n, t
+    assert admissible_set(t) == admissible_by_cases(t.config.cycle_lengths,
+                                                    t.members), t
 
 
 def test_mu_readings_match_the_chains_on_every_small_stratum():

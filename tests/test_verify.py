@@ -12,7 +12,13 @@ from strata_cones.cone_kernel import (
     cone_from_constraints,
     cone_from_rays,
 )
-from strata_cones.splitting import SplittingConfig, Stratum, stratum_from_text
+from strata_cones.splitting import (
+    EmbeddingId,
+    SplittingConfig,
+    Stratum,
+    stratum_from_text,
+    tilde_closure,
+)
 from strata_cones.verify import (
     _check_gl2_product,
     _config_tasks,
@@ -211,6 +217,167 @@ def test_recipe_weights_fails_when_a_recipe_raises(monkeypatch):
         "pair": ["0.0", "0.1"],
         "error": "recipe weight mismatch for pair "
                  "(EmbeddingId(cycle=0, pos=0), EmbeddingId(cycle=0, pos=1))"})
+
+
+# planted faults: each case replaces one builder that a check reads through
+# `verify`, and says how to confirm the resulting witness by hand in
+# integers
+
+
+def _ints(vec):
+    return [int(x) for x in vec]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(_ints(a), _ints(b)))
+
+
+def _emb(key):
+    return EmbeddingId(*map(int, key.split(".")))
+
+
+def _swap_the_first_two_rays(real):
+    def gens(t):
+        out = list(real(t))
+        i, j = [k for k, (_, is_line) in enumerate(out) if not is_line][:2]
+        out[i], out[j] = out[j], out[i]
+        return out
+    return gens
+
+
+def _tilt_the_first_line(real):
+    def gens(t):
+        out = list(real(t))
+        ray = next(w for w, is_line in out if not is_line)
+        k = next(k for k, (_, is_line) in enumerate(out) if is_line)
+        out[k] = (tuple(a + b for a, b in zip(out[k][0], ray)), True)
+        return out
+    return gens
+
+
+def _bend_one_long_pair(real):
+    # the h pair from 0.2 down to 0.0, the long side of n = m = 1
+    def pair(config, kind, emb, target):
+        w = real(config, kind, emb, target)
+        if (kind, emb, target) == ("h", EmbeddingId(0, 2), EmbeddingId(0, 0)):
+            return (w[0] + 1,) + w[1:]
+        return w
+    return pair
+
+
+def _raise_in_every_recipe(real):
+    def recipe(t, beta):
+        raise AssertionError("planted recipe failure")
+    return recipe
+
+
+def _flip_every_tag(real):
+    def recipe(t, beta):
+        monomial, tag = real(t, beta)
+        flipped = tuple(int(tag.is_zero()) for _ in tag.moduli)
+        return monomial, DeltaClass(flipped, tag.moduli)
+    return recipe
+
+
+def _negate_the_hasse_weights(real):
+    def basis(config, kind, emb):
+        w = real(config, kind, emb)
+        return tuple(-x for x in w) if kind == "h" else w
+    return basis
+
+
+def _composed_by_hand(t, w):
+    p, c, n, m = t.config.p, *_ints((w["cycle"], w["n"], w["m"]))
+    beta, mid, top = (EmbeddingId(c, k) for k in (0, n, n + m))
+    return [a + p ** m * b
+            for a, b in zip(weights.weight_pair(t.config, "h", top, mid),
+                            weights.weight_pair(t.config, "h", mid, beta))]
+
+
+def _separates_from_the_weight_cone(t, w):
+    gens = weights.generators_Gprime(t)
+    return (_dot(w["violated_form"], w["weight"]) < 0
+            and all(_dot(w["violated_form"], g) >= 0
+                    for g, is_line in gens if not is_line)
+            and all(_dot(w["violated_form"], g) == 0
+                    for g, is_line in gens if is_line))
+
+
+def _separates_the_faulty_kernel(t, w):
+    b_lines = [weight_basis(t.config, "b", beta) for beta in t.members]
+    return (_dot(w["violated_form"], w["weight"]) < 0
+            and all(_dot(row, w["weight"]) == 0
+                    for row in weights.reduction_matrix(t)[1:])
+            and all(_dot(w["violated_form"], b) == 0 for b in b_lines))
+
+
+PLANTED_FAULTS = {
+    "biorthogonality-ray": (
+        "_check_biorthogonality", "generators_Gprime",
+        _swap_the_first_two_rays,
+        ["functional_at", "generator_at", "functional", "generator", "value"],
+        lambda t, w: w["functional_at"] == w["generator_at"]
+        and int(w["value"]) == _dot(w["functional"], w["generator"]) <= 0),
+    "biorthogonality-line": (
+        "_check_biorthogonality", "generators_Gprime", _tilt_the_first_line,
+        ["functional_at", "functional", "line", "value"],
+        lambda t, w: int(w["value"]) == _dot(w["functional"], w["line"]) != 0),
+    "hasse_identity": (
+        "_check_hasse_identity", "weight_pair", _bend_one_long_pair,
+        ["cycle", "n", "m", "direct", "composed"],
+        lambda t, w: _ints(w["composed"]) == _composed_by_hand(t, w)
+        != _ints(w["direct"])),
+    "reduction-round-trip": (
+        "_check_reduction_identities", "lift_jT",
+        lambda real: lambda t, r: real(t, tuple(2 * x for x in r)),
+        ["probe", "round_trip"],
+        lambda t, w: sorted(_ints(w["probe"]))
+        == [0] * (len(w["probe"]) - 1) + [1]
+        and _ints(w["round_trip"]) == [2 * x for x in _ints(w["probe"])]),
+    "reduction-kernel": (
+        "_check_reduction_identities", "reduction_matrix",
+        lambda real: lambda t: real(t)[1:],
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: w["generator_of"] == "reduction kernel"
+        and _separates_the_faulty_kernel(t, w)),
+    "recipe-raises": (
+        "_check_recipe_weights", "f_recipe", _raise_in_every_recipe,
+        ["generator_at", "error"],
+        lambda t, w: w == {"generator_at": "0.0",
+                           "error": "planted recipe failure"}),
+    "recipe-tag": (
+        "_check_recipe_weights", "f_recipe", _flip_every_tag,
+        ["generator_at", "tag_residues"],
+        lambda t, w: (not any(_ints(w["tag_residues"])))
+        == (_emb(w["generator_at"]) in tilde_closure(t))),
+    "divisor_functionals": (
+        "_check_divisor_functionals", "functional_Lf",
+        lambda real: lambda t, beta, tau: tuple(
+            -x for x in real(t, beta, tau)),
+        ["beta", "functional", "generator", "value"],
+        lambda t, w: int(w["value"]) == _dot(w["functional"], w["generator"])
+        >= 0),
+    "dichotomy-hasse-side": (
+        "_check_admissible_dichotomy", "weight_basis",
+        _negate_the_hasse_weights,
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "Hasse-type cone", "weight cone")
+        and _separates_from_the_weight_cone(t, w)),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_planted_faults_fail_with_witnesses_that_hold_by_hand(monkeypatch,
+                                                              fault):
+    check, builder, plant, keys, holds = PLANTED_FAULTS[fault]
+    t = stratum_from_text(CFG_B, "0.1")
+    assert getattr(verify, check)(t).status == "pass"
+    monkeypatch.setattr(verify, builder, plant(getattr(verify, builder)))
+    result = getattr(verify, check)(t)
+    assert result.status == "fail"
+    assert list(result.witness) == keys
+    assert holds(t, result.witness), result.witness
 
 
 def test_min_question_is_informational():
