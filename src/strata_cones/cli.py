@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .cone_kernel import _violated_form, cone_member
-from .splitting import SplittingConfig, Stratum, stratum_from_text
+from .splitting import SplittingConfig, Stratum, _is_prime, stratum_from_text
 from .verify import (
     SCHEMA_VERSION,
     _certificate,
@@ -116,31 +116,43 @@ def _jobs_from(args) -> int:
     return args.jobs
 
 
-def _emit(text: str, args) -> None:
+def _cannot_write(path: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write {path}: {exc.strerror}")
+
+
+def _emit(args, work) -> int:
+    """Open -o, then run `work`, the command with its inputs validated, and
+    write the text it returns into the open file (print it without -o);
+    return the exit code it returns beside the text."""
     if not args.output:
+        text, code = work()
         print(text)
-        return
+        return code
     try:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+        handle = open(args.output, "w")
     except OSError as exc:
-        raise _UsageError(
-            f"cannot write {args.output}: {exc.strerror}") from None
+        raise _cannot_write(args.output, exc) from None
+    with handle:
+        text, code = work()
+        try:
+            handle.write(text + "\n")
+            handle.close()  # a full disk shows when the buffer is flushed
+        except OSError as exc:
+            raise _cannot_write(args.output, exc) from None
+    return code
 
 
-def _reply(args, doc: dict, lines) -> int:
-    """Print one reply document: as JSON under --json, else as the text
-    lines that `lines(doc)` reads off it."""
+def _reply(args, doc: dict, lines) -> tuple[str, int]:
+    """One reply document: as JSON under --json, else as the text lines
+    that `lines(doc)` reads off it."""
     if args.json:
-        _emit(json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2), args)
-    else:
-        _emit("\n".join(lines(doc)), args)
-    return EXIT_OK
+        return json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2), EXIT_OK
+    return "\n".join(lines(doc)), EXIT_OK
 
 
-def _report_reply(args, report, lines) -> int:
-    _emit(report.to_json() if args.json else "\n".join(lines(report)), args)
-    return EXIT_CHECK_FAILED if report.summary["fail"] else EXIT_OK
+def _report_reply(args, report, lines) -> tuple[str, int]:
+    return (report.to_json() if args.json else "\n".join(lines(report)),
+            EXIT_CHECK_FAILED if report.summary["fail"] else EXIT_OK)
 
 
 def _fmt_vec(vec) -> str:
@@ -148,13 +160,13 @@ def _fmt_vec(vec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each builds its reply once, the text lines read it
+# subcommands: each validates its inputs and returns its work, which builds
+# the reply once; the text lines read it
 
 
-def _cmd_describe(args) -> int:
-    config = _config_from(args)
-    return _reply(args, stratum_dossier(_stratum_from(args, config)),
-                  _describe_lines)
+def _cmd_describe(args):
+    stratum = _stratum_from(args, _config_from(args))
+    return lambda: _reply(args, stratum_dossier(stratum), _describe_lines)
 
 
 def _describe_lines(dossier: dict) -> list[str]:
@@ -196,13 +208,12 @@ def _describe_lines(dossier: dict) -> list[str]:
     return lines
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     config = _config_from(args)
-    strata = None
-    if args.t is not None:
-        strata = [_stratum_from(args, config)]
-    report = check_report(config, strata, jobs=_jobs_from(args))
-    return _report_reply(args, report, _check_lines)
+    strata = None if args.t is None else [_stratum_from(args, config)]
+    jobs = _jobs_from(args)
+    return lambda: _report_reply(args, check_report(config, strata, jobs=jobs),
+                                 _check_lines)
 
 
 def _check_lines(report) -> list[str]:
@@ -215,20 +226,20 @@ def _check_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args):
     p_list = [2, 3, 5] if args.p_list is None else \
         _parse_int_list(args.p_list, "--p-list")
     _at_most("the number of --p-list entries", len(p_list), P_LIST_MAX)
     for p in p_list:
         _at_most("--p-list entry", p, P_MAX)
+        if not _is_prime(p):
+            raise _UsageError("p must be prime")
     if args.d_max < 1:
         raise _UsageError("--d-max must be at least 1")
     _at_most("--d-max", args.d_max, DEGREE_MAX)
-    try:
-        report = explore(p_list, args.d_max, jobs=_jobs_from(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return _report_reply(args, report, _explore_lines)
+    jobs = _jobs_from(args)
+    return lambda: _report_reply(args, explore(p_list, args.d_max, jobs=jobs),
+                                 _explore_lines)
 
 
 def _explore_lines(report) -> list[str]:
@@ -245,11 +256,15 @@ def _explore_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args):
     config = _config_from(args)
     stratum = _stratum_from(args, config)
     weight = _weight_from(args.weight, config, "--weight",
                           "--weight is required for member")
+    return lambda: _member_reply(args, stratum, weight)
+
+
+def _member_reply(args, stratum: Stratum, weight: tuple) -> tuple[str, int]:
     cone = cone_D(stratum)
     cert = cone_member(cone, weight)
     doc = {"t": stratum.key(), "weight": _vec(weight), "inside": cert.inside}
@@ -274,11 +289,15 @@ def _member_lines(doc: dict) -> list[str]:
                for i, x in doc["line_coeffs"].items()])
 
 
-def _cmd_minimal(args) -> int:
+def _cmd_minimal(args):
     config = _config_from(args)
     stratum = _stratum_from(args, config)
     weight = _weight_from(args.weight, config, "--weight",
                           "--weight is required for minimal")
+    return lambda: _minimal_reply(args, stratum, weight)
+
+
+def _minimal_reply(args, stratum: Stratum, weight: tuple) -> tuple[str, int]:
     reduced = reduce_iT(stratum, weight)
     return _reply(args, {
         "t": stratum.key(),
@@ -301,16 +320,12 @@ def _minimal_lines(doc: dict) -> list[str]:
             f"in diagonal minimal cone: {yes('in_minimal0')}"]
 
 
-def _cmd_gl2(args) -> int:
+def _cmd_gl2(args):
     config = _config_from(args)
     if args.biweight is None:
         weight = _weight_from(args.weight, config, "--weight",
                               "gl2 needs --weight or --t with --biweight")
-        cls = delta_class(config, weight)
-        return _reply(args, {"weight": _vec(weight),
-                             "residues": _vec(cls.residues),
-                             "moduli": _vec(cls.moduli),
-                             "zero": cls.is_zero()}, _delta_lines)
+        return lambda: _delta_reply(args, config, weight)
     stratum = _stratum_from(args, config)
     parts = args.biweight.split(";")
     if len(parts) != 2:
@@ -319,6 +334,21 @@ def _cmd_gl2(args) -> int:
             "integer lists")
     lam = _weight_from(parts[0], config, "--biweight first component")
     kappa = _weight_from(parts[1], config, "--biweight second component")
+    return lambda: _biweight_reply(args, stratum, lam, kappa)
+
+
+def _delta_reply(args, config: SplittingConfig,
+                 weight: tuple) -> tuple[str, int]:
+    cls = delta_class(config, weight)
+    return _reply(args, {"weight": _vec(weight),
+                         "residues": _vec(cls.residues),
+                         "moduli": _vec(cls.moduli),
+                         "zero": cls.is_zero()}, _delta_lines)
+
+
+def _biweight_reply(args, stratum: Stratum, lam: tuple,
+                    kappa: tuple) -> tuple[str, int]:
+    config = stratum.config
     violated = _violated_form(explicit_constraints(stratum), kappa)
     doc = {"t": stratum.key(), "lam": _vec(lam), "kappa": _vec(kappa),
            "inside": violated is None}
@@ -422,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        return _emit(args, args.handler(args))
     except _UsageError as exc:
         print(f"strata-cones: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -655,12 +655,17 @@ def partitions(d: int) -> Iterator[tuple[int, ...]]:
 def _config_tasks(config: SplittingConfig,
                   strata: Sequence[Stratum] | None = None) -> list[tuple]:
     """One record task per stratum (default: all 2^d strata of the
-    config), sorted by canonical key."""
+    config), sorted by canonical key; a stratum of another configuration
+    is refused."""
     if strata is None:
         embeddings = config.embeddings()
         strata = [Stratum(config, frozenset(
             e for i, e in enumerate(embeddings) if mask >> i & 1))
             for mask in range(1 << config.degree)]
+    for s in strata:
+        if s.config != config:
+            raise ValueError(f"stratum '{s.key()}' is over {s.config}, "
+                             f"not over the report's {config}")
     return [(config.p, config.cycle_lengths, key)
             for key in sorted(s.key() for s in strata)]
 

@@ -96,20 +96,21 @@ def weight_pair(config: SplittingConfig, kind: str, emb: EmbeddingId,
 
 
 def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
-    """The distinguished cone generator attached to an embedding outside T.
+    """The distinguished cone generator -e_sub + eps(emb) p^n e_emb attached
+    to an embedding outside T, with n = n(emb) and sub = shift^n(emb).
 
-    Outside the tilde closure it is the pair weight h from the n-step shift
-    down to the embedding; on the tilde closure minus T it is minus the pair
-    weight b (where the tilde closure covers the whole cycle, n is the
-    cycle length and this recovers -(1 + p^f) e).
+    Outside the tilde closure (eps = +1) this is the pair weight h from sub
+    down to emb; on the tilde closure minus T (eps = -1) it is minus the
+    pair weight b, and -(1 + p^f) e where the closure covers the cycle
+    (n = f, sub = emb).
     """
     if emb in stratum:
         raise ValueError(f"{emb} lies in the stratum, no distinguished "
                          "generator is attached to it")
-    sub = frobenius_shift(stratum.config, emb, index_tables(stratum).n[emb])
-    if emb in tilde_closure(stratum):
-        return tuple(-c for c in weight_pair(stratum.config, "b", sub, emb))
-    return weight_pair(stratum.config, "h", sub, emb)
+    config = stratum.config
+    n = index_tables(stratum).n[emb]
+    return _as_vec(config, [(frobenius_shift(config, emb, n), -1),
+                            (emb, sign_epsilon(stratum)[emb] * config.p ** n)])
 
 
 def pair_targets(stratum: Stratum, cycle: int) -> list[int]:
@@ -210,20 +211,24 @@ def functional_window(config: SplittingConfig,
     return _as_vec(config, coeffs.items())
 
 
+def _facet(stratum: Stratum, eps: Mapping[EmbeddingId, int],
+           emb: EmbeddingId) -> Vec:
+    """The facet functional at emb outside T, read with the signs eps."""
+    config = stratum.config
+    mu = index_tables(stratum).mu[emb]
+    if emb in tilde_closure(stratum):
+        return functional_window(config, eps, emb,
+                                 frobenius_shift(config, emb, mu - 1))
+    return functional_window(config, eps, frobenius_shift(config, emb, mu))
+
+
 def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
     """The facet functional of the weight cone at an embedding outside T:
     a full window from shift^mu(emb) when emb is outside the tilde closure,
     else the partial window from emb of length mu."""
     if emb in stratum:
         raise ValueError(f"no facet functional at {emb}: it lies in T")
-    config = stratum.config
-    tables = index_tables(stratum)
-    eps = sign_epsilon(stratum)
-    mu = tables.mu[emb]
-    if emb in tilde_closure(stratum):
-        return functional_window(config, eps, emb,
-                                 frobenius_shift(config, emb, mu - 1))
-    return functional_window(config, eps, frobenius_shift(config, emb, mu))
+    return _facet(stratum, sign_epsilon(stratum), emb)
 
 
 @_memoised
@@ -302,13 +307,14 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
     """The facet functional at tau of the divisibility cone attached to the
     admissible embedding beta.
 
-    Same-cycle cases, with beta2 = shift^n(beta) and btilde the mu-step
-    shift of beta2: off the tilde closure the full flipped window from
-    shift^mu(tau) (or, at tau = beta, the flipped window from beta to one
-    step behind btilde); on tilde minus T the unmodified facet functional
-    (or, at tau = beta, the full flipped window from btilde).  Off the
-    cycle of beta the divisibility constraint is the plain facet
-    functional.
+    It is read with the sign function flipped on beta's run (beta and the
+    members of T after it).  At tau != beta it is the facet functional at
+    tau; off beta's cycle, and on tilde minus T, the window of tau misses
+    the run and this is `functional_LT`.  At tau = beta, with beta2 =
+    shift^n(beta) and btilde = shift^mu(beta2): on tilde minus T it is the
+    facet functional at beta2 (beta2 lies off the tilde closure, so this is
+    the full window from btilde); off the tilde closure it is the window
+    from beta to one step behind btilde.
     """
     config = stratum.config
     if beta not in admissible_set(stratum):
@@ -321,18 +327,12 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
         raise ValueError(
             f"no divisibility functional at {tau}: it is the n-step shift "
             "of the admissible embedding")
-    if tau.cycle != beta.cycle:
-        return functional_LT(stratum, tau)
     eps = _flipped_epsilon(stratum, beta)
-    in_tilde = tau in tilde_closure(stratum)
     if tau != beta:
-        if in_tilde:
-            return functional_LT(stratum, tau)
-        return functional_window(
-            config, eps, frobenius_shift(config, tau, tables.mu[tau]))
+        return _facet(stratum, eps, tau)
+    if beta in tilde_closure(stratum):
+        return _facet(stratum, eps, beta2)
     btilde = frobenius_shift(config, beta2, tables.mu[beta2])
-    if in_tilde:
-        return functional_window(config, eps, btilde)
     return functional_window(config, eps, beta,
                              frobenius_shift(config, btilde, -1))
 
@@ -344,7 +344,6 @@ def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> list[Vec]:
             for tau in sorted(stratum.complement() - {beta2})]
 
 
-@_memoised
 def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
     """The forms cutting out the minimal cone, in reduced coordinates on the
     complement of T.

@@ -10,8 +10,11 @@ reference for the kernel's single-pass one; `phase1_coeffs` is the phase-1
 simplex on the full tableau, artificial columns included, the reference for
 the kernel's narrower one; `chain_closure` builds the tilde closure, the sign
 and n of a stratum from its chains, the reference for their reading off mu,
-and `admissible_by_cases` the admissible set by its per-cycle case analysis,
-the reference for its reading off n.
+`admissible_by_cases` the admissible set by its per-cycle case analysis,
+the reference for its reading off n, and `divisor_functional_by_cases` and
+`distinguished_by_pairs` the divisibility functionals and the distinguished
+generators by cases over the closure, the references for their reading off
+the sign function.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -387,3 +390,75 @@ def admissible_by_cases(cycle_lengths, members):
             chosen -= set(outside_tilde)
         out.update((c, i) for i in chosen)
     return out
+
+
+def _window(p, cycle_lengths, eps, start, stop=None):
+    """sum of eps(shift^k start) p^k e_{shift^k start} walking forward from
+    start to stop (default: the full cycle), as a flat vector."""
+    c, i = start
+    f = cycle_lengths[c]
+    length = f if stop is None else (stop[1] - i) % f + 1
+    out = [0] * sum(cycle_lengths)
+    offset = sum(cycle_lengths[:c])
+    for k in range(length):
+        out[offset + (i + k) % f] = eps[(c, (i + k) % f)] * p ** k
+    return tuple(out)
+
+
+def divisor_functional_by_cases(p, cycle_lengths, members, beta, tau):
+    """The facet functional at tau of the divisibility cone of the
+    admissible beta, by cases: off beta's cycle, and at tau != beta on the
+    closure, the facet functional of the weight cone; elsewhere on beta's
+    cycle a window read with the sign flipped on beta and the members of T
+    after it.  beta and tau are (cycle, pos) pairs."""
+    tilde, eps, n = chain_closure(cycle_lengths, members)
+
+    def shift(emb, k):
+        return (emb[0], (emb[1] + k) % cycle_lengths[emb[0]])
+
+    def mu(emb):
+        c, i = emb
+        return next(k for k in range(1, cycle_lengths[c] + 1)
+                    if shift(emb, k) not in members)
+
+    def facet(emb):
+        if emb in tilde:
+            return _window(p, cycle_lengths, eps, emb, shift(emb, mu(emb) - 1))
+        return _window(p, cycle_lengths, eps, shift(emb, mu(emb)))
+
+    if tau[0] != beta[0]:
+        return facet(tau)
+    flipped = dict(eps)
+    for k in range(mu(beta)):
+        flipped[shift(beta, k)] *= -1
+    if tau != beta:
+        if tau in tilde:
+            return facet(tau)
+        return _window(p, cycle_lengths, flipped, shift(tau, mu(tau)))
+    beta2 = shift(beta, n[beta])
+    btilde = shift(beta2, mu(beta2))
+    if tau in tilde:
+        return _window(p, cycle_lengths, flipped, btilde)
+    return _window(p, cycle_lengths, flipped, beta, shift(btilde, -1))
+
+
+def distinguished_by_pairs(p, cycle_lengths, members, beta):
+    """The distinguished generator at beta outside T, by pair kinds: the
+    pair weight h from shift^n(beta) down to beta off the closure, minus
+    the pair weight b on the closure minus T."""
+    tilde, _, n = chain_closure(cycle_lengths, members)
+    c, i = beta
+    f = cycle_lengths[c]
+    offset = sum(cycle_lengths[:c])
+    top = (i + n[beta]) % f
+
+    def pair(head):
+        # head e_top + p^m e_beta, m in (0, f] shifting beta to top
+        out = [0] * sum(cycle_lengths)
+        out[offset + top] += head
+        out[offset + i] += p ** ((top - i) % f or f)
+        return tuple(out)
+
+    if beta in tilde:
+        return neg(pair(1))
+    return pair(-1)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through main()."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -392,17 +393,52 @@ def test_output_flag_writes_a_file(tmp_path, capsys):
     assert json.loads(target.read_text())["t"] == "0.1"
 
 
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before -o was opened")
+    for name in ("stratum_dossier", "check_report", "explore"):
+        monkeypatch.setattr(cli, name, unreachable)
     missing = tmp_path / "missing" / "x.json"
     for target, reason in ((missing, "No such file or directory"),
                            (tmp_path, "Is a directory")):
         for argv in (("describe", "--p", "2", "--cycles", "3", "--t", "0.1",
                       "--json"),
-                     ("check", "--p", "2", "--cycles", "1")):
+                     ("check", "--p", "2", "--cycles", "1"),
+                     ("explore", "--p-list", "2", "--d-max", "5")):
             assert run(capsys, *argv, "-o", str(target)) == (
                 3, "",
                 f"strata-cones: error: cannot write {target}: {reason}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_is_created_when_the_work_starts(tmp_path, capsys,
+                                                monkeypatch):
+    target = tmp_path / "report.json"
+    # invalid inputs are refused before -o is opened
+    assert run(capsys, "check", "--p", "2", "--cycles", "1", "--t", "0.7",
+               "-o", str(target))[0] == 3
+    assert not target.exists()
+    seen = []
+
+    def check_report_spy(*args, **kwargs):
+        seen.append(target.exists())
+        return check_report(*args, **kwargs)
+    monkeypatch.setattr(cli, "check_report", check_report_spy)
+    code, out, err = run(capsys, "check", "--p", "2", "--cycles", "1",
+                         "--json", "-o", str(target))
+    report = check_report(SplittingConfig(2, (1,)))
+    assert (code, out, err, seen) == (
+        2 if report.summary["fail"] else 0, "", "", [True])
+    assert target.read_text() == report.to_json() + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+def test_a_failed_write_is_a_usage_error(capsys):
+    assert run(capsys, "describe", "--p", "2", "--cycles", "3", "--t", "0.1",
+               "-o", "/dev/full") == (
+        3, "", "strata-cones: error: cannot write /dev/full: "
+        "No space left on device\n")
 
 
 def test_check_with_two_jobs_matches_the_library(capsys):

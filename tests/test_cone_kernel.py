@@ -12,6 +12,7 @@ from strata_cones.cone_kernel import (
     Cone,
     ConstraintRep,
     GeneratorRep,
+    MembershipCertificate,
     cone_complete,
     cone_dual,
     cone_equal,
@@ -97,6 +98,41 @@ def test_member_pair_cone_outside():
     # both facet forms reject this point; either is a sound witness
     assert cert.violated_form in {(1, 3), (3, 1)}
     assert certificate_valid(pair, (-1, 0), cert)
+
+
+# the half-plane x >= 0: one ray and one line, each forgery below refused
+# by exactly one test of `certificate_valid`
+HALF_PLANE = cone_from_rays([(1, 0)], [(0, 1)])
+FORGERIES = {
+    "no ray coefficients": ((0, 5), MembershipCertificate(
+        inside=True, line_coeffs={0: Fraction(5)})),
+    "no line coefficients": ((2, 0), MembershipCertificate(
+        inside=True, ray_coeffs={0: Fraction(2)})),
+    # the combination is exact, only the sign is wrong
+    "a negative ray coefficient": ((-2, 5), MembershipCertificate(
+        inside=True, ray_coeffs={0: Fraction(-2)},
+        line_coeffs={0: Fraction(5)})),
+    "a combination that misses the vector": ((2, 5), MembershipCertificate(
+        inside=True, ray_coeffs={0: Fraction(2)},
+        line_coeffs={0: Fraction(4)})),
+    "no outside form": ((-2, 5), MembershipCertificate(inside=False)),
+    "an outside form that is >= 0 on the vector": ((2, 5),
+        MembershipCertificate(inside=False, violated_form=(1, 0))),
+    "an outside form negative on a ray": ((2, 5), MembershipCertificate(
+        inside=False, violated_form=(-1, 0))),
+    "an outside form nonzero on a line": ((2, 5), MembershipCertificate(
+        inside=False, violated_form=(1, -1))),
+}
+
+
+@pytest.mark.parametrize("forgery", FORGERIES)
+def test_certificate_valid_refuses_forgeries(forgery):
+    assert cone_complete(HALF_PLANE).gen == GeneratorRep(
+        rays=((1, 0),), lines=((0, 1),))
+    vec, cert = FORGERIES[forgery]
+    assert not certificate_valid(HALF_PLANE, vec, cert)
+    # the honest answer for the same vector is accepted
+    assert certificate_valid(HALF_PLANE, vec, cone_member(HALF_PLANE, vec))
 
 
 def test_subset_and_equal():

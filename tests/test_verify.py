@@ -428,6 +428,22 @@ def test_check_report_covers_all_strata_and_round_trips():
     assert report.summary["fail"] > 0  # the degenerate stratum
 
 
+@pytest.mark.parametrize("other", [SplittingConfig(2, (3,)),
+                                   SplittingConfig(3, (2, 1))])
+def test_check_report_refuses_a_stratum_of_another_configuration(
+        other, monkeypatch):
+    # the key "0.1" is valid under both configurations, so without the
+    # refusal the report would silently check the wrong stratum
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused stratum reached the work")
+    monkeypatch.setattr(verify, "_run_tasks", unreachable)
+    config = SplittingConfig(3, (3,))
+    with pytest.raises(ValueError) as caught:
+        check_report(config, [stratum_from_text(other, "0.1")])
+    assert str(caught.value) == (f"stratum '0.1' is over {other}, not over "
+                                 f"the report's {config}")
+
+
 def test_check_report_is_deterministic_across_jobs():
     config = SplittingConfig(2, (2, 1))
     sequential = check_report(config, jobs=1).to_json()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import rref
+from oracle import distinguished_by_pairs, divisor_functional_by_cases, rref
 
 from strata_cones.cone_kernel import (
     cone_equal,
@@ -30,7 +30,7 @@ from strata_cones.splitting import (
     sign_epsilon,
     tilde_closure,
 )
-from strata_cones.verify import _hasse_coordinates, stratum_record
+from strata_cones.verify import _hasse_coordinates, partitions, stratum_record
 from strata_cones.weights import (
     BiWeight,
     FormalMonomial,
@@ -702,6 +702,51 @@ def test_degree_six_minimal_cones_differ_by_one_facet():
     assert first_escape(mini0, mini) == (ray, extra)
     assert in_minimal_cone(t, ray, "min0")
     assert not in_minimal_cone(t, ray, "min")
+
+
+# ---------------------------------------------------------------------------
+# the readings off the sign function against the case analyses over the
+# tilde closure
+
+
+def assert_matches_the_cases(t) -> int:
+    """f_weight at every beta outside T, and functional_Lf at every
+    admissible beta and every tau outside T other than shift^n(beta), agree
+    with the oracle's case analyses; returns the number of calls compared."""
+    args = (t.config.p, t.config.cycle_lengths, t.members)
+    calls = 0
+    for beta in sorted(t.complement()):
+        assert f_weight(t, beta) == distinguished_by_pairs(*args, beta), \
+            (t, beta)
+        calls += 1
+    for beta in sorted(admissible_set(t)):
+        beta2 = frobenius_shift(t.config, beta, index_tables(t).n[beta])
+        for tau in sorted(t.complement() - {beta2}):
+            assert functional_Lf(t, beta, tau) == \
+                divisor_functional_by_cases(*args, beta, tau), (t, beta, tau)
+            calls += 1
+    return calls
+
+
+def test_sign_readings_match_the_cases_on_every_small_stratum():
+    strata = calls = 0
+    for p in (2, 3):
+        for d in range(1, 7):
+            for lengths in partitions(d):
+                config = SplittingConfig(p, lengths)
+                embeddings = config.embeddings()
+                for mask in range(1 << d):
+                    calls += assert_matches_the_cases(Stratum(
+                        config, frozenset(e for i, e in enumerate(embeddings)
+                                          if mask >> i & 1)))
+                    strata += 1
+    # 5,754 f_weight and 6,698 functional_Lf calls
+    assert (strata, calls) == (2 * 1042, 12452)
+
+
+@given(random_strata(max_degree=6))
+def test_sign_readings_match_the_cases(t):
+    assert_matches_the_cases(t)
 
 
 # ---------------------------------------------------------------------------
