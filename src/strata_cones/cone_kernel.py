@@ -158,11 +158,11 @@ class MembershipCertificate:
     violated_form: Vec | None = None
 
 
-def _check_dim(dim: int, vecs: Iterable[Sequence[Rational]], what: str) -> None:
+def _check_dim(dim: int, vecs: Iterable[Sequence[Rational]]) -> None:
     for v in vecs:
         if len(v) != dim:
             raise ValueError(
-                f"{what} has length {len(v)}, expected ambient dimension {dim}")
+                f"vector has length {len(v)}, expected ambient dimension {dim}")
 
 
 def _ray_enum(ineqs: Sequence[Vec], eqns: Sequence[Vec], dim: int):
@@ -248,10 +248,10 @@ def cone_from_rays(rays: Iterable[Sequence[Rational]],
     lines = [tuple(l) for l in lines]
     if dim is None:
         if not rays and not lines:
-            raise ValueError("ambient dimension required for the zero cone")
+            raise ValueError("ambient dimension required when no vectors "
+                             "are given")
         dim = len((rays or lines)[0])
-    _check_dim(dim, rays, "ray")
-    _check_dim(dim, lines, "line")
+    _check_dim(dim, rays + lines)
     return cone_complete(Cone(dim=dim, gen=GeneratorRep(
         rays=tuple(r for r in rays if any(r)),
         lines=tuple(l for l in lines if any(l)))))
@@ -260,18 +260,14 @@ def cone_from_rays(rays: Iterable[Sequence[Rational]],
 def cone_from_constraints(ineqs: Iterable[Sequence[Rational]],
                           eqns: Iterable[Sequence[Rational]] = (),
                           dim: int | None = None) -> Cone:
-    """Solution cone of `ineqs >= 0`, `eqns = 0`, completed to canonical form."""
-    ineqs = [tuple(a) for a in ineqs]
-    eqns = [tuple(e) for e in eqns]
-    if dim is None:
-        if not ineqs and not eqns:
-            raise ValueError("ambient dimension required for the full space")
-        dim = len((ineqs or eqns)[0])
-    _check_dim(dim, ineqs, "inequality")
-    _check_dim(dim, eqns, "equation")
-    return cone_complete(Cone(dim=dim, con=ConstraintRep(
-        ineqs=tuple(a for a in ineqs if any(a)),
-        eqns=tuple(e for e in eqns if any(e)))))
+    """Solution cone of `ineqs >= 0`, `eqns = 0`, completed to canonical form.
+
+    It is the dual of the cone the forms generate: `cone_complete` derives
+    the constraints of that cone by one double description and its
+    generators by a second, and the dual swaps the two, so the result is
+    exactly the completion of the constraint system.
+    """
+    return cone_dual(cone_from_rays(ineqs, eqns, dim))
 
 
 def full_space(dim: int) -> Cone:
@@ -391,9 +387,7 @@ def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
 def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     """Membership with certificate; see MembershipCertificate."""
     c = cone_complete(cone)
-    if len(vec) != c.dim:
-        raise ValueError(
-            f"vector has length {len(vec)}, expected ambient dimension {c.dim}")
+    _check_dim(c.dim, [vec])
     form = _violated_form(c.con, vec)
     if form is not None:
         return MembershipCertificate(inside=False, violated_form=form)
@@ -491,7 +485,7 @@ def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
     """Image under a linear map, generator representation mapped ray by ray."""
     c = cone_complete(cone)
     rows = [tuple(row) for row in matrix]
-    _check_dim(c.dim, rows, "matrix row")
+    _check_dim(c.dim, rows)
     out_dim = len(rows)
     def apply(v):
         return tuple(_dot(row, v) for row in rows)

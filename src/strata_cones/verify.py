@@ -58,7 +58,7 @@ from .weights import (
     halfspace_cone,
     lift_jT,
     minimal_cone,
-    pair_targets,
+    pair_family,
     reduce_iT,
     reduced_cone,
     reduction_matrix,
@@ -327,20 +327,14 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
     """Every pair and distinguished generator has its recipe; the recipes
     compare their own weights and raise AssertionError on a mismatch."""
     name = "recipe_weights"
-    for c, f in enumerate(t.config.cycle_lengths):
-        in_t = t.cycle_members(c)
-        targets = pair_targets(t, c)
-        for i in range(f):
-            if i in in_t:
-                continue
-            for j in targets:
-                emb, target = EmbeddingId(c, i), EmbeddingId(c, j)
-                try:
-                    section_recipe(t, emb, target)
-                except AssertionError as exc:
-                    return CheckResult(name, FAIL, {
-                        "pair": [_emb_key(emb), _emb_key(target)],
-                        "error": str(exc)})
+    for c in range(len(t.config.cycle_lengths)):
+        for emb, target in pair_family(t, c):
+            try:
+                section_recipe(t, emb, target)
+            except AssertionError as exc:
+                return CheckResult(name, FAIL, {
+                    "pair": [_emb_key(emb), _emb_key(target)],
+                    "error": str(exc)})
     for beta in sorted(t.complement()):
         try:
             _, tag = f_recipe(t, beta)

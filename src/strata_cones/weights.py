@@ -113,37 +113,35 @@ def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
                             (emb, sign_epsilon(stratum)[emb] * config.p ** n)])
 
 
-def pair_targets(stratum: Stratum, cycle: int) -> list[int]:
-    """Sorted positions on one cycle that the Hasse-pair family reaches:
-    those off the tilde closure of the stratum, and those one step ahead
-    of (tilde minus T)."""
+@_memoised
+def pair_family(stratum: Stratum,
+                cycle: int) -> tuple[tuple[EmbeddingId, EmbeddingId], ...]:
+    """The (emb, target) pairs of the Hasse-pair family on one cycle, emb
+    outside T, target outside the tilde closure or one step ahead of
+    (tilde minus T); ordered by emb, then target."""
     f = stratum.config.cycle_lengths[cycle]
     in_t = stratum.cycle_members(cycle)
     in_tilde = tilde_closure(stratum).cycle_members(cycle)
-    return sorted({i for i in range(f) if i not in in_tilde}
-                  | {(i + 1) % f for i in in_tilde - in_t})
+    targets = sorted({i for i in range(f) if i not in in_tilde}
+                     | {(i + 1) % f for i in in_tilde - in_t})
+    return tuple((EmbeddingId(cycle, i), EmbeddingId(cycle, j))
+                 for i in range(f) if i not in in_t for j in targets)
 
 
 def generators_G(stratum: Stratum) -> list[tuple[Vec, bool]]:
-    """The Hasse-pair generating family: one ray h_beta^target for every
-    beta outside T and every target outside the tilde closure or one step
-    ahead of (tilde minus T), plus a line b_beta for every beta in T.
+    """The Hasse-pair generating family: one ray h_emb^target for every
+    pair of `pair_family`, plus a line b_beta for every beta in T, cycle by
+    cycle.
 
     Entries are (weight, is_line).
     """
     config = stratum.config
     out: list[tuple[Vec, bool]] = []
-    for c, f in enumerate(config.cycle_lengths):
-        in_t = stratum.cycle_members(c)
-        targets = pair_targets(stratum, c)
-        for i in range(f):
-            if i in in_t:
-                continue
-            for j in targets:
-                out.append((weight_pair(config, "h", EmbeddingId(c, i),
-                                        EmbeddingId(c, j)), False))
-        for i in sorted(in_t):
-            out.append((weight_basis(config, "b", EmbeddingId(c, i)), True))
+    for c in range(len(config.cycle_lengths)):
+        out.extend((weight_pair(config, "h", emb, target), False)
+                   for emb, target in pair_family(stratum, c))
+        out.extend((weight_basis(config, "b", EmbeddingId(c, i)), True)
+                   for i in sorted(stratum.cycle_members(c)))
     return out
 
 
@@ -337,11 +335,14 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
                              frobenius_shift(config, btilde, -1))
 
 
-def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> list[Vec]:
+@_memoised
+def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> tuple[Vec, ...]:
+    """The facet functionals of the divisibility cone of the admissible
+    beta, at every tau outside T other than shift^n(beta)."""
     beta2 = frobenius_shift(stratum.config, beta,
                             index_tables(stratum).n[beta])
-    return [functional_Lf(stratum, beta, tau)
-            for tau in sorted(stratum.complement() - {beta2})]
+    return tuple(functional_Lf(stratum, beta, tau)
+                 for tau in sorted(stratum.complement() - {beta2}))
 
 
 def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
@@ -447,12 +448,32 @@ def monomial_weight(monomial: FormalMonomial) -> Vec:
     return tuple(total)
 
 
-def _monomial(base: Stratum,
-              factors: Mapping[tuple[str, EmbeddingId], int]) -> FormalMonomial:
-    packed = tuple(sorted(((kind, emb, exp)
-                           for (kind, emb), exp in factors.items() if exp),
-                          key=lambda t: (t[1], t[0])))
-    return FormalMonomial(base=base, factors=packed)
+def _telescope(stratum: Stratum, top: EmbeddingId, m: int) -> FormalMonomial:
+    """The monomial of the walk m steps down from top: one factor at each of
+    top, shift^-1(top), ..., shift^-(m-1)(top).
+
+    The base stratum is T together with the tilde-closure part of the open
+    walk (top and the end point shift^-m(top) excluded).  The factor at
+    step i is b on the base and h off it, with exponent +-p^i.  The sign
+    starts at + and flips at every b factor: as h = -e + p*back-shift and
+    b = e + p*back-shift, that flip cancels the weights of consecutive
+    factors on each embedding inside the walk, so the weight of the
+    product is -e_top + s p^m e_end, s the sign of the last factor.
+    """
+    config = stratum.config
+    tilde = tilde_closure(stratum)
+    base = set(stratum.members)
+    factors = []
+    sign = 1
+    for i in range(m):
+        tau = frobenius_shift(config, top, -i)
+        kind = "b" if tau in stratum or (i and tau in tilde) else "h"
+        if kind == "b":
+            base.add(tau)
+            sign = -sign
+        factors.append((kind, tau, sign * config.p ** i))
+    return FormalMonomial(base=Stratum(config, frozenset(base)),
+                          factors=tuple(sorted(factors, key=lambda t: t[1])))
 
 
 def section_recipe(stratum: Stratum, emb: EmbeddingId,
@@ -460,44 +481,22 @@ def section_recipe(stratum: Stratum, emb: EmbeddingId,
     """Express the pair section from emb down to target as a monomial in
     foundational sections on a deeper base stratum.
 
-    Valid arguments are pairs of the Hasse-pair generating family: emb
-    outside T and target either outside the tilde closure or one step ahead
-    of (tilde minus T), on the same cycle.  The base stratum augments T by
-    the tilde-closure part of the open walk from target up to emb; the
-    factor at each step i is h or b according to membership in the base,
-    with exponent +-p^i, the sign alternating so the telescoping sum of
-    factor weights collapses to the pair weight.  That collapse is checked
-    on every call.
+    Valid arguments are the pairs of `pair_family`.  The monomial is the
+    telescoping walk (`_telescope`) of the m steps from emb down to target,
+    m in (0, f]: it ends on +p^m because the walk crosses an even number of
+    b factors, so its weight is the pair weight -e_emb + p^m e_target.
+    That collapse is checked on every call.
     """
-    config = stratum.config
     if emb.cycle != target.cycle:
         raise ValueError("section recipe needs embeddings on one cycle")
-    c = emb.cycle
-    f = config.cycle_lengths[c]
-    in_t = stratum.cycle_members(c)
-    in_tilde = tilde_closure(stratum).cycle_members(c)
-    if emb.pos in in_t or target.pos not in pair_targets(stratum, c):
+    if (emb, target) not in pair_family(stratum, emb.cycle):
         raise ValueError(
             f"invalid pair ({emb}, {target}): the first embedding must lie "
             "outside T and the second must be a generating-family target")
-    m = (emb.pos - target.pos) % f or f
-    base_members = set(stratum.members)
-    base_members.update(
-        EmbeddingId(c, (emb.pos - j) % f)
-        for j in range(1, m) if (emb.pos - j) % f in in_tilde)
-    base = Stratum(config, frozenset(base_members))
-    base_c = base.cycle_members(c)
-    factors: dict[tuple[str, EmbeddingId], int] = {}
-    for i in range(m):
-        tau = frobenius_shift(config, emb, -i)
-        kind = "b" if tau.pos in base_c else "h"
-        steps_to_exit = next(j for j in range(f)
-                             if (tau.pos + j) % f not in base_c)
-        sign = -1 if steps_to_exit % 2 else 1
-        factors[(kind, tau)] = sign * config.p ** i
-    monomial = _monomial(base, factors)
-    expected = weight_pair(config, "h", emb, target)
-    if monomial_weight(monomial) != expected:
+    f = stratum.config.cycle_lengths[emb.cycle]
+    monomial = _telescope(stratum, emb, (emb.pos - target.pos) % f or f)
+    if monomial_weight(monomial) != weight_pair(stratum.config, "h", emb,
+                                                target):
         raise AssertionError(
             f"recipe weight mismatch for pair ({emb}, {target})")
     return monomial
@@ -508,12 +507,12 @@ def f_recipe(stratum: Stratum,
     """The distinguished generator at an embedding outside T as a monomial,
     together with its discrete bi-weight tag.
 
-    Outside the tilde closure this is the plain pair recipe from the n-step
-    shift down to the embedding, tagged zero.  On tilde minus T the recipe
-    descends only to one step ahead of the embedding and then divides by
-    the p^(n-1)-th power of the b section there (legitimate: that embedding
-    lies in T, hence in every base stratum); the tag is the class of the
-    basis weight at the n-step shift.
+    The monomial is the telescoping walk of the n = n(emb) steps from
+    sub = shift^n(emb) down to emb.  Outside the tilde closure it ends on
+    +p^n: it is the pair recipe from sub down to emb, tagged zero.  On
+    tilde minus T its last factor is b at the embedding one step ahead,
+    which lies in T, with exponent -p^(n-1), so it ends on -p^n; the tag
+    is the class of the basis weight at sub.
     """
     config = stratum.config
     if emb in stratum:
@@ -521,17 +520,11 @@ def f_recipe(stratum: Stratum,
                          "generator is attached to it")
     n = index_tables(stratum).n[emb]
     sub = frobenius_shift(config, emb, n)
-    if emb not in tilde_closure(stratum):
-        monomial = section_recipe(stratum, sub, emb)
-        tag = delta_class(config, (0,) * config.degree)
-    else:
-        ahead = frobenius_shift(config, emb, 1)
-        partial = section_recipe(stratum, sub, ahead)
-        factors = {(kind, tau): exp for kind, tau, exp in partial.factors}
-        key = ("b", ahead)
-        factors[key] = factors.get(key, 0) - config.p ** (n - 1)
-        monomial = _monomial(partial.base, factors)
+    monomial = _telescope(stratum, sub, n)
+    if emb in tilde_closure(stratum):
         tag = delta_class(config, weight_basis(config, "e", sub))
+    else:
+        tag = delta_class(config, (0,) * config.degree)
     if monomial_weight(monomial) != f_weight(stratum, emb):
         raise AssertionError(f"recipe weight mismatch for the distinguished "
                              f"generator at {emb}")

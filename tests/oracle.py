@@ -14,7 +14,11 @@ and n of a stratum from its chains, the reference for their reading off mu,
 the reference for its reading off n, and `divisor_functional_by_cases` and
 `distinguished_by_pairs` the divisibility functionals and the distinguished
 generators by cases over the closure, the references for their reading off
-the sign function.
+the sign function.  `hasse_pairs` lists the Hasse-pair family, and
+`recipe_by_exit_parity` and `f_recipe_by_patch` build the section recipes
+by the exit-parity walk and the distinguished generator's recipe as a
+partial pair recipe times a patched b factor, the references for the
+telescoping walk.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -462,3 +466,59 @@ def distinguished_by_pairs(p, cycle_lengths, members, beta):
     if beta in tilde:
         return neg(pair(1))
     return pair(-1)
+
+
+def hasse_pairs(cycle_lengths, members):
+    """The (emb, target) pairs of the Hasse-pair family, cycle by cycle,
+    then by emb, then by target: emb outside T, target outside the closure
+    or one step ahead of (closure minus T)."""
+    tilde, _, _ = chain_closure(cycle_lengths, members)
+    out = []
+    for c, f in enumerate(cycle_lengths):
+        targets = sorted(
+            {i for i in range(f) if (c, i) not in tilde}
+            | {(i + 1) % f for i in range(f)
+               if (c, i) in tilde and (c, i) not in members})
+        out.extend(((c, i), (c, j)) for i in range(f)
+                   if (c, i) not in members for j in targets)
+    return out
+
+
+def recipe_by_exit_parity(p, cycle_lengths, members, emb, target):
+    """The pair recipe from emb down to target by the exit-parity walk.
+
+    The base is T together with the closure part of the open walk.  The
+    factor at step i, at shift^-i(emb), is b on the base and h off it, with
+    exponent (-1)^s p^i, s the number of steps up from the factor to the
+    first embedding off the base.  Returns (base, factors): a set of
+    (cycle, pos) pairs and a dict keyed by (kind, (cycle, pos))."""
+    tilde, _, _ = chain_closure(cycle_lengths, members)
+    c, top = emb
+    f = cycle_lengths[c]
+    m = (top - target[1]) % f or f
+    base = set(members) | {(c, (top - j) % f) for j in range(1, m)
+                           if (c, (top - j) % f) in tilde}
+    factors = {}
+    for i in range(m):
+        tau = (c, (top - i) % f)
+        s = next(j for j in range(f) if (c, (tau[1] + j) % f) not in base)
+        factors[("b" if tau in base else "h", tau)] = (-1) ** s * p ** i
+    return base, factors
+
+
+def f_recipe_by_patch(p, cycle_lengths, members, beta):
+    """The recipe of the distinguished generator at beta outside T: the
+    pair recipe from shift^n(beta) down to beta off the closure; on the
+    closure minus T the pair recipe down to one step ahead of beta, times
+    the b section there to the power -p^(n-1)."""
+    tilde, _, n = chain_closure(cycle_lengths, members)
+    c, i = beta
+    f = cycle_lengths[c]
+    top = (c, (i + n[beta]) % f)
+    if beta not in tilde:
+        return recipe_by_exit_parity(p, cycle_lengths, members, top, beta)
+    ahead = (c, (i + 1) % f)
+    base, factors = recipe_by_exit_parity(p, cycle_lengths, members, top,
+                                          ahead)
+    factors[("b", ahead)] = factors.get(("b", ahead), 0) - p ** (n[beta] - 1)
+    return base, factors

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from strata_cones import cli, verify
+from strata_cones import cli, verify, weights
 from strata_cones.cli import DEGREE_MAX, JOBS_MAX, P_LIST_MAX, P_MAX, main
 from strata_cones.verify import check_report, explore
 from strata_cones.splitting import SplittingConfig
@@ -352,6 +352,24 @@ def test_minimal_reports_the_forced_divisor(capsys):
     assert doc["forced_divisors"] == ["0.0"]
     assert doc["in_minimal"] is False
     assert doc["in_minimal0"] is False
+
+
+def test_minimal_builds_each_divisibility_functional_once(capsys,
+                                                          monkeypatch):
+    # T = {0.0} on a 6-cycle: 5 admissible beta with 4 forms each, shared
+    # by the forced divisors and "min", plus the 5 diagonal forms of "min0"
+    calls = []
+    build = weights.functional_Lf
+
+    def counted(stratum, beta, tau):
+        calls.append((beta, tau))
+        return build(stratum, beta, tau)
+
+    monkeypatch.setattr(weights, "functional_Lf", counted)
+    code, _, _ = run(capsys, "minimal", "--p", "2", "--cycles", "6",
+                     "--t", "0.0", "--weight", "1,2,3,4,5,6")
+    assert code == 0
+    assert (len(calls), len(set(calls))) == (25, 20)
 
 
 def test_gl2_delta_class(capsys):

@@ -44,6 +44,30 @@ def test_normalize_primitive():
         normalize_primitive((0, 0))
 
 
+HALF_PLANE = cone_from_rays([(1, 0)], [(0, 1)])
+LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cone_from_rays([(1, 0), (1,)]), "vector has length 1"),
+    (lambda: cone_from_rays([(1, 0)], [(0, 1, 0)]), "vector has length 3"),
+    (lambda: cone_from_constraints([(1, 0)], dim=3), "vector has length 2"),
+    (lambda: cone_from_constraints([], [(1,)], dim=2), "vector has length 1"),
+    (lambda: cone_from_rays([]), "ambient dimension required"),
+    (lambda: cone_from_constraints([], []), "ambient dimension required"),
+    (lambda: cone_complete(Cone(dim=2)), "neither representation"),
+    (lambda: cone_member(HALF_PLANE, (1, 0, 0)), "vector has length 3"),
+    (lambda: cone_image([(1, 0, 0)], HALF_PLANE), "vector has length 3"),
+    (lambda: first_escape(HALF_PLANE, LINE_IN_SPACE), "different ambient"),
+    (lambda: cone_equal(LINE_IN_SPACE, HALF_PLANE), "different ambient"),
+], ids=["ray", "line", "inequality", "equation", "rays-without-dim",
+        "constraints-without-dim", "no-representation", "member",
+        "image-row", "first-escape", "equal"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_complete_first_orthant():
     c = cone_complete(cone_from_rays([(1, 0), (0, 1)]))
     assert set(c.con.ineqs) == {(1, 0), (0, 1)}

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import distinguished_by_pairs, divisor_functional_by_cases, rref
+from oracle import (
+    distinguished_by_pairs,
+    divisor_functional_by_cases,
+    f_recipe_by_patch,
+    hasse_pairs,
+    recipe_by_exit_parity,
+    rref,
+)
 
 from strata_cones.cone_kernel import (
     cone_equal,
@@ -52,6 +59,7 @@ from strata_cones.weights import (
     minimal_cone,
     minimal_forms,
     monomial_weight,
+    pair_family,
     reduce_iT,
     reduced_cone,
     reduction_matrix,
@@ -409,6 +417,18 @@ def test_delta_class_examples():
         delta_class(CFG_A, (Fraction(1, 2), 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: forced_divisors(stratum(CFG_B, (0, 1)), (1, 0)),
+     "weight has length 2"),
+    (lambda: delta_class(CFG_A, (1, 0, 0)), "weight has length 3"),
+    (lambda: f_recipe(stratum(CFG_B, (0, 1)), EmbeddingId(0, 1)),
+     "lies in the stratum"),
+], ids=["forced-divisors", "delta-class", "f-recipe-on-T"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _solve_against_hasse_lattice(config, weight):
     """Coordinates of a weight in the Hasse-weight basis, or None.
 
@@ -728,18 +748,23 @@ def assert_matches_the_cases(t) -> int:
     return calls
 
 
-def test_sign_readings_match_the_cases_on_every_small_stratum():
-    strata = calls = 0
+def every_small_stratum():
+    """Every stratum of p in {2, 3} and degree at most 6: 2 x 1042."""
     for p in (2, 3):
         for d in range(1, 7):
             for lengths in partitions(d):
                 config = SplittingConfig(p, lengths)
                 embeddings = config.embeddings()
                 for mask in range(1 << d):
-                    calls += assert_matches_the_cases(Stratum(
-                        config, frozenset(e for i, e in enumerate(embeddings)
-                                          if mask >> i & 1)))
-                    strata += 1
+                    yield Stratum(config, frozenset(
+                        e for i, e in enumerate(embeddings) if mask >> i & 1))
+
+
+def test_sign_readings_match_the_cases_on_every_small_stratum():
+    strata = calls = 0
+    for t in every_small_stratum():
+        calls += assert_matches_the_cases(t)
+        strata += 1
     # 5,754 f_weight and 6,698 functional_Lf calls
     assert (strata, calls) == (2 * 1042, 12452)
 
@@ -747,6 +772,46 @@ def test_sign_readings_match_the_cases_on_every_small_stratum():
 @given(random_strata(max_degree=6))
 def test_sign_readings_match_the_cases(t):
     assert_matches_the_cases(t)
+
+
+# ---------------------------------------------------------------------------
+# the telescoping walk against the exit-parity walk and the patched recipe
+
+
+def _plain(monomial):
+    return monomial.base.members, {(kind, emb): exp
+                                   for kind, emb, exp in monomial.factors}
+
+
+def assert_recipes_match_the_parity_walk(t) -> int:
+    """`pair_family` lists the oracle's Hasse pairs, and every section
+    recipe and every distinguished generator's recipe has the oracle's base
+    stratum and factors; returns the number of recipes compared."""
+    args = (t.config.p, t.config.cycle_lengths, t.members)
+    pairs = [pair for c in range(len(t.config.cycle_lengths))
+             for pair in pair_family(t, c)]
+    assert pairs == hasse_pairs(*args[1:]), t
+    for emb, target in pairs:
+        assert _plain(section_recipe(t, emb, target)) == \
+            recipe_by_exit_parity(*args, emb, target), (t, emb, target)
+    for beta in sorted(t.complement()):
+        assert _plain(f_recipe(t, beta)[0]) == \
+            f_recipe_by_patch(*args, beta), (t, beta)
+    return len(pairs) + len(t.complement())
+
+
+def test_recipes_match_the_parity_walk_on_every_small_stratum():
+    strata = recipes = 0
+    for t in every_small_stratum():
+        recipes += assert_recipes_match_the_parity_walk(t)
+        strata += 1
+    # 10,462 section recipes and 5,754 distinguished generators' recipes
+    assert (strata, recipes) == (2 * 1042, 16216)
+
+
+@given(random_strata(max_degree=6))
+def test_recipes_match_the_parity_walk(t):
+    assert_recipes_match_the_parity_walk(t)
 
 
 # ---------------------------------------------------------------------------
