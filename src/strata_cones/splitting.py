@@ -11,7 +11,6 @@ read off n, the admissible set.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -50,13 +49,18 @@ class SplittingConfig:
     _valid: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # exactly int: a float or a bool would reach the report as text
+        if type(self.p) is not int:
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if not _is_prime(self.p):
             raise ValueError("p must be prime")
-        if not self.cycle_lengths:
-            raise ValueError("at least one cycle is required")
-        if any(f < 1 for f in self.cycle_lengths):
-            raise ValueError("cycle lengths must be positive")
         lengths = tuple(self.cycle_lengths)
+        if not lengths:
+            raise ValueError("at least one cycle is required")
+        if any(type(f) is not int for f in lengths):
+            raise ValueError(f"cycle lengths must be integers, got {lengths}")
+        if any(f < 1 for f in lengths):
+            raise ValueError("cycle lengths must be positive")
         object.__setattr__(self, "cycle_lengths", lengths)
         object.__setattr__(self, "_offsets",
                            tuple(sum(lengths[:c]) for c in range(len(lengths))))
@@ -94,13 +98,32 @@ def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
     return EmbeddingId(emb.cycle, (emb.pos + steps) % f)
 
 
+def _memoised(fn):
+    """Keep fn(stratum, *args) in the stratum's memo, keyed by fn's
+    module-qualified name and the positional arguments: memoised functions
+    take required positional parameters only, and a keyword call is a
+    TypeError.  Later calls return the stored value itself, so callers must
+    not mutate it."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(stratum, *args):
+        key = (name, *args)
+        memo = stratum._memo
+        if key not in memo:
+            memo[key] = fn(stratum, *args)
+        return memo[key]
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class Stratum:
     """A subset T of the embeddings of a fixed configuration.
 
-    Data derived from T alone is computed once per stratum and kept in
-    `_memo` (see `_memoised`); the memo takes no part in equality, hashing
-    or the repr.
+    Data derived from T alone, the sorted complement included, is computed
+    once per stratum and kept in `_memo` (see `_memoised`); the memo takes
+    no part in equality, hashing or the repr.
     """
 
     config: SplittingConfig
@@ -126,29 +149,11 @@ class Stratum:
         """Canonical text form: comma-joined 'cycle.pos', empty for the empty set."""
         return ",".join(f"{e.cycle}.{e.pos}" for e in sorted(self.members))
 
-    def complement(self) -> frozenset[EmbeddingId]:
-        return frozenset(self.config.embeddings()) - self.members
-
-
-def _memoised(fn):
-    """Keep fn(stratum, *args) in the stratum's memo, keyed by the function
-    name and the argument values with defaults filled in.  Later calls
-    return the stored value itself, so callers must not mutate it."""
-    params = tuple(inspect.signature(fn).parameters.values())[1:]
-
-    @functools.wraps(fn)
-    def wrapper(stratum, *args, **kwargs):
-        key = (fn.__name__, *args, *(kwargs.pop(param.name, param.default)
-                                     for param in params[len(args):]))
-        if kwargs:
-            raise TypeError(f"{fn.__name__}() got unexpected arguments "
-                            f"{sorted(kwargs)}")
-        memo = stratum._memo
-        if key not in memo:
-            memo[key] = fn(stratum, *key[1:])
-        return memo[key]
-
-    return wrapper
+    @_memoised
+    def complement(self) -> tuple[EmbeddingId, ...]:
+        """The embeddings outside T in (cycle, pos) order: the order of the
+        reduced coordinates on the complement of T."""
+        return tuple(e for e in self.config.embeddings() if e not in self)
 
 
 def _component(piece: str) -> EmbeddingId:

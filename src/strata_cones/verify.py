@@ -51,6 +51,7 @@ from .weights import (
     explicit_constraints,
     f_recipe,
     f_weight,
+    family_cone,
     functional_Lf,
     generators_G,
     generators_Gprime,
@@ -179,8 +180,8 @@ def _equality_result(name: str, left: Cone, right: Cone,
 
 def _check_optimal_basis(t: Stratum) -> CheckResult:
     return _equality_result(
-        "optimal_basis", cone_D(t, "G"), cone_D(t),
-        "pair-generated cone", "one-ray-per-embedding cone")
+        "optimal_basis", family_cone(generators_G(t), t.config.degree),
+        cone_D(t), "pair-generated cone", "one-ray-per-embedding cone")
 
 
 def _check_explicit_halfspaces(t: Stratum) -> CheckResult:
@@ -190,7 +191,7 @@ def _check_explicit_halfspaces(t: Stratum) -> CheckResult:
 
 
 def _check_biorthogonality(t: Stratum) -> CheckResult:
-    outside = sorted(t.complement())
+    outside = t.complement()
     gens = generators_Gprime(t)
     rays = [w for w, is_line in gens if not is_line]
     lines = [w for w, is_line in gens if is_line]
@@ -218,7 +219,7 @@ def _check_biorthogonality(t: Stratum) -> CheckResult:
 def _hasse_type_cone(stratum: Stratum) -> Cone:
     config = stratum.config
     rays = [weight_basis(config, "h", beta)
-            for beta in sorted(stratum.complement())]
+            for beta in stratum.complement()]
     lines = [weight_basis(config, "b", beta)
              for beta in sorted(stratum.members)]
     return cone_from_rays(rays, lines, dim=config.degree)
@@ -253,7 +254,7 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
             cone_D(t), hasse, generator_of="weight cone",
             not_in="Hasse-type cone"))
     memberships = []
-    for beta in sorted(t.complement()):
+    for beta in t.complement():
         fw = f_weight(t, beta)
         cert = cone_member(hasse, fw)
         if not cert.inside:
@@ -297,7 +298,7 @@ def _check_hasse_identity(t: Stratum) -> CheckResult:
 def _check_reduction_identities(t: Stratum) -> CheckResult:
     name = "reduction_identities"
     config = t.config
-    outside = sorted(t.complement())
+    outside = t.complement()
     for i in range(len(outside)):
         probe = tuple(1 if j == i else 0 for j in range(len(outside)))
         back = reduce_iT(t, lift_jT(t, probe))
@@ -335,7 +336,7 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
                 return CheckResult(name, FAIL, {
                     "pair": [_emb_key(emb), _emb_key(target)],
                     "error": str(exc)})
-    for beta in sorted(t.complement()):
+    for beta in t.complement():
         try:
             _, tag = f_recipe(t, beta)
         except AssertionError as exc:
@@ -395,15 +396,14 @@ def _check_diagonal_minimal(t: Stratum) -> CheckResult:
     if tilde_closure(t) != t:
         return CheckResult(name, INFO,
                            {"reason": "tilde closure differs from T"})
-    outside = sorted(t.complement())
-    index = {beta: i for i, beta in enumerate(outside)}
+    outside = t.complement()
     forms = []
     for beta in outside:
         n = index_tables(t).n[beta]
         form = [0] * len(outside)
-        form[index[beta]] -= 1
+        form[outside.index(beta)] -= 1
         shifted = frobenius_shift(t.config, beta, n)
-        form[index[shifted]] += t.config.p ** n
+        form[outside.index(shifted)] += t.config.p ** n
         forms.append(tuple(form))
     described = cone_from_constraints(forms, dim=len(outside))
     return _equality_result(name, minimal_cone(t, "min"), described,
@@ -426,9 +426,7 @@ def _check_gl2_product(t: Stratum) -> CheckResult:
                               not_in="span of the Hasse lines")
     if witness is not None:
         return CheckResult("gl2_product", FAIL, witness)
-    built = cone_from_rays([bw.kappa for bw, is_line in gens if not is_line],
-                           [bw.kappa for bw, is_line in gens if is_line],
-                           dim=dim)
+    built = family_cone([(bw.kappa, is_line) for bw, is_line in gens], dim)
     return _equality_result("gl2_product", built, halfspace_cone(t),
                             "second slots of the bi-weight generators",
                             "half-space cone")
@@ -489,21 +487,15 @@ def _check_product_structure(t: Stratum) -> CheckResult:
     name = "product_structure"
     if len(config.cycle_lengths) < 2:
         return CheckResult(name, INFO, {"reason": "single cycle"})
-    rays = []
-    lines = []
-    offset = 0
+    gens = []
     for c, f in enumerate(config.cycle_lengths):
-        sub_config = SplittingConfig(config.p, (f,))
-        sub = Stratum(sub_config, frozenset(
+        sub = Stratum(SplittingConfig(config.p, (f,)), frozenset(
             EmbeddingId(0, i) for i in t.cycle_members(c)))
-        def pad(v):
-            return ((0,) * offset + tuple(v)
-                    + (0,) * (config.degree - offset - f))
-        for w, is_line in generators_Gprime(sub):
-            (lines if is_line else rays).append(pad(w))
-        offset += f
-    built = cone_from_rays(rays, lines, dim=config.degree)
-    return _equality_result(name, built, cone_D(t),
+        offset = config.flat_index(EmbeddingId(c, 0))
+        before, after = (0,) * offset, (0,) * (config.degree - offset - f)
+        gens += [(before + w + after, is_line)
+                 for w, is_line in generators_Gprime(sub)]
+    return _equality_result(name, family_cone(gens, config.degree), cone_D(t),
                             "per-cycle product cone", "weight cone")
 
 

@@ -8,9 +8,9 @@ The central objects, for a stratum T:
 
 * the distinguished weights e, h = -e + p*shift, b = e + p*shift and their
   iterated pair versions spanning several steps of a cycle;
-* the stratum weight cone, generated either by the Hasse-pair family (basis
-  "G") or by the optimal one-ray-per-embedding family (basis "Gprime"), and
-  cut out by the explicit sign-window functionals;
+* the stratum weight cone, generated by the optimal one-ray-per-embedding
+  family and equally by the Hasse-pair family, and cut out by the explicit
+  sign-window functionals;
 * the reduction to coordinates on the complement of T and the minimal cones
   living there;
 * multiplicative recipes expressing the pair weights and the distinguished
@@ -173,19 +173,19 @@ def generators_Gprime(stratum: Stratum) -> list[tuple[Vec, bool]]:
     return out
 
 
+def family_cone(gens: Sequence[tuple[Vec, bool]], dim: int) -> Cone:
+    """The cone generated by a family of (weight, is_line) entries, such as
+    `generators_G` or `generators_Gprime`, completed."""
+    return cone_from_rays([w for w, is_line in gens if not is_line],
+                          [w for w, is_line in gens if is_line], dim=dim)
+
+
 @_memoised
-def cone_D(stratum: Stratum, basis: str = "Gprime") -> Cone:
-    """The weight cone of the stratum, from either generating family,
-    completed to both representations."""
-    if basis == "G":
-        gens = generators_G(stratum)
-    elif basis == "Gprime":
-        gens = generators_Gprime(stratum)
-    else:
-        raise ValueError(f"unknown basis {basis!r}, expected 'G' or 'Gprime'")
-    rays = [w for w, is_line in gens if not is_line]
-    lines = [w for w, is_line in gens if is_line]
-    return cone_from_rays(rays, lines, dim=stratum.config.degree)
+def cone_D(stratum: Stratum) -> Cone:
+    """The weight cone of the stratum, generated by the optimal family
+    `generators_Gprime`, completed to both representations.  The Hasse-pair
+    family generates the same cone: `family_cone(generators_G(t), d)`."""
+    return family_cone(generators_Gprime(stratum), stratum.config.degree)
 
 
 def functional_window(config: SplittingConfig,
@@ -234,7 +234,7 @@ def explicit_constraints(stratum: Stratum) -> ConstraintRep:
     """The half-space description of the weight cone: one facet functional
     per embedding outside T (cycles inside T contribute nothing)."""
     ineqs = tuple(functional_LT(stratum, emb)
-                  for emb in sorted(stratum.complement()))
+                  for emb in stratum.complement())
     return ConstraintRep(ineqs=ineqs, eqns=())
 
 
@@ -253,7 +253,7 @@ def reduction_matrix(stratum: Stratum) -> tuple[Vec, ...]:
     config = stratum.config
     tables = index_tables(stratum)
     rows = []
-    for beta in sorted(stratum.complement()):
+    for beta in stratum.complement():
         coeffs = {frobenius_shift(config, beta, i): (-config.p) ** i
                   for i in range(tables.mu[beta])}
         rows.append(_as_vec(config, coeffs.items()))
@@ -280,7 +280,7 @@ def lift_jT(stratum: Stratum, reduced: Sequence[Rational]) -> tuple:
     """The zero-filled section of the reduction: place the reduced
     coordinates on the complement of T and zeros on T."""
     config = stratum.config
-    outside = sorted(stratum.complement())
+    outside = stratum.complement()
     if len(reduced) != len(outside):
         raise ValueError(
             f"reduced weight has length {len(reduced)}, expected "
@@ -342,7 +342,7 @@ def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> tuple[Vec, ...]:
     beta2 = frobenius_shift(stratum.config, beta,
                             index_tables(stratum).n[beta])
     return tuple(functional_Lf(stratum, beta, tau)
-                 for tau in sorted(stratum.complement() - {beta2}))
+                 for tau in stratum.complement() if tau != beta2)
 
 
 def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
@@ -375,7 +375,7 @@ def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
             raise AssertionError(
                 f"reduction kernel line at {emb} is not annihilated by the "
                 "minimal-cone constraints")
-    keep = [config.flat_index(beta) for beta in sorted(stratum.complement())]
+    keep = [config.flat_index(beta) for beta in stratum.complement()]
     return tuple(tuple(form[i] for i in keep) for form in ineqs)
 
 
@@ -387,7 +387,7 @@ def in_minimal_cone(stratum: Stratum, reduced: Sequence[Rational],
 
 
 @_memoised
-def minimal_cone(stratum: Stratum, variant: str = "min") -> Cone:
+def minimal_cone(stratum: Stratum, variant: str) -> Cone:
     """The minimal cone in reduced coordinates on the complement of T, cut
     out by `minimal_forms`."""
     return cone_from_constraints(minimal_forms(stratum, variant),
@@ -591,7 +591,7 @@ def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
     for emb in sorted(stratum.members):
         neg_e = tuple(-c for c in weight_basis(config, "e", emb))
         out.append((BiWeight(neg_e, weight_basis(config, "b", emb)), True))
-    for emb in sorted(stratum.complement()):
+    for emb in stratum.complement():
         fw = f_weight(stratum, emb)
         if emb in tilde:
             sub = frobenius_shift(config, emb, tables.n[emb])

@@ -33,7 +33,12 @@ from strata_cones.cone_kernel import (
     _canon_gen,
 )
 from strata_cones.splitting import SplittingConfig, stratum_from_text
-from strata_cones.weights import cone_D, minimal_cone
+from strata_cones.weights import (
+    cone_D,
+    family_cone,
+    generators_G,
+    minimal_cone,
+)
 
 
 def test_normalize_primitive():
@@ -541,7 +546,7 @@ def test_stratum_cones_complete_without_fractions(monkeypatch):
     t = stratum_from_text(SplittingConfig(2, (6,)), "0.0")
     cone_kernel._dual_canon.cache_clear()
     monkeypatch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
-    cones = [cone_D(t, "G"), cone_D(t, "Gprime"),
+    cones = [family_cone(generators_G(t), 6), cone_D(t),
              minimal_cone(t, "min"), minimal_cone(t, "min0")]
     assert [len(c.con.ineqs) for c in cones[2:]] == [7, 6]
 

@@ -1,15 +1,18 @@
 """Combinatorics of strata: index tables, closures, signs, admissible sets."""
 
+import inspect
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracle import admissible_by_cases, chain_closure
+from strata_cones import splitting, weights
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    _memoised,
     admissible_set,
     frobenius_shift,
     index_tables,
@@ -44,6 +47,19 @@ def test_config_validation():
         SplittingConfig(3, ())
     with pytest.raises(ValueError, match="positive"):
         SplittingConfig(3, (2, 0))
+
+
+@pytest.mark.parametrize("p, lengths, message", [
+    (2.0, (2,), "p must be an integer, got 2.0"),
+    (True, (2,), "p must be an integer, got True"),
+    (2, (True,), r"cycle lengths must be integers, got \(True,\)"),
+    (3, (1.5,), r"cycle lengths must be integers, got \(1.5,\)"),
+    (3, (2, 2.0), r"cycle lengths must be integers, got \(2, 2.0\)"),
+], ids=["float-p", "bool-p", "bool-length", "float-length", "second-length"])
+def test_config_refuses_what_is_not_exactly_an_int(p, lengths, message):
+    # a float or a bool would reach the report as "2.0" or "True"
+    with pytest.raises(ValueError, match=message):
+        SplittingConfig(p, lengths)
 
 
 def test_embedding_order_and_flat_index():
@@ -322,7 +338,7 @@ def test_sign_epsilon_support(t):
 def test_admissible_set_avoids_stratum(t):
     adm = admissible_set(t)
     assert adm.isdisjoint(t.members)
-    assert adm <= t.complement()
+    assert adm <= set(t.complement())
 
 
 @given(random_strata())
@@ -334,15 +350,61 @@ def test_key_round_trips(t):
 # the per-stratum memo
 
 
-def test_memo_keys_fill_in_defaults():
+@given(random_strata())
+def test_complement_is_the_sorted_rest(t):
+    rest = set(t.config.embeddings()) - t.members
+    assert t.complement() == tuple(sorted(rest))
+    assert t.complement() is t.complement()
+
+
+def test_memo_keys_are_the_positional_arguments():
     t = stratum(CFG_C, (0, 1))
-    cone = minimal_cone(t)
+    cone = minimal_cone(t, "min")
     assert minimal_cone(t, "min") is cone
-    assert minimal_cone(t, variant="min") is cone
-    assert minimal_cone(t, variant="min0") is minimal_cone(t, "min0")
+    assert minimal_cone(t, "min0") is minimal_cone(t, "min0")
     assert minimal_cone(t, "min0") is not cone
-    with pytest.raises(TypeError, match="unexpected"):
-        minimal_cone(t, kind="min")
+    with pytest.raises(TypeError):
+        minimal_cone(t, variant="min")
+    with pytest.raises(TypeError):
+        minimal_cone(t)
+
+
+def memoised_functions() -> dict:
+    """The functions behind every memo wrapper bound in `splitting` and
+    `weights`, methods included, found by the wrapper's code object."""
+    wrapper = index_tables.__code__
+    found = {}
+    for module in (splitting, weights):
+        owners = [module] + [v for v in vars(module).values()
+                             if isinstance(v, type)]
+        for owner in owners:
+            for value in vars(owner).values():
+                if getattr(value, "__code__", None) is wrapper:
+                    found[value.__qualname__] = value.__wrapped__
+    return found
+
+
+def test_memoised_functions_take_required_positional_arguments_only():
+    found = memoised_functions()
+    assert {"index_tables", "cone_D", "minimal_cone"} <= set(found)
+    positional = (inspect.Parameter.POSITIONAL_ONLY,
+                  inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, fn in found.items():
+        for param in inspect.signature(fn).parameters.values():
+            assert param.kind in positional, (name, param)
+            assert param.default is param.empty, (name, param)
+
+
+def test_memo_keys_tell_modules_apart():
+    # same __name__ as splitting.index_tables, defined in another module
+    def index_tables(stratum):
+        return "not the tables"
+
+    shadow = _memoised(index_tables)
+    t = stratum(CFG_C, (0, 1))
+    tables = splitting.index_tables(t)
+    assert shadow(t) == "not the tables"
+    assert splitting.index_tables(t) is tables
 
 
 @given(random_strata())

@@ -11,11 +11,14 @@ from strata_cones.cone_kernel import (
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
+    full_space,
 )
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    frobenius_shift,
+    index_tables,
     stratum_from_text,
     tilde_closure,
 )
@@ -279,6 +282,36 @@ def _flip_every_tag(real):
     return recipe
 
 
+def _negate_the_first_ray(real):
+    def gens(t):
+        out = list(real(t))
+        k = next(k for k, (_, is_line) in enumerate(out) if not is_line)
+        out[k] = (tuple(-x for x in out[k][0]), False)
+        return out
+    return gens
+
+
+def _negated_first(forms):
+    first, *rest = forms
+    return [tuple(-x for x in first), *rest]
+
+
+def _negate_the_first_halfspace(real):
+    def cone(t):
+        return cone_from_constraints(
+            _negated_first(explicit_constraints(t).ineqs),
+            dim=t.config.degree)
+    return cone
+
+
+def _full_space_for_min(real):
+    def cone(t, variant):
+        if variant == "min":
+            return full_space(len(t.complement()))
+        return real(t, variant)
+    return cone
+
+
 def _negate_the_hasse_weights(real):
     def basis(config, kind, emb):
         w = real(config, kind, emb)
@@ -294,13 +327,42 @@ def _composed_by_hand(t, w):
                             weights.weight_pair(t.config, "h", mid, beta))]
 
 
+def _separates(w, rays, lines):
+    return (_dot(w["violated_form"], w["weight"]) < 0
+            and all(_dot(w["violated_form"], g) >= 0 for g in rays)
+            and all(_dot(w["violated_form"], g) == 0 for g in lines))
+
+
 def _separates_from_the_weight_cone(t, w):
     gens = weights.generators_Gprime(t)
+    return _separates(w, [g for g, is_line in gens if not is_line],
+                      [g for g, is_line in gens if is_line])
+
+
+def _separates_from_the_diagonal_minimal_cone(t, w):
+    mini0 = weights.minimal_cone(t, "min0")
+    return _separates(w, mini0.gen.rays, mini0.gen.lines)
+
+
+def _is_a_violated_form_of(w, forms):
+    # a defining form of a cone is nonnegative on all of it
     return (_dot(w["violated_form"], w["weight"]) < 0
-            and all(_dot(w["violated_form"], g) >= 0
-                    for g, is_line in gens if not is_line)
-            and all(_dot(w["violated_form"], g) == 0
-                    for g, is_line in gens if is_line))
+            and tuple(_ints(w["violated_form"])) in forms)
+
+
+def _diagonal_forms_by_hand(t):
+    """-l(beta) + p^n l(shift^n beta), beta outside T, in reduced
+    coordinates."""
+    outside = t.complement()
+    forms = set()
+    for beta in outside:
+        n = index_tables(t).n[beta]
+        form = [0] * len(outside)
+        form[outside.index(beta)] -= 1
+        form[outside.index(frobenius_shift(t.config, beta, n))] += \
+            t.config.p ** n
+        forms.add(tuple(form))
+    return forms
 
 
 def _separates_the_faulty_kernel(t, w):
@@ -311,25 +373,31 @@ def _separates_the_faulty_kernel(t, w):
             and all(_dot(w["violated_form"], b) == 0 for b in b_lines))
 
 
+# check, builder replaced, plant, stratum, witness keys, by-hand test
+AT_B = (CFG_B, "0.1")
 PLANTED_FAULTS = {
     "biorthogonality-ray": (
         "_check_biorthogonality", "generators_Gprime",
         _swap_the_first_two_rays,
+        AT_B,
         ["functional_at", "generator_at", "functional", "generator", "value"],
         lambda t, w: w["functional_at"] == w["generator_at"]
         and int(w["value"]) == _dot(w["functional"], w["generator"]) <= 0),
     "biorthogonality-line": (
         "_check_biorthogonality", "generators_Gprime", _tilt_the_first_line,
+        AT_B,
         ["functional_at", "functional", "line", "value"],
         lambda t, w: int(w["value"]) == _dot(w["functional"], w["line"]) != 0),
     "hasse_identity": (
         "_check_hasse_identity", "weight_pair", _bend_one_long_pair,
+        AT_B,
         ["cycle", "n", "m", "direct", "composed"],
         lambda t, w: _ints(w["composed"]) == _composed_by_hand(t, w)
         != _ints(w["direct"])),
     "reduction-round-trip": (
         "_check_reduction_identities", "lift_jT",
         lambda real: lambda t, r: real(t, tuple(2 * x for x in r)),
+        AT_B,
         ["probe", "round_trip"],
         lambda t, w: sorted(_ints(w["probe"]))
         == [0] * (len(w["probe"]) - 1) + [1]
@@ -337,16 +405,19 @@ PLANTED_FAULTS = {
     "reduction-kernel": (
         "_check_reduction_identities", "reduction_matrix",
         lambda real: lambda t: real(t)[1:],
+        AT_B,
         ["weight", "violated_form", "generator_of", "not_in"],
         lambda t, w: w["generator_of"] == "reduction kernel"
         and _separates_the_faulty_kernel(t, w)),
     "recipe-raises": (
         "_check_recipe_weights", "f_recipe", _raise_in_every_recipe,
+        AT_B,
         ["generator_at", "error"],
         lambda t, w: w == {"generator_at": "0.0",
                            "error": "planted recipe failure"}),
     "recipe-tag": (
         "_check_recipe_weights", "f_recipe", _flip_every_tag,
+        AT_B,
         ["generator_at", "tag_residues"],
         lambda t, w: (not any(_ints(w["tag_residues"])))
         == (_emb(w["generator_at"]) in tilde_closure(t))),
@@ -354,15 +425,55 @@ PLANTED_FAULTS = {
         "_check_divisor_functionals", "functional_Lf",
         lambda real: lambda t, beta, tau: tuple(
             -x for x in real(t, beta, tau)),
+        AT_B,
         ["beta", "functional", "generator", "value"],
         lambda t, w: int(w["value"]) == _dot(w["functional"], w["generator"])
         >= 0),
     "dichotomy-hasse-side": (
         "_check_admissible_dichotomy", "weight_basis",
         _negate_the_hasse_weights,
+        AT_B,
         ["weight", "violated_form", "generator_of", "not_in"],
         lambda t, w: (w["generator_of"], w["not_in"]) == (
             "Hasse-type cone", "weight cone")
+        and _separates_from_the_weight_cone(t, w)),
+    "optimal_basis": (
+        "_check_optimal_basis", "generators_G", _negate_the_first_ray,
+        AT_B,
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "pair-generated cone", "one-ray-per-embedding cone")
+        and _separates_from_the_weight_cone(t, w)),
+    "explicit_halfspaces": (
+        "_check_explicit_halfspaces", "halfspace_cone",
+        _negate_the_first_halfspace,
+        AT_B,
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "generated cone", "half-space cone")
+        and _is_a_violated_form_of(
+            w, _negated_first(explicit_constraints(t).ineqs))),
+    "minimal_nesting": (
+        "_check_minimal_nesting", "minimal_cone", _full_space_for_min,
+        AT_B,
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "minimal cone", "diagonal minimal cone")
+        and _separates_from_the_diagonal_minimal_cone(t, w)),
+    "diagonal_minimal": (
+        "_check_diagonal_minimal", "minimal_cone", _full_space_for_min,
+        (CFG_B, ""),
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "minimal cone", "diagonal description")
+        and _is_a_violated_form_of(w, _diagonal_forms_by_hand(t))),
+    "product_structure": (
+        "_check_product_structure", "generators_Gprime",
+        _negate_the_first_ray,
+        (SplittingConfig(3, (2, 1)), "0.0"),
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "per-cycle product cone", "weight cone")
         and _separates_from_the_weight_cone(t, w)),
 }
 
@@ -370,8 +481,8 @@ PLANTED_FAULTS = {
 @pytest.mark.parametrize("fault", PLANTED_FAULTS)
 def test_planted_faults_fail_with_witnesses_that_hold_by_hand(monkeypatch,
                                                               fault):
-    check, builder, plant, keys, holds = PLANTED_FAULTS[fault]
-    t = stratum_from_text(CFG_B, "0.1")
+    check, builder, plant, (config, text), keys, holds = PLANTED_FAULTS[fault]
+    t = stratum_from_text(config, text)
     assert getattr(verify, check)(t).status == "pass"
     monkeypatch.setattr(verify, builder, plant(getattr(verify, builder)))
     result = getattr(verify, check)(t)
