@@ -1,9 +1,10 @@
 """The degree-6 gate, opt-in and outside tier-1: `python3 -m pytest gate`.
 
 It sweeps p in {2, 3, 5} and every cycle partition of every degree up to
-6 (3126 strata) with two worker processes, under its own time budget, and
-pins the report: its sha256, its summary and the 18 strata where the two
-minimal-cone variants differ.  Degree 6 is where they first differ, on a
+6 (3126 strata) once in one process and once with two worker processes,
+each under its own time budget, and pins the report of each: its sha256,
+its summary and the 18 strata where the two minimal-cone variants
+differ.  Degree 6 is where they first differ, on a
 single cycle of length 6 with T a single embedding, for each prime.  The
 witness of each such stratum is re-checked with plain integer arithmetic
 against the cone records of the report.  Criterion 3's classifier and
@@ -22,7 +23,9 @@ from test_acceptance import dichotomy_message, dichotomy_rows
 
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
-GATE_JOBS = 2
+# one process, and two workers that each receive the configuration with
+# its memo inside their tasks
+GATE_JOBS = (1, 2)
 GATE_BUDGET_SECONDS = 240.0
 # sha256 of `strata-cones explore --p-list 2,3,5 --d-max 6 --json`, which
 # writes `Report.to_json()` and a final newline
@@ -35,10 +38,10 @@ UNEQUAL = [{"p": p, "cycles": ["6"], "t": f"0.{i}"}
            for p in ("2", "3", "5") for i in range(6)]
 
 
-@pytest.fixture(scope="module")
-def sweep():
+@pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
+def sweep(request):
     start = time.monotonic()
-    report = explore(GATE_PRIMES, GATE_DEGREE, jobs=GATE_JOBS)
+    report = explore(GATE_PRIMES, GATE_DEGREE, jobs=request.param)
     return report, time.monotonic() - start
 
 

@@ -35,18 +35,34 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _memoised(fn):
+    """Keep fn(owner, *args) in the memo of its owner, a stratum or a
+    configuration, keyed by fn's module-qualified name and the positional
+    arguments: memoised functions take required positional parameters only,
+    and a keyword call is a TypeError.  Later calls return the stored value
+    itself, so callers must not mutate it."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(owner, *args):
+        key = (name, *args)
+        memo = owner._memo
+        if key not in memo:
+            memo[key] = fn(owner, *args)
+        return memo[key]
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class SplittingConfig:
-    """A prime p and the cycle lengths of the primes above it.
-
-    `_offsets[c]` (flat coordinate of position 0 on cycle c) and `_valid`
-    (all embeddings) are computed once, outside equality, hashing and repr.
-    """
+    """A prime p and the cycle lengths of the primes above it; data derived
+    from them alone is kept in `_memo`, as on a `Stratum`."""
 
     p: int
     cycle_lengths: tuple[int, ...]
-    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _valid: frozenset = field(init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self) -> None:
         # exactly int: a float or a bool would reach the report as text
@@ -62,9 +78,6 @@ class SplittingConfig:
         if any(f < 1 for f in lengths):
             raise ValueError("cycle lengths must be positive")
         object.__setattr__(self, "cycle_lengths", lengths)
-        object.__setattr__(self, "_offsets",
-                           tuple(sum(lengths[:c]) for c in range(len(lengths))))
-        object.__setattr__(self, "_valid", frozenset(self.embeddings()))
 
     @property
     def degree(self) -> int:
@@ -75,13 +88,19 @@ class SplittingConfig:
         return [EmbeddingId(c, i)
                 for c, f in enumerate(self.cycle_lengths) for i in range(f)]
 
+    @_memoised
+    def _coordinates(self) -> dict[EmbeddingId, int]:
+        return {emb: i for i, emb in enumerate(self.embeddings())}
+
     def flat_index(self, emb: EmbeddingId) -> int:
         """Coordinate of an embedding in the (cycle, pos) lex order."""
-        self._check(emb)
-        return self._offsets[emb.cycle] + emb.pos
+        coordinates = self._coordinates()
+        if emb not in coordinates:
+            self._check(emb)
+        return coordinates[emb]
 
     def _check(self, emb: EmbeddingId) -> None:
-        if emb in self._valid:
+        if emb in self._coordinates():
             return
         if not (0 <= emb.cycle < len(self.cycle_lengths)):
             raise ValueError(f"no cycle {emb.cycle} in this configuration")
@@ -98,32 +117,13 @@ def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
     return EmbeddingId(emb.cycle, (emb.pos + steps) % f)
 
 
-def _memoised(fn):
-    """Keep fn(stratum, *args) in the stratum's memo, keyed by fn's
-    module-qualified name and the positional arguments: memoised functions
-    take required positional parameters only, and a keyword call is a
-    TypeError.  Later calls return the stored value itself, so callers must
-    not mutate it."""
-    name = f"{fn.__module__}.{fn.__qualname__}"
-
-    @functools.wraps(fn)
-    def wrapper(stratum, *args):
-        key = (name, *args)
-        memo = stratum._memo
-        if key not in memo:
-            memo[key] = fn(stratum, *args)
-        return memo[key]
-
-    return wrapper
-
-
 @dataclass(frozen=True)
 class Stratum:
     """A subset T of the embeddings of a fixed configuration.
 
     Data derived from T alone, the sorted complement included, is computed
-    once per stratum and kept in `_memo` (see `_memoised`); the memo takes
-    no part in equality, hashing or the repr.
+    once per stratum and kept in `_memo` (see `_memoised`); at both levels
+    the memo takes no part in equality, hashing or the repr.
     """
 
     config: SplittingConfig

@@ -37,6 +37,7 @@ from .splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    _memoised,
     admissible_set,
     frobenius_shift,
     index_tables,
@@ -325,8 +326,8 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
 
 
 def _check_recipe_weights(t: Stratum) -> CheckResult:
-    """Every pair and distinguished generator has its recipe; the recipes
-    compare their own weights and raise AssertionError on a mismatch."""
+    """Every recipe checks its own weight (AssertionError on a mismatch),
+    and a generator's tag, read off its walk, is zero just off the closure."""
     name = "recipe_weights"
     for c in range(len(t.config.cycle_lengths)):
         for emb, target in pair_family(t, c):
@@ -481,6 +482,21 @@ def _check_delta_kernel(t: Stratum) -> CheckResult:
     return CheckResult(name, PASS)
 
 
+def _every_stratum(config: SplittingConfig) -> list[Stratum]:
+    """All 2^d strata of the configuration, by bit mask on its embeddings."""
+    embeddings = config.embeddings()
+    return [Stratum(config, frozenset(
+        e for i, e in enumerate(embeddings) if mask >> i & 1))
+        for mask in range(1 << config.degree)]
+
+
+@_memoised
+def _cycle_strata(config: SplittingConfig, f: int) -> dict:
+    """Every stratum of the single cycle (p, (f,)), keyed by its positions."""
+    return {s.cycle_members(0): s
+            for s in _every_stratum(SplittingConfig(config.p, (f,)))}
+
+
 def _check_product_structure(t: Stratum) -> CheckResult:
     """Multi-cycle weight cones factor through the per-cycle cones."""
     config = t.config
@@ -489,8 +505,7 @@ def _check_product_structure(t: Stratum) -> CheckResult:
         return CheckResult(name, INFO, {"reason": "single cycle"})
     gens = []
     for c, f in enumerate(config.cycle_lengths):
-        sub = Stratum(SplittingConfig(config.p, (f,)), frozenset(
-            EmbeddingId(0, i) for i in t.cycle_members(c)))
+        sub = _cycle_strata(config, f)[t.cycle_members(c)]
         offset = config.flat_index(EmbeddingId(c, 0))
         before, after = (0,) * offset, (0,) * (config.degree - offset - f)
         gens += [(before + w + after, is_line)
@@ -644,21 +659,16 @@ def _config_tasks(config: SplittingConfig,
     config), sorted by canonical key; a stratum of another configuration
     is refused."""
     if strata is None:
-        embeddings = config.embeddings()
-        strata = [Stratum(config, frozenset(
-            e for i, e in enumerate(embeddings) if mask >> i & 1))
-            for mask in range(1 << config.degree)]
+        strata = _every_stratum(config)
     for s in strata:
         if s.config != config:
             raise ValueError(f"stratum '{s.key()}' is over {s.config}, "
                              f"not over the report's {config}")
-    return [(config.p, config.cycle_lengths, key)
-            for key in sorted(s.key() for s in strata)]
+    return [(config, key) for key in sorted(s.key() for s in strata)]
 
 
-def _record_task(task: tuple[int, tuple[int, ...], str]) -> dict:
-    p, lengths, key = task
-    return stratum_record(stratum_from_text(SplittingConfig(p, lengths), key))
+def _record_task(task: tuple[SplittingConfig, str]) -> dict:
+    return stratum_record(stratum_from_text(*task))
 
 
 def _run_tasks(tasks: Sequence[tuple], jobs: int) -> list[dict]:

@@ -62,6 +62,7 @@ def _as_vec(config: SplittingConfig, pairs) -> Vec:
     return tuple(out)
 
 
+@_memoised
 def weight_basis(config: SplittingConfig, kind: str, emb: EmbeddingId) -> Vec:
     """The basis weight e, the Hasse weight h = -e + p*back-shift, or the
     nowhere-vanishing weight b = e + p*back-shift at one embedding: h and b
@@ -75,6 +76,7 @@ def weight_basis(config: SplittingConfig, kind: str, emb: EmbeddingId) -> Vec:
     return weight_pair(config, kind, emb, frobenius_shift(config, emb, -1))
 
 
+@_memoised
 def weight_pair(config: SplittingConfig, kind: str, emb: EmbeddingId,
                 other: EmbeddingId) -> Vec:
     """The iterated pair weight -e_emb + p^n e_other (kind 'h') or
@@ -95,6 +97,7 @@ def weight_pair(config: SplittingConfig, kind: str, emb: EmbeddingId,
     return _as_vec(config, [(emb, head), (other, config.p ** n)])
 
 
+@_memoised
 def f_weight(stratum: Stratum, emb: EmbeddingId) -> Vec:
     """The distinguished cone generator -e_sub + eps(emb) p^n e_emb attached
     to an embedding outside T, with n = n(emb) and sub = shift^n(emb).
@@ -190,15 +193,11 @@ def cone_D(stratum: Stratum) -> Cone:
 
 def functional_window(config: SplittingConfig,
                       eps: Mapping[EmbeddingId, int], emb: EmbeddingId,
-                      other: EmbeddingId | None = None) -> Vec:
+                      other: EmbeddingId) -> Vec:
     """The sign-window functional sum of eps(shift^i emb) p^i k_{shift^i emb}
-    walking forward from emb to other (default: all the way around, ending
-    one step behind emb)."""
+    walking forward from emb to other."""
     config._check(emb)
-    if other is None:
-        other = frobenius_shift(config, emb, -1)
-    else:
-        config._check(other)
+    config._check(other)
     if emb.cycle != other.cycle:
         raise ValueError("window endpoints must lie on the same cycle")
     n = (other.pos - emb.pos) % config.cycle_lengths[emb.cycle]
@@ -214,10 +213,9 @@ def _facet(stratum: Stratum, eps: Mapping[EmbeddingId, int],
     """The facet functional at emb outside T, read with the signs eps."""
     config = stratum.config
     mu = index_tables(stratum).mu[emb]
-    if emb in tilde_closure(stratum):
-        return functional_window(config, eps, emb,
-                                 frobenius_shift(config, emb, mu - 1))
-    return functional_window(config, eps, frobenius_shift(config, emb, mu))
+    start = 0 if emb in tilde_closure(stratum) else mu
+    return functional_window(config, eps, frobenius_shift(config, emb, start),
+                             frobenius_shift(config, emb, mu - 1))
 
 
 def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
@@ -509,22 +507,19 @@ def f_recipe(stratum: Stratum,
 
     The monomial is the telescoping walk of the n = n(emb) steps from
     sub = shift^n(emb) down to emb.  Outside the tilde closure it ends on
-    +p^n: it is the pair recipe from sub down to emb, tagged zero.  On
-    tilde minus T its last factor is b at the embedding one step ahead,
-    which lies in T, with exponent -p^(n-1), so it ends on -p^n; the tag
-    is the class of the basis weight at sub.
+    +p^n: it is the pair recipe from sub down to emb.  On tilde minus T its
+    last factor is b at the embedding one step ahead, which lies in T, with
+    exponent -p^(n-1), so it ends on -p^n.  The tag is the class of the
+    first slot, -e at each b factor (the line (-e, b) of `gl2_generators`).
     """
     config = stratum.config
     if emb in stratum:
         raise ValueError(f"{emb} lies in the stratum, no distinguished "
                          "generator is attached to it")
     n = index_tables(stratum).n[emb]
-    sub = frobenius_shift(config, emb, n)
-    monomial = _telescope(stratum, sub, n)
-    if emb in tilde_closure(stratum):
-        tag = delta_class(config, weight_basis(config, "e", sub))
-    else:
-        tag = delta_class(config, (0,) * config.degree)
+    monomial = _telescope(stratum, frobenius_shift(config, emb, n), n)
+    tag = delta_class(config, _as_vec(config, [
+        (tau, -exp) for kind, tau, exp in monomial.factors if kind == "b"]))
     if monomial_weight(monomial) != f_weight(stratum, emb):
         raise AssertionError(f"recipe weight mismatch for the distinguished "
                              f"generator at {emb}")

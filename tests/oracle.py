@@ -18,7 +18,8 @@ the sign function.  `hasse_pairs` lists the Hasse-pair family, and
 `recipe_by_exit_parity` and `f_recipe_by_patch` build the section recipes
 by the exit-parity walk and the distinguished generator's recipe as a
 partial pair recipe times a patched b factor, the references for the
-telescoping walk.
+telescoping walk; `f_recipe_tag_by_cases` gives that recipe's discrete tag
+by cases over the closure, the reference for its reading off the walk.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -522,3 +523,17 @@ def f_recipe_by_patch(p, cycle_lengths, members, beta):
                                           ahead)
     factors[("b", ahead)] = factors.get(("b", ahead), 0) - p ** (n[beta] - 1)
     return base, factors
+
+
+def f_recipe_tag_by_cases(p, cycle_lengths, members, beta):
+    """The discrete tag of the distinguished generator's recipe at beta
+    outside T, by cases: zero off the closure; on the closure minus T the
+    class of the basis weight at shift^n(beta), p^pos modulo p^f - 1 on
+    its cycle.  Returns (residues, moduli), one entry per cycle."""
+    tilde, _, n = chain_closure(cycle_lengths, members)
+    moduli = tuple(p ** f - 1 for f in cycle_lengths)
+    residues = [0] * len(cycle_lengths)
+    if beta in tilde:
+        c, i = beta
+        residues[c] = p ** ((i + n[beta]) % cycle_lengths[c]) % moduli[c]
+    return tuple(residues), moduli

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle import admissible_by_cases, chain_closure
-from strata_cones import splitting, weights
+from strata_cones import splitting, verify, weights
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
@@ -66,20 +66,19 @@ def test_embedding_order_and_flat_index():
     assert CFG_D.degree == 2
     assert CFG_D.embeddings() == [EmbeddingId(0, 0), EmbeddingId(1, 0)]
     assert [CFG_C.flat_index(e) for e in CFG_C.embeddings()] == [0, 1, 2, 3]
-    # the stored cycle offsets and embedding set take no part in equality,
-    # hashing or the repr
+    # the memoised coordinate table takes no part in equality, hashing or
+    # the repr
     config = SplittingConfig(3, [2, 1, 3])
     assert [config.flat_index(e) for e in config.embeddings()] == \
         list(range(6))
-    assert config._valid == frozenset(config.embeddings())
+    assert config._memo
     assert config == SplittingConfig(3, (2, 1, 3))
     assert hash(config) == hash(SplittingConfig(3, (2, 1, 3)))
     assert repr(config) == "SplittingConfig(p=3, cycle_lengths=(2, 1, 3))"
-    for name in ("_offsets", "_valid"):
-        other = SplittingConfig(3, (2, 1, 3))
-        object.__setattr__(other, name, ())
-        assert other == config and hash(other) == hash(config)
-        assert repr(other) == repr(config)
+    other = SplittingConfig(3, (2, 1, 3))
+    object.__setattr__(other, "_memo", {"poked": ()})
+    assert other == config and hash(other) == hash(config)
+    assert repr(other) == repr(config)
     # every validating call site keeps its messages
     calls = [CFG_D.flat_index, lambda e: frobenius_shift(CFG_D, e),
              lambda e: stratum(CFG_D, e)]
@@ -370,11 +369,12 @@ def test_memo_keys_are_the_positional_arguments():
 
 
 def memoised_functions() -> dict:
-    """The functions behind every memo wrapper bound in `splitting` and
-    `weights`, methods included, found by the wrapper's code object."""
+    """The functions behind every memo wrapper bound in `splitting`,
+    `weights` and `verify`, methods included, found by the wrapper's code
+    object."""
     wrapper = index_tables.__code__
     found = {}
-    for module in (splitting, weights):
+    for module in (splitting, weights, verify):
         owners = [module] + [v for v in vars(module).values()
                              if isinstance(v, type)]
         for owner in owners:
@@ -386,7 +386,9 @@ def memoised_functions() -> dict:
 
 def test_memoised_functions_take_required_positional_arguments_only():
     found = memoised_functions()
-    assert {"index_tables", "cone_D", "minimal_cone"} <= set(found)
+    assert {"index_tables", "cone_D", "minimal_cone", "f_weight",
+            "SplittingConfig._coordinates", "weight_basis", "weight_pair",
+            "_cycle_strata"} <= set(found)
     positional = (inspect.Parameter.POSITIONAL_ONLY,
                   inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for name, fn in found.items():
@@ -418,3 +420,11 @@ def test_memo_is_invisible_to_equality_and_hashing(t):
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
     assert {filled: "found"}[empty] == "found"
+    # and so does the configuration's
+    config = SplittingConfig(t.config.p, t.config.cycle_lengths)
+    config.flat_index(EmbeddingId(0, 0))
+    bare = SplittingConfig(t.config.p, t.config.cycle_lengths)
+    assert config._memo and not bare._memo
+    assert config == bare and hash(config) == hash(bare)
+    assert repr(config) == repr(bare)
+    assert {config: "found"}[bare] == "found"

@@ -11,6 +11,7 @@ from oracle import (
     distinguished_by_pairs,
     divisor_functional_by_cases,
     f_recipe_by_patch,
+    f_recipe_tag_by_cases,
     hasse_pairs,
     recipe_by_exit_parity,
     rref,
@@ -37,7 +38,12 @@ from strata_cones.splitting import (
     sign_epsilon,
     tilde_closure,
 )
-from strata_cones.verify import _hasse_coordinates, partitions, stratum_record
+from strata_cones.verify import (
+    _cycle_strata,
+    _hasse_coordinates,
+    partitions,
+    stratum_record,
+)
 from strata_cones.weights import (
     BiWeight,
     FormalMonomial,
@@ -790,9 +796,10 @@ def _plain(monomial):
 
 
 def assert_recipes_match_the_parity_walk(t) -> int:
-    """`pair_family` lists the oracle's Hasse pairs, and every section
-    recipe and every distinguished generator's recipe has the oracle's base
-    stratum and factors; returns the number of recipes compared."""
+    """`pair_family` lists the oracle's Hasse pairs, every section recipe
+    and every distinguished generator's recipe has the oracle's base
+    stratum and factors, and the tag read off the walk is the oracle's
+    case split; returns the number of recipes compared."""
     args = (t.config.p, t.config.cycle_lengths, t.members)
     pairs = [pair for c in range(len(t.config.cycle_lengths))
              for pair in pair_family(t, c)]
@@ -801,8 +808,10 @@ def assert_recipes_match_the_parity_walk(t) -> int:
         assert _plain(section_recipe(t, emb, target)) == \
             recipe_by_exit_parity(*args, emb, target), (t, emb, target)
     for beta in sorted(t.complement()):
-        assert _plain(f_recipe(t, beta)[0]) == \
-            f_recipe_by_patch(*args, beta), (t, beta)
+        monomial, tag = f_recipe(t, beta)
+        assert _plain(monomial) == f_recipe_by_patch(*args, beta), (t, beta)
+        assert (tag.residues, tag.moduli) == \
+            f_recipe_tag_by_cases(*args, beta), (t, beta)
     return len(pairs) + len(t.complement())
 
 
@@ -840,6 +849,10 @@ def _every_admissible(t):
     return [(beta,) for beta in sorted(admissible_set(t))]
 
 
+def _every_outside(t):
+    return [(beta,) for beta in t.complement()]
+
+
 # each builder with the argument tuples to call it with on a stratum
 MEMOISED_CALLS = (
     (Stratum.complement, _no_args),
@@ -852,6 +865,7 @@ MEMOISED_CALLS = (
     (reduction_matrix, _no_args),
     (reduced_cone, _no_args),
     (cone_D, _no_args),
+    (f_weight, _every_outside),
     (pair_family, _every_cycle),
     (_divisor_forms, _every_admissible),
     (minimal_forms, _every_variant),
@@ -867,6 +881,44 @@ def test_memoised_values_survive_a_full_record(t):
     for builder, calls in MEMOISED_CALLS:
         for args in calls(t):
             assert builder(t, *args) == builder(fresh, *args), \
+                (builder.__name__, args)
+
+
+def _every_basis_weight(config):
+    return [(kind, emb) for kind in ("e", "h", "b")
+            for emb in config.embeddings()]
+
+
+def _every_pair_weight(config):
+    return [(kind, emb, other) for kind in ("h", "b")
+            for emb in config.embeddings() for other in config.embeddings()
+            if emb.cycle == other.cycle]
+
+
+def _every_cycle_length(config):
+    return [(f,) for f in sorted(set(config.cycle_lengths))]
+
+
+# the same for the builders memoised on a configuration
+CONFIG_MEMOISED_CALLS = (
+    (SplittingConfig._coordinates, _no_args),
+    (weight_basis, _every_basis_weight),
+    (weight_pair, _every_pair_weight),
+    (_cycle_strata, _every_cycle_length),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_strata(max_degree=4))
+def test_configuration_memo_values_survive_a_full_record(t):
+    stratum_record(t)
+    config = t.config
+    names = {key[0].rsplit(".", 1)[-1] for key in config._memo}
+    assert {"_coordinates", "weight_basis", "weight_pair"} <= names
+    fresh = SplittingConfig(config.p, config.cycle_lengths)
+    for builder, calls in CONFIG_MEMOISED_CALLS:
+        for args in calls(config):
+            assert builder(config, *args) == builder(fresh, *args), \
                 (builder.__name__, args)
 
 
@@ -893,5 +945,20 @@ def test_the_memo_dies_with_its_stratum():
     try:
         del t
         assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_configuration_and_its_memo_die_together():
+    config = SplittingConfig(3, (2, 1))
+    stratum_record(stratum(config, (0, 1)))
+    # the sub-strata of the product check live only in the memo
+    gone = [weakref.ref(config)] + [weakref.ref(s) for f in (2, 1)
+                                    for s in _cycle_strata(config, f).values()]
+    assert len(gone) == 1 + 4 + 2
+    gc.disable()
+    try:
+        del config
+        assert [ref() for ref in gone] == [None] * len(gone)
     finally:
         gc.enable()
