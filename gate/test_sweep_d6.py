@@ -10,11 +10,18 @@ witness of each such stratum is re-checked with plain integer arithmetic
 against the cone records of the report.  Criterion 3's classifier and
 witness checks (`tests/test_acceptance.py`) run on every row: the exact
 admissibility dichotomy holds at degree 6 too, and its degenerate strata
-are exactly the failures.
+are exactly the failures.  The same sweep also runs once through the
+command line with two workers and `-o`, whose file must carry the pinned
+sha256 within a bound on the peak RSS.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +43,11 @@ GATE_SUMMARY = {"strata": 3126, "checks": 43764, "pass": 36063, "fail": 882,
 DICHOTOMY_COUNTS = {"closed": 1383, "strict": 861, "degenerate": 882}
 UNEQUAL = [{"p": p, "cycles": ["6"], "t": f"0.{i}"}
            for p in ("2", "3", "5") for i in range(6)]
+# bound on the peak RSS of the command line's d <= 6 sweep with two workers,
+# written with -o: 85 MB measured with Python 3.11 on a 2-core machine,
+# where holding every record as a dict until the sweep ended took 219 MB
+CLI_PEAK_RSS_MB = 160
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
@@ -108,3 +120,29 @@ def test_dichotomy_classes_are_pinned(sweep):
                for record in report.strata for check in record["checks"]
                if check["status"] == "fail"}
     assert degenerate == failing
+
+
+def test_command_line_sweep_bytes_and_memory(tmp_path):
+    # the memory of the command and its workers as `wait4` reports it, the
+    # RUSAGE_CHILDREN figure of a parent with this one child
+    target = tmp_path / "report.json"
+    argv = [sys.executable, "-m", "strata_cones.cli", "explore", "--p-list",
+            ",".join(map(str, GATE_PRIMES)), "--d-max", str(GATE_DEGREE),
+            "--json", "-o", str(target), "--jobs", "2"]
+    start = time.monotonic()
+    proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    watchdog = threading.Timer(GATE_BUDGET_SECONDS, proc.kill)
+    watchdog.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    finally:
+        watchdog.cancel()
+    elapsed = time.monotonic() - start
+    # exit code 2: the report holds the failures of criterion 3
+    assert proc.returncode == 2
+    assert elapsed < GATE_BUDGET_SECONDS, f"{elapsed:.1f}s"
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == GATE_REPORT_SHA256
+    peak_mb = usage.ru_maxrss / 1024
+    assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"

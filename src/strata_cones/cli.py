@@ -135,7 +135,7 @@ def _emit(args, work) -> int:
     with handle:
         text, code = work()
         try:
-            handle.write(text + "\n")
+            print(text, file=handle)  # no second copy of the text
             handle.close()  # a full disk shows when the buffer is flushed
         except OSError as exc:
             raise _cannot_write(args.output, exc) from None

@@ -99,22 +99,23 @@ class SplittingConfig:
             self._check(emb)
         return coordinates[emb]
 
-    def _check(self, emb: EmbeddingId) -> None:
-        if emb in self._coordinates():
-            return
-        if not (0 <= emb.cycle < len(self.cycle_lengths)):
-            raise ValueError(f"no cycle {emb.cycle} in this configuration")
-        raise ValueError(
-            f"position {emb.pos} out of range for cycle {emb.cycle} "
-            f"of length {self.cycle_lengths[emb.cycle]}")
+    def _check(self, emb: EmbeddingId) -> int:
+        """The length of emb's cycle; ValueError unless emb is an embedding."""
+        cycle, pos = emb
+        if not 0 <= cycle < len(self.cycle_lengths):
+            raise ValueError(f"no cycle {cycle} in this configuration")
+        f = self.cycle_lengths[cycle]
+        if not 0 <= pos < f or pos % 1:  # 1.5 is no position, 1.0 is 1
+            raise ValueError(f"position {pos} out of range for cycle {cycle} "
+                             f"of length {f}")
+        return f
 
 
 def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
                     steps: int = 1) -> EmbeddingId:
     """Apply the Frobenius shift `steps` times (negative steps go backward)."""
-    config._check(emb)
-    f = config.cycle_lengths[emb.cycle]
-    return EmbeddingId(emb.cycle, (emb.pos + steps) % f)
+    f = config._check(emb)
+    return EmbeddingId(emb[0], (emb[1] + steps) % f)
 
 
 @dataclass(frozen=True)

@@ -87,25 +87,36 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Report:
-    """Aggregated sweep results, ready for JSON serialization."""
+    """Aggregated sweep results, each stratum record as its JSON fragment."""
 
     schema: int
     config: dict
-    strata: tuple[dict, ...]
+    fragments: tuple[str, ...]
     open_question: dict
     summary: dict
+
+    @property
+    def strata(self) -> list[dict]:
+        return [json.loads(fragment) for fragment in self.fragments]
 
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
             "config": self.config,
-            "strata": list(self.strata),
+            "strata": self.strata,
             "open_question": self.open_question,
             "summary": self.summary,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """json.dumps(self.to_dict(), indent=2) without decoding a fragment."""
+        head = json.dumps({"schema": self.schema, "config": self.config},
+                          indent=2)
+        tail = json.dumps({"open_question": self.open_question,
+                           "summary": self.summary}, indent=2)
+        strata = ("[\n" + ",\n".join(self.fragments) + "\n  ]"
+                  if self.fragments else "[]")
+        return f'{head[:-2]},\n  "strata": {strata},{tail[1:]}'
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +337,8 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
 
 
 def _check_recipe_weights(t: Stratum) -> CheckResult:
-    """Every recipe checks its own weight (AssertionError on a mismatch),
-    and a generator's tag, read off its walk, is zero just off the closure."""
+    """Every recipe checks its own weight (AssertionError on a mismatch), and
+    a generator's tag is the class of the first slot of its bi-weight ray."""
     name = "recipe_weights"
     for c in range(len(t.config.cycle_lengths)):
         for emb, target in pair_family(t, c):
@@ -337,16 +348,18 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
                 return CheckResult(name, FAIL, {
                     "pair": [_emb_key(emb), _emb_key(target)],
                     "error": str(exc)})
-    for beta in t.complement():
+    slots = [bw.lam for bw, is_line in gl2_generators(t) if not is_line]
+    for beta, lam in zip(t.complement(), slots):
         try:
             _, tag = f_recipe(t, beta)
         except AssertionError as exc:
             return CheckResult(name, FAIL, {
                 "generator_at": _emb_key(beta), "error": str(exc)})
-        if tag.is_zero() != (beta not in tilde_closure(t)):
+        if tag != delta_class(t.config, lam):
             return CheckResult(name, FAIL, {
                 "generator_at": _emb_key(beta),
-                "tag_residues": _vec(tag.residues)})
+                "tag_residues": _vec(tag.residues),
+                "first_slot": _vec(lam)})
     return CheckResult(name, PASS)
 
 
@@ -604,20 +617,19 @@ def stratum_record(stratum: Stratum) -> dict:
     return record
 
 
-def _report(config: dict, tasks: Sequence[tuple], jobs: int) -> Report:
+def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     """Run the record tasks and aggregate their results under `config`."""
-    records = _run_tasks(tasks, jobs)
     counts = {PASS: 0, FAIL: 0, INFO: 0}
     unequal = []
-    for record in records:
-        for check in record["checks"]:
-            counts[check["status"]] += 1
-            if check["name"] == "minimal_equality" and \
-                    not check["witness"]["equal"]:
-                unequal.append({"p": record["p"], "cycles": record["cycles"],
-                                "t": record["t"]})
+    fragments = []
+    for statuses, instance, fragment in _run_tasks(tasks, jobs):
+        for status in statuses:
+            counts[status] += 1
+        if instance is not None:
+            unequal.append(instance)
+        fragments.append(fragment)
     summary = {
-        "strata": len(records),
+        "strata": len(fragments),
         "checks": sum(counts.values()),
         "pass": counts[PASS],
         "fail": counts[FAIL],
@@ -629,7 +641,7 @@ def _report(config: dict, tasks: Sequence[tuple], jobs: int) -> Report:
         "instances": unequal,
     }
     return Report(schema=SCHEMA_VERSION, config=config,
-                  strata=tuple(records), open_question=open_question,
+                  fragments=tuple(fragments), open_question=open_question,
                   summary=summary)
 
 
@@ -667,13 +679,23 @@ def _config_tasks(config: SplittingConfig,
     return [(config, key) for key in sorted(s.key() for s in strata)]
 
 
-def _record_task(task: tuple[SplittingConfig, str]) -> dict:
-    return stratum_record(stratum_from_text(*task))
+def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
+    """One stratum as the report keeps it: its check statuses, its unequal
+    minimal-cone instance or None, and its record's JSON fragment, indented
+    as in the `strata` list (JSON strings hold no raw newline)."""
+    record = stratum_record(stratum_from_text(*task))
+    differ = any(c["name"] == "minimal_equality" and not c["witness"]["equal"]
+                 for c in record["checks"])
+    instance = {k: record[k] for k in ("p", "cycles", "t")} if differ else None
+    fragment = "    " + json.dumps(record, indent=2).replace("\n", "\n    ")
+    return tuple(c["status"] for c in record["checks"]), instance, fragment
 
 
-def _run_tasks(tasks: Sequence[tuple], jobs: int) -> list[dict]:
-    # the pool starts every worker up front, so never more than one per task
-    jobs = min(jobs, len(tasks))
+def _run_tasks(tasks: Iterable[tuple], jobs: int) -> list[tuple]:
+    if jobs > 1:
+        # the pool starts all workers up front: never more than one per task
+        tasks = list(tasks)
+        jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [_record_task(task) for task in tasks]
     try:
@@ -692,10 +714,11 @@ def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:
     if d_max < 1:
         raise ValueError("the degree bound must be at least 1")
     primes = sorted(set(p_list))
-    tasks = []
     for p in primes:
-        for d in range(1, d_max + 1):
-            for lengths in sorted(partitions(d)):
-                tasks.extend(_config_tasks(SplittingConfig(p, lengths)))
+        SplittingConfig(p, (1,))  # refuse a bad prime before any work
+    # lazy: one process releases each configuration after its last stratum
+    tasks = (task for p in primes for d in range(1, d_max + 1)
+             for lengths in sorted(partitions(d))
+             for task in _config_tasks(SplittingConfig(p, lengths)))
     return _report({"p_list": _vec(primes), "d_max": _num(d_max)}, tasks,
                    jobs)

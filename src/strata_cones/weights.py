@@ -571,6 +571,7 @@ class BiWeight:
     kappa: Vec
 
 
+@_memoised
 def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
     """Generators of the bi-weight cone of the stratum: Hasse lines in the
     first slot, the paired (-e, b) lines on T, and one ray per embedding

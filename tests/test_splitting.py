@@ -102,6 +102,25 @@ def test_frobenius_shift_wraps():
     assert frobenius_shift(CFG_D, EmbeddingId(1, 0), 5) == EmbeddingId(1, 0)
 
 
+def test_frobenius_shift_validates_by_arithmetic_alone():
+    # a fresh configuration: the shift and its refusals leave the memo, and
+    # with it the coordinate table, unbuilt
+    config = SplittingConfig(5, (3, 2))
+    assert frobenius_shift(config, EmbeddingId(1, 1), 3) == EmbeddingId(1, 0)
+    for emb, msg in [
+            (EmbeddingId(2, 0), "no cycle 2 in this configuration"),
+            (EmbeddingId(-1, 1), "no cycle -1 in this configuration"),
+            (EmbeddingId(0, 3),
+             "position 3 out of range for cycle 0 of length 3"),
+            (EmbeddingId(1, -1),
+             "position -1 out of range for cycle 1 of length 2"),
+            (EmbeddingId(0, 1.5),
+             "position 1.5 out of range for cycle 0 of length 3")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            frobenius_shift(config, emb, 1)
+    assert config._memo == {}
+
+
 def test_stratum_text_round_trip():
     t = stratum(CFG_B, (0, 1))
     assert stratum_from_text(CFG_B, "0.1").members == t.members

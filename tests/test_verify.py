@@ -1,10 +1,13 @@
 """Checks over whole configurations: determinism, witness integrity, and
 the sweep driver."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
+from oracle import f_recipe_tag_by_cases
 
 from strata_cones import verify, weights
 from strata_cones.cone_kernel import (
@@ -282,6 +285,33 @@ def _flip_every_tag(real):
     return recipe
 
 
+def _flip_the_sign_of_lambda(real):
+    # the tag as the class of +sum exp*e_tau over the b factors, where the
+    # first slot of the monomial's bi-weight is -sum exp*e_tau
+    def recipe(t, beta):
+        monomial, _ = real(t, beta)
+        lam = [0] * t.config.degree
+        for kind, tau, exp in monomial.factors:
+            if kind == "b":
+                lam[t.config.flat_index(tau)] += exp
+        return monomial, weights.delta_class(t.config, lam)
+    return recipe
+
+
+def _tag_is_not_the_class_of_the_first_slot(t, w):
+    # the first slot's class by hand, sum_j lam_j p^j modulo p^f - 1 on each
+    # cycle, is the oracle's tag, and the reported tag differs from it
+    p, lengths = t.config.p, t.config.cycle_lengths
+    lam, offset, residues = _ints(w["first_slot"]), 0, []
+    for f in lengths:
+        residues.append(sum(lam[offset + j] * p ** j for j in range(f))
+                        % (p ** f - 1))
+        offset += f
+    expected, _ = f_recipe_tag_by_cases(p, lengths, t.members,
+                                        _emb(w["generator_at"]))
+    return residues == list(expected) != _ints(w["tag_residues"])
+
+
 def _negate_the_first_ray(real):
     def gens(t):
         out = list(real(t))
@@ -418,9 +448,16 @@ PLANTED_FAULTS = {
     "recipe-tag": (
         "_check_recipe_weights", "f_recipe", _flip_every_tag,
         AT_B,
-        ["generator_at", "tag_residues"],
+        ["generator_at", "tag_residues", "first_slot"],
         lambda t, w: (not any(_ints(w["tag_residues"])))
-        == (_emb(w["generator_at"]) in tilde_closure(t))),
+        == (_emb(w["generator_at"]) in tilde_closure(t))
+        and _tag_is_not_the_class_of_the_first_slot(t, w)),
+    "recipe-tag-sign": (
+        "_check_recipe_weights", "f_recipe", _flip_the_sign_of_lambda,
+        AT_B,
+        ["generator_at", "tag_residues", "first_slot"],
+        lambda t, w: any(_ints(w["tag_residues"]))
+        and _tag_is_not_the_class_of_the_first_slot(t, w)),
     "divisor_functionals": (
         "_check_divisor_functionals", "functional_Lf",
         lambda real: lambda t, beta, tau: tuple(
@@ -553,6 +590,69 @@ def test_check_report_refuses_a_stratum_of_another_configuration(
         check_report(config, [stratum_from_text(other, "0.1")])
     assert str(caught.value) == (f"stratum '0.1' is over {other}, not over "
                                  f"the report's {config}")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: check_report(CFG_A, []),
+    lambda: check_report(CFG_B, [stratum_from_text(CFG_B, "0.1")]),
+    lambda: check_report(CFG_A),
+    lambda: explore([2, 3], 3, jobs=1),
+    lambda: explore([2, 3], 3, jobs=2),
+], ids=["empty", "one-stratum", "fail-witness", "explore-jobs1",
+        "explore-jobs2"])
+def test_report_json_is_the_one_call_encoding_of_its_records(build):
+    report = build()
+    assert isinstance(report.fragments, tuple)
+    assert all(type(fragment) is str for fragment in report.fragments)
+    # the encoding of the whole tree in one call is the reference
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+def test_empty_and_failing_reports_have_the_expected_records():
+    assert json.loads(check_report(CFG_A, []).to_json())["strata"] == []
+    report = check_report(CFG_A)
+    witnesses = [check["witness"] for record in report.strata
+                 for check in record["checks"] if check["status"] == "fail"]
+    assert witnesses and all(witnesses)
+
+
+def test_record_task_calls_stratum_record_through_the_module(monkeypatch):
+    # the benchmark times each stratum by rebinding `verify.stratum_record`
+    seen = []
+    real = verify.stratum_record
+
+    def spy(stratum):
+        seen.append(stratum.key())
+        return real(stratum)
+
+    monkeypatch.setattr(verify, "stratum_record", spy)
+    check_report(CFG_A)
+    assert seen == ["", "0.0", "0.0,0.1", "0.1"]
+
+
+def test_explore_releases_each_configuration_after_its_last_stratum(
+        monkeypatch):
+    configs = []  # a weak reference to each configuration met so far
+    real = verify.stratum_record
+
+    def spy(stratum):
+        if not configs or configs[-1]() is not stratum.config:
+            gc.collect()
+            assert [ref() for ref in configs] == [None] * len(configs)
+            configs.append(weakref.ref(stratum.config))
+        return real(stratum)
+
+    monkeypatch.setattr(verify, "stratum_record", spy)
+    explore([2], 3)
+    assert len(configs) == 6
+
+
+def test_explore_refuses_a_composite_prime_before_any_work(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused prime reached the work")
+    monkeypatch.setattr(verify, "stratum_record", unreachable)
+    with pytest.raises(ValueError, match="p must be prime"):
+        explore([2, 4], 2)
 
 
 def test_check_report_is_deterministic_across_jobs():

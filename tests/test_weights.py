@@ -870,6 +870,7 @@ MEMOISED_CALLS = (
     (_divisor_forms, _every_admissible),
     (minimal_forms, _every_variant),
     (minimal_cone, _every_variant),
+    (gl2_generators, _no_args),
 )
 
 
