@@ -10,13 +10,16 @@ witness of each such stratum is re-checked with plain integer arithmetic
 against the cone records of the report.  Criterion 3's classifier and
 witness checks (`tests/test_acceptance.py`) run on every row: the exact
 admissibility dichotomy holds at degree 6 too, and its degenerate strata
-are exactly the failures.  The same sweep also runs once through the
-command line with two workers and `-o`, whose file must carry the pinned
-sha256 within a bound on the peak RSS.
+are exactly the failures.  The same sweep also runs through the command
+line with `-o`, once in one process and once with two workers, whose file
+must carry the pinned sha256 within a bound on the peak RSS.  The
+Frobenius-rotation equivariance of `tests/test_symmetry.py` is compared on
+every stratum of p in {2, 3, 5} and degree up to 6.
 """
 
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -27,6 +30,7 @@ import pytest
 
 from strata_cones.verify import explore
 from test_acceptance import dichotomy_message, dichotomy_rows
+from test_symmetry import equivariance_counts
 
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
@@ -43,10 +47,18 @@ GATE_SUMMARY = {"strata": 3126, "checks": 43764, "pass": 36063, "fail": 882,
 DICHOTOMY_COUNTS = {"closed": 1383, "strict": 861, "degenerate": 882}
 UNEQUAL = [{"p": p, "cycles": ["6"], "t": f"0.{i}"}
            for p in ("2", "3", "5") for i in range(6)]
-# bound on the peak RSS of the command line's d <= 6 sweep with two workers,
-# written with -o: 85 MB measured with Python 3.11 on a 2-core machine,
-# where holding every record as a dict until the sweep ended took 219 MB
-CLI_PEAK_RSS_MB = 160
+# bound on the peak RSS of the command line's d <= 6 sweep written with -o,
+# workers included: the report is written as its records arrive, so 19.5 MB
+# with one process and 24-25 MB with two workers were measured with Python
+# 3.11 on a 2-core machine, where holding the whole report took 84 MB
+CLI_PEAK_RSS_MB = 50
+# a child's peak RSS starts from that of the process it was forked from, and
+# this interpreter holds the gate's sweeps, so the command runs under a small
+# launcher that prints the command's exit code and `wait4` peak RSS in kB
+LAUNCHER = ("import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:])\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -122,27 +134,39 @@ def test_dichotomy_classes_are_pinned(sweep):
     assert degenerate == failing
 
 
-def test_command_line_sweep_bytes_and_memory(tmp_path):
+@pytest.mark.parametrize("jobs", GATE_JOBS, ids=lambda j: f"jobs{j}")
+def test_command_line_sweep_bytes_and_memory(jobs, tmp_path):
     # the memory of the command and its workers as `wait4` reports it, the
     # RUSAGE_CHILDREN figure of a parent with this one child
     target = tmp_path / "report.json"
     argv = [sys.executable, "-m", "strata_cones.cli", "explore", "--p-list",
             ",".join(map(str, GATE_PRIMES)), "--d-max", str(GATE_DEGREE),
-            "--json", "-o", str(target), "--jobs", "2"]
+            "--json", "-o", str(target), "--jobs", str(jobs)]
     start = time.monotonic()
-    proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(SRC)))
-    watchdog = threading.Timer(GATE_BUDGET_SECONDS, proc.kill)
+    # a session of its own, so that the watchdog stops the command as well
+    launcher = subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
+        text=True, start_new_session=True)
+    watchdog = threading.Timer(GATE_BUDGET_SECONDS, os.killpg,
+                               (launcher.pid, signal.SIGKILL))
     watchdog.start()
     try:
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        out = launcher.communicate()[0]
     finally:
         watchdog.cancel()
     elapsed = time.monotonic() - start
-    # exit code 2: the report holds the failures of criterion 3
-    assert proc.returncode == 2
     assert elapsed < GATE_BUDGET_SECONDS, f"{elapsed:.1f}s"
+    returncode, peak_kb = map(int, out.split())
+    # exit code 2: the report holds the failures of criterion 3
+    assert returncode == 2
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == GATE_REPORT_SHA256
-    peak_mb = usage.ru_maxrss / 1024
+    peak_mb = peak_kb / 1024
     assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
+
+
+def test_every_construction_moves_with_the_frobenius_rotation():
+    # 3126 strata of p in {2, 3, 5} and degree at most 6, 13542 (stratum,
+    # move) pairs, 888 orbits
+    assert equivariance_counts(GATE_PRIMES, GATE_DEGREE) == (13542, 888)

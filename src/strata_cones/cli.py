@@ -23,9 +23,12 @@ from .splitting import SplittingConfig, Stratum, _is_prime, stratum_from_text
 from .verify import (
     SCHEMA_VERSION,
     _certificate,
+    _check_sweep,
     _emb_key,
+    _explore_sweep,
     _vec,
     _vecs,
+    _write_report,
     check_report,
     explore,
     stratum_dossier,
@@ -121,38 +124,54 @@ def _cannot_write(path: str, exc: OSError) -> _UsageError:
 
 
 def _emit(args, work) -> int:
-    """Open -o, then run `work`, the command with its inputs validated, and
-    write the text it returns into the open file (print it without -o);
-    return the exit code it returns beside the text."""
+    """Open -o, then run `work`, the command with its inputs validated,
+    with the `write` that puts its text into the open file (onto stdout
+    without -o); return the exit code `work` returns."""
     if not args.output:
-        text, code = work()
-        print(text)
-        return code
+        # looked up at each write: the caller may have redirected stdout
+        return work(lambda text: sys.stdout.write(text))
     try:
         handle = open(args.output, "w")
     except OSError as exc:
         raise _cannot_write(args.output, exc) from None
     with handle:
-        text, code = work()
-        try:
-            print(text, file=handle)  # no second copy of the text
+        try:  # every OSError here is the file's: a pool's is a RuntimeError
+            code = work(handle.write)
             handle.close()  # a full disk shows when the buffer is flushed
         except OSError as exc:
             raise _cannot_write(args.output, exc) from None
     return code
 
 
-def _reply(args, doc: dict, lines) -> tuple[str, int]:
-    """One reply document: as JSON under --json, else as the text lines
-    that `lines(doc)` reads off it."""
+def _say(write, text: str, code: int = EXIT_OK) -> int:
+    write(text)
+    write("\n")  # no second copy of the text
+    return code
+
+
+def _reply(write, args, doc: dict, lines) -> int:
+    """Write one reply document: as JSON under --json, else as the text
+    lines that `lines(doc)` reads off it."""
     if args.json:
-        return json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2), EXIT_OK
-    return "\n".join(lines(doc)), EXIT_OK
+        return _say(write,
+                    json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2))
+    return _say(write, "\n".join(lines(doc)))
 
 
-def _report_reply(args, report, lines) -> tuple[str, int]:
-    return (report.to_json() if args.json else "\n".join(lines(report)),
-            EXIT_CHECK_FAILED if report.summary["fail"] else EXIT_OK)
+def _exit_code(summary: dict) -> int:
+    return EXIT_CHECK_FAILED if summary["fail"] else EXIT_OK
+
+
+def _stream_report(write, sweep: tuple, jobs: int) -> int:
+    """Write the JSON report of `sweep`, a header and its record tasks,
+    while the records are computed."""
+    summary = _write_report(write, *sweep, jobs)
+    write("\n")
+    return _exit_code(summary)
+
+
+def _text_report(write, report, lines) -> int:
+    return _say(write, "\n".join(lines(report)), _exit_code(report.summary))
 
 
 def _fmt_vec(vec) -> str:
@@ -161,12 +180,13 @@ def _fmt_vec(vec) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands: each validates its inputs and returns its work, which builds
-# the reply once; the text lines read it
+# the reply once and writes it; the text lines read it
 
 
 def _cmd_describe(args):
     stratum = _stratum_from(args, _config_from(args))
-    return lambda: _reply(args, stratum_dossier(stratum), _describe_lines)
+    return lambda write: _reply(write, args, stratum_dossier(stratum),
+                                _describe_lines)
 
 
 def _describe_lines(dossier: dict) -> list[str]:
@@ -212,8 +232,11 @@ def _cmd_check(args):
     config = _config_from(args)
     strata = None if args.t is None else [_stratum_from(args, config)]
     jobs = _jobs_from(args)
-    return lambda: _report_reply(args, check_report(config, strata, jobs=jobs),
-                                 _check_lines)
+    if args.json:
+        return lambda write: _stream_report(
+            write, _check_sweep(config, strata), jobs)
+    return lambda write: _text_report(
+        write, check_report(config, strata, jobs=jobs), _check_lines)
 
 
 def _check_lines(report) -> list[str]:
@@ -238,8 +261,11 @@ def _cmd_explore(args):
         raise _UsageError("--d-max must be at least 1")
     _at_most("--d-max", args.d_max, DEGREE_MAX)
     jobs = _jobs_from(args)
-    return lambda: _report_reply(args, explore(p_list, args.d_max, jobs=jobs),
-                                 _explore_lines)
+    if args.json:
+        return lambda write: _stream_report(
+            write, _explore_sweep(p_list, args.d_max), jobs)
+    return lambda write: _text_report(
+        write, explore(p_list, args.d_max, jobs=jobs), _explore_lines)
 
 
 def _explore_lines(report) -> list[str]:
@@ -261,10 +287,10 @@ def _cmd_member(args):
     stratum = _stratum_from(args, config)
     weight = _weight_from(args.weight, config, "--weight",
                           "--weight is required for member")
-    return lambda: _member_reply(args, stratum, weight)
+    return lambda write: _member_reply(write, args, stratum, weight)
 
 
-def _member_reply(args, stratum: Stratum, weight: tuple) -> tuple[str, int]:
+def _member_reply(write, args, stratum: Stratum, weight: tuple) -> int:
     cone = cone_D(stratum)
     cert = cone_member(cone, weight)
     doc = {"t": stratum.key(), "weight": _vec(weight), "inside": cert.inside}
@@ -273,7 +299,7 @@ def _member_reply(args, stratum: Stratum, weight: tuple) -> tuple[str, int]:
                                      "lines": _vecs(cone.gen.lines)}
     else:
         doc["violated_form"] = _vec(cert.violated_form)
-    return _reply(args, doc, _member_lines)
+    return _reply(write, args, doc, _member_lines)
 
 
 def _member_lines(doc: dict) -> list[str]:
@@ -294,12 +320,12 @@ def _cmd_minimal(args):
     stratum = _stratum_from(args, config)
     weight = _weight_from(args.weight, config, "--weight",
                           "--weight is required for minimal")
-    return lambda: _minimal_reply(args, stratum, weight)
+    return lambda write: _minimal_reply(write, args, stratum, weight)
 
 
-def _minimal_reply(args, stratum: Stratum, weight: tuple) -> tuple[str, int]:
+def _minimal_reply(write, args, stratum: Stratum, weight: tuple) -> int:
     reduced = reduce_iT(stratum, weight)
-    return _reply(args, {
+    return _reply(write, args, {
         "t": stratum.key(),
         "weight": _vec(weight),
         "reduced": _vec(reduced),
@@ -325,7 +351,7 @@ def _cmd_gl2(args):
     if args.biweight is None:
         weight = _weight_from(args.weight, config, "--weight",
                               "gl2 needs --weight or --t with --biweight")
-        return lambda: _delta_reply(args, config, weight)
+        return lambda write: _delta_reply(write, args, config, weight)
     stratum = _stratum_from(args, config)
     parts = args.biweight.split(";")
     if len(parts) != 2:
@@ -334,27 +360,26 @@ def _cmd_gl2(args):
             "integer lists")
     lam = _weight_from(parts[0], config, "--biweight first component")
     kappa = _weight_from(parts[1], config, "--biweight second component")
-    return lambda: _biweight_reply(args, stratum, lam, kappa)
+    return lambda write: _biweight_reply(write, args, stratum, lam, kappa)
 
 
-def _delta_reply(args, config: SplittingConfig,
-                 weight: tuple) -> tuple[str, int]:
+def _delta_reply(write, args, config: SplittingConfig, weight: tuple) -> int:
     cls = delta_class(config, weight)
-    return _reply(args, {"weight": _vec(weight),
-                         "residues": _vec(cls.residues),
-                         "moduli": _vec(cls.moduli),
-                         "zero": cls.is_zero()}, _delta_lines)
+    return _reply(write, args, {"weight": _vec(weight),
+                                "residues": _vec(cls.residues),
+                                "moduli": _vec(cls.moduli),
+                                "zero": cls.is_zero()}, _delta_lines)
 
 
-def _biweight_reply(args, stratum: Stratum, lam: tuple,
-                    kappa: tuple) -> tuple[str, int]:
+def _biweight_reply(write, args, stratum: Stratum, lam: tuple,
+                    kappa: tuple) -> int:
     config = stratum.config
     violated = _violated_form(explicit_constraints(stratum), kappa)
     doc = {"t": stratum.key(), "lam": _vec(lam), "kappa": _vec(kappa),
            "inside": violated is None}
     if violated is not None:
         doc["violated_form"] = _vec((0,) * config.degree + violated)
-    return _reply(args, doc, _biweight_lines)
+    return _reply(write, args, doc, _biweight_lines)
 
 
 def _delta_lines(doc: dict) -> list[str]:

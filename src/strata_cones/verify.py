@@ -8,17 +8,17 @@ or a full membership certificate for a vector claimed to lie outside.
 
 The explorer sweeps all cycle partitions of all degrees up to a bound for a
 list of primes, runs every check on every stratum, and aggregates a
-deterministic JSON-ready report: strata are processed in sorted order and
-results merged positionally, so the output is byte-identical no matter how
-many worker processes are used.
+deterministic JSON-ready report, or writes its JSON text as the records
+arrive: strata are processed in sorted order and results merged
+positionally, so the output is byte-identical no matter how many worker
+processes are used.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -110,13 +110,24 @@ class Report:
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2) without decoding a fragment."""
-        head = json.dumps({"schema": self.schema, "config": self.config},
-                          indent=2)
-        tail = json.dumps({"open_question": self.open_question,
-                           "summary": self.summary}, indent=2)
-        strata = ("[\n" + ",\n".join(self.fragments) + "\n  ]"
-                  if self.fragments else "[]")
-        return f'{head[:-2]},\n  "strata": {strata},{tail[1:]}'
+        tail = {"open_question": self.open_question, "summary": self.summary}
+        return "".join(_document(self.schema, self.config, self.fragments,
+                                 lambda: tail))
+
+
+def _document(schema: int, config: dict, fragments: Iterable[str],
+              tail) -> Iterator[str]:
+    """The report text as json.dumps(..., indent=2) lays it out, in pieces:
+    the header with the first fragment, then each further fragment, then
+    the `open_question` and `summary` of `tail()`, called after the last
+    fragment."""
+    head = json.dumps({"schema": schema, "config": config}, indent=2)
+    opening = f'{head[:-2]},\n  "strata": ['
+    separator, closing = opening, f"{opening}]"
+    for fragment in fragments:
+        yield f"{separator}\n{fragment}"
+        separator, closing = ",", "\n  ]"
+    yield f"{closing},{json.dumps(tail(), indent=2)[1:]}"
 
 
 # ---------------------------------------------------------------------------
@@ -617,32 +628,70 @@ def stratum_record(stratum: Stratum) -> dict:
     return record
 
 
+class _Tally:
+    """The summary and open question of the record task results that pass
+    through `fragments`, counted as they go by."""
+
+    def __init__(self):
+        self.counts = {PASS: 0, FAIL: 0, INFO: 0}
+        self.unequal = []
+        self.strata = 0
+
+    def fragments(self, results: Iterable[tuple]) -> Iterator[str]:
+        for statuses, instance, fragment in results:
+            for status in statuses:
+                self.counts[status] += 1
+            if instance is not None:
+                self.unequal.append(instance)
+            self.strata += 1
+            yield fragment
+
+    def tail(self) -> dict:
+        return {
+            "open_question": {
+                "equal": self.strata - len(self.unequal),
+                "unequal": len(self.unequal),
+                "instances": self.unequal,
+            },
+            "summary": {
+                "strata": self.strata,
+                "checks": sum(self.counts.values()),
+                "pass": self.counts[PASS],
+                "fail": self.counts[FAIL],
+                "info": self.counts[INFO],
+            },
+        }
+
+
 def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     """Run the record tasks and aggregate their results under `config`."""
-    counts = {PASS: 0, FAIL: 0, INFO: 0}
-    unequal = []
-    fragments = []
-    for statuses, instance, fragment in _run_tasks(tasks, jobs):
-        for status in statuses:
-            counts[status] += 1
-        if instance is not None:
-            unequal.append(instance)
-        fragments.append(fragment)
-    summary = {
-        "strata": len(fragments),
-        "checks": sum(counts.values()),
-        "pass": counts[PASS],
-        "fail": counts[FAIL],
-        "info": counts[INFO],
-    }
-    open_question = {
-        "equal": summary["strata"] - len(unequal),
-        "unequal": len(unequal),
-        "instances": unequal,
-    }
-    return Report(schema=SCHEMA_VERSION, config=config,
-                  fragments=tuple(fragments), open_question=open_question,
-                  summary=summary)
+    tally = _Tally()
+    fragments = tuple(tally.fragments(_run_tasks(tasks, jobs)))
+    return Report(schema=SCHEMA_VERSION, config=config, fragments=fragments,
+                  **tally.tail())
+
+
+def _write_report(write, config: dict, tasks: Iterable[tuple],
+                  jobs: int) -> dict:
+    """Run the record tasks and pass the report's JSON text to `write` as
+    their fragments arrive, in task order, the header with the first one
+    and the tail after the last; return the summary.  Nothing is written
+    before the first record exists, and if `write` raises, the work not yet
+    started is dropped."""
+    tally = _Tally()
+    with contextlib.closing(_run_tasks(tasks, jobs)) as results:
+        for piece in _document(SCHEMA_VERSION, config,
+                               tally.fragments(results), tally.tail):
+            write(piece)
+    return tally.tail()["summary"]
+
+
+def _check_sweep(config: SplittingConfig,
+                 strata: Sequence[Stratum] | None) -> tuple:
+    """The header and the record tasks of the report over the given strata
+    (default: all strata of the config), sorted by canonical key."""
+    header = {"p": _num(config.p), "cycles": _vec(config.cycle_lengths)}
+    return header, _config_tasks(config, strata)
 
 
 def check_report(config: SplittingConfig,
@@ -650,8 +699,7 @@ def check_report(config: SplittingConfig,
                  jobs: int = 1) -> Report:
     """Report over the given strata (default: all strata of the config),
     sorted by canonical key."""
-    header = {"p": _num(config.p), "cycles": _vec(config.cycle_lengths)}
-    return _report(header, _config_tasks(config, strata), jobs)
+    return _report(*_check_sweep(config, strata), jobs)
 
 
 def partitions(d: int) -> Iterator[tuple[int, ...]]:
@@ -691,26 +739,35 @@ def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
     return tuple(c["status"] for c in record["checks"]), instance, fragment
 
 
-def _run_tasks(tasks: Iterable[tuple], jobs: int) -> list[tuple]:
+def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
+    """The results of the record tasks, in task order, as they are
+    computed; closing the iterator early drops the work not yet started."""
     if jobs > 1:
         # the pool starts all workers up front: never more than one per task
         tasks = list(tasks)
         jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        return [_record_task(task) for task in tasks]
+        yield from map(_record_task, tasks)
+        return
+    # imported here: a run with one job never loads the process machinery
+    from concurrent.futures.process import (
+        BrokenProcessPool,
+        ProcessPoolExecutor,
+    )
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 8))
-            return list(pool.map(_record_task, tasks, chunksize=chunk))
+            # closing pool.map's iterator cancels the calls not yet started
+            yield from pool.map(_record_task, tasks, chunksize=chunk)
     except (OSError, BrokenProcessPool) as exc:
         raise RuntimeError(
             f"parallel execution with {jobs} workers failed: {exc}; "
             "rerun with --jobs 1") from exc
 
 
-def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:
-    """Sweep all cycle partitions of every degree up to d_max for every
-    prime in p_list, checking all strata of each configuration."""
+def _explore_sweep(p_list: Sequence[int], d_max: int) -> tuple:
+    """The header and the record tasks of the sweep over all cycle
+    partitions of every degree up to d_max for every prime in p_list."""
     if d_max < 1:
         raise ValueError("the degree bound must be at least 1")
     primes = sorted(set(p_list))
@@ -720,5 +777,10 @@ def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:
     tasks = (task for p in primes for d in range(1, d_max + 1)
              for lengths in sorted(partitions(d))
              for task in _config_tasks(SplittingConfig(p, lengths)))
-    return _report({"p_list": _vec(primes), "d_max": _num(d_max)}, tasks,
-                   jobs)
+    return {"p_list": _vec(primes), "d_max": _num(d_max)}, tasks
+
+
+def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:
+    """Sweep all cycle partitions of every degree up to d_max for every
+    prime in p_list, checking all strata of each configuration."""
+    return _report(*_explore_sweep(p_list, d_max), jobs)

@@ -1,15 +1,25 @@
 """End-to-end runs of the command line through main()."""
 
+import concurrent.futures.process
+import io
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from strata_cones import cli, verify, weights
-from strata_cones.cli import DEGREE_MAX, JOBS_MAX, P_LIST_MAX, P_MAX, main
-from strata_cones.verify import check_report, explore
-from strata_cones.splitting import SplittingConfig
+from strata_cones.cli import (
+    DEGREE_MAX,
+    EXIT_CHECK_FAILED,
+    JOBS_MAX,
+    P_LIST_MAX,
+    P_MAX,
+    main,
+)
+from strata_cones.verify import check_report, explore, partitions
+from strata_cones.splitting import SplittingConfig, stratum_from_text
 
 
 def run(capsys, *argv):
@@ -438,10 +448,10 @@ def test_output_is_created_when_the_work_starts(tmp_path, capsys,
     assert not target.exists()
     seen = []
 
-    def check_report_spy(*args, **kwargs):
+    def write_report_spy(*args, **kwargs):
         seen.append(target.exists())
-        return check_report(*args, **kwargs)
-    monkeypatch.setattr(cli, "check_report", check_report_spy)
+        return verify._write_report(*args, **kwargs)
+    monkeypatch.setattr(cli, "_write_report", write_report_spy)
     code, out, err = run(capsys, "check", "--p", "2", "--cycles", "1",
                          "--json", "-o", str(target))
     report = check_report(SplittingConfig(2, (1,)))
@@ -459,6 +469,72 @@ def test_a_failed_write_is_a_usage_error(capsys):
         "No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_write_that_fails_mid_sweep_stops_the_sweep(jobs, tmp_path, capsys,
+                                                       monkeypatch):
+    # each record appends a line, from the worker that built it under --jobs 2
+    calls = tmp_path / "calls"
+    real = verify.stratum_record
+
+    def spy(stratum):
+        with open(calls, "a") as handle:
+            handle.write(f"{stratum.key()}\n")
+        return real(stratum)
+    monkeypatch.setattr(verify, "stratum_record", spy)
+    assert run(capsys, "explore", "--p-list", "2", "--d-max", "5", "--json",
+               "--jobs", jobs, "-o", "/dev/full") == (
+        3, "", "strata-cones: error: cannot write /dev/full: "
+        "No space left on device\n")
+    strata = sum(2 ** d for d in range(1, 6) for _ in partitions(d))
+    assert 0 < len(calls.read_text().splitlines()) < strata // 2
+
+
+# each command line beside the report it must write, built by the library
+STREAMED = {
+    "one-stratum": (("check", "--p", "3", "--cycles", "2,1", "--t", "0.1"),
+                    lambda config=SplittingConfig(3, (2, 1)): check_report(
+                        config, [stratum_from_text(config, "0.1")])),
+    "failures": (("check", "--p", "2", "--cycles", "2"),
+                 lambda: check_report(SplittingConfig(2, (2,)))),
+    "explore": (("explore", "--p-list", "2,3", "--d-max", "3"),
+                lambda: explore([2, 3], 3)),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", STREAMED)
+def test_streamed_json_is_the_report_text(case, jobs, tmp_path, capsys):
+    argv, build = STREAMED[case]
+    report = build()
+    code = EXIT_CHECK_FAILED if report.summary["fail"] else 0
+    text = report.to_json() + "\n"
+    assert run(capsys, *argv, "--json", "--jobs", jobs) == (code, text, "")
+    target = tmp_path / "report.json"
+    assert run(capsys, *argv, "--json", "--jobs", jobs, "-o", str(target)) \
+        == (code, "", "")
+    assert target.read_text() == text
+
+
+def test_the_report_is_written_as_its_records_arrive(monkeypatch):
+    report = check_report(SplittingConfig(2, (2,)))
+    text = report.to_json()
+    first = report.fragments[0]
+    head = text[:text.index(first) + len(first)]
+    out = io.StringIO()  # records every write
+    seen = []
+    real = verify.stratum_record
+
+    def spy(stratum):
+        seen.append(out.getvalue())
+        return real(stratum)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(verify, "stratum_record", spy)
+    code = main(["check", "--p", "2", "--cycles", "2", "--json"])
+    assert (code, seen[:2], out.getvalue()) == (2, ["", head], text + "\n")
+
+
 def test_check_with_two_jobs_matches_the_library(capsys):
     code, out, _ = run(capsys, "check", "--p", "2", "--cycles", "2",
                        "--json", "--jobs", "2")
@@ -469,7 +545,8 @@ def test_check_with_two_jobs_matches_the_library(capsys):
 def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a refused worker count reached the pool")
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        no_pool)
     for jobs in ("0", "-1", str(JOBS_MAX + 1), "100000"):
         for argv in (("check", "--p", "2", "--cycles", "2"),
                      ("explore", "--p-list", "2", "--d-max", "1")):
@@ -481,7 +558,8 @@ def test_jobs_outside_the_bound_is_a_usage_error(capsys, monkeypatch):
 def test_a_failed_worker_pool_exits_one(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise OSError("no processes")
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        no_pool)
     code, out, err = run(capsys, "check", "--p", "2", "--cycles", "2",
                          "--jobs", "2")
     assert (code, out) == (1, "")

@@ -1,6 +1,9 @@
 """Import hygiene of the package modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import strata_cones
@@ -58,3 +61,22 @@ def test_every_definition_has_a_caller():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in referenced]
     assert dead == []
+
+
+def test_the_command_line_loads_no_process_pool():
+    # only --jobs above 1 starts a pool, so a fresh interpreter that imports
+    # the command line and runs it with one job never loads the machinery
+    script = (
+        "import os, sys\n"
+        "import strata_cones.cli as cli\n"
+        "loaded = lambda: [name for name in ('concurrent.futures',\n"
+        "                                    'multiprocessing')\n"
+        "                  if name in sys.modules]\n"
+        "print(loaded())\n"
+        "cli.main(['check', '--p', '2', '--cycles', '2', '--json',\n"
+        "          '-o', os.devnull])\n"
+        "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n[]\n"

@@ -1,6 +1,7 @@
 """Checks over whole configurations: determinism, witness integrity, and
 the sweep driver."""
 
+import concurrent.futures.process
 import gc
 import json
 import weakref
@@ -678,9 +679,10 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        FakePool)
     tasks = _config_tasks(SplittingConfig(2, (1,)))
-    assert _run_tasks(tasks, 64) == _run_tasks(tasks, 1)
+    assert list(_run_tasks(tasks, 64)) == list(_run_tasks(tasks, 1))
     assert started == [len(tasks)] == [2]
 
 
