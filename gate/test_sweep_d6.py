@@ -11,10 +11,10 @@ against the cone records of the report.  Criterion 3's classifier and
 witness checks (`tests/test_acceptance.py`) run on every row: the exact
 admissibility dichotomy holds at degree 6 too, and its degenerate strata
 are exactly the failures.  The same sweep also runs through the command
-line with `-o`, once in one process and once with two workers, whose file
-must carry the pinned sha256 within a bound on the peak RSS.  The
-Frobenius-rotation equivariance of `tests/test_symmetry.py` is compared on
-every stratum of p in {2, 3, 5} and degree up to 6.
+line with `-o`, as JSON and as text, once in one process and once with two
+workers, whose file must carry the pinned sha256 within a bound on the peak
+RSS.  The Frobenius-rotation equivariance of `tests/test_symmetry.py` is
+compared on every stratum of p in {2, 3, 5} and degree up to 6.
 """
 
 import hashlib
@@ -42,6 +42,9 @@ GATE_BUDGET_SECONDS = 240.0
 # writes `Report.to_json()` and a final newline
 GATE_REPORT_SHA256 = (
     "54979ecb7d97dac73fd6ad28994cfda866dfe5fb8034cced0d00c35bcb75ecc5")
+# sha256 of the same command's text output, without --json
+GATE_TEXT_SHA256 = (
+    "e8191a3f6b2b00e12494ea2ea3013142bdc3424dc424331d1ff15b8233934768")
 GATE_SUMMARY = {"strata": 3126, "checks": 43764, "pass": 36063, "fail": 882,
                 "info": 6819}
 DICHOTOMY_COUNTS = {"closed": 1383, "strict": 861, "degenerate": 882}
@@ -50,7 +53,8 @@ UNEQUAL = [{"p": p, "cycles": ["6"], "t": f"0.{i}"}
 # bound on the peak RSS of the command line's d <= 6 sweep written with -o,
 # workers included: the report is written as its records arrive, so 19.5 MB
 # with one process and 24-25 MB with two workers were measured with Python
-# 3.11 on a 2-core machine, where holding the whole report took 84 MB
+# 3.11 on a 2-core machine, where holding the whole report took 84 MB (97 MB
+# for the text, which was read off the whole report)
 CLI_PEAK_RSS_MB = 50
 # a child's peak RSS starts from that of the process it was forked from, and
 # this interpreter holds the gate's sweeps, so the command runs under a small
@@ -135,13 +139,16 @@ def test_dichotomy_classes_are_pinned(sweep):
 
 
 @pytest.mark.parametrize("jobs", GATE_JOBS, ids=lambda j: f"jobs{j}")
-def test_command_line_sweep_bytes_and_memory(jobs, tmp_path):
+@pytest.mark.parametrize("layout, sha256", [
+    (("--json",), GATE_REPORT_SHA256), ((), GATE_TEXT_SHA256)],
+    ids=["json", "text"])
+def test_command_line_sweep_bytes_and_memory(layout, sha256, jobs, tmp_path):
     # the memory of the command and its workers as `wait4` reports it, the
     # RUSAGE_CHILDREN figure of a parent with this one child
-    target = tmp_path / "report.json"
+    target = tmp_path / "report"
     argv = [sys.executable, "-m", "strata_cones.cli", "explore", "--p-list",
             ",".join(map(str, GATE_PRIMES)), "--d-max", str(GATE_DEGREE),
-            "--json", "-o", str(target), "--jobs", str(jobs)]
+            *layout, "-o", str(target), "--jobs", str(jobs)]
     start = time.monotonic()
     # a session of its own, so that the watchdog stops the command as well
     launcher = subprocess.Popen(
@@ -161,7 +168,7 @@ def test_command_line_sweep_bytes_and_memory(jobs, tmp_path):
     # exit code 2: the report holds the failures of criterion 3
     assert returncode == 2
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    assert digest == GATE_REPORT_SHA256
+    assert digest == sha256
     peak_mb = peak_kb / 1024
     assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
 

@@ -10,7 +10,8 @@ The package has five layers:
   descriptions of the weight cones, reductions, minimal cones, section
   recipes, and the bi-weight variant;
 * `verify`: theorem checkers and the exhaustive sweep explorer;
-* `cli`: the `strata-cones` command.
+* `cli`: the `strata-cones` command, which streams the sweep reports that
+  `check_report` and `explore` return as a `verify.Report`.
 """
 
 from strata_cones.cone_kernel import (
@@ -35,6 +36,7 @@ from strata_cones.cone_kernel import (
     normalize_primitive,
     zero_cone,
 )
+from strata_cones.verify import check_report, explore
 
 __all__ = [
     "Cone",
@@ -57,6 +59,8 @@ __all__ = [
     "full_space",
     "normalize_primitive",
     "zero_cone",
+    "check_report",
+    "explore",
 ]
 
 __version__ = "0.1.0"

@@ -15,22 +15,23 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cone_kernel import _violated_form, cone_member
 from .splitting import SplittingConfig, Stratum, _is_prime, stratum_from_text
 from .verify import (
+    FAIL,
     SCHEMA_VERSION,
     _certificate,
     _check_sweep,
     _emb_key,
     _explore_sweep,
+    _json_layout,
     _vec,
     _vecs,
     _write_report,
-    check_report,
-    explore,
     stratum_dossier,
 )
 from .weights import (
@@ -125,53 +126,40 @@ def _cannot_write(path: str, exc: OSError) -> _UsageError:
 
 def _emit(args, work) -> int:
     """Open -o, then run `work`, the command with its inputs validated,
-    with the `write` that puts its text into the open file (onto stdout
-    without -o); return the exit code `work` returns."""
-    if not args.output:
-        # looked up at each write: the caller may have redirected stdout
-        return work(lambda text: sys.stdout.write(text))
-    try:
-        handle = open(args.output, "w")
-    except OSError as exc:
-        raise _cannot_write(args.output, exc) from None
-    with handle:
-        try:  # every OSError here is the file's: a pool's is a RuntimeError
+    with the `write` of the open file (of stdout without -o); return the
+    exit code `work` returns.  A failed write is a usage error."""
+    try:  # every OSError here is the output's: a pool's is a RuntimeError
+        handle = open(args.output, "w") if args.output else sys.stdout
+        try:
             code = work(handle.write)
-            handle.close()  # a full disk shows when the buffer is flushed
-        except OSError as exc:
-            raise _cannot_write(args.output, exc) from None
-    return code
-
-
-def _say(write, text: str, code: int = EXIT_OK) -> int:
-    write(text)
-    write("\n")  # no second copy of the text
+            handle.flush()  # a full disk shows when the buffer is flushed
+        finally:
+            if args.output:
+                handle.close()
+    except OSError as exc:
+        if not args.output:  # Python's flush of stdout at exit goes nowhere
+            sys.stdout = open(os.devnull, "w")
+        raise _cannot_write(args.output or "stdout", exc) from None
     return code
 
 
 def _reply(write, args, doc: dict, lines) -> int:
     """Write one reply document: as JSON under --json, else as the text
     lines that `lines(doc)` reads off it."""
-    if args.json:
-        return _say(write,
-                    json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2))
-    return _say(write, "\n".join(lines(doc)))
+    write(json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2) if args.json
+          else "\n".join(lines(doc)))
+    write("\n")  # no second copy of the text
+    return EXIT_OK
 
 
-def _exit_code(summary: dict) -> int:
-    return EXIT_CHECK_FAILED if summary["fail"] else EXIT_OK
-
-
-def _stream_report(write, sweep: tuple, jobs: int) -> int:
-    """Write the JSON report of `sweep`, a header and its record tasks,
-    while the records are computed."""
-    summary = _write_report(write, *sweep, jobs)
+def _sweep_reply(write, args, sweep: tuple, jobs: int, lines) -> int:
+    """Write the report of `sweep`, a header and its record tasks, while
+    the records are computed: as JSON under --json, else as the text
+    `lines` makes of the record stream."""
+    summary = _write_report(write, *sweep, jobs,
+                            _json_layout if args.json else lines)
     write("\n")
-    return _exit_code(summary)
-
-
-def _text_report(write, report, lines) -> int:
-    return _say(write, "\n".join(lines(report)), _exit_code(report.summary))
+    return EXIT_CHECK_FAILED if summary["fail"] else EXIT_OK
 
 
 def _fmt_vec(vec) -> str:
@@ -179,8 +167,8 @@ def _fmt_vec(vec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each validates its inputs and returns its work, which builds
-# the reply once and writes it; the text lines read it
+# subcommands: each validates its inputs and returns its work, which writes
+# the reply; the text lines read its document or, on a sweep, its records
 
 
 def _cmd_describe(args):
@@ -232,21 +220,18 @@ def _cmd_check(args):
     config = _config_from(args)
     strata = None if args.t is None else [_stratum_from(args, config)]
     jobs = _jobs_from(args)
-    if args.json:
-        return lambda write: _stream_report(
-            write, _check_sweep(config, strata), jobs)
-    return lambda write: _text_report(
-        write, check_report(config, strata, jobs=jobs), _check_lines)
+    return lambda write: _sweep_reply(write, args,
+                                      _check_sweep(config, strata), jobs,
+                                      _check_lines)
 
 
-def _check_lines(report) -> list[str]:
-    lines = [f"[{record['t']}] {check['name']}: {check['status']}"
-             for record in report.strata for check in record["checks"]]
-    lines.append(f"summary: {report.summary['pass']} pass, "
-                 f"{report.summary['fail']} fail, "
-                 f"{report.summary['info']} info over "
-                 f"{report.summary['strata']} strata")
-    return lines
+def _check_lines(config: dict, results, tally) -> Iterator[str]:
+    for head, checks, _, _ in results:
+        yield "".join(f"[{head['t']}] {name}: {status}\n"
+                      for name, status in checks)
+    summary = tally.tail()["summary"]
+    yield (f"summary: {summary['pass']} pass, {summary['fail']} fail, "
+           f"{summary['info']} info over {summary['strata']} strata")
 
 
 def _cmd_explore(args):
@@ -261,25 +246,24 @@ def _cmd_explore(args):
         raise _UsageError("--d-max must be at least 1")
     _at_most("--d-max", args.d_max, DEGREE_MAX)
     jobs = _jobs_from(args)
-    if args.json:
-        return lambda write: _stream_report(
-            write, _explore_sweep(p_list, args.d_max), jobs)
-    return lambda write: _text_report(
-        write, explore(p_list, args.d_max, jobs=jobs), _explore_lines)
+    return lambda write: _sweep_reply(write, args,
+                                      _explore_sweep(p_list, args.d_max),
+                                      jobs, _explore_lines)
 
 
-def _explore_lines(report) -> list[str]:
-    lines = [f"checked {report.summary['strata']} strata: "
-             f"{report.summary['pass']} pass, "
-             f"{report.summary['fail']} fail, "
-             f"{report.summary['info']} info"]
-    lines += [f"FAIL p={record['p']} cycles=({','.join(record['cycles'])}) "
-              f"[{record['t']}] {check['name']}"
-              for record in report.strata for check in record["checks"]
-              if check["status"] == "fail"]
-    lines.append(f"open question: {report.open_question['unequal']} "
-                 "strata with distinct minimal-cone variants")
-    return lines
+def _explore_lines(config: dict, results, tally) -> Iterator[str]:
+    """The summary comes first, so only the failures are held."""
+    fails = [f"\nFAIL p={head['p']} cycles=({','.join(head['cycles'])}) "
+             f"[{head['t']}] {name}"
+             for head, checks, _, _ in results
+             for name, status in checks if status == FAIL]
+    tail = tally.tail()
+    summary = tail["summary"]
+    yield (f"checked {summary['strata']} strata: {summary['pass']} pass, "
+           f"{summary['fail']} fail, {summary['info']} info")
+    yield from fails
+    yield (f"\nopen question: {tail['open_question']['unequal']} "
+           "strata with distinct minimal-cone variants")
 
 
 def _cmd_member(args):

@@ -8,8 +8,8 @@ or a full membership certificate for a vector claimed to lie outside.
 
 The explorer sweeps all cycle partitions of all degrees up to a bound for a
 list of primes, runs every check on every stratum, and aggregates a
-deterministic JSON-ready report, or writes its JSON text as the records
-arrive: strata are processed in sorted order and results merged
+deterministic JSON-ready report, or writes it in a layout, JSON or text, as
+the records arrive: strata are processed in sorted order and results merged
 positionally, so the output is byte-identical no matter how many worker
 processes are used.
 """
@@ -630,21 +630,22 @@ def stratum_record(stratum: Stratum) -> dict:
 
 class _Tally:
     """The summary and open question of the record task results that pass
-    through `fragments`, counted as they go by."""
+    through `count`, counted as they go by."""
 
     def __init__(self):
         self.counts = {PASS: 0, FAIL: 0, INFO: 0}
         self.unequal = []
         self.strata = 0
 
-    def fragments(self, results: Iterable[tuple]) -> Iterator[str]:
-        for statuses, instance, fragment in results:
-            for status in statuses:
+    def count(self, results: Iterable[tuple]) -> Iterator[tuple]:
+        for result in results:
+            head, checks, differ, _ = result
+            for _, status in checks:
                 self.counts[status] += 1
-            if instance is not None:
-                self.unequal.append(instance)
+            if differ:
+                self.unequal.append(head)
             self.strata += 1
-            yield fragment
+            yield result
 
     def tail(self) -> dict:
         return {
@@ -666,22 +667,29 @@ class _Tally:
 def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     """Run the record tasks and aggregate their results under `config`."""
     tally = _Tally()
-    fragments = tuple(tally.fragments(_run_tasks(tasks, jobs)))
+    fragments = tuple(fragment for *_, fragment
+                      in tally.count(_run_tasks(tasks, jobs)))
     return Report(schema=SCHEMA_VERSION, config=config, fragments=fragments,
                   **tally.tail())
 
 
-def _write_report(write, config: dict, tasks: Iterable[tuple],
-                  jobs: int) -> dict:
-    """Run the record tasks and pass the report's JSON text to `write` as
-    their fragments arrive, in task order, the header with the first one
-    and the tail after the last; return the summary.  Nothing is written
-    before the first record exists, and if `write` raises, the work not yet
-    started is dropped."""
+def _json_layout(config: dict, results: Iterator[tuple],
+                 tally: _Tally) -> Iterator[str]:
+    """The report's JSON text, in the pieces of `_document`."""
+    return _document(SCHEMA_VERSION, config,
+                     (fragment for *_, fragment in results), tally.tail)
+
+
+def _write_report(write, config: dict, tasks: Iterable[tuple], jobs: int,
+                  layout) -> dict:
+    """Run the record tasks and pass the text that `layout(config, results,
+    tally)` makes of their results to `write` as it comes, in task order;
+    `tally` has counted the results taken so far.  Return the summary.
+    Nothing is written before the first record exists, and if `write`
+    raises, the work not yet started is dropped."""
     tally = _Tally()
     with contextlib.closing(_run_tasks(tasks, jobs)) as results:
-        for piece in _document(SCHEMA_VERSION, config,
-                               tally.fragments(results), tally.tail):
+        for piece in layout(config, tally.count(results), tally):
             write(piece)
     return tally.tail()["summary"]
 
@@ -728,15 +736,17 @@ def _config_tasks(config: SplittingConfig,
 
 
 def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
-    """One stratum as the report keeps it: its check statuses, its unequal
-    minimal-cone instance or None, and its record's JSON fragment, indented
+    """One stratum as every report layout reads it: its head (`p`,
+    `cycles`, `t`), its checks' (name, status) pairs, whether its two
+    minimal-cone variants differ, and its record's JSON fragment, indented
     as in the `strata` list (JSON strings hold no raw newline)."""
     record = stratum_record(stratum_from_text(*task))
-    differ = any(c["name"] == "minimal_equality" and not c["witness"]["equal"]
-                 for c in record["checks"])
-    instance = {k: record[k] for k in ("p", "cycles", "t")} if differ else None
+    checks = record["checks"]
+    # the last check is the result of `check_min_question`
+    differ = not checks[-1]["witness"]["equal"]
     fragment = "    " + json.dumps(record, indent=2).replace("\n", "\n    ")
-    return tuple(c["status"] for c in record["checks"]), instance, fragment
+    return ({k: record[k] for k in ("p", "cycles", "t")},
+            tuple((c["name"], c["status"]) for c in checks), differ, fragment)
 
 
 def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
@@ -756,7 +766,8 @@ def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
     )
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 8))
+            # a constant cap: a chunk's results cross back as one list
+            chunk = max(1, min(32, len(tasks) // (jobs * 8)))
             # closing pool.map's iterator cancels the calls not yet started
             yield from pool.map(_record_task, tasks, chunksize=chunk)
     except (OSError, BrokenProcessPool) as exc:

@@ -4,8 +4,10 @@ import concurrent.futures.process
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command(*argv, **kwargs) -> subprocess.Popen:
+    """The command line in a process of its own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "strata_cones.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
 
 
 # the full describe text: T = all with nonempty S primes and Iw (one and
@@ -424,7 +433,7 @@ def test_output_flag_writes_a_file(tmp_path, capsys):
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before -o was opened")
-    for name in ("stratum_dossier", "check_report", "explore"):
+    for name in ("stratum_dossier", "_check_sweep", "_explore_sweep"):
         monkeypatch.setattr(cli, name, unreachable)
     missing = tmp_path / "missing" / "x.json"
     for target, reason in ((missing, "No such file or directory"),
@@ -471,6 +480,29 @@ def test_a_failed_write_is_a_usage_error(capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device that refuses every write")
+def test_a_failed_write_to_stdout_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = command("explore", "--p-list", "2", "--d-max", "1", "--json",
+                       stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (
+        3, b"strata-cones: error: cannot write stdout: "
+        b"No space left on device\n")
+
+
+def test_a_pipe_closed_early_is_a_usage_error():
+    # the report is larger than the pipe's buffer, so a write finds it closed
+    proc = command("explore", "--p-list", "2", "--d-max", "4", "--json",
+                   stdout=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (len(head), proc.returncode, err) == (
+        100, 3, b"strata-cones: error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_write_that_fails_mid_sweep_stops_the_sweep(jobs, tmp_path, capsys,
                                                        monkeypatch):
@@ -491,8 +523,34 @@ def test_a_write_that_fails_mid_sweep_stops_the_sweep(jobs, tmp_path, capsys,
     assert 0 < len(calls.read_text().splitlines()) < strata // 2
 
 
+def check_text(report) -> str:
+    """The text of `check`, read off the library's report."""
+    lines = [f"[{record['t']}] {check['name']}: {check['status']}"
+             for record in report.strata for check in record["checks"]]
+    lines.append(f"summary: {report.summary['pass']} pass, "
+                 f"{report.summary['fail']} fail, "
+                 f"{report.summary['info']} info over "
+                 f"{report.summary['strata']} strata")
+    return "\n".join(lines) + "\n"
+
+
+def explore_text(report) -> str:
+    """The text of `explore`, read off the library's report."""
+    lines = [f"checked {report.summary['strata']} strata: "
+             f"{report.summary['pass']} pass, "
+             f"{report.summary['fail']} fail, "
+             f"{report.summary['info']} info"]
+    lines += [f"FAIL p={record['p']} cycles=({','.join(record['cycles'])}) "
+              f"[{record['t']}] {check['name']}"
+              for record in report.strata for check in record["checks"]
+              if check["status"] == "fail"]
+    lines.append(f"open question: {report.open_question['unequal']} "
+                 "strata with distinct minimal-cone variants")
+    return "\n".join(lines) + "\n"
+
+
 # each command line beside the report it must write, built by the library
-STREAMED = {
+COMMANDS = {
     "one-stratum": (("check", "--p", "3", "--cycles", "2,1", "--t", "0.1"),
                     lambda config=SplittingConfig(3, (2, 1)): check_report(
                         config, [stratum_from_text(config, "0.1")])),
@@ -501,18 +559,24 @@ STREAMED = {
     "explore": (("explore", "--p-list", "2,3", "--d-max", "3"),
                 lambda: explore([2, 3], 3)),
 }
+# ... with --json, and as text, whose lines are read off the report
+STREAMED = {name: ((*argv, "--json"), build, lambda r: r.to_json() + "\n")
+            for name, (argv, build) in COMMANDS.items()} | {
+    f"{name}-text": (argv, build, {"check": check_text,
+                                   "explore": explore_text}[argv[0]])
+    for name, (argv, build) in COMMANDS.items()}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("case", STREAMED)
 def test_streamed_json_is_the_report_text(case, jobs, tmp_path, capsys):
-    argv, build = STREAMED[case]
+    argv, build, reply = STREAMED[case]
     report = build()
     code = EXIT_CHECK_FAILED if report.summary["fail"] else 0
-    text = report.to_json() + "\n"
-    assert run(capsys, *argv, "--json", "--jobs", jobs) == (code, text, "")
-    target = tmp_path / "report.json"
-    assert run(capsys, *argv, "--json", "--jobs", jobs, "-o", str(target)) \
+    text = reply(report)
+    assert run(capsys, *argv, "--jobs", jobs) == (code, text, "")
+    target = tmp_path / "report"
+    assert run(capsys, *argv, "--jobs", jobs, "-o", str(target)) \
         == (code, "", "")
     assert target.read_text() == text
 
@@ -533,6 +597,25 @@ def test_the_report_is_written_as_its_records_arrive(monkeypatch):
     monkeypatch.setattr(verify, "stratum_record", spy)
     code = main(["check", "--p", "2", "--cycles", "2", "--json"])
     assert (code, seen[:2], out.getvalue()) == (2, ["", head], text + "\n")
+
+
+def test_the_check_text_is_written_as_its_records_arrive(monkeypatch):
+    report = check_report(SplittingConfig(2, (2,)))
+    first = report.strata[0]
+    head = "".join(f"[{first['t']}] {check['name']}: {check['status']}\n"
+                   for check in first["checks"])
+    out = io.StringIO()  # records every write
+    seen = []
+    real = verify.stratum_record
+
+    def spy(stratum):
+        seen.append(out.getvalue())
+        return real(stratum)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(verify, "stratum_record", spy)
+    code = main(["check", "--p", "2", "--cycles", "2"])
+    assert (code, seen[:2], out.getvalue()) == (
+        2, ["", head], check_text(report))
 
 
 def test_check_with_two_jobs_matches_the_library(capsys):
@@ -578,7 +661,7 @@ def test_inputs_at_the_bounds_are_accepted(capsys):
 def test_inputs_beyond_the_bounds_are_usage_errors(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a refused input reached the work")
-    for name in ("SplittingConfig", "check_report", "explore"):
+    for name in ("SplittingConfig", "_check_sweep", "_explore_sweep"):
         monkeypatch.setattr(cli, name, unreachable)
     over = P_MAX + 1
     refused = {
@@ -612,11 +695,11 @@ def test_the_number_of_p_list_entries_is_bounded(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a refused input reached the work")
 
-    def explore_stub(p_list, d_max, jobs):
+    def explore_stub(p_list, d_max):
         reached.append(p_list)
         raise Reached
     monkeypatch.setattr(cli, "SplittingConfig", unreachable)
-    monkeypatch.setattr(cli, "explore", explore_stub)
+    monkeypatch.setattr(cli, "_explore_sweep", explore_stub)
     over = ",".join(["2"] * (P_LIST_MAX + 1))
     assert run(capsys, "explore", "--p-list", over, "--d-max", "1") == (
         3, "", "strata-cones: error: the number of --p-list entries must be "
