@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Iterator, Sequence
@@ -26,6 +25,7 @@ from .verify import (
     SCHEMA_VERSION,
     _certificate,
     _check_sweep,
+    _dumps,
     _emb_key,
     _explore_sweep,
     _json_layout,
@@ -146,7 +146,7 @@ def _emit(args, work) -> int:
 def _reply(write, args, doc: dict, lines) -> int:
     """Write one reply document: as JSON under --json, else as the text
     lines that `lines(doc)` reads off it."""
-    write(json.dumps({"schema": SCHEMA_VERSION} | doc, indent=2) if args.json
+    write(_dumps({"schema": SCHEMA_VERSION} | doc) if args.json
           else "\n".join(lines(doc)))
     write("\n")  # no second copy of the text
     return EXIT_OK
@@ -406,8 +406,8 @@ _FLAGS = {
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on first use and then shared by every call."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and each subcommand's parser by name, built once."""
     parser = _Parser(prog="strata-cones",
                      description="Exact weight-cone computations for "
                                  "Goren-Oort strata.")
@@ -431,12 +431,14 @@ def _build_parser() -> _Parser:
             *stratum, "--weight", *out)
     command("gl2", _cmd_gl2, "delta class / bi-weight membership",
             *stratum, "--weight", *out, "--biweight")
-    return parser
+    return parser, sub.choices
 
 
 # flags whose value may start with a minus sign, which argparse would
-# otherwise read as another option
-_DASH_VALUE_FLAGS = ("--weight", "--biweight")
+# otherwise read as another option, with each prefix argparse takes for them
+# (no other flag starts with "--w" or "--b")
+_DASH_VALUE_FLAGS = {flag[:end] for flag in ("--weight", "--biweight")
+                     for end in range(3, len(flag) + 1)}
 
 
 def _merge_dash_values(argv: Sequence[str]) -> list[str]:
@@ -453,11 +455,24 @@ def _merge_dash_values(argv: Sequence[str]) -> list[str]:
     return merged
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """A subcommand named first is parsed by its own parser, and arguments
+    it leaves over get the top-level parser's error; anything else is
+    parsed by the top-level parser."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(_merge_dash_values(argv))
+        args = _parse(_merge_dash_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

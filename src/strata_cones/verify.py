@@ -70,6 +70,8 @@ from .weights import (
 )
 
 SCHEMA_VERSION = 1
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 PASS = "pass"
 FAIL = "fail"
@@ -109,7 +111,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), indent=2) without decoding a fragment."""
+        """`_dumps(self.to_dict())` without decoding a fragment."""
         tail = {"open_question": self.open_question, "summary": self.summary}
         return "".join(_document(self.schema, self.config, self.fragments,
                                  lambda: tail))
@@ -117,22 +119,49 @@ class Report:
 
 def _document(schema: int, config: dict, fragments: Iterable[str],
               tail) -> Iterator[str]:
-    """The report text as json.dumps(..., indent=2) lays it out, in pieces:
-    the header with the first fragment, then each further fragment, then
-    the `open_question` and `summary` of `tail()`, called after the last
+    """The report text as `_dumps` lays it out, in pieces: the header with
+    the first fragment, then each further fragment, then the
+    `open_question` and `summary` of `tail()`, called after the last
     fragment."""
-    head = json.dumps({"schema": schema, "config": config}, indent=2)
+    head = _dumps({"schema": schema, "config": config})
     opening = f'{head[:-2]},\n  "strata": ['
     separator, closing = opening, f"{opening}]"
     for fragment in fragments:
         yield f"{separator}\n{fragment}"
         separator, closing = ",", "\n  ]"
-    yield f"{closing},{json.dumps(tail(), indent=2)[1:]}"
+    yield f"{closing},{_dumps(tail())[1:]}"
 
 
 # ---------------------------------------------------------------------------
 # serialization helpers: mathematical integers travel as decimal strings so
 # arbitrary-precision values survive any JSON consumer
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """`obj` as the json module writes it with indent=2, `newline` at each
+    line break.  It takes what documents hold, dicts with `str` keys, lists,
+    `str`, `bool`, `int` and None, and refuses the rest with a TypeError."""
+    if type(obj) is str:
+        return _encode_str(obj)
+    inner = newline + "  "
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        items = (map(_encode_str, obj) if all(type(x) is str for x in obj)
+                 else [_dumps(x, inner) for x in obj])
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        # the encoder refuses a key that is not a str with a TypeError
+        items = [f"{_encode_str(k)}: {_dumps(v, inner)}"
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if obj is None or type(obj) is bool:
+        return _CONSTANTS[obj]
+    if type(obj) is int:
+        return int.__repr__(obj)
+    raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
 def _num(x) -> str:
@@ -739,12 +768,12 @@ def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
     """One stratum as every report layout reads it: its head (`p`,
     `cycles`, `t`), its checks' (name, status) pairs, whether its two
     minimal-cone variants differ, and its record's JSON fragment, indented
-    as in the `strata` list (JSON strings hold no raw newline)."""
+    as in the `strata` list."""
     record = stratum_record(stratum_from_text(*task))
     checks = record["checks"]
     # the last check is the result of `check_min_question`
     differ = not checks[-1]["witness"]["equal"]
-    fragment = "    " + json.dumps(record, indent=2).replace("\n", "\n    ")
+    fragment = "    " + _dumps(record, "\n    ")
     return ({k: record[k] for k in ("p", "cycles", "t")},
             tuple((c["name"], c["status"]) for c in checks), differ, fragment)
 

@@ -581,6 +581,33 @@ def test_streamed_json_is_the_report_text(case, jobs, tmp_path, capsys):
     assert target.read_text() == text
 
 
+# every answered command line above, to be run with --json
+JSON_CASES = ([("describe", "--p", "2", "--cycles", cycles, "--t", t)
+               for cycles, t in DESCRIBE_TEXTS]
+              + [argv for argv, (code, _, _) in REPLIES.items() if code == 0]
+              + [argv for argv, _ in COMMANDS.values()])
+
+
+def test_json_replies_are_written_as_the_json_module_does(capsys,
+                                                          monkeypatch):
+    written = []
+
+    def recording(dumps):
+        def record(obj, newline="\n"):
+            written.append((obj, newline, dumps(obj, newline)))
+            return written[-1][2]
+        return record
+    # the writer's own nested calls are recorded too
+    monkeypatch.setattr(cli, "_dumps", recording(cli._dumps))
+    monkeypatch.setattr(verify, "_dumps", recording(verify._dumps))
+    for argv in JSON_CASES:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code in (0, EXIT_CHECK_FAILED) and out, argv
+    assert len(written) > len(JSON_CASES)
+    for obj, newline, text in written:
+        assert text == json.dumps(obj, indent=2).replace("\n", newline)
+
+
 def test_the_report_is_written_as_its_records_arrive(monkeypatch):
     report = check_report(SplittingConfig(2, (2,)))
     text = report.to_json()
@@ -711,9 +738,78 @@ def test_the_number_of_p_list_entries_is_bounded(capsys, monkeypatch):
     assert reached == [[2] * P_LIST_MAX]
 
 
+TOP_USAGE = """\
+usage: strata-cones [-h] {describe,check,explore,member,minimal,gl2} ...
+"""
+
+
 def test_unknown_subcommand_exits_with_usage(capsys):
-    assert run(capsys, "bogus")[0] == 3
+    assert run(capsys, "bogus") == (3, "", TOP_USAGE + """\
+strata-cones: error: argument subcommand: invalid choice: 'bogus' (choose \
+from 'describe', 'check', 'explore', 'member', 'minimal', 'gl2')
+""")
 
 
 def test_missing_subcommand_exits_with_usage(capsys):
-    assert run(capsys)[0] == 3
+    assert run(capsys) == (3, "", TOP_USAGE + """\
+strata-cones: error: the following arguments are required: subcommand
+""")
+
+
+def test_leftover_arguments_get_the_top_level_usage(capsys):
+    assert run(capsys, "describe", "--p", "2", "--cycles", "3", "--t", "0.1",
+               "--bogus") == (3, "", TOP_USAGE + """\
+strata-cones: error: unrecognized arguments: --bogus
+""")
+
+
+def test_help_lists_the_subcommands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "-h") == (0, TOP_USAGE + """
+Exact weight-cone computations for Goren-Oort strata.
+
+positional arguments:
+  {describe,check,explore,member,minimal,gl2}
+    describe            stratum dossier
+    check               run all checks
+    explore             sweep primes and degrees
+    member              weight-cone membership
+    minimal             reduction and minimal-cone data
+    gl2                 delta class / bi-weight membership
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+
+def test_a_named_subcommand_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand")
+
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    argv = ("gl2", "--p", "3", "--cycles", "2", "--weight", "1,1")
+    assert run(capsys, *argv) == REPLIES[argv]
+
+
+# an abbreviated flag takes a value with a leading minus sign as the full
+# flag does
+@pytest.mark.parametrize("argv, flag, value", [
+    (("member", "--p", "2", "--cycles", "3", "--t", "0.1"), "--weight",
+     "-1,0,0"),
+    (("member", "--p", "2", "--cycles", "3", "--t", "0.1"), "--weight",
+     "1,0,0"),
+    (("minimal", "--p", "2", "--cycles", "3", "--t", "0.1", "--json"),
+     "--weight", "-1,0,0"),
+    (("gl2", "--p", "3", "--cycles", "2"), "--weight", "-1,1"),
+    (("gl2", "--p", "3", "--cycles", "2", "--t", "0.1"), "--biweight",
+     "-5,7;-1,3"),
+    (("gl2", "--p", "3", "--cycles", "2", "--t", "0.1"), "--biweight",
+     "5,7;1,0"),
+])
+def test_abbreviated_dash_value_flags_answer_as_the_full_ones(
+        capsys, argv, flag, value):
+    reply = run(capsys, *argv, flag, value)
+    assert reply[0] == 0, reply
+    for end in range(3, len(flag)):
+        assert run(capsys, *argv, flag[:end], value) == reply, flag[:end]

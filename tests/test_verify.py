@@ -8,6 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracle import f_recipe_tag_by_cases
 
 from strata_cones import verify, weights
@@ -29,7 +30,9 @@ from strata_cones.splitting import (
 from strata_cones.verify import (
     _check_gl2_product,
     _config_tasks,
+    _dumps,
     _equality_result,
+    _explore_sweep,
     _run_tasks,
     check_min_question,
     check_report,
@@ -527,6 +530,11 @@ def test_planted_faults_fail_with_witnesses_that_hold_by_hand(monkeypatch,
     assert result.status == "fail"
     assert list(result.witness) == keys
     assert holds(t, result.witness), result.witness
+    # the witness as its record lists it, in the layout of a fragment
+    entry = {"name": result.name, "status": result.status,
+             "witness": result.witness}
+    assert _dumps(entry, "\n    ") == json.dumps(entry, indent=2).replace(
+        "\n", "\n    ")
 
 
 def test_min_question_is_informational():
@@ -607,6 +615,44 @@ def test_report_json_is_the_one_call_encoding_of_its_records(build):
     assert all(type(fragment) is str for fragment in report.fragments)
     # the encoding of the whole tree in one call is the reference
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+def test_dumps_writes_every_record_as_the_json_module_does():
+    _, tasks = _explore_sweep([2, 3], 3)
+    for task in tasks:
+        record = stratum_record(stratum_from_text(*task))
+        text = json.dumps(record, indent=2)
+        assert _dumps(record) == text
+        assert _dumps(record, "\n    ") == text.replace("\n", "\n    ")
+
+
+# every value a document may hold, with the characters that need escapes
+# and integers far beyond a machine word
+_TEXT = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\n\r\t\b\f", "\u2028", "caf\u00e9",
+     "\U0001f600", "\ud800", '\\"quoted\\"'])
+_LEAVES = (st.none() | st.booleans() | _TEXT
+           | st.integers() | st.integers(-10**300, 10**300))
+_TREES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(_TEXT, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=30)
+
+
+@settings(deadline=None)
+@given(_TREES, st.sampled_from(["\n", "\n    "]))
+def test_dumps_agrees_with_the_json_module(tree, newline):
+    assert _dumps(tree, newline) == json.dumps(tree, indent=2).replace(
+        "\n", newline)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 2), (1, 2), {1: "x"}, {None: "x"}, ["a", 0.0],
+    {"a": [(1,)]}, ["x", Fraction(3)],
+], ids=repr)
+def test_dumps_refuses_what_no_document_holds(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
 
 
 def test_empty_and_failing_reports_have_the_expected_records():
