@@ -434,19 +434,26 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-# flags whose value may start with a minus sign, which argparse would
-# otherwise read as another option, with each prefix argparse takes for them
-# (no other flag starts with "--w" or "--b")
-_DASH_VALUE_FLAGS = {flag[:end] for flag in ("--weight", "--biweight")
+# each prefix argparse takes for a flag whose value may start with a minus
+# sign, which argparse would otherwise read as another option, mapped to
+# that flag (no other flag starts with "--w" or "--b")
+_DASH_VALUE_FLAGS = {flag[:end]: flag for flag in ("--weight", "--biweight")
                      for end in range(3, len(flag) + 1)}
 
 
 def _merge_dash_values(argv: Sequence[str]) -> list[str]:
+    """argv with each dash-value flag joined to a value that starts with a
+    minus sign, where the subcommand named first declares the flag; any
+    other use is left as typed, for the parser to refuse."""
+    _, commands = _build_parser()
+    # argparse's table of the option strings the subcommand declares
+    declared = (commands[argv[0]]._option_string_actions
+                if argv and argv[0] in commands else {})
     merged = []
     i = 0
     while i < len(argv):
-        if (argv[i] in _DASH_VALUE_FLAGS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
+        if (_DASH_VALUE_FLAGS.get(argv[i]) in declared
+                and i + 1 < len(argv) and argv[i + 1].startswith("-")):
             merged.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .cone_kernel import (
@@ -328,7 +326,12 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
 
 
 def _check_hasse_identity(t: Stratum) -> CheckResult:
-    config = t.config
+    return _verdict("hasse_identity", _hasse_identity(t.config))
+
+
+@_memoised
+def _hasse_identity(config: SplittingConfig) -> dict | None:
+    """None if every Hasse pair identity holds; else the first failure."""
     for c, f in enumerate(config.cycle_lengths):
         for n in range(1, f):
             for m in range(1, f - n + 1):
@@ -341,10 +344,9 @@ def _check_hasse_identity(t: Stratum) -> CheckResult:
                     for a, b in zip(weight_pair(config, "h", top, mid),
                                     weight_pair(config, "h", mid, beta)))
                 if long != split:
-                    return CheckResult("hasse_identity", FAIL, {
-                        "cycle": _num(c), "n": _num(n), "m": _num(m),
-                        "direct": _vec(long), "composed": _vec(split)})
-    return CheckResult("hasse_identity", PASS)
+                    return {"cycle": _num(c), "n": _num(n), "m": _num(m),
+                            "direct": _vec(long), "composed": _vec(split)}
+    return None
 
 
 def _check_reduction_identities(t: Stratum) -> CheckResult:
@@ -466,11 +468,11 @@ def _check_diagonal_minimal(t: Stratum) -> CheckResult:
 
 def _check_gl2_product(t: Stratum) -> CheckResult:
     """The bi-weight cone is Q^d times the half-space cone, decided in
-    dimension d: the Hasse lines (h, 0) span the first slot (det H is
-    +-(p^f - 1) on each cycle), and modulo them every generator is
-    (0, kappa).  A witness (v, form) lifts to (v, 0), (form, 0) for the
-    first slot and to (0, v), (0, form) for the second.  A rational check
-    cannot see the first slot's integral content; `delta_kernel` tests it."""
+    dimension d: the Hasse lines (h, 0) span the first slot (|det H| is
+    p^f - 1 on each cycle), and modulo them every generator is (0, kappa).
+    A witness (v, form) lifts to (v, 0), (form, 0) for the first slot and
+    to (0, v), (0, form) for the second.  A rational check cannot see the
+    first slot's integral content; `delta_kernel` proves it for all weights."""
     dim = t.config.degree
     gens = gl2_generators(t)
     hasse = [bw.lam for bw, is_line in gens if is_line and not any(bw.kappa)]
@@ -486,53 +488,56 @@ def _check_gl2_product(t: Stratum) -> CheckResult:
                             "half-space cone")
 
 
-def _hasse_coordinates(config: SplittingConfig,
-                      weight: Sequence[int]) -> list[tuple[int, int]]:
-    """Each coordinate of `weight` in the Hasse-weight basis as a pair
-    (s_i, p^f - 1) of numerator and denominator, in closed form.
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so every entry stays an integer."""
+    a = [list(row) for row in rows]
+    n, sign, last = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // last
+        last = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
-    On a cycle of length f, H x = w reads p x_{i+1} - x_i = w_i, so
-    x_i = s_i / (p^f - 1) with s_i = sum_{k<f} p^k w_{i+k} (indices mod f).
-    Each solution is confirmed in integers, p s_{i+1} - s_i = (p^f - 1) w_i,
-    and lattice membership is the divisibility of every s_i."""
-    p = config.p
-    out = []
-    offset = 0
-    for f in config.cycle_lengths:
-        w = weight[offset:offset + f]
-        modulus = p ** f - 1
-        s = [sum(p ** k * w[(i + k) % f] for k in range(f))
-             for i in range(f)]
-        if any(p * s[(i + 1) % f] - s[i] != modulus * w[i]
-               for i in range(f)):
-            raise AssertionError(f"Hasse coordinates of {tuple(weight)} do "
-                                 "not solve H x = w")
-        out += [(num, modulus) for num in s]
-        offset += f
-    return out
+
+@_memoised
+def _delta_kernel(config: SplittingConfig) -> dict | None:
+    """None if the per-cycle residue delta vanishes exactly on the Hasse
+    lattice H Z^d; else the witness of the first failed step.  On a cycle c
+    of length f, with m = p^f - 1: (1) delta is 0, modulus m, on each Hasse
+    weight of the cycle, so H Z^f lies in ker delta; (2) delta is 1 mod m on
+    e_(c,0), so it is onto Z/m and ker delta has index m; (3) |det| of the
+    cycle's Hasse matrix, found without delta, is m, so H Z^f has index m
+    too, and the two lattices are equal."""
+    moduli = tuple(config.p ** f - 1 for f in config.cycle_lengths)
+    for c, f in enumerate(config.cycle_lengths):
+        cycle = [EmbeddingId(c, i) for i in range(f)]
+        for emb, kind, value in [(e, "h", 0) for e in cycle] + [
+                (cycle[0], "e", 1)]:
+            weight = weight_basis(config, kind, emb)
+            cls = delta_class(config, weight)
+            if cls.moduli != moduli or cls.residues != tuple(
+                    value * (k == c) % m for k, m in enumerate(moduli)):
+                return {"cycle": _num(c), "embedding": _emb_key(emb),
+                        "weight": _vec(weight), "residues": _vec(cls.residues),
+                        "moduli": _vec(cls.moduli)}
+        start = config.flat_index(cycle[0])
+        rows = [weight_basis(config, "h", e)[start:start + f] for e in cycle]
+        if abs(_determinant(rows)) != moduli[c]:
+            return {"cycle": _num(c), "rows": _vecs(rows),
+                    "determinant": _num(_determinant(rows)),
+                    "modulus": _num(moduli[c])}
+    return None
 
 
 def _check_delta_kernel(t: Stratum) -> CheckResult:
-    """The per-cycle residue invariant vanishes exactly on the lattice
-    spanned by the Hasse weights; checked on all basis Hasse weights and a
-    deterministic sample of random integer weights."""
-    config = t.config
-    name = "delta_kernel"
-    samples = [weight_basis(config, "h", emb) for emb in config.embeddings()]
-    rng = random.Random(
-        f"delta:{config.p}:{config.cycle_lengths}:{t.key()}")
-    samples += [tuple(rng.randint(-40, 40) for _ in range(config.degree))
-                for _ in range(25)]
-    for weight in samples:
-        coords = _hasse_coordinates(config, weight)
-        in_lattice = all(num % den == 0 for num, den in coords)
-        if delta_class(config, weight).is_zero() != in_lattice:
-            return CheckResult(name, FAIL, {
-                "weight": _vec(weight),
-                "residues": _vec(delta_class(config, weight).residues),
-                "hasse_coordinates": _vec([Fraction(num, den)
-                                           for num, den in coords])})
-    return CheckResult(name, PASS)
+    return _verdict("delta_kernel", _delta_kernel(t.config))
 
 
 def _every_stratum(config: SplittingConfig) -> list[Stratum]:

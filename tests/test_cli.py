@@ -763,6 +763,23 @@ strata-cones: error: unrecognized arguments: --bogus
 """)
 
 
+# a dash-value flag that the subcommand does not declare is refused as typed,
+# not as the joined "--weight=-1,0,0"
+@pytest.mark.parametrize("flag", ["--weight", "--w"])
+def test_an_undeclared_dash_value_flag_is_refused_as_typed(capsys, flag):
+    assert run(capsys, "describe", "--p", "2", "--cycles", "3", "--t", "0.1",
+               flag, "-1,0,0") == (3, "", TOP_USAGE + f"""\
+strata-cones: error: unrecognized arguments: {flag} -1,0,0
+""")
+
+
+def test_a_declared_dash_value_flag_still_takes_its_value(capsys):
+    code, out, err = run(capsys, "member", "--p", "2", "--cycles", "3",
+                         "--t", "0.1", "--weight", "-1,0,0")
+    assert (code, err) == (0, "")
+    assert out.startswith("(-1, 0, 0) lies in the weight cone of [0.1]\n")
+
+
 def test_help_lists_the_subcommands(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, "-h") == (0, TOP_USAGE + """

@@ -3,12 +3,14 @@ the sweep driver."""
 
 import concurrent.futures.process
 import gc
+import itertools
 import json
+import math
 import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracle import f_recipe_tag_by_cases
 
 from strata_cones import verify, weights
@@ -191,33 +193,67 @@ def test_gl2_product_rejects_mutated_generators_like_the_2d_decision(
     assert checked == len(GL2_SAMPLE) - 4
 
 
-def test_delta_kernel_witness_rebuilds_its_weight(monkeypatch):
-    # delta_class lies on the first sample that is not a Hasse weight: the
-    # check must fail there, and the witness coordinates times the Hasse
-    # weights must give the weight back
+def _det_by_permutations(rows):
+    """The Leibniz expansion: over all permutations, the sign (by counting
+    inversions) times the product of the chosen entries."""
+    n = len(rows)
+    return sum((-1) ** sum(perm[i] > perm[j] for i in range(n)
+                           for j in range(i + 1, n))
+               * math.prod(rows[i][perm[i]] for i in range(n))
+               for perm in itertools.permutations(range(n)))
+
+
+@st.composite
+def small_square_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = [draw(st.lists(st.integers(min_value=-9, max_value=9),
+                          min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[0][0] = 0  # the first pivot needs a row swap, or there is none
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])  # a repeated row: singular
+    return rows
+
+
+@given(small_square_matrices())
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # the second pivot is 0
+@example([[0, 0], [0, 5]])
+@example([[1, 2], [2, 4]])
+def test_fraction_free_determinant_matches_the_permutation_expansion(rows):
+    assert verify._determinant(rows) == _det_by_permutations(rows)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_each_configuration_verdict_is_computed_once(monkeypatch):
+    # delta_kernel and hasse_identity read only the configuration, so over
+    # all 2^d strata their builders are reached for the first stratum alone
     config = SplittingConfig(3, (2, 1))
-    hasse = [weight_basis(config, "h", emb) for emb in config.embeddings()]
-    real = verify.delta_class
-    lied = []
-
-    def lying(config, weight):
-        cls = real(config, weight)
-        if weight not in hasse and not lied:
-            lied.append(weight)
-        if lied != [weight]:
-            return cls
-        return DeltaClass(tuple(int(cls.is_zero()) for _ in cls.moduli),
-                          cls.moduli)
-
-    monkeypatch.setattr(verify, "delta_class", lying)
-    t = stratum_from_text(config, "0.1")
-    result = verify._check_delta_kernel(t)
-    assert result.status == "fail"
-    assert result.witness["weight"] == [str(x) for x in lied[0]]
-    coords = [Fraction(x) for x in result.witness["hasse_coordinates"]]
-    rebuilt = [sum(c * h[k] for c, h in zip(coords, hasse))
-               for k in range(config.degree)]
-    assert rebuilt == list(lied[0])
+    strata = verify._every_stratum(config)
+    deltas = _counting(monkeypatch, "delta_class")
+    for t in strata:
+        assert verify._check_delta_kernel(t).status == "pass"
+    # one class per Hasse weight and one per cycle's unit e_(c,0)
+    assert len(deltas) == config.degree + len(config.cycle_lengths)
+    pairs = _counting(monkeypatch, "weight_pair")
+    assert verify._check_hasse_identity(strata[0]).status == "pass"
+    reached = len(pairs)
+    assert reached > 0
+    for t in strata[1:]:
+        assert verify._check_hasse_identity(t).status == "pass"
+    assert len(pairs) == reached
 
 
 def test_recipe_weights_fails_when_a_recipe_raises(monkeypatch):
@@ -302,18 +338,78 @@ def _flip_the_sign_of_lambda(real):
     return recipe
 
 
-def _tag_is_not_the_class_of_the_first_slot(t, w):
-    # the first slot's class by hand, sum_j lam_j p^j modulo p^f - 1 on each
-    # cycle, is the oracle's tag, and the reported tag differs from it
-    p, lengths = t.config.p, t.config.cycle_lengths
-    lam, offset, residues = _ints(w["first_slot"]), 0, []
-    for f in lengths:
-        residues.append(sum(lam[offset + j] * p ** j for j in range(f))
+def _residues_by_hand(config, weight):
+    """sum_j w_j p^j modulo p^f - 1 on each cycle."""
+    p, w, offset, residues = config.p, _ints(weight), 0, []
+    for f in config.cycle_lengths:
+        residues.append(sum(w[offset + j] * p ** j for j in range(f))
                         % (p ** f - 1))
         offset += f
-    expected, _ = f_recipe_tag_by_cases(p, lengths, t.members,
-                                        _emb(w["generator_at"]))
-    return residues == list(expected) != _ints(w["tag_residues"])
+    return residues
+
+
+def _tag_is_not_the_class_of_the_first_slot(t, w):
+    # the first slot's class by hand is the oracle's tag, and the reported
+    # tag differs from it
+    expected, _ = f_recipe_tag_by_cases(t.config.p, t.config.cycle_lengths,
+                                        t.members, _emb(w["generator_at"]))
+    return (_residues_by_hand(t.config, w["first_slot"]) == list(expected)
+            != _ints(w["tag_residues"]))
+
+
+def _basis_weight_by_hand(config, kind, key):
+    """e at the embedding `key`, or h = -e + p e' with e' one step back
+    around its cycle."""
+    c, pos = _ints(key.split("."))
+    start, f = sum(config.cycle_lengths[:c]), config.cycle_lengths[c]
+    w = [0] * config.degree
+    w[start + pos] = 1 if kind == "e" else -1
+    if kind == "h":
+        w[start + (pos - 1) % f] += config.p
+    return w
+
+
+def _lie_on_one_basis_weight(kind, key, residues):
+    # delta_class answers `residues` on the basis weight of `kind` at `key`
+    def plant(real):
+        def delta(config, weight):
+            cls = real(config, weight)
+            if list(weight) == _basis_weight_by_hand(config, kind, key):
+                return DeltaClass(residues, cls.moduli)
+            return cls
+        return delta
+    return plant
+
+
+def _delta_lies_on(kind, t, w):
+    """The witness weight is the basis weight it names, and its class by
+    hand, 0 for h and the unit of its cycle for e, is not the reported
+    one."""
+    c = int(w["cycle"])
+    unit = [int(kind == "e" and k == c) % (t.config.p ** f - 1)
+            for k, f in enumerate(t.config.cycle_lengths)]
+    return (_ints(w["weight"]) == _basis_weight_by_hand(
+        t.config, kind, w["embedding"])
+        and int(w["embedding"].split(".")[0]) == c
+        and _residues_by_hand(t.config, w["weight"]) == unit
+        != _ints(w["residues"]))
+
+
+def _double_one_hasse_weight(real):
+    def basis(config, kind, emb):
+        w = real(config, kind, emb)
+        if (kind, emb) == ("h", EmbeddingId(0, 0)):
+            return tuple(2 * x for x in w)
+        return w
+    return basis
+
+
+def _determinant_is_twice_the_modulus(t, w):
+    f = t.config.cycle_lengths[int(w["cycle"])]
+    rows = [_ints(row) for row in w["rows"]]
+    return (int(w["modulus"]) == t.config.p ** f - 1
+            and _det_by_permutations(rows) == int(w["determinant"])
+            and abs(int(w["determinant"])) == 2 * int(w["modulus"]))
 
 
 def _negate_the_first_ray(real):
@@ -508,6 +604,23 @@ PLANTED_FAULTS = {
         lambda t, w: (w["generator_of"], w["not_in"]) == (
             "minimal cone", "diagonal description")
         and _is_a_violated_form_of(w, _diagonal_forms_by_hand(t))),
+    "delta_kernel-hasse": (
+        "_check_delta_kernel", "delta_class",
+        _lie_on_one_basis_weight("h", "0.1", (1,)),
+        AT_B,
+        ["cycle", "embedding", "weight", "residues", "moduli"],
+        lambda t, w: _delta_lies_on("h", t, w)),
+    "delta_kernel-unit": (
+        "_check_delta_kernel", "delta_class",
+        _lie_on_one_basis_weight("e", "1.0", (0, 0)),
+        (SplittingConfig(3, (2, 1)), "0.0"),
+        ["cycle", "embedding", "weight", "residues", "moduli"],
+        lambda t, w: _delta_lies_on("e", t, w)),
+    "delta_kernel-determinant": (
+        "_check_delta_kernel", "weight_basis", _double_one_hasse_weight,
+        AT_B,
+        ["cycle", "rows", "determinant", "modulus"],
+        _determinant_is_twice_the_modulus),
     "product_structure": (
         "_check_product_structure", "generators_Gprime",
         _negate_the_first_ray,
@@ -526,6 +639,10 @@ def test_planted_faults_fail_with_witnesses_that_hold_by_hand(monkeypatch,
     t = stratum_from_text(config, text)
     assert getattr(verify, check)(t).status == "pass"
     monkeypatch.setattr(verify, builder, plant(getattr(verify, builder)))
+    # a fresh configuration: a verdict memoised on `config` by the pass
+    # above must not hide the fault
+    t = stratum_from_text(SplittingConfig(config.p, config.cycle_lengths),
+                          text)
     result = getattr(verify, check)(t)
     assert result.status == "fail"
     assert list(result.witness) == keys

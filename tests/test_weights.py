@@ -14,7 +14,6 @@ from oracle import (
     f_recipe_tag_by_cases,
     hasse_pairs,
     recipe_by_exit_parity,
-    rref,
 )
 
 from strata_cones.cone_kernel import (
@@ -40,7 +39,6 @@ from strata_cones.splitting import (
 )
 from strata_cones.verify import (
     _cycle_strata,
-    _hasse_coordinates,
     partitions,
     stratum_record,
 )
@@ -440,12 +438,12 @@ def test_malformed_input_is_refused(call, message):
 
 
 def _solve_against_hasse_lattice(config, weight):
-    """Coordinates of a weight in the Hasse-weight basis, or None.
+    """Coordinates of a weight in the Hasse-weight basis.
 
     Per cycle, Gauss elimination on the matrix whose column j is the Hasse
-    weight at position j; the determinant is +-(p^f - (-1)^f), never zero,
-    so a unique rational solution exists whenever the block does not
-    degenerate, and lattice membership is its integrality.
+    weight at position j; the determinant is +-(p^f - 1), never zero, so
+    the rational solution is unique, and lattice membership is its
+    integrality.
     """
     p = config.p
     coords = []
@@ -491,33 +489,6 @@ def test_delta_class_kills_exactly_the_hasse_lattice(args):
     coords = _solve_against_hasse_lattice(config, weight)
     in_lattice = all(c.denominator == 1 for c in coords)
     assert delta_class(config, weight).is_zero() == in_lattice
-
-
-def _eliminated_coordinates(config, weight):
-    """The Hasse coordinates as the elimination of [H | w] on each cycle
-    found them, column j of H being the Hasse weight at j."""
-    coords = []
-    offset = 0
-    for f in config.cycle_lengths:
-        aug = [[0] * f + [weight[offset + i]] for i in range(f)]
-        for j in range(f):
-            aug[j][j] -= 1
-            aug[(j - 1) % f][j] += config.p
-        solved, _ = rref(aug, f)
-        coords += [row[f] for row in solved]
-        offset += f
-    return coords
-
-
-@given(config_and_weight())
-def test_closed_form_hasse_coordinates_match_the_elimination(args):
-    config, weight = args
-    coords = _hasse_coordinates(config, weight)
-    assert [Fraction(num, den) for num, den in coords] == \
-        _eliminated_coordinates(config, weight)
-    in_lattice = all(num % den == 0 for num, den in coords)
-    assert in_lattice == all(c.denominator == 1 for c in
-                             _solve_against_hasse_lattice(config, weight))
 
 
 @given(config_and_weight())
