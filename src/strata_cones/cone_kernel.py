@@ -3,13 +3,13 @@
 A cone is held in up to two representations: generators (extreme rays plus a
 basis of the lineality space) and constraints (facet inequalities plus
 equations).  All arithmetic is exact: arbitrary-precision integers, and
-`fractions.Fraction` only where a quotient is needed, in the phase-1 simplex,
-membership certificates and rational input.  No floating point is used
-anywhere.  Completing a cone given by integer vectors constructs no
-`Fraction`: canonicalisation is fraction-free, and each of its steps is a
-positive rescaling of the rational one, so the canonical form is the same.
+`fractions.Fraction` only for rational input and for the coefficients of an
+inside membership certificate.  No floating point is used anywhere.
+Completing a cone given by integer vectors constructs no `Fraction`:
+canonicalisation is fraction-free, and each of its steps is a positive
+rescaling of the rational one, so the canonical form is the same.
 
-Canonical form, produced by `cone_complete` and the factory helpers:
+Canonical form, each side computed the first time it is read:
 
 * equations and lines are primitive integer vectors derived from a reduced
   row echelon basis, pivots positive;
@@ -17,14 +17,22 @@ Canonical form, produced by `cone_complete` and the factory helpers:
   zeroed), scaled primitive (gcd one, denominators cleared, direction kept),
   deduplicated, and sorted lexicographically.
 
-Representation conversion is done by the double description method, which
-decides adjacency combinatorially from the tight sets of its rays.  Its
-canonical result is memoised (`_dual_canon`, the 256 most recently used),
-keyed on the constraint tuples and the dimension.  Sharing it is safe: it
-depends only on the cone, equal keys (an `int` and an equal `Fraction`)
-describe the same cone, and it is a frozen dataclass of tuples.
-Containment is decided from constraints alone (`first_escape`); only an
-inside membership certificate needs the phase-1 simplex.
+A `Cone` keeps the side it was given.  The canonical constraints are one
+double description pass over a generating set, and the canonical generators
+one pass over a constraint system, so a factory, the dual, an image, a sum
+or an intersection runs none, and a cone given by generators pays for its
+canonical generators only when they are read.  The pass decides adjacency
+combinatorially from the tight sets of its rays.  Its canonical result is
+memoised (`_dual_canon`, the 256 most recently used), keyed on the vector
+tuples and the dimension.  Sharing it is safe: it depends only on the cone,
+equal keys (an `int` and an equal `Fraction`) describe the same cone, and it
+is a frozen dataclass of tuples.
+
+Containment is decided from the given sides (`first_escape`): the inner
+cone's generators against the outer cone's constraints, whatever form either
+was given in.  Only an escape reads the canonical sides, for its witness.
+An inside membership certificate comes from a phase-1 simplex that pivots
+in integers over one common denominator.
 The zero cone and the full space are ordinary values, as is the
 zero-dimensional space.
 """
@@ -34,6 +42,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -133,13 +142,79 @@ class ConstraintRep:
     eqns: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A rational polyhedral cone; either representation may be absent."""
+def _flip(rep: GeneratorRep | ConstraintRep | None):
+    """The same vectors in the other role: generators of the dual cone are
+    constraints of the cone, and the other way round."""
+    if rep is None:
+        return None
+    if isinstance(rep, GeneratorRep):
+        return ConstraintRep(ineqs=rep.rays, eqns=rep.lines)
+    return GeneratorRep(rays=rep.ineqs, lines=rep.eqns)
 
-    dim: int
-    gen: GeneratorRep | None = None
-    con: ConstraintRep | None = None
+
+def _key(vecs) -> tuple[Vec, ...]:
+    # the memo's keys are tuples, whatever sequences the cone was given
+    return tuple(map(tuple, vecs))
+
+
+class Cone:
+    """A rational polyhedral cone, given by generators, constraints or both.
+
+    A cone given one side keeps it, and computes each canonical side (`gen`,
+    `con`) by one double description pass the first time it is read.  A cone
+    given both takes them as its canonical sides.  Equality and hashing read
+    the canonical sides.
+    """
+
+    __slots__ = ("dim", "_given_gen", "_given_con", "_gen", "_con")
+
+    def __init__(self, dim: int, gen: GeneratorRep | None = None,
+                 con: ConstraintRep | None = None):
+        if gen is None and con is None:
+            raise ValueError("cone has neither representation")
+        self.dim = dim
+        self._given_gen, self._given_con = gen, con
+        both = gen is not None and con is not None
+        self._gen, self._con = (gen, con) if both else (None, None)
+
+    @property
+    def gen(self) -> GeneratorRep:
+        """Canonical generators: extreme rays of the dual system."""
+        if self._gen is None:
+            con = self._known_con()
+            self._gen = _dual_canon(_key(con.ineqs), _key(con.eqns), self.dim)
+        return self._gen
+
+    @property
+    def con(self) -> ConstraintRep:
+        """Canonical constraints: the facets are the extreme rays of the
+        dual system, so the side is minimal whatever the input was."""
+        if self._con is None:
+            gen = self._known_gen()
+            self._con = _flip(_dual_canon(_key(gen.rays), _key(gen.lines),
+                                          self.dim))
+        return self._con
+
+    def _known_gen(self) -> GeneratorRep:
+        """Generators of the cone, without a pass when some are held: the
+        canonical ones once read, else the given ones."""
+        return self._gen or self._given_gen or self.gen
+
+    def _known_con(self) -> ConstraintRep:
+        """Constraints of the cone, without a pass when some are held."""
+        return self._con or self._given_con or self.con
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cone):
+            return NotImplemented
+        return self.dim == other.dim and self.gen == other.gen \
+            and self.con == other.con
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.gen, self.con))
+
+    def __repr__(self) -> str:
+        return f"Cone(dim={self.dim!r}, gen={self.gen!r}, con={self.con!r})"
 
 
 @dataclass(frozen=True)
@@ -240,34 +315,36 @@ def _dual_canon(ineqs, eqns, dim: int) -> GeneratorRep:
     return _canon_gen(*_ray_enum(ineqs, eqns, dim), dim)
 
 
+def _given(vecs: Iterable[Sequence[Rational]],
+           flat: Iterable[Sequence[Rational]],
+           dim: int | None) -> tuple[tuple[Vec, ...], tuple[Vec, ...], int]:
+    """Vectors of a factory as tuples, zero vectors dropped, and the ambient
+    dimension, read off the first vector when not given."""
+    vecs = tuple(map(tuple, vecs))
+    flat = tuple(map(tuple, flat))
+    if dim is None:
+        if not vecs and not flat:
+            raise ValueError("ambient dimension required when no vectors "
+                             "are given")
+        dim = len((vecs or flat)[0])
+    _check_dim(dim, vecs + flat)
+    return tuple(filter(any, vecs)), tuple(filter(any, flat)), dim
+
+
 def cone_from_rays(rays: Iterable[Sequence[Rational]],
                    lines: Iterable[Sequence[Rational]] = (),
                    dim: int | None = None) -> Cone:
-    """Cone generated by rays and lines, completed to canonical form."""
-    rays = [tuple(r) for r in rays]
-    lines = [tuple(l) for l in lines]
-    if dim is None:
-        if not rays and not lines:
-            raise ValueError("ambient dimension required when no vectors "
-                             "are given")
-        dim = len((rays or lines)[0])
-    _check_dim(dim, rays + lines)
-    return cone_complete(Cone(dim=dim, gen=GeneratorRep(
-        rays=tuple(r for r in rays if any(r)),
-        lines=tuple(l for l in lines if any(l)))))
+    """Cone generated by rays and lines."""
+    rays, lines, dim = _given(rays, lines, dim)
+    return Cone(dim, gen=GeneratorRep(rays=rays, lines=lines))
 
 
 def cone_from_constraints(ineqs: Iterable[Sequence[Rational]],
                           eqns: Iterable[Sequence[Rational]] = (),
                           dim: int | None = None) -> Cone:
-    """Solution cone of `ineqs >= 0`, `eqns = 0`, completed to canonical form.
-
-    It is the dual of the cone the forms generate: `cone_complete` derives
-    the constraints of that cone by one double description and its
-    generators by a second, and the dual swaps the two, so the result is
-    exactly the completion of the constraint system.
-    """
-    return cone_dual(cone_from_rays(ineqs, eqns, dim))
+    """Solution cone of `ineqs >= 0`, `eqns = 0`."""
+    ineqs, eqns, dim = _given(ineqs, eqns, dim)
+    return Cone(dim, con=ConstraintRep(ineqs=ineqs, eqns=eqns))
 
 
 def full_space(dim: int) -> Cone:
@@ -279,93 +356,91 @@ def zero_cone(dim: int) -> Cone:
 
 
 def cone_complete(cone: Cone) -> Cone:
-    """Fill in the missing representation; canonicalize both.  Idempotent."""
-    if cone.gen is not None and cone.con is not None:
-        return cone
-    dim = cone.dim
-    if cone.gen is not None:
-        # facets of the cone are the extreme rays of its dual system, and
-        # re-enumerating from them makes the generator side minimal whatever
-        # the input was
-        given = (cone.gen.rays, cone.gen.lines)
-    elif cone.con is not None:
-        given = (cone.con.ineqs, cone.con.eqns)
-    else:
-        raise ValueError("cone has neither representation")
-    # the memo's keys are tuples, whatever sequences the cone was given
-    first = _dual_canon(*(tuple(map(tuple, v)) for v in given), dim)
-    second = _dual_canon(first.rays, first.lines, dim)
-    gen_rep, con_rep = (second, first) if cone.gen else (first, second)
-    return Cone(dim=dim, gen=gen_rep,
-                con=ConstraintRep(ineqs=con_rep.rays, eqns=con_rep.lines))
+    """The cone itself, with both canonical sides read.  Idempotent."""
+    cone.gen
+    cone.con
+    return cone
 
 
 def cone_dual(cone: Cone) -> Cone:
     """The dual cone {f : f.v >= 0 for all v in the cone}.
 
-    On canonical data this is a pure role swap, so dual(dual(c)) == c
-    bit-exactly.
+    A pure role swap of every side held, given or canonical, so no double
+    description runs and dual(dual(c)) == c bit-exactly.
     """
-    c = cone_complete(cone)
-    return Cone(dim=c.dim,
-                gen=GeneratorRep(rays=c.con.ineqs, lines=c.con.eqns),
-                con=ConstraintRep(ineqs=c.gen.rays, eqns=c.gen.lines))
+    out = Cone.__new__(Cone)
+    out.dim = cone.dim
+    out._given_gen = _flip(cone._given_con)
+    out._given_con = _flip(cone._given_gen)
+    out._gen, out._con = _flip(cone._con), _flip(cone._gen)
+    return out
 
 
-def _phase1_coeffs(columns: Sequence[Vec], target) -> list[Fraction] | None:
+def _phase1_coeffs(columns: Sequence[Vec],
+                   target: Sequence[int]) -> tuple[list[int], int] | None:
     """Nonnegative x with (columns as a matrix) @ x == target, or None.
 
-    Fraction-exact phase-1 simplex with Bland's rule.  The artificial
-    variables n..n+m-1 form the starting basis and are barred from
-    re-entering, and the ratio test reads only the entering column and the
-    right-hand side, so no artificial column is ever read: each row keeps
-    the n real columns and the right-hand side, and only `basis` holds the
-    artificial indices, for Bland's tie-break and the final read-off.
+    x is returned as integer numerators and their common denominator.
+    Phase-1 simplex with Bland's rule, pivoting in integers over one
+    common denominator d (Edmonds, as in Avis's lrs): the tableau is d
+    times the rational one, every update `(x*pv - f*y) // d` divides
+    exactly, and the pivot value becomes the new d.  All rows share d, so
+    the ratio test compares by cross-multiplying and pivots exactly where
+    the rational tableau does.  The artificial variables n..n+m-1 form the
+    starting basis and are barred from re-entering, and the ratio test reads
+    only the entering column and the right-hand side, so no artificial
+    column is ever read: each row keeps the n real columns and the
+    right-hand side, and only `basis` holds the artificial indices, for
+    Bland's tie-break and the final read-off.
     """
     m = len(target)
     n = len(columns)
     if m == 0:
-        return [Fraction(0)] * n
+        return [0] * n, 1
     tab = []
     for i, b in enumerate(target):
         # negate the row where needed to keep the right-hand side >= 0
         sign = -1 if b < 0 else 1
-        tab.append([Fraction(sign * c[i]) for c in columns]
-                   + [Fraction(sign * b)])
+        tab.append([sign * c[i] for c in columns] + [sign * b])
     basis = list(range(n, n + m))
     # phase-1 reduced costs: minus the column sums, right-hand side included
     cost = [-sum(col) for col in zip(*tab)]
+    d = 1
     while True:
         enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             break
-        best = None
+        piv = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or (
-                        ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+            a = tab[i][enter]
+            if a > 0:
+                if piv is None:
+                    piv = i
+                    continue
+                # rhs_i / a against rhs_piv / a_piv; both divisors are > 0
+                lhs, rhs = tab[i][-1] * tab[piv][enter], tab[piv][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
+                    piv = i
+        if piv is None:
             return None  # unbounded phase-1 cannot happen; defensive
-        _, piv = best
-        pv = tab[piv][enter]
-        tab[piv] = [x / pv for x in tab[piv]]
+        top = tab[piv]
+        pv = top[enter]
+        # every row moves to the new denominator pv, the pivot row as it is
         for i in range(m):
-            if i != piv and tab[i][enter] != 0:
+            if i != piv:
                 f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[piv])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[piv])]
+                tab[i] = [(x * pv - f * y) // d for x, y in zip(tab[i], top)]
+        f = cost[enter]
+        cost = [(x * pv - f * y) // d for x, y in zip(cost, top)]
+        d = pv
         basis[piv] = enter
-    if -cost[-1] != 0:
+    if cost[-1] != 0:
         return None  # leftover artificial value: target not in the cone
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
             out[bv] = tab[i][-1]
-    return out
+    return out, d
 
 
 def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
@@ -384,117 +459,158 @@ def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
     return None
 
 
+def _integral(vec: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integers and a positive scale whose quotients are the rational vector."""
+    scale = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (scale // x.denominator) for x in vec], scale
+
+
 def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
-    """Membership with certificate; see MembershipCertificate."""
-    c = cone_complete(cone)
-    _check_dim(c.dim, [vec])
-    form = _violated_form(c.con, vec)
-    if form is not None:
-        return MembershipCertificate(inside=False, violated_form=form)
+    """Membership with certificate; see MembershipCertificate.
+
+    The answer is decided on the constraints held; an outside answer
+    reports the first canonical constraint broken.  An inside one reduces
+    the vector modulo the canonical lines in integers, the way `_reduce_mod`
+    does, keeping the scale the steps multiply in, and solves for the rays
+    by the integer phase-1 simplex; `Fraction`s are built only for the
+    coefficients returned.
+    """
+    _check_dim(cone.dim, [vec])
+    if _violated_form(cone._known_con(), vec) is not None:
+        return MembershipCertificate(
+            inside=False, violated_form=_violated_form(cone.con, vec))
+    gen = cone.gen
+    # the rest still to write as a combination is `rest / scale`
+    rest, scale = _integral(vec)
     line_coeffs: dict[int, Fraction] = {}
-    rest = [Fraction(x) for x in vec]
-    for j, b in enumerate(c.gen.lines):
+    for j, b in enumerate(gen.lines):
         pj = next(i for i, x in enumerate(b) if x != 0)
-        if rest[pj] != 0:
-            f = rest[pj] / b[pj]
-            line_coeffs[j] = f
-            rest = [x - f * y for x, y in zip(rest, b)]
-    lam = _phase1_coeffs(c.gen.rays, tuple(rest))
-    if lam is None:
+        f = rest[pj]
+        if f != 0:
+            bj = b[pj]
+            rest = [bj * x - f * y for x, y in zip(rest, b)]
+            scale *= bj
+            line_coeffs[j] = Fraction(f, scale)
+    solved = _phase1_coeffs(gen.rays, rest)
+    if solved is None:
         raise AssertionError(
             "constraints accept the vector but no generator combination found")
-    ray_coeffs = {i: x for i, x in enumerate(lam) if x != 0}
+    lam, den = solved
+    ray_coeffs = {i: Fraction(x, den * scale) for i, x in enumerate(lam) if x}
     return MembershipCertificate(
         inside=True, ray_coeffs=ray_coeffs, line_coeffs=line_coeffs)
+
+
+def _indices_valid(coeffs: dict, vecs: Sequence[Vec]) -> bool:
+    """Every key is an index of `vecs` as an `int`: no negative index, none
+    past the end, no `bool`."""
+    return all(type(i) is int and 0 <= i < len(vecs) for i in coeffs)
 
 
 def certificate_valid(cone: Cone, vec: Sequence[Rational],
                       cert: MembershipCertificate) -> bool:
     """Re-verify a certificate against the cone's generators alone."""
-    c = cone_complete(cone)
+    gen = cone.gen
     v = tuple(Fraction(x) for x in vec)
     if cert.inside:
         if cert.ray_coeffs is None or cert.line_coeffs is None:
             return False
+        if not (_indices_valid(cert.ray_coeffs, gen.rays)
+                and _indices_valid(cert.line_coeffs, gen.lines)):
+            return False
         if any(x < 0 for x in cert.ray_coeffs.values()):
             return False
-        acc = [Fraction(0)] * c.dim
+        acc = [Fraction(0)] * cone.dim
         for i, x in cert.ray_coeffs.items():
-            acc = [a + x * g for a, g in zip(acc, c.gen.rays[i])]
+            acc = [a + x * g for a, g in zip(acc, gen.rays[i])]
         for j, x in cert.line_coeffs.items():
-            acc = [a + x * g for a, g in zip(acc, c.gen.lines[j])]
+            acc = [a + x * g for a, g in zip(acc, gen.lines[j])]
         return tuple(acc) == v
     f = cert.violated_form
     if f is None or _dot(f, v) >= 0:
         return False
-    return all(_dot(f, r) >= 0 for r in c.gen.rays) and all(
-        _dot(f, l) == 0 for l in c.gen.lines)
+    return all(_dot(f, r) >= 0 for r in gen.rays) and all(
+        _dot(f, l) == 0 for l in gen.lines)
 
 
-def _completed_pair(a: Cone, b: Cone) -> tuple[Cone, Cone]:
-    """Both cones completed; they must share an ambient dimension."""
-    ca, cb = cone_complete(a), cone_complete(b)
-    if ca.dim != cb.dim:
+def _same_dim(a: Cone, b: Cone) -> None:
+    if a.dim != b.dim:
         raise ValueError("cones live in different ambient dimensions")
-    return ca, cb
+
+
+def _escapes(inner: Cone, outer: Cone) -> bool:
+    """Does `inner` leave `outer`?  Decided on the sides held: `inner` lies
+    in `outer` exactly when every ray it holds meets every constraint
+    `outer` holds, and every line it holds is orthogonal to them all,
+    whichever generators and constraints those are."""
+    _same_dim(inner, outer)
+    con, gen = outer._known_con(), inner._known_gen()
+    return any(_violated_form(con, r) is not None for r in gen.rays) or any(
+        _dot(f, l) != 0 for l in gen.lines
+        for f in chain(con.eqns, con.ineqs))
 
 
 def first_escape(inner: Cone, outer: Cone) -> tuple[Vec, Vec] | None:
-    """The first generator of `inner` outside `outer`, with the constraint of
-    `outer` it breaks; None when `inner` is a subset of `outer`.
+    """The first canonical generator of `inner` outside `outer`, with the
+    first canonical constraint of `outer` it breaks; None when `inner` is a
+    subset of `outer`.
 
-    Generators are walked as rays, then lines, then negated lines.  On a
-    completed cone a vector is inside exactly when no constraint is broken,
-    so the returned form is a re-checkable witness: < 0 on the generator
-    and >= 0 on every generator of `outer`.
+    Containment is decided first, on the sides held (`_escapes`); only an
+    escape reads the canonical sides.  Generators are walked as rays, then
+    lines, then negated lines.  On canonical sides a vector is inside exactly
+    when no constraint is broken, so the returned form is a re-checkable
+    witness: < 0 on the generator and >= 0 on every generator of `outer`.
     """
-    a, b = _completed_pair(inner, outer)
-    for gen in a.gen.rays + a.gen.lines + tuple(map(_neg, a.gen.lines)):
-        form = _violated_form(b.con, gen)
+    if not _escapes(inner, outer):
+        return None
+    con = outer.con
+    gens = inner.gen
+    for gen in chain(gens.rays, gens.lines, map(_neg, gens.lines)):
+        form = _violated_form(con, gen)
         if form is not None:
             return gen, form
-    return None
+    raise AssertionError("an escape without an escaping canonical generator")
 
 
 def cone_subset(inner: Cone, outer: Cone) -> bool:
     """Is every point of `inner` inside `outer`?"""
-    return first_escape(inner, outer) is None
+    return not _escapes(inner, outer)
 
 
 def cone_equal(a: Cone, b: Cone) -> bool:
-    """Equal cones have equal canonical forms."""
-    ca, cb = _completed_pair(a, b)
-    return ca == cb
+    """Cones that contain each other are equal, and have equal canonical
+    forms."""
+    return not _escapes(a, b) and not _escapes(b, a)
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
-    """Intersection: concatenate constraints and recomplete."""
-    ca, cb = _completed_pair(a, b)
-    return cone_from_constraints(ca.con.ineqs + cb.con.ineqs,
-                                 ca.con.eqns + cb.con.eqns, dim=ca.dim)
+    """Intersection: concatenate the constraints held."""
+    _same_dim(a, b)
+    ca, cb = a._known_con(), b._known_con()
+    return cone_from_constraints([*ca.ineqs, *cb.ineqs],
+                                 [*ca.eqns, *cb.eqns], dim=a.dim)
 
 
 def cone_sum(a: Cone, b: Cone) -> Cone:
-    """Minkowski sum: concatenate generators and recomplete."""
-    ca, cb = _completed_pair(a, b)
-    return cone_from_rays(ca.gen.rays + cb.gen.rays,
-                          ca.gen.lines + cb.gen.lines, dim=ca.dim)
+    """Minkowski sum: concatenate the generators held."""
+    _same_dim(a, b)
+    ga, gb = a._known_gen(), b._known_gen()
+    return cone_from_rays([*ga.rays, *gb.rays], [*ga.lines, *gb.lines],
+                          dim=a.dim)
 
 
 def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
-    """Image under a linear map, generator representation mapped ray by ray."""
-    c = cone_complete(cone)
+    """Image under a linear map, the generators held mapped one by one."""
     rows = [tuple(row) for row in matrix]
-    _check_dim(c.dim, rows)
-    out_dim = len(rows)
+    _check_dim(cone.dim, rows)
+    gen = cone._known_gen()
+
     def apply(v):
         return tuple(_dot(row, v) for row in rows)
-    return cone_from_rays(
-        [w for w in (apply(r) for r in c.gen.rays) if any(w)],
-        [w for w in (apply(l) for l in c.gen.lines) if any(w)],
-        dim=out_dim)
+    return cone_from_rays(map(apply, gen.rays), map(apply, gen.lines),
+                          dim=len(rows))
 
 
 def cone_lineality(cone: Cone) -> list[Vec]:
     """Canonical basis of the largest linear subspace inside the cone."""
-    return list(cone_complete(cone).gen.lines)
+    return list(cone.gen.lines)

@@ -27,7 +27,9 @@ from .cone_kernel import (
     _dot,
     cone_from_constraints,
     cone_from_rays,
+    cone_image,
     cone_member,
+    cone_sum,
     first_escape,
     full_space,
 )
@@ -352,13 +354,16 @@ def _hasse_identity(config: SplittingConfig) -> dict | None:
 def _check_reduction_identities(t: Stratum) -> CheckResult:
     name = "reduction_identities"
     config = t.config
-    outside = t.complement()
-    for i in range(len(outside)):
-        probe = tuple(1 if j == i else 0 for j in range(len(outside)))
-        back = reduce_iT(t, lift_jT(t, probe))
+    width = len(t.complement())
+    lifts = []
+    for i in range(width):
+        probe = tuple(1 if j == i else 0 for j in range(width))
+        lift = lift_jT(t, probe)
+        back = reduce_iT(t, lift)
         if back != probe:
             return CheckResult(name, FAIL, {
                 "probe": _vec(probe), "round_trip": _vec(back)})
+        lifts.append(lift)
     rows = reduction_matrix(t)
     kernel = cone_from_constraints([], rows, dim=config.degree)
     spanned = cone_from_rays(
@@ -368,12 +373,10 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
                               "reduction kernel", "span of b lines on T")
     if result.status != PASS:
         return result
-    reduced = reduced_cone(t)
-    lifted_rays = [lift_jT(t, ray) for ray in reduced.gen.rays]
-    lifted_lines = [lift_jT(t, line) for line in reduced.gen.lines]
-    lifted_lines += [weight_basis(config, "b", beta)
-                     for beta in sorted(t.members)]
-    rebuilt = cone_from_rays(lifted_rays, lifted_lines, dim=config.degree)
+    # the section as a matrix, its columns the lifted probes
+    section = [tuple(lift[j] for lift in lifts)
+               for j in range(config.degree)]
+    rebuilt = cone_sum(cone_image(section, reduced_cone(t)), spanned)
     return _equality_result(name, cone_D(t), rebuilt,
                             "weight cone", "lifted reduction plus kernel")
 
@@ -549,10 +552,18 @@ def _every_stratum(config: SplittingConfig) -> list[Stratum]:
 
 
 @_memoised
-def _cycle_strata(config: SplittingConfig, f: int) -> dict:
-    """Every stratum of the single cycle (p, (f,)), keyed by its positions."""
-    return {s.cycle_members(0): s
-            for s in _every_stratum(SplittingConfig(config.p, (f,)))}
+def _cycle_config(config: SplittingConfig, f: int) -> SplittingConfig:
+    """The single cycle (p, (f,)), one per f, so that the strata over it
+    share its memo."""
+    return SplittingConfig(config.p, (f,))
+
+
+@_memoised
+def _cycle_stratum(config: SplittingConfig, f: int,
+                   positions: frozenset[int]) -> Stratum:
+    """The stratum of the single cycle (p, (f,)) at the given positions."""
+    return Stratum(_cycle_config(config, f),
+                   frozenset(EmbeddingId(0, i) for i in positions))
 
 
 def _check_product_structure(t: Stratum) -> CheckResult:
@@ -563,7 +574,7 @@ def _check_product_structure(t: Stratum) -> CheckResult:
         return CheckResult(name, INFO, {"reason": "single cycle"})
     gens = []
     for c, f in enumerate(config.cycle_lengths):
-        sub = _cycle_strata(config, f)[t.cycle_members(c)]
+        sub = _cycle_stratum(config, f, t.cycle_members(c))
         offset = config.flat_index(EmbeddingId(c, 0))
         before, after = (0,) * offset, (0,) * (config.degree - offset - f)
         gens += [(before + w + after, is_line)

@@ -151,6 +151,20 @@ FORGERIES = {
         inside=False, violated_form=(-1, 0))),
     "an outside form nonzero on a line": ((2, 5), MembershipCertificate(
         inside=False, violated_form=(1, -1))),
+    # keys that Python indexing would read as another generator, or past
+    # the end
+    "a negative ray index": ((2, 5), MembershipCertificate(
+        inside=True, ray_coeffs={-1: Fraction(2)},
+        line_coeffs={0: Fraction(5)})),
+    "a line index past the end": ((2, 5), MembershipCertificate(
+        inside=True, ray_coeffs={0: Fraction(2)},
+        line_coeffs={1: Fraction(5)})),
+    "a boolean ray index": ((2, 5), MembershipCertificate(
+        inside=True, ray_coeffs={True: Fraction(2)},
+        line_coeffs={0: Fraction(5)})),
+    "a boolean line index": ((2, 5), MembershipCertificate(
+        inside=True, ray_coeffs={0: Fraction(2)},
+        line_coeffs={False: Fraction(5)})),
 }
 
 
@@ -383,6 +397,69 @@ def test_cone_equal_is_equality_of_canonical_forms(data):
 
 
 # ---------------------------------------------------------------------------
+# sides computed on first read against cones completed up front
+
+
+@st.composite
+def cone_recipes(draw, dim):
+    """How to build a cone: a random system through either factory, then
+    kept as it is, dualised, mapped by a square matrix, or intersected with a
+    second random cone.  A recipe builds a fresh cone each time."""
+    system = draw(random_systems(dim=dim))
+    step = draw(st.sampled_from(["plain", "dual", "image", "intersect"]))
+    extra = None
+    if step == "image":
+        extra = draw(st.lists(coord_vectors(dim, bound=2), min_size=dim,
+                              max_size=dim))
+    elif step == "intersect":
+        extra = draw(random_systems(dim=dim))
+    return system, step, extra
+
+
+def build(recipe):
+    system, step, extra = recipe
+    cone = cone_of(system)
+    if step == "dual":
+        return cone_dual(cone)
+    if step == "image":
+        return cone_image(extra, cone)
+    if step == "intersect":
+        return cone_intersect(cone, cone_of(extra))
+    return cone
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_lazy_cones_answer_as_completed_copies(data):
+    dim = data.draw(st.integers(1, 4))
+    a, b = data.draw(cone_recipes(dim)), data.draw(cone_recipes(dim))
+    v = data.draw(coord_vectors(dim, bound=4))
+    queries = [first_escape, lambda x, y: first_escape(y, x), cone_subset,
+               cone_equal, lambda x, y: cone_member(x, v),
+               lambda x, y: cone_member(y, v)]
+    # each query on fresh cones, so none reads a side another one computed
+    lazy = [query(build(a), build(b)) for query in queries]
+    done = [query(cone_complete(build(a)), cone_complete(build(b)))
+            for query in queries]
+    assert lazy == done
+
+
+def test_factories_run_no_double_description(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a double description pass ran")
+    monkeypatch.setattr(cone_kernel, "_ray_enum", forbidden)
+    cone_kernel._dual_canon.cache_clear()
+    a = cone_from_rays([(1, 0, 0), (0, 1, 0)], [(0, 0, 1)])
+    b = cone_from_constraints([(1, 0, 0)], [(0, 1, -1)])
+    for c in (cone_dual(a), cone_image([(1, 1, 0), (0, 1, 0)], a),
+              cone_sum(a, a), cone_intersect(b, b)):
+        assert isinstance(c, Cone)
+    # given generators against given constraints decide containment
+    assert not cone_subset(a, b)
+    assert cone_subset(cone_from_rays([(1, 2, 2)]), b)
+
+
+# ---------------------------------------------------------------------------
 # the single-pass double description and its memo
 
 
@@ -417,8 +494,8 @@ def test_ray_enum_agrees_with_the_plain_loop(system):
 @settings(deadline=None)
 @given(st.one_of(random_systems(), crowded_systems()))
 def test_memoised_completion_equals_a_fresh_one(system):
-    first = cone_of(system)
-    again = cone_of(system)
+    first = cone_complete(cone_of(system))
+    again = cone_complete(cone_of(system))
     cone_kernel._dual_canon.cache_clear()
     assert first == again == cone_of(system)
 
@@ -430,10 +507,10 @@ def test_equal_fraction_and_int_inputs_complete_alike(system, k):
                     [tuple(Fraction(k * x, k) for x in v) for v in vecs],
                     [tuple(Fraction(k * x, k) for x in v) for v in lin])
     cone_kernel._dual_canon.cache_clear()
-    from_fractions = cone_of(as_fractions)
+    from_fractions = cone_complete(cone_of(as_fractions))
     before = cone_kernel._dual_canon.cache_info()
     # the integer keys equal the Fraction ones, so the memo serves them
-    from_ints = cone_of(system)
+    from_ints = cone_complete(cone_of(system))
     assert cone_kernel._dual_canon.cache_info().misses == before.misses
     cone_kernel._dual_canon.cache_clear()
     assert from_fractions == from_ints == cone_of(system)
@@ -450,7 +527,7 @@ def test_cones_held_in_lists_complete():
 def test_the_memo_is_bounded():
     cone_kernel._dual_canon.cache_clear()
     for k in range(300):
-        cone_from_rays([(1, k), (k + 1, -1)])
+        cone_from_rays([(1, k), (k + 1, -1)]).con
     info = cone_kernel._dual_canon.cache_info()
     assert info.misses >= 300
     assert info.currsize <= 256
@@ -537,7 +614,7 @@ def test_integer_cones_complete_without_fractions(system):
     cone_kernel._dual_canon.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
-        done = cone_of(system)
+        done = cone_complete(cone_of(system))
     assert done == cone_of(system)
 
 
@@ -546,8 +623,9 @@ def test_stratum_cones_complete_without_fractions(monkeypatch):
     t = stratum_from_text(SplittingConfig(2, (6,)), "0.0")
     cone_kernel._dual_canon.cache_clear()
     monkeypatch.setattr(cone_kernel, "Fraction", _fraction_forbidden)
-    cones = [family_cone(generators_G(t), 6), cone_D(t),
-             minimal_cone(t, "min"), minimal_cone(t, "min0")]
+    cones = [cone_complete(c) for c in (
+        family_cone(generators_G(t), 6), cone_D(t),
+        minimal_cone(t, "min"), minimal_cone(t, "min0"))]
     assert [len(c.con.ineqs) for c in cones[2:]] == [7, 6]
 
 
@@ -566,27 +644,39 @@ def test_outside_membership_builds_no_fraction(monkeypatch):
 
 
 @st.composite
-def phase1_systems(draw):
+def phase1_systems(draw, bound=2, max_den=3):
     """Columns and a target for the phase-1 simplex.  The target is a
     nonnegative combination of the columns (feasible) or a random vector
     (often infeasible); either may gain a scaled copy of its first row, so
-    the ratio test meets ties.  The target is divided by a small integer,
-    as `cone_member` passes `Fraction`s."""
+    the ratio test meets ties.  The target is divided by an integer up to
+    `max_den`, as rational input reaches `cone_member`."""
     dim = draw(st.integers(0, 4))
-    columns = draw(st.lists(coord_vectors(dim, bound=2), max_size=6))
+    columns = draw(st.lists(coord_vectors(dim, bound=bound), max_size=6))
     if columns and draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(0, 2), min_size=len(columns),
                                max_size=len(columns)))
         target = tuple(sum(k * c[i] for k, c in zip(coeffs, columns))
                        for i in range(dim))
     else:
-        target = draw(coord_vectors(dim))
+        target = draw(coord_vectors(dim, bound=max(3, bound)))
     if dim and draw(st.booleans()):
         k = draw(st.integers(1, 3))
         columns = [c + (k * c[0],) for c in columns]
         target += (k * target[0],)
-    den = draw(st.integers(1, 3))
+    den = draw(st.integers(1, max_den))
     return columns, tuple(Fraction(b, den) for b in target)
+
+
+def _phase1_fractions(columns, target):
+    """`_phase1_coeffs` on a rational target, its denominators cleared
+    first as `cone_member` clears them, read back as `Fraction`s."""
+    nums, scale = cone_kernel._integral(target)
+    solved = cone_kernel._phase1_coeffs(columns, nums)
+    if solved is None:
+        return None
+    lam, den = solved
+    assert den > 0
+    return [Fraction(x, den * scale) for x in lam]
 
 
 # ties in the ratio test rarely change the answer on random systems; on this
@@ -597,11 +687,17 @@ BLAND_DECIDES = ([(0, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, -1), (-1, 1, 0)],
                  (-1, 1, -1))
 
 
+# entries up to 10**6 and denominators up to 10**9 make every pivot value,
+# and so every common denominator the integer tableau divides by, large:
+# a division that was not exact would change the values
 @settings(max_examples=300)
 @example(BLAND_DECIDES)
 @example(([(1, 0), (1, 1)], (0, 1)))
-@given(phase1_systems())
+@example(([(999_983, -999_979), (-1_000_000, 999_999), (3, 7)],
+          (Fraction(123_457, 999_999_937), Fraction(-1, 999_999_929))))
+@given(st.one_of(phase1_systems(),
+                 phase1_systems(bound=10**6, max_den=10**9)))
 def test_phase1_coeffs_agrees_with_the_full_tableau(system):
     columns, target = system
-    assert cone_kernel._phase1_coeffs(columns, target) == \
+    assert _phase1_fractions(columns, target) == \
         phase1_coeffs(columns, target)

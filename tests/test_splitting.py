@@ -407,7 +407,7 @@ def test_memoised_functions_take_required_positional_arguments_only():
     found = memoised_functions()
     assert {"index_tables", "cone_D", "minimal_cone", "f_weight",
             "SplittingConfig._coordinates", "weight_basis", "weight_pair",
-            "_cycle_strata"} <= set(found)
+            "_cycle_config", "_cycle_stratum"} <= set(found)
     positional = (inspect.Parameter.POSITIONAL_ONLY,
                   inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for name, fn in found.items():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracle import f_recipe_tag_by_cases
 
-from strata_cones import verify, weights
+from strata_cones import cone_kernel, verify, weights
 from strata_cones.cone_kernel import (
     cone_equal,
     cone_from_constraints,
@@ -130,6 +130,25 @@ def test_equality_failure_witnesses_separate_in_each_direction():
         rays, lines = gens["orthant"]
         assert all(sum(a * b for a, b in zip(form, r)) >= 0 for r in rays)
         assert all(sum(a * b for a, b in zip(form, l)) == 0 for l in lines)
+
+
+def test_a_passing_equality_of_generated_cones_runs_two_passes(monkeypatch):
+    # each side's given generators against the other's constraints: one
+    # double description per side, and no canonical generators
+    passes = []
+    ray_enum = cone_kernel._ray_enum
+
+    def counted(*args):
+        passes.append(args)
+        return ray_enum(*args)
+    monkeypatch.setattr(cone_kernel, "_ray_enum", counted)
+    cone_kernel._dual_canon.cache_clear()
+    t = stratum_from_text(SplittingConfig(3, (2, 1)), "0.1")
+    result = _equality_result(
+        "optimal_basis", weights.family_cone(weights.generators_G(t), 3),
+        weights.cone_D(t), "pair-generated cone", "one-ray-per-embedding cone")
+    assert result.status == "pass"
+    assert len(passes) == 2
 
 
 def _gl2_product_in_2d(t, gens):

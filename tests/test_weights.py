@@ -38,7 +38,8 @@ from strata_cones.splitting import (
     tilde_closure,
 )
 from strata_cones.verify import (
-    _cycle_strata,
+    _cycle_config,
+    _cycle_stratum,
     partitions,
     stratum_record,
 )
@@ -871,12 +872,19 @@ def _every_cycle_length(config):
     return [(f,) for f in sorted(set(config.cycle_lengths))]
 
 
+def _every_cycle_subset(config):
+    return [(f, frozenset(i for i in range(f) if mask >> i & 1))
+            for f in sorted(set(config.cycle_lengths))
+            for mask in range(1 << f)]
+
+
 # the same for the builders memoised on a configuration
 CONFIG_MEMOISED_CALLS = (
     (SplittingConfig._coordinates, _no_args),
     (weight_basis, _every_basis_weight),
     (weight_pair, _every_pair_weight),
-    (_cycle_strata, _every_cycle_length),
+    (_cycle_config, _every_cycle_length),
+    (_cycle_stratum, _every_cycle_subset),
 )
 
 
@@ -924,10 +932,15 @@ def test_the_memo_dies_with_its_stratum():
 def test_a_configuration_and_its_memo_die_together():
     config = SplittingConfig(3, (2, 1))
     stratum_record(stratum(config, (0, 1)))
-    # the sub-strata of the product check live only in the memo
-    gone = [weakref.ref(config)] + [weakref.ref(s) for f in (2, 1)
-                                    for s in _cycle_strata(config, f).values()]
-    assert len(gone) == 1 + 4 + 2
+    # the sub-strata of the product check, one per cycle, and their
+    # single-cycle configurations live only in the memo
+    subs = [value for key, value in config._memo.items()
+            if key[0].endswith("._cycle_stratum")]
+    assert sorted((s.config.cycle_lengths, sorted(s.cycle_members(0)))
+                  for s in subs) == [((1,), []), ((2,), [1])]
+    gone = [weakref.ref(config)] + [weakref.ref(x) for s in subs
+                                    for x in (s, s.config)]
+    del subs
     gc.disable()
     try:
         del config
