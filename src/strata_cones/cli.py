@@ -6,7 +6,8 @@ all strata of a configuration), explore (sweep primes and degrees), member
 divisors, minimal-cone membership), gl2 (discrete invariant and bi-weight
 cone membership).
 
-Exit codes: 0 success, 2 at least one check failed, 3 usage error.
+Exit codes: 0 success, 1 the worker pool failed, 2 at least one check
+failed, 3 usage error.
 Mathematical integers in JSON output are decimal strings.
 """
 
@@ -193,14 +194,12 @@ def _describe_lines(dossier: dict) -> list[str]:
         n = tables["n"].get(emb, "-")
         lines.append(f"{emb:<5} {mu:>2} {nu:>3} {n:>3} "
                      f"{tables['epsilon'][emb]:>4}")
-    lines.append("generators (pair family):")
-    for entry in dossier["generators_G"]:
-        kind = "line" if entry["line"] else "ray "
-        lines.append(f"  {kind} ({', '.join(entry['weight'])})")
-    lines.append("generators (one ray per embedding):")
-    for entry in dossier["generators_Gprime"]:
-        kind = "line" if entry["line"] else "ray "
-        lines.append(f"  {kind} ({', '.join(entry['weight'])})")
+    for label, key in (("pair family", "generators_G"),
+                       ("one ray per embedding", "generators_Gprime")):
+        lines.append(f"generators ({label}):")
+        for entry in dossier[key]:
+            kind = "line" if entry["line"] else "ray "
+            lines.append(f"  {kind} ({', '.join(entry['weight'])})")
     lines.append("half-spaces:")
     for form in dossier["halfspaces"]:
         lines.append(f"  ({', '.join(form)}) >= 0")

@@ -11,8 +11,9 @@ rescaling of the rational one, so the canonical form is the same.
 
 Canonical form, each side computed the first time it is read:
 
-* equations and lines are primitive integer vectors derived from a reduced
-  row echelon basis, pivots positive;
+* equations and lines are the primitive rows of the reduced row echelon
+  basis, pivots positive: each is a row reduced modulo the rows kept before
+  it, whose pivot is then cleared from them;
 * inequalities and rays are reduced modulo that basis (pivot coordinates
   zeroed), scaled primitive (gcd one, denominators cleared, direction kept),
   deduplicated, and sorted lexicographically.
@@ -79,51 +80,47 @@ def _neg(v: Vec) -> Vec:
 def _canon_basis(rows, dim: int) -> tuple[Vec, ...]:
     """Primitive integer RREF basis of the span of the given rows.
 
-    Fraction-free Gauss-Jordan on primitive integer rows: each pivot is
-    made positive, every other row becomes `pv*row - row[c]*pivot_row`
-    divided by its content.  Every row stays a positive multiple of the
-    row the same elimination over `Fraction` holds, so each surviving row
-    is the primitive form of its RREF row: same pivots, same order.
+    Each row is reduced modulo the rows kept so far (`_reduce_mod`); a
+    nonzero rest is made primitive with a positive pivot, cleared from the
+    kept rows the same way, and kept in pivot order.  The kept rows have
+    distinct pivots, each zero in every other kept row, so each is a
+    positive multiple of its RREF row: the same basis, pivots and order.
     """
-    mat = [normalize_primitive(row) for row in rows if any(row)]
-    r = 0
-    for c in range(dim):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
+    kept: list[Vec] = []
+    for row in rows:
+        rest = _reduce_mod(row, kept)[0]
+        if not any(rest):
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = _neg(mat[r])
-        top = mat[r]
-        pv = top[c]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f != 0:
-                row = [pv * a - f * b for a, b in zip(mat[i], top)]
-                g = gcd(*row)
-                mat[i] = tuple(x // g for x in row) if g else tuple(row)
-        r += 1
-        if r == len(mat):
+        rest = normalize_primitive(rest)
+        if next(x for x in rest if x != 0) < 0:
+            rest = _neg(rest)
+        kept = [normalize_primitive(_reduce_mod(b, [rest])[0]) for b in kept]
+        # pivot order: at an earlier pivot, a positive entry meets a zero
+        kept = sorted(kept + [rest], reverse=True)
+        if len(kept) == dim:
             break
-    return tuple(mat[:r])
+    return tuple(kept)
 
 
 def _reduce_mod(vec, basis: Sequence[Vec]):
     """Reduce a vector modulo the span of a canonical basis (pivot
-    coordinates zeroed), up to a positive factor.
+    coordinates zeroed), up to a positive factor, with the steps taken.
 
     Each step is `v <- b[j]*v - v[j]*b` at the pivot j of b, a positive
     rescaling of `v - (v[j]/b[j])*b` because canonical pivots are positive,
     so integer input stays integer and its primitive form is unchanged.
+    A step is recorded as `(index of b, v[j], b[j])`.
     """
     v = tuple(vec)
-    for b in basis:
-        j = next(i for i, x in enumerate(b) if x != 0)
+    steps = []
+    for i, b in enumerate(basis):
+        j = next(k for k, x in enumerate(b) if x != 0)
         f = v[j]
         if f != 0:
             bj = b[j]
             v = tuple(bj * a - f * c for a, c in zip(v, b))
-    return v
+            steps.append((i, f, bj))
+    return v, steps
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,7 @@ def _canon_gen(rays, lines, dim: int) -> GeneratorRep:
     basis = _canon_basis(lines, dim)
     out = set()
     for r in rays:
-        red = _reduce_mod(r, basis)
+        red = _reduce_mod(r, basis)[0]
         if any(x != 0 for x in red):
             out.add(normalize_primitive(red))
     return GeneratorRep(rays=tuple(sorted(out)), lines=basis)
@@ -470,10 +467,10 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
 
     The answer is decided on the constraints held; an outside answer
     reports the first canonical constraint broken.  An inside one reduces
-    the vector modulo the canonical lines in integers, the way `_reduce_mod`
-    does, keeping the scale the steps multiply in, and solves for the rays
-    by the integer phase-1 simplex; `Fraction`s are built only for the
-    coefficients returned.
+    the vector modulo the canonical lines in integers (`_reduce_mod`),
+    reading each line's coefficient and the scale off the steps taken, and
+    solves for the rays by the integer phase-1 simplex; `Fraction`s are
+    built only for the coefficients returned.
     """
     _check_dim(cone.dim, [vec])
     if _violated_form(cone._known_con(), vec) is not None:
@@ -482,15 +479,11 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     gen = cone.gen
     # the rest still to write as a combination is `rest / scale`
     rest, scale = _integral(vec)
+    rest, steps = _reduce_mod(rest, gen.lines)
     line_coeffs: dict[int, Fraction] = {}
-    for j, b in enumerate(gen.lines):
-        pj = next(i for i, x in enumerate(b) if x != 0)
-        f = rest[pj]
-        if f != 0:
-            bj = b[pj]
-            rest = [bj * x - f * y for x, y in zip(rest, b)]
-            scale *= bj
-            line_coeffs[j] = Fraction(f, scale)
+    for j, f, bj in steps:
+        scale *= bj
+        line_coeffs[j] = Fraction(f, scale)
     solved = _phase1_coeffs(gen.rays, rest)
     if solved is None:
         raise AssertionError(

@@ -218,8 +218,9 @@ def _verdict(name: str, witness: dict | None) -> CheckResult:
 
 def _equality_result(name: str, left: Cone, right: Cone,
                      left_label: str, right_label: str) -> CheckResult:
-    """Pass iff the completed cones agree; on failure, witness a generator
-    of one side with a violated constraint of the other."""
+    """Pass iff the cones contain each other; on failure, witness a
+    canonical generator of one side with a violated constraint of the
+    other."""
     return _verdict(name, _escape_witness(
         left, right, generator_of=left_label, not_in=right_label)
         or _escape_witness(
@@ -614,7 +615,13 @@ def check_min_question(stratum: Stratum) -> CheckResult:
     the minimal cone lies inside the diagonal one, and they are equal iff
     no generator of the diagonal one escapes.  They agree on every stratum
     of degree up to 5 for p = 2, 3, 5, but at degree 6 differ on 18:
-    cycles (6), T a single embedding, each p."""
+    cycles (6), T a single embedding, each p.
+
+    As sets of forms, "min" is "min0" plus functional_Lf(t, beta, tau),
+    restricted to the coordinates outside T, for beta admissible and tau on
+    beta's cycle, off the tilde closure, not beta or shift^n(beta); every
+    other divisibility functional is a facet functional (tau off beta's
+    cycle or on tilde minus T) or the diagonal one (tau = beta)."""
     witness = _escape_witness(minimal_cone(stratum, "min0"),
                               minimal_cone(stratum, "min"), equal=False)
     return CheckResult("minimal_equality", INFO, witness or {"equal": True})
@@ -643,12 +650,10 @@ def stratum_dossier(stratum: Stratum) -> dict:
         },
         "iw": _vec(sorted(iw)),
         "tables": {
-            "mu": {_emb_key(e): _num(tables.mu[e]) for e in embeddings},
-            "nu": {_emb_key(e): _num(tables.nu[e]) for e in embeddings
-                   if e in tables.nu},
-            "n": {_emb_key(e): _num(tables.n[e]) for e in embeddings},
-            "epsilon": {_emb_key(e): _num(eps[e]) for e in embeddings},
-        },
+            name: {_emb_key(e): _num(table[e]) for e in embeddings
+                   if e in table}
+            for name, table in (("mu", tables.mu), ("nu", tables.nu),
+                                ("n", tables.n), ("epsilon", eps))},
         "generators_G": [
             {"weight": _vec(w), "line": is_line}
             for w, is_line in generators_G(stratum)],

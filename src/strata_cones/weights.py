@@ -178,16 +178,16 @@ def generators_Gprime(stratum: Stratum) -> list[tuple[Vec, bool]]:
 
 def family_cone(gens: Sequence[tuple[Vec, bool]], dim: int) -> Cone:
     """The cone generated by a family of (weight, is_line) entries, such as
-    `generators_G` or `generators_Gprime`, completed."""
+    `generators_G` or `generators_Gprime`, given by those generators."""
     return cone_from_rays([w for w, is_line in gens if not is_line],
                           [w for w, is_line in gens if is_line], dim=dim)
 
 
 @_memoised
 def cone_D(stratum: Stratum) -> Cone:
-    """The weight cone of the stratum, generated by the optimal family
-    `generators_Gprime`, completed to both representations.  The Hasse-pair
-    family generates the same cone: `family_cone(generators_G(t), d)`."""
+    """The weight cone of the stratum, given by the optimal family
+    `generators_Gprime`.  The Hasse-pair family generates the same cone:
+    `family_cone(generators_G(t), d)`."""
     return family_cone(generators_Gprime(stratum), stratum.config.degree)
 
 
@@ -238,7 +238,7 @@ def explicit_constraints(stratum: Stratum) -> ConstraintRep:
 
 @_memoised
 def halfspace_cone(stratum: Stratum) -> Cone:
-    """The cone cut out by the explicit half-spaces, completed."""
+    """The cone cut out by the explicit half-spaces, given by them."""
     return cone_from_constraints(explicit_constraints(stratum).ineqs,
                                  dim=stratum.config.degree)
 
@@ -264,13 +264,16 @@ def reduced_cone(stratum: Stratum) -> Cone:
     return cone_image(reduction_matrix(stratum), cone_D(stratum))
 
 
-def reduce_iT(stratum: Stratum, weight: Sequence[Rational]) -> tuple:
-    """Apply the reduction map, landing in coordinates on the complement
-    of T."""
-    config = stratum.config
+def _check_length(config: SplittingConfig, weight: Sequence[Rational]) -> None:
     if len(weight) != config.degree:
         raise ValueError(
             f"weight has length {len(weight)}, expected {config.degree}")
+
+
+def reduce_iT(stratum: Stratum, weight: Sequence[Rational]) -> tuple:
+    """Apply the reduction map, landing in coordinates on the complement
+    of T."""
+    _check_length(stratum.config, weight)
     return tuple(_dot(row, weight) for row in reduction_matrix(stratum))
 
 
@@ -397,9 +400,7 @@ def forced_divisors(stratum: Stratum,
     """The admissible embeddings whose divisibility cone excludes the
     weight: any nonzero form of this weight on the stratum is divisible by
     the distinguished section of each returned embedding."""
-    if len(weight) != stratum.config.degree:
-        raise ValueError(f"weight has length {len(weight)}, expected "
-                         f"{stratum.config.degree}")
+    _check_length(stratum.config, weight)
     out = set()
     for beta in sorted(admissible_set(stratum)):
         if any(_dot(form, weight) < 0 for form in _divisor_forms(stratum, beta)):
@@ -512,15 +513,13 @@ def f_recipe(stratum: Stratum,
     exponent -p^(n-1), so it ends on -p^n.  The tag is the class of the
     first slot, -e at each b factor (the line (-e, b) of `gl2_generators`).
     """
+    weight = f_weight(stratum, emb)
     config = stratum.config
-    if emb in stratum:
-        raise ValueError(f"{emb} lies in the stratum, no distinguished "
-                         "generator is attached to it")
     n = index_tables(stratum).n[emb]
     monomial = _telescope(stratum, frobenius_shift(config, emb, n), n)
     tag = delta_class(config, _as_vec(config, [
         (tau, -exp) for kind, tau, exp in monomial.factors if kind == "b"]))
-    if monomial_weight(monomial) != f_weight(stratum, emb):
+    if monomial_weight(monomial) != weight:
         raise AssertionError(f"recipe weight mismatch for the distinguished "
                              f"generator at {emb}")
     return monomial, tag
@@ -542,9 +541,7 @@ def delta_class(config: SplittingConfig,
                 weight: Sequence[Rational]) -> DeltaClass:
     """Reduce an integer weight: on each cycle, the p-power-weighted sum of
     its coordinates modulo p^f - 1, residues in [0, p^f - 2]."""
-    if len(weight) != config.degree:
-        raise ValueError(
-            f"weight has length {len(weight)}, expected {config.degree}")
+    _check_length(config, weight)
     ints = []
     for k in weight:
         if k != int(k):

@@ -31,6 +31,7 @@ from strata_cones.cone_kernel import (
     zero_cone,
     _canon_basis,
     _canon_gen,
+    _reduce_mod,
 )
 from strata_cones.splitting import SplittingConfig, stratum_from_text
 from strata_cones.weights import (
@@ -583,6 +584,22 @@ def test_canon_basis_is_the_primitive_rref(data):
     rows = data.draw(row_families(dim))
     red, _ = rref(rows, dim)
     assert _canon_basis(rows, dim) == tuple(map(normalize_primitive, red))
+
+
+@given(st.data())
+def test_reduce_mod_steps_rebuild_the_vector(data):
+    dim = data.draw(st.integers(1, 5))
+    basis = _canon_basis(data.draw(row_families(dim)), dim)
+    vec = data.draw(st.tuples(*[st.fractions(-20, 20, max_denominator=6)]
+                              * dim))
+    rest, steps = _reduce_mod(vec, basis)
+    pivots = [next(j for j, x in enumerate(b) if x != 0) for b in basis]
+    assert all(rest[j] == 0 for j in pivots)
+    # undo each step v <- b[j]*v - v[j]*b, last first
+    v = [Fraction(x) for x in rest]
+    for i, f, bj in reversed(steps):
+        v = [(x + f * c) / bj for x, c in zip(v, basis[i])]
+    assert v == [Fraction(x) for x in vec]
 
 
 @given(st.data())

@@ -24,6 +24,7 @@ from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    admissible_set,
     frobenius_shift,
     index_tables,
     stratum_from_text,
@@ -34,19 +35,23 @@ from strata_cones.verify import (
     _config_tasks,
     _dumps,
     _equality_result,
+    _every_stratum,
     _explore_sweep,
     _run_tasks,
     check_min_question,
     check_report,
     check_stratum,
     explore,
+    partitions,
     stratum_record,
 )
 from strata_cones.weights import (
     BiWeight,
     DeltaClass,
     explicit_constraints,
+    functional_Lf,
     gl2_generators,
+    minimal_forms,
     weight_basis,
 )
 
@@ -697,6 +702,38 @@ def test_min_question_witnesses_an_unequal_pair():
     assert check_report(config, [t]).open_question == {
         "equal": 0, "unequal": 1,
         "instances": [{"p": "2", "cycles": ["6"], "t": "0.0"}]}
+
+
+def off_tilde_divisor_forms(t) -> set:
+    """functional_Lf(t, beta, tau) restricted to the coordinates outside T,
+    for beta admissible and tau on beta's cycle, off the tilde closure,
+    with tau not beta or shift^n(beta)."""
+    config = t.config
+    tilde = tilde_closure(t)
+    keep = [config.flat_index(e) for e in t.complement()]
+    out = set()
+    for beta in admissible_set(t):
+        beta2 = frobenius_shift(config, beta, index_tables(t).n[beta])
+        for tau in t.complement():
+            if tau.cycle == beta.cycle and tau not in tilde \
+                    and tau not in (beta, beta2):
+                form = functional_Lf(t, beta, tau)
+                out.add(tuple(form[i] for i in keep))
+    return out
+
+
+def test_min_is_min0_plus_the_off_tilde_divisor_forms():
+    strata = extra = 0
+    for p in (2, 3, 5):
+        for d in range(1, 6):
+            for lengths in partitions(d):
+                for t in _every_stratum(SplittingConfig(p, lengths)):
+                    forms = set(minimal_forms(t, "min"))
+                    base = set(minimal_forms(t, "min0"))
+                    assert forms == base | off_tilde_divisor_forms(t), t
+                    strata += 1
+                    extra += len(forms - base)
+    assert (strata, extra) == (1014, 372)
 
 
 def test_stratum_record_serializes_math_integers_as_strings():
