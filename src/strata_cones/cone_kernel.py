@@ -5,18 +5,25 @@ basis of the lineality space) and constraints (facet inequalities plus
 equations).  All arithmetic is exact: arbitrary-precision integers, and
 `fractions.Fraction` only for rational input and for the coefficients of an
 inside membership certificate.  No floating point is used anywhere.
-Completing a cone given by integer vectors constructs no `Fraction`:
-canonicalisation is fraction-free, and each of its steps is a positive
-rescaling of the rational one, so the canonical form is the same.
+Completing a cone given by integer vectors constructs no `Fraction`: the
+double description pass scales each row to primitive integers once, on
+entry, and works in integers from there.
 
 Canonical form, each side computed the first time it is read:
 
 * equations and lines are the primitive rows of the reduced row echelon
-  basis, pivots positive: each is a row reduced modulo the rows kept before
-  it, whose pivot is then cleared from them;
-* inequalities and rays are reduced modulo that basis (pivot coordinates
-  zeroed), scaled primitive (gcd one, denominators cleared, direction kept),
-  deduplicated, and sorted lexicographically.
+  basis, pivots positive, in pivot order;
+* inequalities and rays are reduced modulo that basis (zero at its pivot
+  coordinates), scaled primitive (gcd one, denominators cleared, direction
+  kept), and sorted lexicographically.
+
+The pass returns this form itself (`_ray_enum`).  It starts from a row basis
+of the system, found by one fraction-free Gauss-Jordan elimination with
+pivots at the rightmost column: that elimination gives the lineality as the
+basis above, one line per free column, and the rays of the basis as the
+columns of its inverse, zero on the free columns.  Only the rows outside the
+basis then go through the sign split, and every ray stays reduced and
+primitive, so the canonical side is the pass plus a sort.
 
 A `Cone` keeps the side it was given.  The canonical constraints are one
 double description pass over a generating set, and the canonical generators
@@ -56,14 +63,18 @@ def normalize_primitive(vec: Sequence[Rational]) -> Vec:
     """Scale a rational vector to primitive integers (gcd 1, direction kept).
 
     Integer input is divided by its content directly; only rational input
-    has its denominators cleared through `Fraction`.
+    (which `gcd` refuses) has its denominators cleared through `Fraction`.
     Raises ValueError on the zero vector, which has no direction.
     """
-    if not all(type(x) is int for x in vec):
+    try:
+        g = gcd(*vec)
+    except TypeError:
         fr = [Fraction(x) for x in vec]
         den = lcm(*(f.denominator for f in fr))
         vec = [int(f * den) for f in fr]
-    g = gcd(*vec)
+        g = gcd(*vec)
+    if g == 1:
+        return tuple(vec)
     if g == 0:
         raise ValueError("cannot normalize a zero ray")
     return tuple(x // g for x in vec)
@@ -75,31 +86,6 @@ def _dot(a: Sequence[Rational], b: Sequence[Rational]):
 
 def _neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
-
-
-def _canon_basis(rows, dim: int) -> tuple[Vec, ...]:
-    """Primitive integer RREF basis of the span of the given rows.
-
-    Each row is reduced modulo the rows kept so far (`_reduce_mod`); a
-    nonzero rest is made primitive with a positive pivot, cleared from the
-    kept rows the same way, and kept in pivot order.  The kept rows have
-    distinct pivots, each zero in every other kept row, so each is a
-    positive multiple of its RREF row: the same basis, pivots and order.
-    """
-    kept: list[Vec] = []
-    for row in rows:
-        rest = _reduce_mod(row, kept)[0]
-        if not any(rest):
-            continue
-        rest = normalize_primitive(rest)
-        if next(x for x in rest if x != 0) < 0:
-            rest = _neg(rest)
-        kept = [normalize_primitive(_reduce_mod(b, [rest])[0]) for b in kept]
-        # pivot order: at an earlier pivot, a positive entry meets a zero
-        kept = sorted(kept + [rest], reverse=True)
-        if len(kept) == dim:
-            break
-    return tuple(kept)
 
 
 def _reduce_mod(vec, basis: Sequence[Vec]):
@@ -237,49 +223,110 @@ def _check_dim(dim: int, vecs: Iterable[Sequence[Rational]]) -> None:
                 f"vector has length {len(v)}, expected ambient dimension {dim}")
 
 
-def _ray_enum(ineqs: Sequence[Vec], eqns: Sequence[Vec], dim: int):
-    """Double description: extreme rays and lineality of a constraint system.
+def _ray_enum(ineqs: Sequence[Sequence[Rational]],
+              eqns: Sequence[Sequence[Rational]], dim: int):
+    """Double description from a row basis: the lines and extreme rays of
+    `ineqs >= 0`, `eqns = 0`, in canonical form but for the order of the
+    rays.
 
-    Constraints are imposed one at a time onto the full space.  A constraint
-    not orthogonal to the current lineality shrinks it by one line
-    (the freed direction re-enters as a ray for an inequality); otherwise
-    rays are split by sign and adjacent positive/negative pairs combine.
-    Adjacency is combinatorial (Fukuda & Prodon): p and n are adjacent when
-    no third ray's tight set contains theirs in common.  Every step is
-    invariant under positive scaling, so constraints are taken as given.
-    Each dot product is taken once; tight sets are bitmasks of constraints.
+    Each nonzero row is scaled to a primitive integer row on entry, and the
+    rows are taken equations first.  One fraction-free Gauss-Jordan
+    elimination, pivots at the rightmost nonzero column, keeps a row basis;
+    each kept row carries its coefficients over the inequalities of the
+    basis, so the elimination also gives their columns of the inverse of
+    the basis.  A kept row is zero right of its
+    pivot and at every other pivot, so the null space of all rows, the
+    lineality, has one vector per free column: positive there, zero at the
+    other free columns, and nonzero elsewhere only at pivots to its right.
+    That is the primitive reduced row echelon basis, in pivot order.  Each
+    inequality of the basis gives the ray on which it alone of the basis
+    rows is positive: its column of the inverse, zero on the free columns.
+    The rows outside the basis are then imposed one at a time: rays are
+    split by sign and adjacent positive/negative pairs combine.  Adjacency
+    is combinatorial (Fukuda & Prodon): p and n are adjacent when no third
+    ray's tight set contains their common one, which must hold at least
+    `dim - len(lines) - 2` rows.  Tight sets are bitmasks of rows.  Each ray
+    is zero on the free columns and primitive, that is, reduced modulo the
+    lineality.
     """
-    lines = [(0,) * j + (1,) + (0,) * (dim - j - 1) for j in range(dim)]
-    rays: list[tuple[Vec, int]] = []
-    cons = [(e, True) for e in eqns] + [(a, False) for a in ineqs]
-    for idx, (a, is_eq) in enumerate(cons):
-        bit = 1 << idx
-        ldots = [_dot(a, l) for l in lines]
-        k = next((i for i, d in enumerate(ldots) if d != 0), None)
-        signed = [(r, tight, _dot(a, r)) for r, tight in rays]
-        if k is not None:
-            l0, d0 = lines.pop(k), ldots.pop(k)
-            if d0 < 0:
-                # keep d0 positive: ray adjustments below scale by d0, which
-                # must not flip directions
-                l0, d0 = _neg(l0), -d0
-            def project(v, d):
-                return v if d == 0 else normalize_primitive(
-                    tuple(x * d0 - y * d for x, y in zip(v, l0)))
-            lines = [project(l, d) for l, d in zip(lines, ldots)]
-            rays = [(project(r, d), tight | bit) for r, tight, d in signed]
-            if not is_eq:
-                rays.append((l0, bit - 1))
+    rows = [(normalize_primitive(e), True) for e in eqns if any(e)]
+    rows += [(normalize_primitive(a), False) for a in ineqs if any(a)]
+    # kept rows [R | M] with pivot c and R[c] > 0: R is a combination of the
+    # basis rows, M its coefficients on the basis inequalities (no ray needs
+    # those on the equations); `spanned` holds the basis rows as bits
+    kept: list[tuple[list[int], int]] = []
+    spanned = 0
+    ineq_basis: list[int] = []
+    rest: list[int] = []
+    pad = [0] * min(dim, len(ineqs))
+    for idx, (a, is_eq) in enumerate(rows):
+        if len(kept) == dim:
+            rest.append(idx)
             continue
+        v = [*a, *pad]
+        if not is_eq:
+            v[dim + len(ineq_basis)] = 1
+        for b, c in kept:
+            f = v[c]
+            if f:
+                bc = b[c]
+                v = [bc * x - f * y for x, y in zip(v, b)]
+        for c in range(dim - 1, -1, -1):
+            if v[c]:
+                break
+        else:
+            rest.append(idx)
+            continue
+        g = gcd(*v) if v[c] > 0 else -gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
+        vc = v[c]
+        for k, (b, bc) in enumerate(kept):
+            f = b[c]
+            if f:
+                b = [vc * x - f * y for x, y in zip(b, v)]
+                g = gcd(*b)
+                kept[k] = ([x // g for x in b] if g != 1 else b, bc)
+        kept.append((v, c))
+        spanned |= 1 << idx
+        if not is_eq:
+            ineq_basis.append(idx)
+
+    def solve(col: int, top: int | None = None) -> Vec:
+        # x zero off the pivots and primitive, R x = (column `col` of [R | M])
+        # times a positive scale; given a free column `top` = col, R x = 0
+        # with x[top] > 0
+        scale = lcm(*(b[c] for b, c in kept if b[col]))
+        x = [0] * dim
+        if top is not None:
+            x[top], scale = scale, -scale
+        for b, c in kept:
+            f = b[col]
+            if f:
+                x[c] = f * scale // b[c]
+        g = gcd(*x)
+        return tuple(x) if g == 1 else tuple(y // g for y in x)
+
+    pivots = {c for _, c in kept}
+    lines = [solve(j, j) for j in range(dim) if j not in pivots]
+    rays = [(solve(dim + i), spanned ^ (1 << idx))
+            for i, idx in enumerate(ineq_basis)]
+    need = len(kept) - 2
+    for idx in rest:
+        a, is_eq = rows[idx]
+        bit = 1 << idx
+        signed = [(r, tight, sum(map(mul, a, r))) for r, tight in rays]
         pos = [s for s in signed if s[2] > 0]
         neg = [s for s in signed if s[2] < 0]
-        kept = [(r, tight | bit) for r, tight, d in signed if d == 0]
+        out = [(r, tight | bit) for r, tight, d in signed if d == 0]
         if not is_eq:
-            kept += [(r, tight) for r, tight, _ in pos]
+            out += [(r, tight) for r, tight, _ in pos]
         tights = [tight for _, tight in rays]
         for p, tp, dp in pos:
             for n, tn, dn in neg:
                 common = tp & tn
+                if common.bit_count() < need:
+                    continue
                 # p and n themselves are tight on `common`; stop at a third
                 count = 0
                 for tight in tights:
@@ -291,25 +338,16 @@ def _ray_enum(ineqs: Sequence[Vec], eqns: Sequence[Vec], dim: int):
                     w = normalize_primitive(
                         tuple(dp * y - dn * x for x, y in zip(p, n)))
                     # exact, as p and n meet every constraint so far
-                    kept.append((w, common | bit))
-        rays = kept
+                    out.append((w, common | bit))
+        rays = out
     return [r for r, _ in rays], lines
-
-
-def _canon_gen(rays, lines, dim: int) -> GeneratorRep:
-    basis = _canon_basis(lines, dim)
-    out = set()
-    for r in rays:
-        red = _reduce_mod(r, basis)[0]
-        if any(x != 0 for x in red):
-            out.add(normalize_primitive(red))
-    return GeneratorRep(rays=tuple(sorted(out)), lines=basis)
 
 
 @functools.lru_cache(maxsize=256)
 def _dual_canon(ineqs, eqns, dim: int) -> GeneratorRep:
     """Canonical rays and lines of the cone `ineqs >= 0`, `eqns = 0`."""
-    return _canon_gen(*_ray_enum(ineqs, eqns, dim), dim)
+    rays, lines = _ray_enum(ineqs, eqns, dim)
+    return GeneratorRep(rays=tuple(sorted(rays)), lines=tuple(lines))
 
 
 def _given(vecs: Iterable[Sequence[Rational]],
@@ -447,11 +485,11 @@ def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
     on `vec`; then inequalities.  None when every constraint holds.
     """
     for e in con.eqns:
-        val = _dot(e, vec)
+        val = sum(map(mul, e, vec))
         if val != 0:
             return e if val < 0 else _neg(e)
     for a in con.ineqs:
-        if _dot(a, vec) < 0:
+        if sum(map(mul, a, vec)) < 0:
             return a
     return None
 
@@ -539,7 +577,7 @@ def _escapes(inner: Cone, outer: Cone) -> bool:
     _same_dim(inner, outer)
     con, gen = outer._known_con(), inner._known_gen()
     return any(_violated_form(con, r) is not None for r in gen.rays) or any(
-        _dot(f, l) != 0 for l in gen.lines
+        sum(map(mul, f, l)) != 0 for l in gen.lines
         for f in chain(con.eqns, con.ineqs))
 
 

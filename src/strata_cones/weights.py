@@ -339,11 +339,13 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
 @_memoised
 def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> tuple[Vec, ...]:
     """The facet functionals of the divisibility cone of the admissible
-    beta, at every tau outside T other than shift^n(beta)."""
+    beta, at every tau outside T other than shift^n(beta): the diagonal one
+    at tau = beta first, then the others in coordinate order."""
     beta2 = frobenius_shift(stratum.config, beta,
                             index_tables(stratum).n[beta])
-    return tuple(functional_Lf(stratum, beta, tau)
-                 for tau in stratum.complement() if tau != beta2)
+    return tuple(functional_Lf(stratum, beta, tau) for tau in (
+        beta, *(tau for tau in stratum.complement()
+                if tau not in (beta, beta2))))
 
 
 def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
@@ -352,8 +354,11 @@ def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
 
     Variant "min" intersects the weight cone with every divisibility cone;
     variant "min0" keeps only the diagonal functional of each admissible
-    embedding.  The collected forms are restricted to the coordinates
-    outside T in sorted order (composed with `lift_jT`).  This is exact
+    embedding.  Either lists the facets first, then the diagonal functionals;
+    "min" then lists the other divisor forms, so the cone's double
+    description meets the forms that cut first.  The collected forms are
+    restricted to the coordinates outside T in sorted order (composed with
+    `lift_jT`).  This is exact
     because every form vanishes on the b lines on T, asserted here:
     `reduce_iT` after `lift_jT` is the identity and the b lines span the
     kernel of the reduction, so every form agrees on x and lift(reduce(x)).
@@ -364,11 +369,13 @@ def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
         raise ValueError(f"unknown variant {variant!r}, "
                          "expected 'min' or 'min0'")
     ineqs = list(explicit_constraints(stratum).ineqs)
-    for beta in sorted(admissible_set(stratum)):
-        if variant == "min":
-            ineqs.extend(_divisor_forms(stratum, beta))
-        else:
-            ineqs.append(functional_Lf(stratum, beta, beta))
+    admissible = sorted(admissible_set(stratum))
+    if variant == "min":
+        divisor = [_divisor_forms(stratum, beta) for beta in admissible]
+        ineqs += [forms[0] for forms in divisor]
+        ineqs += [form for forms in divisor for form in forms[1:]]
+    else:
+        ineqs += [functional_Lf(stratum, beta, beta) for beta in admissible]
     config = stratum.config
     for emb in sorted(stratum.members):
         b = weight_basis(config, "b", emb)

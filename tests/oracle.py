@@ -5,8 +5,11 @@ exhaustive subset search over generator tightness patterns, projection is
 plain Fourier-Motzkin with no pruning beyond exact deduplication, and the
 only data types are tuples of ints and Fractions.  It imports nothing from
 the package under test, so agreement between the two is meaningful.
-`ray_enum` is the double description loop in its first, plain form, the
-reference for the kernel's single-pass one; `phase1_coeffs` is the phase-1
+`ray_enum` is the double description loop in its first, plain form, and
+`canon_basis` and `canon_gen` the two-stage canonicaliser that once ran
+after it (a row-by-row echelon basis of the lines, then the rays reduced
+modulo it): together the reference for the kernel's pass from a row basis,
+which returns the canonical form itself; `phase1_coeffs` is the phase-1
 simplex on the full tableau, artificial columns included, the reference for
 the kernel's narrower one; `chain_closure` builds the tilde closure, the sign
 and n of a stratum from its chains, the reference for their reading off mu,
@@ -274,6 +277,49 @@ def ray_enum(ineqs, eqns, dim):
                     kept.append((w, common | {idx}))
             rays = kept
     return [r for r, _ in rays], lines
+
+
+def _reduce_ff(vec, basis):
+    """Reduce a vector modulo an echelon basis with positive pivots, up to a
+    positive factor: v <- b[j]*v - v[j]*b at the pivot j of each b."""
+    v = tuple(vec)
+    for b in basis:
+        j = next(i for i, x in enumerate(b) if x != 0)
+        f = v[j]
+        if f != 0:
+            v = tuple(b[j] * a - f * c for a, c in zip(v, b))
+    return v
+
+
+def canon_basis(rows, dim):
+    """Primitive integer RREF basis of the span of the rows, pivots positive,
+    in pivot order.  Each row is reduced modulo the rows kept so far; a
+    nonzero rest is made primitive with a positive pivot and cleared from the
+    kept rows, each then made primitive again."""
+    kept = []
+    for row in rows:
+        rest = _reduce_ff(row, kept)
+        if not any(rest):
+            continue
+        rest = prim(rest)
+        if next(x for x in rest if x != 0) < 0:
+            rest = neg(rest)
+        kept = [prim(_reduce_ff(b, [rest])) for b in kept]
+        # pivot order: at an earlier pivot, a positive entry meets a zero
+        kept = sorted(kept + [rest], reverse=True)
+        if len(kept) == dim:
+            break
+    return tuple(kept)
+
+
+def canon_gen(rays, lines, dim):
+    """Canonical (rays, lines) of the cone the rays and lines generate: the
+    lines as `canon_basis`, the rays reduced modulo it, scaled primitive,
+    deduplicated and sorted."""
+    basis = canon_basis(lines, dim)
+    out = {prim(red) for red in (_reduce_ff(r, basis) for r in rays)
+           if any(red)}
+    return tuple(sorted(out)), basis
 
 
 def chain_closure(cycle_lengths, members):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import dual_vrep, phase1_coeffs, ray_enum, rref
+from oracle import (canon_basis, canon_gen, dual_vrep, phase1_coeffs,
+                    rank, ray_enum, rref)
 
 from strata_cones import cone_kernel
 from strata_cones.cone_kernel import (
@@ -29,8 +30,6 @@ from strata_cones.cone_kernel import (
     full_space,
     normalize_primitive,
     zero_cone,
-    _canon_basis,
-    _canon_gen,
     _reduce_mod,
 )
 from strata_cones.splitting import SplittingConfig, stratum_from_text
@@ -488,8 +487,12 @@ def repeated_systems(draw):
 @settings(deadline=None)
 @given(st.one_of(random_systems(), crowded_systems(), repeated_systems()))
 def test_ray_enum_agrees_with_the_plain_loop(system):
+    # the pass returns the canonical form but for the order of its rays; the
+    # plain loop's output is brought to it by the two-stage canonicaliser
     dim, _, vecs, lin = system
-    assert cone_kernel._ray_enum(vecs, lin, dim) == ray_enum(vecs, lin, dim)
+    rays, lines = cone_kernel._ray_enum(vecs, lin, dim)
+    assert (tuple(sorted(rays)), tuple(lines)) == \
+        canon_gen(*ray_enum(vecs, lin, dim), dim)
 
 
 @settings(deadline=None)
@@ -562,7 +565,7 @@ def row_families(draw, dim):
 
 
 def _rational_canon_gen(rays, lines, dim):
-    """The canonical generators computed over `Fraction`, as they were
+    """The canonical (rays, lines) computed over `Fraction`, as they were
     before canonicalisation went fraction-free."""
     basis = tuple(normalize_primitive(row) for row in rref(lines, dim)[0])
     out = set()
@@ -575,7 +578,7 @@ def _rational_canon_gen(rays, lines, dim):
                 v = [a - f * c for a, c in zip(v, b)]
         if any(v):
             out.add(normalize_primitive(v))
-    return GeneratorRep(rays=tuple(sorted(out)), lines=basis)
+    return tuple(sorted(out)), basis
 
 
 @given(st.data())
@@ -583,13 +586,13 @@ def test_canon_basis_is_the_primitive_rref(data):
     dim = data.draw(st.integers(1, 5))
     rows = data.draw(row_families(dim))
     red, _ = rref(rows, dim)
-    assert _canon_basis(rows, dim) == tuple(map(normalize_primitive, red))
+    assert canon_basis(rows, dim) == tuple(map(normalize_primitive, red))
 
 
 @given(st.data())
 def test_reduce_mod_steps_rebuild_the_vector(data):
     dim = data.draw(st.integers(1, 5))
-    basis = _canon_basis(data.draw(row_families(dim)), dim)
+    basis = canon_basis(data.draw(row_families(dim)), dim)
     vec = data.draw(st.tuples(*[st.fractions(-20, 20, max_denominator=6)]
                               * dim))
     rest, steps = _reduce_mod(vec, basis)
@@ -607,8 +610,44 @@ def test_canon_gen_agrees_with_the_rational_construction(data):
     dim = data.draw(st.integers(1, 5))
     lines = data.draw(row_families(dim))
     rays = data.draw(row_families(dim))
-    assert _canon_gen(rays, lines, dim) == \
+    assert canon_gen(rays, lines, dim) == \
         _rational_canon_gen(rays, lines, dim)
+
+
+@st.composite
+def independent_rows(draw, dim):
+    """Up to `dim` linearly independent rows, some given as `Fraction`s:
+    random rows, each kept only when it raises the rank."""
+    rows = []
+    for row in draw(st.lists(coord_vectors(dim), max_size=dim + 2)):
+        if len(rows) < dim and rank(rows + [row], dim) > len(rows):
+            rows.append(row)
+    den = draw(st.sampled_from([1, 2, 3]))
+    return [tuple(Fraction(x, den) for x in row) if den > 1 else row
+            for row in rows]
+
+
+@st.composite
+def constraint_systems(draw):
+    """Inequalities and equations in dimension 1 to 5: the rows of a random
+    row family (dependent, repeated, zero and `Fraction` rows) or of an
+    independent family, split at random between the two kinds."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.one_of(row_families(dim), independent_rows(dim)))
+    eqn = draw(st.lists(st.booleans(), min_size=len(rows),
+                        max_size=len(rows)))
+    ineqs = tuple(tuple(r) for r, e in zip(rows, eqn) if not e)
+    eqns = tuple(tuple(r) for r, e in zip(rows, eqn) if e)
+    return ineqs, eqns, dim
+
+
+@settings(deadline=None)
+@given(constraint_systems())
+def test_dual_canon_agrees_with_the_two_stage_reference(system):
+    ineqs, eqns, dim = system
+    got = cone_kernel._dual_canon.__wrapped__(ineqs, eqns, dim)
+    assert (got.rays, got.lines) == canon_gen(*ray_enum(ineqs, eqns, dim),
+                                              dim)
 
 
 @given(coord_vectors(4, bound=60), st.integers(1, 12))

@@ -21,7 +21,7 @@ from strata_cones.splitting import (
     stratum_from_text,
     tilde_closure,
 )
-from strata_cones.verify import partitions
+from strata_cones.verify import _every_stratum, partitions
 from strata_cones.weights import minimal_cone
 
 CFG_A = SplittingConfig(3, (2,))
@@ -265,11 +265,8 @@ def test_mu_readings_match_the_chains_on_every_small_stratum():
     for p in (2, 3):
         for d in range(1, 7):
             for lengths in partitions(d):
-                config = SplittingConfig(p, lengths)
-                embeddings = config.embeddings()
-                for mask in range(1 << d):
-                    assert_matches_chain_closure(Stratum(config, frozenset(
-                        e for i, e in enumerate(embeddings) if mask >> i & 1)))
+                for t in _every_stratum(SplittingConfig(p, lengths)):
+                    assert_matches_chain_closure(t)
                     count += 1
     assert count == 2 * 1042
 

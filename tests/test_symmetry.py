@@ -8,22 +8,23 @@ weight cone and both minimal cones by the same permutation of coordinates,
 and leaves every check status unchanged.  The maps are written out here
 with plain modular arithmetic, not through `frobenius_shift`, so an offset
 or wrap-around fault in the library cannot cancel out of the comparison.
-A permuted cone is brought back to canonical form with the kernel's
-`_canon_gen` on each side (sorted primitive rays, canonical basis of the
+A permuted cone is brought back to canonical form with the oracle's
+`canon_gen` on each side (sorted primitive rays, canonical basis of the
 lines) before it is compared.
 """
 
-from strata_cones.cone_kernel import Cone, ConstraintRep, _canon_gen
+from oracle import canon_gen
+
+from strata_cones.cone_kernel import Cone, ConstraintRep, GeneratorRep
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
-    Stratum,
     admissible_set,
     index_tables,
     sign_epsilon,
     tilde_closure,
 )
-from strata_cones.verify import check_stratum, partitions
+from strata_cones.verify import _every_stratum, check_stratum, partitions
 from strata_cones.weights import cone_D, explicit_constraints, minimal_cone
 
 PRIMES = (2, 3)
@@ -63,12 +64,13 @@ def permuted(vecs, source, target, g):
 def moved_cone(cone, source, target, g):
     """The canonical form of the cone with its coordinates moved."""
     def side(vecs, basis):
-        return _canon_gen(permuted(vecs, source, target, g),
-                          permuted(basis, source, target, g), cone.dim)
+        return canon_gen(permuted(vecs, source, target, g),
+                         permuted(basis, source, target, g), cone.dim)
 
-    con = side(cone.con.ineqs, cone.con.eqns)
-    return Cone(dim=cone.dim, gen=side(cone.gen.rays, cone.gen.lines),
-                con=ConstraintRep(ineqs=con.rays, eqns=con.lines))
+    rays, lines = side(cone.gen.rays, cone.gen.lines)
+    ineqs, eqns = side(cone.con.ineqs, cone.con.eqns)
+    return Cone(dim=cone.dim, gen=GeneratorRep(rays=rays, lines=lines),
+                con=ConstraintRep(ineqs=ineqs, eqns=eqns))
 
 
 def assert_equivariant(t, moved, g):
@@ -122,12 +124,7 @@ def equivariance_counts(primes, degree) -> tuple[int, int]:
     of orbits."""
     pairs = orbits = 0
     for config in configurations(primes, degree):
-        embeddings = config.embeddings()
-        strata = {}
-        for mask in range(1 << config.degree):
-            members = frozenset(e for i, e in enumerate(embeddings)
-                                if mask >> i & 1)
-            strata[members] = Stratum(config, members)
+        strata = {t.members: t for t in _every_stratum(config)}
         status = {members: [r.status for r in check_stratum(t)]
                   for members, t in strata.items()}
         edges = []

@@ -23,7 +23,6 @@ from strata_cones.cone_kernel import (
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
-    Stratum,
     admissible_set,
     frobenius_shift,
     index_tables,
@@ -168,11 +167,10 @@ def _gl2_product_in_2d(t, gens):
     return cone_equal(cone_from_rays(rays, lines, dim=2 * dim), product)
 
 
-GL2_SAMPLE = [Stratum(config, frozenset(
-    e for i, e in enumerate(config.embeddings()) if mask >> i & 1))
-    for config in (SplittingConfig(2, (3,)), SplittingConfig(3, (2, 1)),
-                   SplittingConfig(5, (1, 1, 1)), SplittingConfig(2, (4,)))
-    for mask in range(1 << config.degree)]
+GL2_SAMPLE = [t for config in (
+    SplittingConfig(2, (3,)), SplittingConfig(3, (2, 1)),
+    SplittingConfig(5, (1, 1, 1)), SplittingConfig(2, (4,)))
+    for t in _every_stratum(config)]
 
 
 def _drop_a_hasse_line(gens):

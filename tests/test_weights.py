@@ -40,6 +40,7 @@ from strata_cones.splitting import (
 from strata_cones.verify import (
     _cycle_config,
     _cycle_stratum,
+    _every_stratum,
     partitions,
     stratum_record,
 )
@@ -737,11 +738,7 @@ def every_small_stratum():
     for p in (2, 3):
         for d in range(1, 7):
             for lengths in partitions(d):
-                config = SplittingConfig(p, lengths)
-                embeddings = config.embeddings()
-                for mask in range(1 << d):
-                    yield Stratum(config, frozenset(
-                        e for i, e in enumerate(embeddings) if mask >> i & 1))
+                yield from _every_stratum(SplittingConfig(p, lengths))
 
 
 def test_sign_readings_match_the_cases_on_every_small_stratum():
