@@ -27,7 +27,6 @@ from .verify import (
     _certificate,
     _check_sweep,
     _dumps,
-    _emb_key,
     _explore_sweep,
     _json_layout,
     _vec,
@@ -83,23 +82,25 @@ def _at_most(what: str, value: int, bound: int) -> None:
         raise _UsageError(f"{what} must be at most {bound}, got {value}")
 
 
+def _refusing(build, *inputs):
+    """`build(*inputs)`, a library ValueError refused as a usage error."""
+    try:
+        return build(*inputs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _config_from(args) -> SplittingConfig:
     _at_most("--p", args.p, P_MAX)
     lengths = _parse_int_list(args.cycles, "--cycles")
     _at_most("the sum of --cycles", sum(lengths), DEGREE_MAX)
-    try:
-        return SplittingConfig(args.p, tuple(lengths))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _refusing(SplittingConfig, args.p, tuple(lengths))
 
 
 def _stratum_from(args, config: SplittingConfig) -> Stratum:
     if args.t is None:
         raise _UsageError("--t is required for this subcommand")
-    try:
-        return stratum_from_text(config, args.t)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _refusing(stratum_from_text, config, args.t)
 
 
 def _weight_from(text: str | None, config: SplittingConfig, what: str,
@@ -199,17 +200,14 @@ def _describe_lines(dossier: dict) -> list[str]:
         lines.append(f"generators ({label}):")
         for entry in dossier[key]:
             kind = "line" if entry["line"] else "ray "
-            lines.append(f"  {kind} ({', '.join(entry['weight'])})")
+            lines.append(f"  {kind} {_fmt_vec(entry['weight'])}")
     lines.append("half-spaces:")
-    for form in dossier["halfspaces"]:
-        lines.append(f"  ({', '.join(form)}) >= 0")
+    lines += [f"  {_fmt_vec(form)} >= 0" for form in dossier["halfspaces"]]
     for label, cone in (("minimal cone", dossier["minimal"]),
                         ("diagonal minimal cone", dossier["minimal0"])):
         lines.append(f"{label} (reduced coordinates, dim {cone['dim']}):")
-        for form in cone["ineqs"]:
-            lines.append(f"  ({', '.join(form)}) >= 0")
-        for form in cone["eqns"]:
-            lines.append(f"  ({', '.join(form)}) = 0")
+        lines += [f"  {_fmt_vec(form)} >= 0" for form in cone["ineqs"]]
+        lines += [f"  {_fmt_vec(form)} = 0" for form in cone["eqns"]]
         if not cone["ineqs"] and not cone["eqns"]:
             lines.append("  (no constraints)")
     return lines
@@ -312,7 +310,7 @@ def _minimal_reply(write, args, stratum: Stratum, weight: tuple) -> int:
         "t": stratum.key(),
         "weight": _vec(weight),
         "reduced": _vec(reduced),
-        "forced_divisors": [_emb_key(e)
+        "forced_divisors": [e.key()
                             for e in sorted(forced_divisors(stratum, weight))],
         "in_minimal": in_minimal_cone(stratum, reduced, "min"),
         "in_minimal0": in_minimal_cone(stratum, reduced, "min0"),

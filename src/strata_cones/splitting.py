@@ -21,6 +21,10 @@ class EmbeddingId(NamedTuple):
     cycle: int
     pos: int
 
+    def key(self) -> str:
+        """The text form 'cycle.pos', which `_component` parses back."""
+        return f"{self.cycle}.{self.pos}"
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -148,7 +152,7 @@ class Stratum:
 
     def key(self) -> str:
         """Canonical text form: comma-joined 'cycle.pos', empty for the empty set."""
-        return ",".join(f"{e.cycle}.{e.pos}" for e in sorted(self.members))
+        return ",".join(e.key() for e in sorted(self.members))
 
     @_memoised
     def complement(self) -> tuple[EmbeddingId, ...]:

@@ -176,10 +176,6 @@ def _vecs(vs: Iterable[Sequence]) -> list[list[str]]:
     return [_vec(v) for v in vs]
 
 
-def _emb_key(emb: EmbeddingId) -> str:
-    return f"{emb.cycle}.{emb.pos}"
-
-
 def _certificate(cert: MembershipCertificate) -> dict:
     """The coefficients of an inside membership certificate, keyed by
     generator index."""
@@ -254,15 +250,15 @@ def _check_biorthogonality(t: Stratum) -> CheckResult:
             good = value > 0 if tau == beta else value == 0
             if not good:
                 return CheckResult("biorthogonality", FAIL, {
-                    "functional_at": _emb_key(beta),
-                    "generator_at": _emb_key(tau),
+                    "functional_at": beta.key(),
+                    "generator_at": tau.key(),
                     "functional": _vec(form),
                     "generator": _vec(ray),
                     "value": _num(value)})
         for line in lines:
             if _dot(form, line) != 0:
                 return CheckResult("biorthogonality", FAIL, {
-                    "functional_at": _emb_key(beta),
+                    "functional_at": beta.key(),
                     "functional": _vec(form),
                     "line": _vec(line),
                     "value": _num(_dot(form, line))})
@@ -314,9 +310,9 @@ def _check_admissible_dichotomy(t: Stratum) -> CheckResult:
             return CheckResult(name, PASS, {
                 "weight": _vec(fw),
                 "violated_form": _vec(cert.violated_form),
-                "strict_via": _emb_key(beta)})
+                "strict_via": beta.key()})
         memberships.append({
-            "generator_at": _emb_key(beta),
+            "generator_at": beta.key(),
             "weight": _vec(fw),
         } | _certificate(cert))
     return CheckResult(name, FAIL, {
@@ -392,7 +388,7 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
                 section_recipe(t, emb, target)
             except AssertionError as exc:
                 return CheckResult(name, FAIL, {
-                    "pair": [_emb_key(emb), _emb_key(target)],
+                    "pair": [emb.key(), target.key()],
                     "error": str(exc)})
     slots = [bw.lam for bw, is_line in gl2_generators(t) if not is_line]
     for beta, lam in zip(t.complement(), slots):
@@ -400,10 +396,10 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
             _, tag = f_recipe(t, beta)
         except AssertionError as exc:
             return CheckResult(name, FAIL, {
-                "generator_at": _emb_key(beta), "error": str(exc)})
+                "generator_at": beta.key(), "error": str(exc)})
         if tag != delta_class(t.config, lam):
             return CheckResult(name, FAIL, {
-                "generator_at": _emb_key(beta),
+                "generator_at": beta.key(),
                 "tag_residues": _vec(tag.residues),
                 "first_slot": _vec(lam)})
     return CheckResult(name, PASS)
@@ -432,7 +428,7 @@ def _check_divisor_functionals(t: Stratum) -> CheckResult:
             good = power == 1 and -value >= 2 * p ** n
         if not good:
             return CheckResult(name, FAIL, {
-                "beta": _emb_key(beta),
+                "beta": beta.key(),
                 "functional": _vec(form),
                 "generator": _vec(fw),
                 "value": _num(value)})
@@ -528,7 +524,7 @@ def _delta_kernel(config: SplittingConfig) -> dict | None:
             cls = delta_class(config, weight)
             if cls.moduli != moduli or cls.residues != tuple(
                     value * (k == c) % m for k, m in enumerate(moduli)):
-                return {"cycle": _num(c), "embedding": _emb_key(emb),
+                return {"cycle": _num(c), "embedding": emb.key(),
                         "weight": _vec(weight), "residues": _vec(cls.residues),
                         "moduli": _vec(cls.moduli)}
         start = config.flat_index(cycle[0])
@@ -645,12 +641,12 @@ def stratum_dossier(stratum: Stratum) -> dict:
         "t": stratum.key(),
         "tilde": tilde_closure(stratum).key(),
         "S": {
-            "embeddings": [_emb_key(e) for e in sorted(s.embeddings)],
+            "embeddings": [e.key() for e in sorted(s.embeddings)],
             "primes": _vec(sorted(s.primes)),
         },
         "iw": _vec(sorted(iw)),
         "tables": {
-            name: {_emb_key(e): _num(table[e]) for e in embeddings
+            name: {e.key(): _num(table[e]) for e in embeddings
                    if e in table}
             for name, table in (("mu", tables.mu), ("nu", tables.nu),
                                 ("n", tables.n), ("epsilon", eps))},

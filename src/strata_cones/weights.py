@@ -264,16 +264,19 @@ def reduced_cone(stratum: Stratum) -> Cone:
     return cone_image(reduction_matrix(stratum), cone_D(stratum))
 
 
-def _check_length(config: SplittingConfig, weight: Sequence[Rational]) -> None:
-    if len(weight) != config.degree:
+def _check_length(weight: Sequence[Rational], expected: int,
+                  subject: str = "weight") -> None:
+    """Refuse a `subject` vector whose length is not `expected`: the
+    degree for a weight, |T^c| for a reduced weight."""
+    if len(weight) != expected:
         raise ValueError(
-            f"weight has length {len(weight)}, expected {config.degree}")
+            f"{subject} has length {len(weight)}, expected {expected}")
 
 
 def reduce_iT(stratum: Stratum, weight: Sequence[Rational]) -> tuple:
     """Apply the reduction map, landing in coordinates on the complement
     of T."""
-    _check_length(stratum.config, weight)
+    _check_length(weight, stratum.config.degree)
     return tuple(_dot(row, weight) for row in reduction_matrix(stratum))
 
 
@@ -282,10 +285,7 @@ def lift_jT(stratum: Stratum, reduced: Sequence[Rational]) -> tuple:
     coordinates on the complement of T and zeros on T."""
     config = stratum.config
     outside = stratum.complement()
-    if len(reduced) != len(outside):
-        raise ValueError(
-            f"reduced weight has length {len(reduced)}, expected "
-            f"{len(outside)}")
+    _check_length(reduced, len(outside), "reduced weight")
     out = [0] * config.degree
     for beta, value in zip(outside, reduced):
         out[config.flat_index(beta)] = value
@@ -354,12 +354,13 @@ def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
 
     Variant "min" intersects the weight cone with every divisibility cone;
     variant "min0" keeps only the diagonal functional of each admissible
-    embedding.  Either lists the facets first, then the diagonal functionals;
-    "min" then lists the other divisor forms, so the cone's double
-    description meets the forms that cut first.  The collected forms are
-    restricted to the coordinates outside T in sorted order (composed with
-    `lift_jT`).  This is exact
-    because every form vanishes on the b lines on T, asserted here:
+    embedding, the first of its `_divisor_forms`, so each form of "min0" is
+    a form of "min", built once for both.  Either lists the facets first,
+    then the diagonal functionals; "min" then lists the other divisor
+    forms, so the cone's double description meets the forms that cut
+    first.  The collected forms are restricted to the coordinates outside
+    T in sorted order (composed with `lift_jT`).  This is exact because
+    every form vanishes on the b lines on T, asserted here:
     `reduce_iT` after `lift_jT` is the identity and the b lines span the
     kernel of the reduction, so every form agrees on x and lift(reduce(x)).
     A reduced weight lies in the minimal cone exactly when every form is
@@ -369,13 +370,11 @@ def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
         raise ValueError(f"unknown variant {variant!r}, "
                          "expected 'min' or 'min0'")
     ineqs = list(explicit_constraints(stratum).ineqs)
-    admissible = sorted(admissible_set(stratum))
+    divisor = [_divisor_forms(stratum, beta)
+               for beta in sorted(admissible_set(stratum))]
+    ineqs += [forms[0] for forms in divisor]
     if variant == "min":
-        divisor = [_divisor_forms(stratum, beta) for beta in admissible]
-        ineqs += [forms[0] for forms in divisor]
         ineqs += [form for forms in divisor for form in forms[1:]]
-    else:
-        ineqs += [functional_Lf(stratum, beta, beta) for beta in admissible]
     config = stratum.config
     for emb in sorted(stratum.members):
         b = weight_basis(config, "b", emb)
@@ -407,7 +406,7 @@ def forced_divisors(stratum: Stratum,
     """The admissible embeddings whose divisibility cone excludes the
     weight: any nonzero form of this weight on the stratum is divisible by
     the distinguished section of each returned embedding."""
-    _check_length(stratum.config, weight)
+    _check_length(weight, stratum.config.degree)
     out = set()
     for beta in sorted(admissible_set(stratum)):
         if any(_dot(form, weight) < 0 for form in _divisor_forms(stratum, beta)):
@@ -548,7 +547,7 @@ def delta_class(config: SplittingConfig,
                 weight: Sequence[Rational]) -> DeltaClass:
     """Reduce an integer weight: on each cycle, the p-power-weighted sum of
     its coordinates modulo p^f - 1, residues in [0, p^f - 2]."""
-    _check_length(config, weight)
+    _check_length(weight, config.degree)
     ints = []
     for k in weight:
         if k != int(k):

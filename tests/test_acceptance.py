@@ -459,3 +459,24 @@ def test_sweep_report_bytes_are_pinned(sweep):
     report, _ = sweep
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == SWEEP_REPORT_SHA256
+
+
+def test_a_fourth_prime_keeps_the_patterns():
+    # p = 7 at degree up to 5 (338 strata): the exact dichotomy splits as
+    # for 2, 3 and 5, its degenerate strata are the only failures, and the
+    # two minimal-cone variants agree on every stratum
+    report = explore([7], SWEEP_DEGREE)
+    counts, bad, degenerate = dichotomy_rows(report)
+    assert counts == {"closed": 179, "strict": 71, "degenerate": 88} \
+        and not bad, dichotomy_message(counts, bad)
+    assert report.summary == {"strata": 338, "checks": 4732, "pass": 3884,
+                              "fail": 88, "info": 760}
+    failing = {(record["p"], tuple(record["cycles"]), record["t"])
+               for record in report.strata for check in record["checks"]
+               if check["status"] == "fail"}
+    assert failing == degenerate
+    assert {check["name"] for record in report.strata
+            for check in record["checks"]
+            if check["status"] == "fail"} == {"admissible_dichotomy"}
+    assert report.open_question == {"equal": 338, "unequal": 0,
+                                    "instances": []}
