@@ -1,11 +1,15 @@
-"""The report bytes across interpreters, opt-in and outside tier-1:
-`python3 -m pytest gate`.
+"""The report bytes and the command line's replies across interpreters,
+opt-in and outside tier-1: `python3 -m pytest gate`.
 
 `explore --p-list 2,3,5 --d-max 4 --json` runs with this checkout's `src`
 under each CPython 3.10-3.13 that starts, and every run must write the same
-pinned bytes.  Each interpreter is looked up as `python3.X` on PATH, then
-as `~/.pyenv/versions/3.X.*/bin/python3.X`; one that is absent or does not
-start is skipped, and the test fails if none starts.
+pinned bytes.  So must the replies to each value flag joined to "--", which
+argparse reads as an empty list of values up to 3.12 and as the value "--"
+from 3.13, and to a weight with a leading minus sign: the same exit code,
+stdout and stderr from every interpreter.  Each interpreter is looked up
+as `python3.X` on PATH, then as `~/.pyenv/versions/3.X.*/bin/python3.X`;
+one that is absent or does not start is skipped, and a test fails if none
+starts.
 """
 
 import glob
@@ -15,6 +19,8 @@ import shutil
 import subprocess
 from pathlib import Path
 
+from test_cli import DASH_DASH_ARGVS
+
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 ARGV = ("-m", "strata_cones.cli", "explore", "--p-list", "2,3,5",
         "--d-max", "4", "--json")
@@ -23,6 +29,8 @@ REPORT_SHA256 = (
     "6d41d361cc2c0c725305d24435a4a93835cd97f4380381afde10c384028a91c1")
 SRC = Path(__file__).resolve().parent.parent / "src"
 TIMEOUT_SECONDS = 300
+NEGATIVE_WEIGHT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
+                   "--weight", "-1,0,0")
 
 
 def starts(path: str, version: str) -> bool:
@@ -45,17 +53,42 @@ def interpreter(version: str) -> str | None:
                  if path and starts(path, version)), None)
 
 
+def interpreters() -> dict[str, str]:
+    """Each version's interpreter that starts; at least one."""
+    paths = {version: interpreter(version) for version in VERSIONS}
+    paths = {version: path for version, path in paths.items() if path}
+    assert paths, f"no CPython of {', '.join(VERSIONS)} starts"
+    return paths
+
+
 def test_report_bytes_are_the_same_on_every_interpreter():
     digests = {}
-    for version in VERSIONS:
-        path = interpreter(version)
-        if path is None:
-            continue
+    for version, path in interpreters().items():
         run = subprocess.run(
             [path, *ARGV], env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, timeout=TIMEOUT_SECONDS)
         # exit code 2: the report holds the failures of criterion 3
         assert run.returncode == 2, (version, path, run.stderr[-2000:])
         digests[version] = hashlib.sha256(run.stdout).hexdigest()
-    assert digests, f"no CPython of {', '.join(VERSIONS)} starts"
     assert digests == dict.fromkeys(digests, REPORT_SHA256)
+
+
+def test_replies_are_the_same_on_every_interpreter(tmp_path):
+    paths = interpreters()
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    for argv in [argv for argv, _ in DASH_DASH_ARGVS] + [NEGATIVE_WEIGHT]:
+        replies = {}
+        for version, path in paths.items():
+            run = subprocess.run(
+                [path, "-m", "strata_cones.cli", *argv], cwd=tmp_path,
+                env=env, capture_output=True, timeout=TIMEOUT_SECONDS)
+            replies[version] = (run.returncode, run.stdout, run.stderr)
+            assert list(tmp_path.iterdir()) == [], (version, argv)
+        reply = next(iter(replies.values()))
+        assert replies == dict.fromkeys(replies, reply), argv
+        if argv == NEGATIVE_WEIGHT:
+            assert reply[0] == 0 and reply[2] == b"", reply
+        else:
+            errors = [line for line in reply[2].splitlines()
+                      if b"error:" in line]
+            assert reply[:2] == (3, b"") and len(errors) == 1, reply

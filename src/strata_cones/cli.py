@@ -62,7 +62,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code of this tool."""
+    """argparse with this tool's usage-error exit code and full flag names."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -328,6 +331,8 @@ def _minimal_lines(doc: dict) -> list[str]:
 
 
 def _cmd_gl2(args):
+    if args.weight is not None and args.biweight is not None:
+        raise _UsageError("gl2 takes one of --weight and --biweight")
     config = _config_from(args)
     if args.biweight is None:
         weight = _weight_from(args.weight, config, "--weight",
@@ -431,42 +436,33 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-# each prefix argparse takes for a flag whose value may start with a minus
-# sign, which argparse would otherwise read as another option, mapped to
-# that flag (no other flag starts with "--w" or "--b")
-_DASH_VALUE_FLAGS = {flag[:end]: flag for flag in ("--weight", "--biweight")
-                     for end in range(3, len(flag) + 1)}
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """A subcommand named first is parsed by its own parser, after one walk
+    over its tokens; arguments it leaves over get the top-level parser's
+    error.  Anything else is parsed, and refused, by the top-level parser.
 
-
-def _merge_dash_values(argv: Sequence[str]) -> list[str]:
-    """argv with each dash-value flag joined to a value that starts with a
-    minus sign, where the subcommand named first declares the flag; any
-    other use is left as typed, for the parser to refuse."""
-    _, commands = _build_parser()
-    # argparse's table of the option strings the subcommand declares
-    declared = (commands[argv[0]]._option_string_actions
-                if argv and argv[0] in commands else {})
-    merged = []
-    i = 0
-    while i < len(argv):
-        if (_DASH_VALUE_FLAGS.get(argv[i]) in declared
-                and i + 1 < len(argv) and argv[i + 1].startswith("-")):
-            merged.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
-    return merged
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """A subcommand named first is parsed by its own parser, and arguments
-    it leaves over get the top-level parser's error; anything else is
-    parsed by the top-level parser."""
+    The walk joins a declared --weight or --biweight to a following value
+    that starts with a minus sign, which argparse would read as an option,
+    and refuses a declared value flag joined to "--", which argparse up to
+    3.12 reads as an empty list of values."""
     parser, commands = _build_parser()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    command = commands[argv[0]]
+    declared = command._option_string_actions  # argparse's table of flags
+    tokens = []
+    for token in argv[1:]:
+        if (tokens and tokens[-1] in ("--weight", "--biweight")
+                and tokens[-1] in declared and token.startswith("-")):
+            token = f"{tokens.pop()}={token}"
+        flag, _, value = token.partition("=")
+        if flag not in declared:  # "-o--": a short flag joined to its value
+            flag, value = token[:2], token[2:]
+        if value == "--" and flag in declared and declared[flag].nargs is None:
+            command.error(f"argument {'/'.join(declared[flag].option_strings)}"
+                          ": expected one argument")
+        tokens.append(token)
+    args, extras = command.parse_known_args(tokens)
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
@@ -476,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse(_merge_dash_values(argv))
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
