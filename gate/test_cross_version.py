@@ -5,11 +5,11 @@ opt-in and outside tier-1: `python3 -m pytest gate`.
 under each CPython 3.10-3.13 that starts, and every run must write the same
 pinned bytes.  So must the replies to each value flag joined to "--", which
 argparse reads as an empty list of values up to 3.12 and as the value "--"
-from 3.13, and to a weight with a leading minus sign: the same exit code,
-stdout and stderr from every interpreter.  Each interpreter is looked up
-as `python3.X` on PATH, then as `~/.pyenv/versions/3.X.*/bin/python3.X`;
-one that is absent or does not start is skipped, and a test fails if none
-starts.
+from 3.13, to a weight with a leading minus sign, to an empty -o path and
+to a composite --p-list entry: the same exit code, stdout and stderr from
+every interpreter.  Each interpreter is looked up as `python3.X` on PATH,
+then as `~/.pyenv/versions/3.X.*/bin/python3.X`; one that is absent or does
+not start is skipped, and a test fails if none starts.
 """
 
 import glob
@@ -31,6 +31,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TIMEOUT_SECONDS = 300
 NEGATIVE_WEIGHT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
                    "--weight", "-1,0,0")
+# refused: an empty path is a path, and the library refuses a composite
+EMPTY_OUTPUT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
+                "--weight", "1,0,0", "-o", "")
+COMPOSITE_P_LIST = ("explore", "--p-list", "4", "--d-max", "1")
 
 
 def starts(path: str, version: str) -> bool:
@@ -76,7 +80,8 @@ def test_report_bytes_are_the_same_on_every_interpreter():
 def test_replies_are_the_same_on_every_interpreter(tmp_path):
     paths = interpreters()
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
-    for argv in [argv for argv, _ in DASH_DASH_ARGVS] + [NEGATIVE_WEIGHT]:
+    for argv in [*(argv for argv, _ in DASH_DASH_ARGVS), NEGATIVE_WEIGHT,
+                 EMPTY_OUTPUT, COMPOSITE_P_LIST]:
         replies = {}
         for version, path in paths.items():
             run = subprocess.run(

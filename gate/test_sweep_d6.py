@@ -15,6 +15,12 @@ line with `-o`, as JSON and as text, once in one process and once with two
 workers, whose file must carry the pinned sha256 within a bound on the peak
 RSS.  The Frobenius-rotation equivariance of `tests/test_symmetry.py` is
 compared on every stratum of p in {2, 3, 5} and degree up to 6.
+
+A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
+swept once in one process, with its report, summary, dichotomy classes and
+unequal strata pinned in the same way.  Its minimal-cone variants differ on
+the same six strata as for p in {2, 3, 5}: one cycle of length 6 with T a
+single embedding.
 """
 
 import hashlib
@@ -28,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from oracle import dot
 from strata_cones.verify import explore
 from test_acceptance import dichotomy_message, dichotomy_rows
 from test_symmetry import equivariance_counts
@@ -64,6 +71,14 @@ LAUNCHER = ("import os, subprocess, sys\n"
             "_, status, usage = os.wait4(proc.pid, 0)\n"
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
 SRC = Path(__file__).resolve().parent.parent / "src"
+# p = 7 up to degree 6, one process: 2.4-2.8 s with Python 3.11 on a 2-core
+# machine
+P7_REPORT_SHA256 = (
+    "2db9f58b8187b9439f669b24a94cbcfbbeaa0d7fab9af687505c2cf9aa26a053")
+P7_SUMMARY = {"strata": 1042, "checks": 14588, "pass": 12021, "fail": 294,
+              "info": 2273}
+P7_DICHOTOMY_COUNTS = {"closed": 461, "strict": 287, "degenerate": 294}
+P7_UNEQUAL = [{"p": "7", "cycles": ["6"], "t": f"0.{i}"} for i in range(6)]
 
 
 @pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
@@ -73,41 +88,25 @@ def sweep(request):
     return report, time.monotonic() - start
 
 
-def dot(form, vec):
-    return sum(int(a) * int(b) for a, b in zip(form, vec))
+def failing(report) -> tuple[set, set]:
+    """The names of the failing checks, and the strata where one fails."""
+    names, strata = set(), set()
+    for record in report.strata:
+        for check in record["checks"]:
+            if check["status"] == "fail":
+                names.add(check["name"])
+                strata.add((record["p"], tuple(record["cycles"]),
+                            record["t"]))
+    return names, strata
 
 
-def test_sweep_fits_its_budget(sweep):
-    _, elapsed = sweep
-    assert elapsed < GATE_BUDGET_SECONDS, f"{elapsed:.1f}s"
-
-
-def test_report_bytes_are_pinned(sweep):
-    report, _ = sweep
-    text = report.to_json() + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == GATE_REPORT_SHA256
-
-
-def test_summary_and_failures_are_pinned(sweep):
-    report, _ = sweep
-    assert report.summary == GATE_SUMMARY
-    failing = {check["name"] for record in report.strata
-               for check in record["checks"] if check["status"] == "fail"}
-    assert failing == {"admissible_dichotomy"}
-
-
-def test_unequal_minimal_cones_are_pinned(sweep):
-    report, _ = sweep
-    assert report.open_question == {"equal": 3126 - 18, "unequal": 18,
-                                    "instances": UNEQUAL}
-
-
-def test_unequal_witnesses_recheck_by_hand(sweep):
-    # each witness is a generator of the diagonal variant ("minimal0")
-    # and a form that is negative on it but nonnegative on the full
-    # variant ("minimal")
-    report, _ = sweep
-    wanted = {(i["p"], i["t"]) for i in UNEQUAL}
+def recheck_unequal_witnesses(report, instances) -> int:
+    """Re-check by hand the witness of each stratum in `instances`, those
+    of one cycle of length 6, and return how many were checked.  Each
+    witness is a generator of the diagonal variant ("minimal0") and a form
+    that is negative on it but nonnegative on the full variant
+    ("minimal")."""
+    wanted = {(i["p"], i["t"]) for i in instances}
     checked = 0
     for record in report.strata:
         if record["cycles"] != ["6"] or (record["p"], record["t"]) not in \
@@ -124,7 +123,35 @@ def test_unequal_witnesses_recheck_by_hand(sweep):
         assert all(dot(form, ray) >= 0 for ray in outer["rays"])
         assert all(dot(form, line) == 0 for line in outer["lines"])
         checked += 1
-    assert checked == 18
+    return checked
+
+
+def test_sweep_fits_its_budget(sweep):
+    _, elapsed = sweep
+    assert elapsed < GATE_BUDGET_SECONDS, f"{elapsed:.1f}s"
+
+
+def test_report_bytes_are_pinned(sweep):
+    report, _ = sweep
+    text = report.to_json() + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE_REPORT_SHA256
+
+
+def test_summary_and_failures_are_pinned(sweep):
+    report, _ = sweep
+    assert report.summary == GATE_SUMMARY
+    assert failing(report)[0] == {"admissible_dichotomy"}
+
+
+def test_unequal_minimal_cones_are_pinned(sweep):
+    report, _ = sweep
+    assert report.open_question == {"equal": 3126 - 18, "unequal": 18,
+                                    "instances": UNEQUAL}
+
+
+def test_unequal_witnesses_recheck_by_hand(sweep):
+    report, _ = sweep
+    assert recheck_unequal_witnesses(report, UNEQUAL) == 18
 
 
 def test_dichotomy_classes_are_pinned(sweep):
@@ -132,10 +159,23 @@ def test_dichotomy_classes_are_pinned(sweep):
     counts, bad, degenerate = dichotomy_rows(report)
     assert counts == DICHOTOMY_COUNTS and not bad, \
         dichotomy_message(counts, bad)
-    failing = {(record["p"], tuple(record["cycles"]), record["t"])
-               for record in report.strata for check in record["checks"]
-               if check["status"] == "fail"}
-    assert degenerate == failing
+    assert degenerate == failing(report)[1]
+
+
+def test_p7_to_degree_6_is_pinned():
+    report = explore([7], GATE_DEGREE)
+    text = report.to_json() + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == P7_REPORT_SHA256
+    assert report.summary == P7_SUMMARY
+    names, strata = failing(report)
+    assert names == {"admissible_dichotomy"}
+    counts, bad, degenerate = dichotomy_rows(report)
+    assert counts == P7_DICHOTOMY_COUNTS and not bad, \
+        dichotomy_message(counts, bad)
+    assert degenerate == strata
+    assert report.open_question == {"equal": 1042 - 6, "unequal": 6,
+                                    "instances": P7_UNEQUAL}
+    assert recheck_unequal_witnesses(report, P7_UNEQUAL) == 6
 
 
 @pytest.mark.parametrize("jobs", GATE_JOBS, ids=lambda j: f"jobs{j}")

@@ -20,7 +20,7 @@ import sys
 from typing import Iterator, Sequence
 
 from .cone_kernel import _violated_form, cone_member
-from .splitting import SplittingConfig, Stratum, _is_prime, stratum_from_text
+from .splitting import SplittingConfig, Stratum, stratum_from_text
 from .verify import (
     FAIL,
     SCHEMA_VERSION,
@@ -57,8 +57,9 @@ DEGREE_MAX = 10
 P_LIST_MAX = 16
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """An input the command line refuses; `main` maps it, and every library
+    ValueError raised while the inputs are checked, to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,25 +86,17 @@ def _at_most(what: str, value: int, bound: int) -> None:
         raise _UsageError(f"{what} must be at most {bound}, got {value}")
 
 
-def _refusing(build, *inputs):
-    """`build(*inputs)`, a library ValueError refused as a usage error."""
-    try:
-        return build(*inputs)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _config_from(args) -> SplittingConfig:
     _at_most("--p", args.p, P_MAX)
     lengths = _parse_int_list(args.cycles, "--cycles")
     _at_most("the sum of --cycles", sum(lengths), DEGREE_MAX)
-    return _refusing(SplittingConfig, args.p, tuple(lengths))
+    return SplittingConfig(args.p, tuple(lengths))
 
 
 def _stratum_from(args, config: SplittingConfig) -> Stratum:
     if args.t is None:
         raise _UsageError("--t is required for this subcommand")
-    return _refusing(stratum_from_text, config, args.t)
+    return stratum_from_text(config, args.t)
 
 
 def _weight_from(text: str | None, config: SplittingConfig, what: str,
@@ -125,26 +118,30 @@ def _jobs_from(args) -> int:
     return args.jobs
 
 
-def _cannot_write(path: str, exc: OSError) -> _UsageError:
-    return _UsageError(f"cannot write {path}: {exc.strerror}")
+def _fail(error, code: int) -> int:
+    """Print `error` as the command's one error line; return `code`."""
+    print(f"strata-cones: error: {error}", file=sys.stderr)
+    return code
 
 
 def _emit(args, work) -> int:
     """Open -o, then run `work`, the command with its inputs validated,
     with the `write` of the open file (of stdout without -o); return the
     exit code `work` returns.  A failed write is a usage error."""
+    path = args.output  # any string, the empty one too, is a path
     try:  # every OSError here is the output's: a pool's is a RuntimeError
-        handle = open(args.output, "w") if args.output else sys.stdout
+        handle = sys.stdout if path is None else open(path, "w")
         try:
             code = work(handle.write)
             handle.flush()  # a full disk shows when the buffer is flushed
         finally:
-            if args.output:
+            if path is not None:
                 handle.close()
     except OSError as exc:
-        if not args.output:  # Python's flush of stdout at exit goes nowhere
+        if path is None:  # Python's flush of stdout at exit goes nowhere
             sys.stdout = open(os.devnull, "w")
-        raise _cannot_write(args.output or "stdout", exc) from None
+        return _fail(f"cannot write {'stdout' if path is None else path}: "
+                     f"{exc.strerror}", EXIT_USAGE)
     return code
 
 
@@ -235,20 +232,17 @@ def _check_lines(config: dict, results, tally) -> Iterator[str]:
 
 
 def _cmd_explore(args):
-    p_list = [2, 3, 5] if args.p_list is None else \
-        _parse_int_list(args.p_list, "--p-list")
+    p_list = _parse_int_list(args.p_list, "--p-list")
     _at_most("the number of --p-list entries", len(p_list), P_LIST_MAX)
     for p in p_list:
         _at_most("--p-list entry", p, P_MAX)
-        if not _is_prime(p):
-            raise _UsageError("p must be prime")
     if args.d_max < 1:
         raise _UsageError("--d-max must be at least 1")
     _at_most("--d-max", args.d_max, DEGREE_MAX)
+    sweep = _explore_sweep(p_list, args.d_max)  # refuses a composite entry
     jobs = _jobs_from(args)
-    return lambda write: _sweep_reply(write, args,
-                                      _explore_sweep(p_list, args.d_max),
-                                      jobs, _explore_lines)
+    return lambda write: _sweep_reply(write, args, sweep, jobs,
+                                      _explore_lines)
 
 
 def _explore_lines(config: dict, results, tally) -> Iterator[str]:
@@ -398,10 +392,12 @@ _FLAGS = {
                      "stratum, 'all' for everything"),
     "--weight": dict(help="comma-separated integer weight"),
     "--biweight": dict(help="'lam;kappa' pair of comma-separated lists"),
-    "--p-list": dict(help="comma-separated primes (default 2,3,5)"),
+    "--p-list": dict(default="2,3,5",
+                     help="comma-separated primes (default %(default)s)"),
     "--d-max": dict(type=int, default=5,
-                    help="largest total degree (default 5)"),
-    "--jobs": dict(type=int, default=1, help="worker processes (default 1)"),
+                    help="largest total degree (default %(default)s)"),
+    "--jobs": dict(type=int, default=1,
+                   help="worker processes (default %(default)s)"),
     "--json": dict(action="store_true", help="emit JSON instead of text"),
     "-o": dict(help="write output to this path instead of stdout"),
 }
@@ -475,14 +471,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return _emit(args, args.handler(args))
-    except _UsageError as exc:
-        print(f"strata-cones: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"strata-cones: error: {exc}", file=sys.stderr)
-        return 1
+    try:  # every input is checked, and -o is not open yet
+        work = args.handler(args)
+    except ValueError as exc:  # the command line's refusals and the library's
+        return _fail(exc, EXIT_USAGE)
+    try:  # a ValueError of the work itself is a bug: it keeps its traceback
+        return _emit(args, work)
+    except RuntimeError as exc:  # the worker pool failed
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

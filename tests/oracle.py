@@ -23,6 +23,8 @@ by the exit-parity walk and the distinguished generator's recipe as a
 partial pair recipe times a patched b factor, the references for the
 telescoping walk; `f_recipe_tag_by_cases` gives that recipe's discrete tag
 by cases over the closure, the reference for its reading off the walk.
+`dot` and `raw_weight`, the basis weights e, h and b written out by hand,
+are the one copy of each that every test file uses.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -51,7 +53,24 @@ def prim(vec):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    """The scalar product of two vectors of ints or Fractions, or of the
+    decimal strings that a report writes for its integers."""
+    return sum(_number(x) * _number(y) for x, y in zip(a, b))
+
+
+def _number(x):
+    return int(x) if isinstance(x, str) else x
+
+
+def raw_weight(p, lengths, kind, c, i):
+    """e, h = -e + p*back-shift or b = e + p*back-shift at (c, i)."""
+    vec = [0] * sum(lengths)
+    offset = sum(lengths[:c])
+    f = lengths[c]
+    vec[offset + i] += {"e": 1, "h": -1, "b": 1}[kind]
+    if kind != "e":
+        vec[offset + (i - 1) % f] += p
+    return vec
 
 
 def neg(v):

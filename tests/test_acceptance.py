@@ -36,6 +36,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracle import dot, raw_weight
 
 from strata_cones.cone_kernel import (
     certificate_valid,
@@ -165,21 +166,6 @@ def dichotomy_class(lengths, members):
             (c, f, next(i for i in range(f) if i not in in_t))
             for c, f, in_t in growing]
     return "strict", []
-
-
-def raw_weight(p, lengths, kind, c, i):
-    """e, h = -e + p*back-shift or b = e + p*back-shift at (c, i)."""
-    vec = [0] * sum(lengths)
-    offset = sum(lengths[:c])
-    f = lengths[c]
-    vec[offset + i] += {"e": 1, "h": -1, "b": 1}[kind]
-    if kind != "e":
-        vec[offset + (i - 1) % f] += p
-    return vec
-
-
-def dot(form, vec):
-    return sum(a * b for a, b in zip(form, vec))
 
 
 def degenerate_problems(p, lengths, members, cycles, witness):

@@ -438,16 +438,23 @@ def test_output_flag_writes_a_file(tmp_path, capsys):
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before -o was opened")
-    for name in ("stratum_dossier", "_check_sweep", "_explore_sweep"):
+    # `_explore_sweep` only builds the lazy record tasks while the inputs
+    # are checked; `_sweep_reply` is what runs them
+    for name in ("stratum_dossier", "_check_sweep", "_sweep_reply"):
         monkeypatch.setattr(cli, name, unreachable)
+    monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing" / "x.json"
-    for target, reason in ((missing, "No such file or directory"),
-                           (tmp_path, "Is a directory")):
+    # an empty path is a path like any other, not a request for stdout
+    for output, target, reason in (
+            (("-o", str(missing)), missing, "No such file or directory"),
+            (("-o", str(tmp_path)), tmp_path, "Is a directory"),
+            (("-o", ""), "", "No such file or directory"),
+            (("--output=",), "", "No such file or directory")):
         for argv in (("describe", "--p", "2", "--cycles", "3", "--t", "0.1",
                       "--json"),
                      ("check", "--p", "2", "--cycles", "1"),
                      ("explore", "--p-list", "2", "--d-max", "5")):
-            assert run(capsys, *argv, "-o", str(target)) == (
+            assert run(capsys, *argv, *output) == (
                 3, "",
                 f"strata-cones: error: cannot write {target}: {reason}\n")
     assert list(tmp_path.iterdir()) == []
@@ -456,10 +463,12 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
 def test_output_is_created_when_the_work_starts(tmp_path, capsys,
                                                 monkeypatch):
     target = tmp_path / "report.json"
-    # invalid inputs are refused before -o is opened
-    assert run(capsys, "check", "--p", "2", "--cycles", "1", "--t", "0.7",
-               "-o", str(target))[0] == 3
-    assert not target.exists()
+    # invalid inputs, those the library refuses too, are refused before -o
+    # is opened
+    for argv in (("check", "--p", "2", "--cycles", "1", "--t", "0.7"),
+                 ("explore", "--p-list", "4", "--d-max", "1")):
+        assert run(capsys, *argv, "-o", str(target))[0] == 3
+        assert not target.exists()
     seen = []
 
     def write_report_spy(*args, **kwargs):

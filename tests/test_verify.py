@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracle import f_recipe_tag_by_cases
+from oracle import dot, f_recipe_tag_by_cases, raw_weight
 
 from strata_cones import cone_kernel, verify, weights
 from strata_cones.cone_kernel import (
@@ -296,10 +296,6 @@ def _ints(vec):
     return [int(x) for x in vec]
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(_ints(a), _ints(b)))
-
-
 def _emb(key):
     return EmbeddingId(*map(int, key.split(".")))
 
@@ -380,15 +376,9 @@ def _tag_is_not_the_class_of_the_first_slot(t, w):
 
 
 def _basis_weight_by_hand(config, kind, key):
-    """e at the embedding `key`, or h = -e + p e' with e' one step back
-    around its cycle."""
-    c, pos = _ints(key.split("."))
-    start, f = sum(config.cycle_lengths[:c]), config.cycle_lengths[c]
-    w = [0] * config.degree
-    w[start + pos] = 1 if kind == "e" else -1
-    if kind == "h":
-        w[start + (pos - 1) % f] += config.p
-    return w
+    """e or h at the embedding `key`, written 'cycle.pos'."""
+    return raw_weight(config.p, config.cycle_lengths, kind,
+                      *_ints(key.split(".")))
 
 
 def _lie_on_one_basis_weight(kind, key, residues):
@@ -480,9 +470,9 @@ def _composed_by_hand(t, w):
 
 
 def _separates(w, rays, lines):
-    return (_dot(w["violated_form"], w["weight"]) < 0
-            and all(_dot(w["violated_form"], g) >= 0 for g in rays)
-            and all(_dot(w["violated_form"], g) == 0 for g in lines))
+    return (dot(w["violated_form"], w["weight"]) < 0
+            and all(dot(w["violated_form"], g) >= 0 for g in rays)
+            and all(dot(w["violated_form"], g) == 0 for g in lines))
 
 
 def _separates_from_the_weight_cone(t, w):
@@ -498,7 +488,7 @@ def _separates_from_the_diagonal_minimal_cone(t, w):
 
 def _is_a_violated_form_of(w, forms):
     # a defining form of a cone is nonnegative on all of it
-    return (_dot(w["violated_form"], w["weight"]) < 0
+    return (dot(w["violated_form"], w["weight"]) < 0
             and tuple(_ints(w["violated_form"])) in forms)
 
 
@@ -519,10 +509,10 @@ def _diagonal_forms_by_hand(t):
 
 def _separates_the_faulty_kernel(t, w):
     b_lines = [weight_basis(t.config, "b", beta) for beta in t.members]
-    return (_dot(w["violated_form"], w["weight"]) < 0
-            and all(_dot(row, w["weight"]) == 0
+    return (dot(w["violated_form"], w["weight"]) < 0
+            and all(dot(row, w["weight"]) == 0
                     for row in weights.reduction_matrix(t)[1:])
-            and all(_dot(w["violated_form"], b) == 0 for b in b_lines))
+            and all(dot(w["violated_form"], b) == 0 for b in b_lines))
 
 
 # check, builder replaced, plant, stratum, witness keys, by-hand test
@@ -534,12 +524,12 @@ PLANTED_FAULTS = {
         AT_B,
         ["functional_at", "generator_at", "functional", "generator", "value"],
         lambda t, w: w["functional_at"] == w["generator_at"]
-        and int(w["value"]) == _dot(w["functional"], w["generator"]) <= 0),
+        and int(w["value"]) == dot(w["functional"], w["generator"]) <= 0),
     "biorthogonality-line": (
         "_check_biorthogonality", "generators_Gprime", _tilt_the_first_line,
         AT_B,
         ["functional_at", "functional", "line", "value"],
-        lambda t, w: int(w["value"]) == _dot(w["functional"], w["line"]) != 0),
+        lambda t, w: int(w["value"]) == dot(w["functional"], w["line"]) != 0),
     "hasse_identity": (
         "_check_hasse_identity", "weight_pair", _bend_one_long_pair,
         AT_B,
@@ -586,7 +576,7 @@ PLANTED_FAULTS = {
             -x for x in real(t, beta, tau)),
         AT_B,
         ["beta", "functional", "generator", "value"],
-        lambda t, w: int(w["value"]) == _dot(w["functional"], w["generator"])
+        lambda t, w: int(w["value"]) == dot(w["functional"], w["generator"])
         >= 0),
     "dichotomy-hasse-side": (
         "_check_admissible_dichotomy", "weight_basis",

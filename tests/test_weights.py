@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import (
     distinguished_by_pairs,
     divisor_functional_by_cases,
+    dot,
     f_recipe_by_patch,
     f_recipe_tag_by_cases,
     hasse_pairs,
@@ -84,10 +85,6 @@ CFG_D = SplittingConfig(3, (1, 1))
 
 def stratum(config, *pos):
     return Stratum(config, frozenset(EmbeddingId(c, i) for c, i in pos))
-
-
-def dot(form, vec):
-    return sum(a * b for a, b in zip(form, vec))
 
 
 # ---------------------------------------------------------------------------
