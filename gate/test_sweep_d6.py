@@ -14,7 +14,10 @@ are exactly the failures.  The same sweep also runs through the command
 line with `-o`, as JSON and as text, once in one process and once with two
 workers, whose file must carry the pinned sha256 within a bound on the peak
 RSS.  The Frobenius-rotation equivariance of `tests/test_symmetry.py` is
-compared on every stratum of p in {2, 3, 5} and degree up to 6.
+compared on every stratum of p in {2, 3, 5} and degree up to 6, and so
+is each check that `verify._by_cycles` decides from the cycles of a
+multi-cycle stratum against its direct check, sound and under a
+cycle-local fault (`tests/test_verify.py`), on all 2748 multi-cycle strata.
 
 A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
@@ -38,6 +41,11 @@ from oracle import dot
 from strata_cones.verify import explore
 from test_acceptance import dichotomy_message, dichotomy_rows
 from test_symmetry import equivariance_counts
+from test_verify import (
+    ROUTED_CHECKS,
+    multi_cycle_strata,
+    routed_against_direct,
+)
 
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
@@ -217,3 +225,17 @@ def test_every_construction_moves_with_the_frobenius_rotation():
     # 3126 strata of p in {2, 3, 5} and degree at most 6, 13542 (stratum,
     # move) pairs, 888 orbits
     assert equivariance_counts(GATE_PRIMES, GATE_DEGREE) == (13542, 888)
+
+
+@pytest.mark.parametrize("faulty", [False, True],
+                         ids=["sound", "cycle-local-fault"])
+@pytest.mark.parametrize("check", ROUTED_CHECKS)
+def test_routed_checks_give_the_direct_result_to_degree_6(monkeypatch, check,
+                                                          faulty):
+    strata = multi_cycle_strata(GATE_PRIMES, GATE_DEGREE)
+    assert len(strata) == 2748
+    statuses = routed_against_direct(check, strata, monkeypatch, faulty)
+    if faulty:
+        assert statuses["fail"] and statuses["pass"]
+    else:
+        assert statuses == {"pass": len(strata)}

@@ -5,6 +5,8 @@ named check producing a CheckResult.  A failing result always carries a
 witness that re-verifies with the cone kernel alone: either a vector
 together with a violated constraint of the cone it was claimed to lie in,
 or a full membership certificate for a vector claimed to lie outside.
+Checks that compare objects block-diagonal over the cycles are decided on
+a multi-cycle stratum from its cycles' single-cycle strata (`_by_cycles`).
 
 The explorer sweeps all cycle partitions of all degrees up to a bound for a
 list of primes, runs every check on every stratum, and aggregates a
@@ -17,6 +19,7 @@ processes are used.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -224,22 +227,98 @@ def _equality_result(name: str, left: Cone, right: Cone,
 
 
 # ---------------------------------------------------------------------------
+# single-cycle sub-strata
+
+
+@_memoised
+def _cycle_config(config: SplittingConfig, f: int) -> SplittingConfig:
+    """The single cycle (p, (f,)), one per f, so that the strata over it
+    share its memo."""
+    return SplittingConfig(config.p, (f,))
+
+
+@_memoised
+def _cycle_stratum(config: SplittingConfig, f: int,
+                   positions: frozenset[int]) -> Stratum:
+    """The stratum of the single cycle (p, (f,)) at the given positions."""
+    return Stratum(_cycle_config(config, f),
+                   frozenset(EmbeddingId(0, i) for i in positions))
+
+
+def _by_cycles(check):
+    """`check`, decided on a multi-cycle stratum from its cycles.
+
+    For a check whose objects are block-diagonal over the cycles, a pass on
+    every cycle's single-cycle stratum (`_cycle_stratum`) implies a pass on
+    the stratum, which is then the verdict.  Each cycle's result is
+    memoised on its sub-stratum, so a configuration runs the check once per
+    cycle pattern.  A cycle that does not pass without a witness sends the
+    stratum to `check` itself, so every fail and witness is the direct
+    check's, bytes and all; so is every single-cycle verdict.  The direct
+    check is the `__wrapped__` attribute."""
+    per_cycle = _memoised(check)
+
+    @functools.wraps(check)
+    def routed(t: Stratum) -> CheckResult:
+        config = t.config
+        if len(config.cycle_lengths) < 2:
+            return check(t)
+        for c, f in enumerate(config.cycle_lengths):
+            result = per_cycle(_cycle_stratum(config, f, t.cycle_members(c)))
+            if result.status != PASS or result.witness is not None:
+                return check(t)
+        return result
+
+    return routed
+
+
+# ---------------------------------------------------------------------------
 # individual checks
 
 
+@_by_cycles
 def _check_optimal_basis(t: Stratum) -> CheckResult:
+    """The Hasse-pair family and the one-ray-per-embedding family generate
+    the same cone.
+
+    Both families list their generators cycle by cycle, each supported on
+    its cycle, so both cones are products over the cycles and are equal
+    when they are on every cycle.  A passing multi-cycle stratum builds no
+    cone of its pair family: the dossier's bytes pin both families,
+    `product_structure` compares the weight cone with the product of the
+    cycles' cones, and the differential test of `tests/test_verify.py`
+    compares this verdict with the direct one."""
     return _equality_result(
         "optimal_basis", family_cone(generators_G(t), t.config.degree),
         cone_D(t), "pair-generated cone", "one-ray-per-embedding cone")
 
 
+@_by_cycles
 def _check_explicit_halfspaces(t: Stratum) -> CheckResult:
+    """The weight cone is the cone cut out by the explicit half-spaces.
+
+    Each facet functional is a window on one cycle and each generator lies
+    on one cycle, so both cones are products over the cycles and are equal
+    when they are on every cycle.  A passing multi-cycle stratum builds no
+    half-space cone: the dossier's bytes pin its half-spaces,
+    `product_structure` its weight cone, and the differential test this
+    verdict."""
     return _equality_result(
         "explicit_halfspaces", cone_D(t), halfspace_cone(t),
         "generated cone", "half-space cone")
 
 
+@_by_cycles
 def _check_biorthogonality(t: Stratum) -> CheckResult:
+    """The facet functional at beta is positive on the ray at beta, and 0
+    on every other ray and on every line.
+
+    A functional and a generator on different cycles have disjoint
+    supports, so their pairing is 0 as required: only the pairs of one
+    cycle, those of its single-cycle stratum, can fail.  A passing
+    multi-cycle stratum pairs none of its own functionals and generators:
+    the dossier's bytes pin both, and the differential test this
+    verdict."""
     outside = t.complement()
     gens = generators_Gprime(t)
     rays = [w for w, is_line in gens if not is_line]
@@ -348,7 +427,18 @@ def _hasse_identity(config: SplittingConfig) -> dict | None:
     return None
 
 
+@_by_cycles
 def _check_reduction_identities(t: Stratum) -> CheckResult:
+    """The reduction undoes the zero-filled section, its kernel is the span
+    of the b lines on T, and the weight cone is the section's image of the
+    reduced cone plus that kernel.
+
+    The reduction matrix, the section and the b lines are block-diagonal
+    over the cycles and the cones are products, so each identity holds
+    when it holds on every cycle.  A passing multi-cycle stratum runs no
+    round trip and builds no kernel or section of its own:
+    `minimal_nesting` still reads its reduced cone, `product_structure`
+    its weight cone, and the differential test compares this verdict."""
     name = "reduction_identities"
     config = t.config
     width = len(t.complement())
@@ -378,9 +468,17 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
                             "weight cone", "lifted reduction plus kernel")
 
 
+@_by_cycles
 def _check_recipe_weights(t: Stratum) -> CheckResult:
     """Every recipe checks its own weight (AssertionError on a mismatch), and
-    a generator's tag is the class of the first slot of its bi-weight ray."""
+    a generator's tag is the class of the first slot of its bi-weight ray.
+
+    A pair walks one cycle, and a generator's monomial, tag and first slot
+    lie on its cycle, with residue 0 on every other cycle, so the check
+    passes when it passes on every cycle.  A passing multi-cycle stratum
+    builds no recipe, whose base stratum would also hold the members of T
+    on the other cycles; the differential test alone compares this verdict
+    with the direct one."""
     name = "recipe_weights"
     for c in range(len(t.config.cycle_lengths)):
         for emb, target in pair_family(t, c):
@@ -466,13 +564,21 @@ def _check_diagonal_minimal(t: Stratum) -> CheckResult:
                             "minimal cone", "diagonal description")
 
 
+@_by_cycles
 def _check_gl2_product(t: Stratum) -> CheckResult:
     """The bi-weight cone is Q^d times the half-space cone, decided in
     dimension d: the Hasse lines (h, 0) span the first slot (|det H| is
     p^f - 1 on each cycle), and modulo them every generator is (0, kappa).
     A witness (v, form) lifts to (v, 0), (form, 0) for the first slot and
     to (0, v), (0, form) for the second.  A rational check cannot see the
-    first slot's integral content; `delta_kernel` proves it for all weights."""
+    first slot's integral content; `delta_kernel` proves it for all weights.
+
+    Every generator lies on one cycle in both slots and the half-space cone
+    is a product, so both steps hold when they hold on every cycle.  A
+    passing multi-cycle stratum builds no bi-weight generators or
+    half-space cone of its own: the dossier's bytes pin its half-spaces,
+    `delta_kernel` the Hasse lattice of every cycle, and the differential
+    test this verdict."""
     dim = t.config.degree
     gens = gl2_generators(t)
     hasse = [bw.lam for bw, is_line in gens if is_line and not any(bw.kappa)]
@@ -546,21 +652,6 @@ def _every_stratum(config: SplittingConfig) -> list[Stratum]:
     return [Stratum(config, frozenset(
         e for i, e in enumerate(embeddings) if mask >> i & 1))
         for mask in range(1 << config.degree)]
-
-
-@_memoised
-def _cycle_config(config: SplittingConfig, f: int) -> SplittingConfig:
-    """The single cycle (p, (f,)), one per f, so that the strata over it
-    share its memo."""
-    return SplittingConfig(config.p, (f,))
-
-
-@_memoised
-def _cycle_stratum(config: SplittingConfig, f: int,
-                   positions: frozenset[int]) -> Stratum:
-    """The stratum of the single cycle (p, (f,)) at the given positions."""
-    return Stratum(_cycle_config(config, f),
-                   frozenset(EmbeddingId(0, i) for i in positions))
 
 
 def _check_product_structure(t: Stratum) -> CheckResult:

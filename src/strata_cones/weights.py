@@ -131,7 +131,8 @@ def pair_family(stratum: Stratum,
                  for i in range(f) if i not in in_t for j in targets)
 
 
-def generators_G(stratum: Stratum) -> list[tuple[Vec, bool]]:
+@_memoised
+def generators_G(stratum: Stratum) -> tuple[tuple[Vec, bool], ...]:
     """The Hasse-pair generating family: one ray h_emb^target for every
     pair of `pair_family`, plus a line b_beta for every beta in T, cycle by
     cycle.
@@ -145,10 +146,11 @@ def generators_G(stratum: Stratum) -> list[tuple[Vec, bool]]:
                    for emb, target in pair_family(stratum, c))
         out.extend((weight_basis(config, "b", EmbeddingId(c, i)), True)
                    for i in sorted(stratum.cycle_members(c)))
-    return out
+    return tuple(out)
 
 
-def generators_Gprime(stratum: Stratum) -> list[tuple[Vec, bool]]:
+@_memoised
+def generators_Gprime(stratum: Stratum) -> tuple[tuple[Vec, bool], ...]:
     """The optimal generating family: exactly one ray per embedding outside
     T plus the b lines on T.
 
@@ -173,7 +175,7 @@ def generators_Gprime(stratum: Stratum) -> list[tuple[Vec, bool]]:
                 out.append((f_weight(stratum, beta), False))
         for i in sorted(in_t):
             out.append((weight_basis(config, "b", EmbeddingId(c, i)), True))
-    return out
+    return tuple(out)
 
 
 def family_cone(gens: Sequence[tuple[Vec, bool]], dim: int) -> Cone:

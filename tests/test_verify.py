@@ -1,7 +1,9 @@
 """Checks over whole configurations: determinism, witness integrity, and
 the sweep driver."""
 
+import collections
 import concurrent.futures.process
+import functools
 import gc
 import itertools
 import json
@@ -180,7 +182,10 @@ def _drop_a_hasse_line(gens):
 
 
 def _negate_a_ray(gens):
-    first = next(i for i, (_, is_line) in enumerate(gens) if not is_line)
+    first = next((i for i, (_, is_line) in enumerate(gens) if not is_line),
+                 None)
+    if first is None:
+        return gens
     bw = gens[first][0]
     flipped = BiWeight(tuple(-x for x in bw.lam), tuple(-x for x in bw.kappa))
     return gens[:first] + [(flipped, False)] + gens[first + 1:]
@@ -203,7 +208,9 @@ def test_gl2_product_rejects_mutated_generators_like_the_2d_decision(
             continue  # T is everything: no ray to negate, skipped for both
         mutated = mutate(gens)
         monkeypatch.setattr(verify, "gl2_generators", lambda _: mutated)
-        result = _check_gl2_product(t)
+        # the direct decision: the mutation is of this stratum's
+        # generators, which no cycle of it would be given
+        result = _check_gl2_product.__wrapped__(t)
         assert result.status == "fail", t.key()
         assert not _gl2_product_in_2d(t, mutated), t.key()
         # the witness is in d coordinates and separates by hand
@@ -427,15 +434,17 @@ def _determinant_is_twice_the_modulus(t, w):
 def _negate_the_first_ray(real):
     def gens(t):
         out = list(real(t))
-        k = next(k for k, (_, is_line) in enumerate(out) if not is_line)
-        out[k] = (tuple(-x for x in out[k][0]), False)
+        for k, (w, is_line) in enumerate(out):
+            if not is_line:
+                out[k] = (tuple(-x for x in w), False)
+                break
         return out
     return gens
 
 
 def _negated_first(forms):
-    first, *rest = forms
-    return [tuple(-x for x in first), *rest]
+    return [tuple(-x for x in form) if k == 0 else form
+            for k, form in enumerate(forms)]
 
 
 def _negate_the_first_halfspace(real):
@@ -530,6 +539,12 @@ PLANTED_FAULTS = {
         AT_B,
         ["functional_at", "functional", "line", "value"],
         lambda t, w: int(w["value"]) == dot(w["functional"], w["line"]) != 0),
+    "biorthogonality-sign": (
+        "_check_biorthogonality", "generators_Gprime", _negate_the_first_ray,
+        AT_B,
+        ["functional_at", "generator_at", "functional", "generator", "value"],
+        lambda t, w: w["functional_at"] == w["generator_at"]
+        and int(w["value"]) == dot(w["functional"], w["generator"]) < 0),
     "hasse_identity": (
         "_check_hasse_identity", "weight_pair", _bend_one_long_pair,
         AT_B,
@@ -602,6 +617,14 @@ PLANTED_FAULTS = {
             "generated cone", "half-space cone")
         and _is_a_violated_form_of(
             w, _negated_first(explicit_constraints(t).ineqs))),
+    "gl2_product": (
+        "_check_gl2_product", "gl2_generators",
+        lambda real: lambda t: _negate_a_ray(real(t)),
+        AT_B,
+        ["weight", "violated_form", "generator_of", "not_in"],
+        lambda t, w: (w["generator_of"], w["not_in"]) == (
+            "second slots of the bi-weight generators", "half-space cone")
+        and _is_a_violated_form_of(w, explicit_constraints(t).ineqs)),
     "minimal_nesting": (
         "_check_minimal_nesting", "minimal_cone", _full_space_for_min,
         AT_B,
@@ -664,6 +687,122 @@ def test_planted_faults_fail_with_witnesses_that_hold_by_hand(monkeypatch,
              "witness": result.witness}
     assert _dumps(entry, "\n    ") == json.dumps(entry, indent=2).replace(
         "\n", "\n    ")
+
+
+# ---------------------------------------------------------------------------
+# checks decided from the cycles of a multi-cycle stratum (`_by_cycles`)
+
+
+def multi_cycle_strata(primes, d_max):
+    """Every stratum of two or more cycles over each prime, up to degree
+    d_max, over configurations built afresh."""
+    return [t for p in primes for d in range(2, d_max + 1)
+            for lengths in partitions(d) if len(lengths) > 1
+            for t in _every_stratum(SplittingConfig(p, lengths))]
+
+
+# for each routed check, a planted fault that is cycle-local: it changes
+# what a stratum shares with the single-cycle stratum of the cycle concerned
+# (the first generator, form or row, or every tag), so the faulty objects
+# stay products over the cycles and the routed check must still give the
+# direct check's result on every stratum
+CYCLE_LOCAL_FAULTS = {
+    "_check_optimal_basis": "optimal_basis",
+    "_check_explicit_halfspaces": "explicit_halfspaces",
+    "_check_biorthogonality": "biorthogonality-sign",
+    "_check_reduction_identities": "reduction-kernel",
+    "_check_recipe_weights": "recipe-tag",
+    "_check_gl2_product": "gl2_product",
+}
+ROUTED_CHECKS = tuple(CYCLE_LOCAL_FAULTS)
+
+
+def routed_against_direct(check, strata, monkeypatch, faulty):
+    """The statuses of the routed `check` on `strata`, counted, each result
+    asserted equal to the direct check's, witness included; with `faulty`,
+    under the check's cycle-local fault."""
+    if faulty:
+        _, builder, plant, *_ = PLANTED_FAULTS[CYCLE_LOCAL_FAULTS[check]]
+        monkeypatch.setattr(verify, builder, plant(getattr(verify, builder)))
+    routed = getattr(verify, check)
+    statuses = collections.Counter()
+    for t in strata:
+        result = routed(t)
+        assert result == routed.__wrapped__(t), (check, t.config, t.key())
+        statuses[result.status] += 1
+    return statuses
+
+
+@pytest.mark.parametrize("faulty", [False, True],
+                         ids=["sound", "cycle-local-fault"])
+@pytest.mark.parametrize("check", ROUTED_CHECKS)
+def test_routed_checks_give_the_direct_result_on_multi_cycle_strata(
+        monkeypatch, check, faulty):
+    strata = multi_cycle_strata([2, 3, 5], 4) + multi_cycle_strata([7], 3)
+    assert len(strata) == 252 + 20
+    statuses = routed_against_direct(check, strata, monkeypatch, faulty)
+    if faulty:
+        # the fault fires on some strata, those with a generator or form
+        assert statuses["fail"] and statuses["pass"]
+    else:
+        assert statuses == {"pass": len(strata)}
+
+
+# CFG_B's stratum beside a second cycle, of length 1 and off T: each routed
+# check's planted fault fails on the first cycle, so the verdict is the
+# direct check's on the whole stratum
+MULTI_CYCLE_AT = (SplittingConfig(2, (3, 1)), "0.1")
+
+
+@pytest.mark.parametrize("fault", [fault for fault, entry
+                                   in PLANTED_FAULTS.items()
+                                   if entry[0] in ROUTED_CHECKS])
+def test_planted_faults_fail_through_the_cycles(monkeypatch, fault):
+    check, builder, plant, _, keys, holds = PLANTED_FAULTS[fault]
+    config, text = MULTI_CYCLE_AT
+    routed = getattr(verify, check)
+    assert routed(stratum_from_text(config, text)).status == "pass"
+    monkeypatch.setattr(verify, builder, plant(getattr(verify, builder)))
+    t = stratum_from_text(SplittingConfig(config.p, config.cycle_lengths),
+                          text)
+    result = routed(t)
+    assert result == routed.__wrapped__(t)
+    assert result.status == "fail"
+    assert list(result.witness) == keys
+    assert holds(t, result.witness), result.witness
+
+
+def test_each_routed_check_runs_once_per_cycle_pattern(monkeypatch):
+    # over explore([2], 4): directly on each stratum of one cycle, and on
+    # the sub-strata of the others' cycles, once per (configuration, cycle
+    # length, cycle pattern)
+    runs = {name: [] for name in ROUTED_CHECKS}
+
+    def counted(name):
+        direct = getattr(verify, name).__wrapped__
+
+        @functools.wraps(direct)  # the direct check's memo key
+        def check(t):
+            runs[name].append(t)
+            return direct(t)
+        return check
+
+    routed = {getattr(verify, name): verify._by_cycles(counted(name))
+              for name in ROUTED_CHECKS}
+    # every check of the record that `_by_cycles` wraps is counted
+    assert routed.keys() == {check for check in verify._CHECKS
+                             if hasattr(check, "__wrapped__")}
+    monkeypatch.setattr(verify, "_CHECKS",
+                        tuple(routed.get(c, c) for c in verify._CHECKS))
+    explore([2], 4)
+    expected = sum(2 ** lengths[0] if len(lengths) == 1
+                   else sum(2 ** f for f in set(lengths))
+                   for d in range(1, 5) for lengths in partitions(d))
+    assert expected == 30 + 32  # of the 114 strata, 84 on several cycles
+    for name, strata in runs.items():
+        # `runs` holds every configuration, so no id is reused
+        assert len({(id(t.config), t.key()) for t in strata}) == \
+            len(strata) == expected, name
 
 
 def test_min_question_is_informational():

@@ -167,18 +167,18 @@ def test_generators_g_examples():
     assert not any(is_line for _, is_line in gens)
 
     gens = generators_G(stratum(CFG_A, (0, 1)))
-    assert gens == [((-1, 3), False), ((3, 1), True)]
+    assert gens == (((-1, 3), False), ((3, 1), True))
 
     gens = generators_G(stratum(CFG_A, (0, 0), (0, 1)))
-    assert gens == [((1, 3), True), ((3, 1), True)]
+    assert gens == (((1, 3), True), ((3, 1), True))
 
 
 def test_generators_gprime_examples():
     gens = generators_Gprime(stratum(CFG_B, (0, 1)))
-    assert gens == [((-4, 0, -1), False), ((0, 0, 7), False),
-                    ((2, 1, 0), True)]
+    assert gens == (((-4, 0, -1), False), ((0, 0, 7), False),
+                    ((2, 1, 0), True))
     gens = generators_Gprime(stratum(CFG_A, (0, 1)))
-    assert gens == [((-1, 0), False), ((3, 1), True)]
+    assert gens == (((-1, 0), False), ((3, 1), True))
     gens = generators_Gprime(stratum(CFG_A))
     assert [w for w, _ in gens] == [(3, -1), (-1, 3)]
 
