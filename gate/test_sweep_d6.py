@@ -18,6 +18,9 @@ compared on every stratum of p in {2, 3, 5} and degree up to 6, and so
 is each check that `verify._by_cycles` decides from the cycles of a
 multi-cycle stratum against its direct check, sound and under a
 cycle-local fault (`tests/test_verify.py`), on all 2748 multi-cycle strata.
+On every stratum, the weight cone and the Hasse-type cone that
+`cone_member` is asked about have linearly independent canonical rays and
+lines, so each membership certificate is unique.
 
 A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
@@ -43,6 +46,7 @@ from test_acceptance import dichotomy_message, dichotomy_rows
 from test_symmetry import equivariance_counts
 from test_verify import (
     ROUTED_CHECKS,
+    dependent_membership_cones,
     multi_cycle_strata,
     routed_against_direct,
 )
@@ -219,6 +223,13 @@ def test_command_line_sweep_bytes_and_memory(layout, sha256, jobs, tmp_path):
     assert digest == sha256
     peak_mb = peak_kb / 1024
     assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
+
+
+def test_membership_certificates_are_unique_to_degree_6():
+    # the weight cone and the Hasse-type cone of each of the 3126 strata
+    # have linearly independent canonical rays and lines, so every
+    # membership certificate of the sweep is the only one
+    assert dependent_membership_cones(GATE_PRIMES, GATE_DEGREE) == (6252, [])
 
 
 def test_every_construction_moves_with_the_frobenius_rotation():

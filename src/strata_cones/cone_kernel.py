@@ -39,8 +39,10 @@ is a frozen dataclass of tuples.
 Containment is decided from the given sides (`first_escape`): the inner
 cone's generators against the outer cone's constraints, whatever form either
 was given in.  Only an escape reads the canonical sides, for its witness.
-An inside membership certificate comes from a phase-1 simplex that pivots
-in integers over one common denominator.
+An inside membership certificate comes from a walk down the faces
+(Caratheodory): subtract the first canonical ray of the smallest face that
+holds the point, as far as the constraints held allow, until nothing is
+left; it works in integers over one scale.
 The zero cone and the full space are ordinary values, as is the
 zero-dimensional space.
 """
@@ -411,71 +413,42 @@ def cone_dual(cone: Cone) -> Cone:
     return out
 
 
-def _phase1_coeffs(columns: Sequence[Vec],
-                   target: Sequence[int]) -> tuple[list[int], int] | None:
-    """Nonnegative x with (columns as a matrix) @ x == target, or None.
+def _walk_down(rays: Sequence[Vec], ineqs: Sequence[Sequence[Rational]],
+               v: Sequence[int], scale: int) -> dict[int, Fraction] | None:
+    """Nonnegative coefficients of `rays` that combine to `v / scale`, by a
+    walk down the faces (Caratheodory); None if the walk is stuck.
 
-    x is returned as integer numerators and their common denominator.
-    Phase-1 simplex with Bland's rule, pivoting in integers over one
-    common denominator d (Edmonds, as in Avis's lrs): the tableau is d
-    times the rational one, every update `(x*pv - f*y) // d` divides
-    exactly, and the pivot value becomes the new d.  All rows share d, so
-    the ratio test compares by cross-multiplying and pivots exactly where
-    the rational tableau does.  The artificial variables n..n+m-1 form the
-    starting basis and are barred from re-entering, and the ratio test reads
-    only the entering column and the right-hand side, so no artificial
-    column is ever read: each row keeps the n real columns and the
-    right-hand side, and only `basis` holds the artificial indices, for
-    Bland's tie-break and the final read-off.
+    `v` is an integer point of the cone cut out by `ineqs` (and by
+    equations every ray meets), reduced modulo its lineality as the
+    canonical `rays` are.  Each step subtracts the first ray zero on every
+    form tight at the point, as far as the forms allow: a form turns tight,
+    so no ray is taken twice and the point reaches 0.  The step is taken in
+    integers; only the coefficients are `Fraction`s.  Where the rays are
+    linearly independent, no other coefficients exist.
     """
-    m = len(target)
-    n = len(columns)
-    if m == 0:
-        return [0] * n, 1
-    tab = []
-    for i, b in enumerate(target):
-        # negate the row where needed to keep the right-hand side >= 0
-        sign = -1 if b < 0 else 1
-        tab.append([sign * c[i] for c in columns] + [sign * b])
-    basis = list(range(n, n + m))
-    # phase-1 reduced costs: minus the column sums, right-hand side included
-    cost = [-sum(col) for col in zip(*tab)]
-    d = 1
-    while True:
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
-            break
-        piv = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                if piv is None:
-                    piv = i
-                    continue
-                # rhs_i / a against rhs_piv / a_piv; both divisors are > 0
-                lhs, rhs = tab[i][-1] * tab[piv][enter], tab[piv][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
-                    piv = i
-        if piv is None:
-            return None  # unbounded phase-1 cannot happen; defensive
-        top = tab[piv]
-        pv = top[enter]
-        # every row moves to the new denominator pv, the pivot row as it is
-        for i in range(m):
-            if i != piv:
-                f = tab[i][enter]
-                tab[i] = [(x * pv - f * y) // d for x, y in zip(tab[i], top)]
-        f = cost[enter]
-        cost = [(x * pv - f * y) // d for x, y in zip(cost, top)]
-        d = pv
-        basis[piv] = enter
-    if cost[-1] != 0:
-        return None  # leftover artificial value: target not in the cone
-    out = [0] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            out[bv] = tab[i][-1]
-    return out, d
+    coeffs = {}
+    while any(v):
+        tight = [a for a in ineqs if _dot(a, v) == 0]
+        i, r = next(((i, r) for i, r in enumerate(rays)
+                     if not any(_dot(a, r) for a in tight)), (None, None))
+        if r is None:
+            return None
+        # the step: the least ratio num / den = a.v / a.r over a.r > 0
+        num = den = None
+        for a in ineqs:
+            ar = _dot(a, r)
+            if ar > 0:
+                av = _dot(a, v)
+                if den is None or av * den < num * ar:
+                    num, den = av, ar
+        (an, ad), (rn, rd) = num.as_integer_ratio(), den.as_integer_ratio()
+        num, den = an * rd, ad * rn  # in integers, for rational forms too
+        coeffs[i] = Fraction(num, den * scale)
+        v = [den * x - num * y for x, y in zip(v, r)]
+        scale *= den
+        g = gcd(scale, *v)
+        v, scale = [x // g for x in v], scale // g
+    return dict(sorted(coeffs.items()))
 
 
 def _violated_form(con: ConstraintRep, vec: Sequence[Rational]) -> Vec | None:
@@ -507,8 +480,11 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     reports the first canonical constraint broken.  An inside one reduces
     the vector modulo the canonical lines in integers (`_reduce_mod`),
     reading each line's coefficient and the scale off the steps taken, and
-    solves for the rays by the integer phase-1 simplex; `Fraction`s are
-    built only for the coefficients returned.
+    writes the rest over the canonical rays by a walk down the faces cut
+    out by the constraints held (`_walk_down`); `Fraction`s are built only
+    for the coefficients returned.  Where the rays are linearly independent
+    modulo the lines, as on every cone the package queries, the
+    certificate is the only one.
     """
     _check_dim(cone.dim, [vec])
     if _violated_form(cone._known_con(), vec) is not None:
@@ -522,12 +498,10 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     for j, f, bj in steps:
         scale *= bj
         line_coeffs[j] = Fraction(f, scale)
-    solved = _phase1_coeffs(gen.rays, rest)
-    if solved is None:
+    ray_coeffs = _walk_down(gen.rays, cone._known_con().ineqs, rest, scale)
+    if ray_coeffs is None:
         raise AssertionError(
             "constraints accept the vector but no generator combination found")
-    lam, den = solved
-    ray_coeffs = {i: Fraction(x, den * scale) for i, x in enumerate(lam) if x}
     return MembershipCertificate(
         inside=True, ray_coeffs=ray_coeffs, line_coeffs=line_coeffs)
 

@@ -104,12 +104,14 @@ class SplittingConfig:
         return coordinates[emb]
 
     def _check(self, emb: EmbeddingId) -> int:
-        """The length of emb's cycle; ValueError unless emb is an embedding."""
+        """The length of emb's cycle; ValueError unless emb is an embedding.
+        Cycle and position are exactly `int`, as p is: 1.0 or True would
+        reach the stratum's text form as '1.0' or 'True'."""
         cycle, pos = emb
-        if not 0 <= cycle < len(self.cycle_lengths):
+        if type(cycle) is not int or not 0 <= cycle < len(self.cycle_lengths):
             raise ValueError(f"no cycle {cycle} in this configuration")
         f = self.cycle_lengths[cycle]
-        if not 0 <= pos < f or pos % 1:  # 1.5 is no position, 1.0 is 1
+        if type(pos) is not int or not 0 <= pos < f:
             raise ValueError(f"position {pos} out of range for cycle {cycle} "
                              f"of length {f}")
         return f
@@ -138,6 +140,9 @@ class Stratum:
 
     def __post_init__(self) -> None:
         for emb in self.members:
+            if not isinstance(emb, EmbeddingId):
+                raise ValueError(f"stratum member {emb!r} is not an "
+                                 "EmbeddingId")
             self.config._check(emb)
         object.__setattr__(self, "members", frozenset(self.members))
 

@@ -11,8 +11,9 @@ after it (a row-by-row echelon basis of the lines, then the rays reduced
 modulo it): together the reference for the kernel's pass from a row basis,
 which returns the canonical form itself; `phase1_coeffs` is the phase-1
 simplex on the full tableau, artificial columns included, the reference for
-the kernel's narrower one; `chain_closure` builds the tilde closure, the sign
-and n of a stratum from its chains, the reference for their reading off mu,
+the kernel's membership coefficients where they are unique, which `rank`
+decides; `chain_closure` builds the tilde closure, the sign and n of a
+stratum from its chains, the reference for their reading off mu,
 `admissible_by_cases` the admissible set by its per-cycle case analysis,
 the reference for its reading off n, and `divisor_functional_by_cases` and
 `distinguished_by_pairs` the divisibility functionals and the distinguished
@@ -385,7 +386,8 @@ def phase1_coeffs(columns, target):
     """Nonnegative x with (columns as a matrix) @ x == target, or None, by a
     Fraction-exact phase-1 simplex with Bland's rule on the full tableau: m
     artificial columns beside the n real ones, updated at every pivot.  The
-    reference for `cone_kernel._phase1_coeffs`, values and pivots alike."""
+    reference for the coefficients of `cone_kernel.cone_member` where the
+    columns are linearly independent and so the solution is unique."""
     m = len(target)
     n = len(columns)
     if m == 0:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import (canon_basis, canon_gen, dual_vrep, phase1_coeffs,
+from oracle import (canon_basis, canon_gen, dot, dual_vrep, phase1_coeffs,
                     rank, ray_enum, rref)
 
 from strata_cones import cone_kernel
@@ -696,64 +696,103 @@ def test_outside_membership_builds_no_fraction(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the phase-1 simplex without artificial columns
+# inside certificates by the walk down the faces
 
 
 @st.composite
-def phase1_systems(draw, bound=2, max_den=3):
-    """Columns and a target for the phase-1 simplex.  The target is a
-    nonnegative combination of the columns (feasible) or a random vector
-    (often infeasible); either may gain a scaled copy of its first row, so
-    the ratio test meets ties.  The target is divided by an integer up to
-    `max_den`, as rational input reaches `cone_member`."""
+def member_queries(draw, bound=3, max_den=3):
+    """A cone system (as `cone_of` reads it) and a rational vector.
+
+    In dimension 3 and 4 the system may be crowded: more rays or
+    inequalities than dimensions, all with a positive last coordinate, and
+    no lines or equations.  Given by rays, the vector is a nonnegative
+    combination of the rays plus a combination of the lines, or a random
+    vector.  Given by constraints, the inequalities are turned to hold on a
+    random vector v and each equation e becomes (v.v) e - (e.v) v, which
+    vanishes on it, or they are kept as drawn.  Either side then gains
+    redundant rows, a scaled copy or the sum of two, and some rows are
+    divided by 2 or 3 and given as `Fraction`s.  The vector is divided
+    by an integer up to `max_den`, as rational input reaches
+    `cone_member`."""
     dim = draw(st.integers(0, 4))
-    columns = draw(st.lists(coord_vectors(dim, bound=bound), max_size=6))
-    if columns and draw(st.booleans()):
-        coeffs = draw(st.lists(st.integers(0, 2), min_size=len(columns),
-                               max_size=len(columns)))
-        target = tuple(sum(k * c[i] for k, c in zip(coeffs, columns))
-                       for i in range(dim))
+    by_rays = draw(st.booleans())
+    crowded = dim >= 3 and draw(st.booleans())
+    vecs = draw(st.lists(coord_vectors(dim, bound=bound),
+                         min_size=dim + 2 if crowded else 0, max_size=6))
+    flat = [] if crowded else draw(
+        st.lists(coord_vectors(dim, bound=bound), max_size=2))
+    if crowded:
+        # as in `crowded_systems`: read as rays they span a pointed cone,
+        # often not simplicial, and read as inequalities a full one
+        vecs = [(*v[:-1], abs(v[-1]) + 1) for v in vecs]
+    inside = draw(st.booleans())
+    if by_rays and inside:
+        def combo(pool, low):
+            ks = draw(st.lists(st.integers(low, 2), min_size=len(pool),
+                               max_size=len(pool)))
+            return [sum(k * v[i] for k, v in zip(ks, pool))
+                    for i in range(dim)]
+        target = tuple(map(sum, zip(combo(vecs, 0), combo(flat, -2))))
     else:
         target = draw(coord_vectors(dim, bound=max(3, bound)))
-    if dim and draw(st.booleans()):
+    if not by_rays and inside:
+        vv = dot(target, target)
+        vecs = [a if dot(a, target) >= 0 else tuple(-x for x in a)
+                for a in vecs]
+        flat = [tuple(vv * x - dot(e, target) * y for x, y in zip(e, target))
+                for e in flat]
+
+    def redundant(pool):
+        if not pool:
+            return pool
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
         k = draw(st.integers(1, 3))
-        columns = [c + (k * c[0],) for c in columns]
-        target += (k * target[0],)
+        return pool + draw(st.lists(st.sampled_from([
+            tuple(k * x for x in a), tuple(x + y for x, y in zip(a, b))]),
+            max_size=2))
+
+    def rational(pool):
+        # a row divided by k and given as `Fraction`s: the same cone
+        ks = draw(st.lists(st.integers(1, 3), min_size=len(pool),
+                           max_size=len(pool)))
+        return [a if k == 1 else tuple(Fraction(x, k) for x in a)
+                for a, k in zip(pool, ks)]
+
     den = draw(st.integers(1, max_den))
-    return columns, tuple(Fraction(b, den) for b in target)
+    return ((dim, by_rays, rational(redundant(vecs)),
+             rational(redundant(flat))),
+            tuple(Fraction(x, den) for x in target))
 
 
-def _phase1_fractions(columns, target):
-    """`_phase1_coeffs` on a rational target, its denominators cleared
-    first as `cone_member` clears them, read back as `Fraction`s."""
-    nums, scale = cone_kernel._integral(target)
-    solved = cone_kernel._phase1_coeffs(columns, nums)
-    if solved is None:
-        return None
-    lam, den = solved
-    assert den > 0
-    return [Fraction(x, den * scale) for x in lam]
+# five rays in dimension 3: the point has more than one certificate, and
+# which one a method finds depends on how it breaks ties.  The second
+# example is outside: x (1, 0) + y (1, 1) = (0, 1) needs x = -1.
+BLAND_DECIDES = ((3, True, [(0, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, -1),
+                            (-1, 1, 0)], []), (-1, 1, -1))
 
 
-# ties in the ratio test rarely change the answer on random systems; on this
-# one, taking the first or the last tied row instead of the one with the
-# smallest basic index each ends at another vertex.  The second example is
-# infeasible: x (1, 0) + y (1, 1) = (0, 1) needs x = -1.
-BLAND_DECIDES = ([(0, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, -1), (-1, 1, 0)],
-                 (-1, 1, -1))
-
-
-# entries up to 10**6 and denominators up to 10**9 make every pivot value,
-# and so every common denominator the integer tableau divides by, large:
-# a division that was not exact would change the values
-@settings(max_examples=300)
+# entries up to 10**6 and denominators up to 10**9 make every ratio of the
+# walk, and so its scale, large
+@settings(max_examples=300, deadline=None)
 @example(BLAND_DECIDES)
-@example(([(1, 0), (1, 1)], (0, 1)))
-@example(([(999_983, -999_979), (-1_000_000, 999_999), (3, 7)],
-          (Fraction(123_457, 999_999_937), Fraction(-1, 999_999_929))))
-@given(st.one_of(phase1_systems(),
-                 phase1_systems(bound=10**6, max_den=10**9)))
-def test_phase1_coeffs_agrees_with_the_full_tableau(system):
-    columns, target = system
-    assert _phase1_fractions(columns, target) == \
-        phase1_coeffs(columns, target)
+@example(((2, True, [(1, 0), (1, 1)], []), (0, 1)))
+@example(((2, True, [(999_983, -999_979), (-1_000_000, 999_999), (3, 7)],
+           []), (Fraction(123_457, 999_999_937), Fraction(-1, 999_999_929))))
+@given(st.one_of(member_queries(),
+                 member_queries(bound=10**6, max_den=10**9)))
+def test_walk_certificates_are_valid_and_unique_where_independent(query):
+    system, target = query
+    cone = cone_of(system)
+    cert = cone_member(cone, target)
+    assert certificate_valid(cone, target, cert)
+    gen = cone.gen
+    k, m = len(gen.rays), len(gen.lines)
+    if not cert.inside or rank(gen.rays + gen.lines, cone.dim) < k + m:
+        return
+    # the coefficients are unique: the full-tableau simplex over the rays,
+    # the lines and the negated lines finds them too
+    negated = tuple(tuple(-c for c in line) for line in gen.lines)
+    x = phase1_coeffs(gen.rays + gen.lines + negated, target)
+    assert [cert.ray_coeffs.get(i, 0) for i in range(k)] == x[:k]
+    assert [cert.line_coeffs.get(j, 0) for j in range(m)] == \
+        [a - b for a, b in zip(x[k:k + m], x[k + m:])]

@@ -115,7 +115,10 @@ def test_frobenius_shift_validates_by_arithmetic_alone():
             (EmbeddingId(1, -1),
              "position -1 out of range for cycle 1 of length 2"),
             (EmbeddingId(0, 1.5),
-             "position 1.5 out of range for cycle 0 of length 3")]:
+             "position 1.5 out of range for cycle 0 of length 3"),
+            (EmbeddingId(0, 1.0),
+             "position 1.0 out of range for cycle 0 of length 3"),
+            (EmbeddingId(False, 1), "no cycle False in this configuration")]:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             frobenius_shift(config, emb, 1)
     assert config._memo == {}
@@ -359,6 +362,35 @@ def test_admissible_set_avoids_stratum(t):
 @given(random_strata())
 def test_key_round_trips(t):
     assert stratum_from_text(t.config, t.key()).members == t.members
+
+
+@st.composite
+def loose_members(draw):
+    """A configuration and members as a caller might pass them: cycles and
+    positions that may be floats, bools or out of range, in `EmbeddingId`s
+    or in plain tuples."""
+    config = draw(random_strata(max_degree=4)).config
+    number = st.one_of(st.integers(-1, 4), st.booleans(),
+                       st.integers(0, 4).map(float), st.just(0.5))
+    pair = st.tuples(number, number)
+    member = st.one_of(pair.map(lambda cp: EmbeddingId(*cp)), pair)
+    return config, draw(st.frozensets(member, max_size=3))
+
+
+@given(loose_members())
+def test_members_that_are_not_exactly_embeddings_are_refused(loose):
+    # a refused member would otherwise reach the text form as '0.1.0' or
+    # 'False.True', or break `key()` and every builder
+    config, members = loose
+    exact = all(isinstance(e, EmbeddingId) and type(e.cycle) is int
+                and type(e.pos) is int and e in config.embeddings()
+                for e in members)
+    if not exact:
+        with pytest.raises(ValueError):
+            Stratum(config, members)
+        return
+    t = Stratum(config, members)
+    assert stratum_from_text(config, t.key()) == t
 
 
 # ---------------------------------------------------------------------------

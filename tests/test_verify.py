@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracle import dot, f_recipe_tag_by_cases, raw_weight
+from oracle import dot, f_recipe_tag_by_cases, rank, raw_weight
 
 from strata_cones import cone_kernel, verify, weights
 from strata_cones.cone_kernel import (
@@ -102,6 +102,37 @@ def test_dichotomy_failure_witness_reverifies_by_hand():
             for k, x in enumerate(lines[int(i)]):
                 total[k] += Fraction(c) * x
         assert total == weight
+
+
+def dependent_membership_cones(primes, d_max):
+    """How many cones `cone_member` is asked about on every stratum of each
+    prime up to degree d_max, the weight cone and the Hasse-type cone of
+    each, and the (p, cycles, t, cone) of those whose canonical rays and
+    lines are linearly dependent.  The rank is the oracle's, in plain
+    `Fraction` arithmetic."""
+    checked, dependent = 0, []
+    for p in primes:
+        for d in range(1, d_max + 1):
+            for lengths in partitions(d):
+                for t in _every_stratum(SplittingConfig(p, lengths)):
+                    for name, cone in (
+                            ("weight", weights.cone_D(t)),
+                            ("Hasse-type", verify._hasse_type_cone(t))):
+                        vecs = cone.gen.rays + cone.gen.lines
+                        checked += 1
+                        if rank(vecs, cone.dim) < len(vecs):
+                            dependent.append((p, lengths, t.key(), name))
+    return checked, dependent
+
+
+def test_membership_certificates_are_unique():
+    # a membership certificate, pinned in the dichotomy's equality witness
+    # and in the `member` reply, is unique when the canonical rays and lines
+    # are independent; were they not, it could depend on the algorithm
+    # that found it.  342 strata of p in {2, 3, 5} to degree 4 and 34 of
+    # p = 7 to degree 3, two cones each
+    assert dependent_membership_cones([2, 3, 5], 4) == (684, [])
+    assert dependent_membership_cones([7], 3) == (68, [])
 
 
 def test_pass_witness_violated_form_separates_by_hand():
