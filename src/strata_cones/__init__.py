@@ -3,7 +3,7 @@
 The package has five layers:
 
 * `cone_kernel`: exact rational polyhedral cones (double description,
-  duality, containment witnesses, membership certificates);
+  images and sums, containment witnesses, membership certificates);
 * `splitting`: Frobenius-orbit combinatorics of strata (index tables,
   tilde closure, signs, ramification and Iwahori data);
 * `weights`: distinguished weights, generating sets and half-space
@@ -19,22 +19,16 @@ from strata_cones.cone_kernel import (
     ConstraintRep,
     GeneratorRep,
     MembershipCertificate,
-    certificate_valid,
     cone_complete,
-    cone_dual,
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
     cone_image,
-    cone_intersect,
-    cone_lineality,
     cone_member,
-    cone_subset,
     cone_sum,
     first_escape,
     full_space,
     normalize_primitive,
-    zero_cone,
 )
 from strata_cones.verify import check_report, explore
 
@@ -43,22 +37,16 @@ __all__ = [
     "ConstraintRep",
     "GeneratorRep",
     "MembershipCertificate",
-    "certificate_valid",
     "cone_complete",
-    "cone_dual",
     "cone_equal",
     "cone_from_constraints",
     "cone_from_rays",
     "cone_image",
-    "cone_intersect",
-    "cone_lineality",
     "cone_member",
-    "cone_subset",
     "cone_sum",
     "first_escape",
     "full_space",
     "normalize_primitive",
-    "zero_cone",
     "check_report",
     "explore",
 ]

@@ -27,14 +27,14 @@ primitive, so the canonical side is the pass plus a sort.
 
 A `Cone` keeps the side it was given.  The canonical constraints are one
 double description pass over a generating set, and the canonical generators
-one pass over a constraint system, so a factory, the dual, an image, a sum
-or an intersection runs none, and a cone given by generators pays for its
-canonical generators only when they are read.  The pass decides adjacency
-combinatorially from the tight sets of its rays.  Its canonical result is
-memoised (`_dual_canon`, the 256 most recently used), keyed on the vector
-tuples and the dimension.  Sharing it is safe: it depends only on the cone,
-equal keys (an `int` and an equal `Fraction`) describe the same cone, and it
-is a frozen dataclass of tuples.
+one pass over a constraint system, so a factory, an image or a sum runs
+none, and a cone given by generators pays for its canonical generators only
+when they are read.  The pass decides adjacency combinatorially from the
+tight sets of its rays.  Its canonical result is memoised (`_dual_canon`,
+the 256 most recently used), keyed on the vector tuples and the dimension.
+Sharing it is safe: it depends only on the cone, equal keys (an `int` and an
+equal `Fraction`) describe the same cone, and it is a frozen dataclass of
+tuples.
 
 Containment is decided from the given sides (`first_escape`): the inner
 cone's generators against the outer cone's constraints, whatever form either
@@ -43,8 +43,6 @@ An inside membership certificate comes from a walk down the faces
 (Caratheodory): subtract the first canonical ray of the smallest face that
 holds the point, as far as the constraints held allow, until nothing is
 left; it works in integers over one scale.
-The zero cone and the full space are ordinary values, as is the
-zero-dimensional space.
 """
 
 from __future__ import annotations
@@ -127,16 +125,6 @@ class ConstraintRep:
     eqns: tuple[Vec, ...]
 
 
-def _flip(rep: GeneratorRep | ConstraintRep | None):
-    """The same vectors in the other role: generators of the dual cone are
-    constraints of the cone, and the other way round."""
-    if rep is None:
-        return None
-    if isinstance(rep, GeneratorRep):
-        return ConstraintRep(ineqs=rep.rays, eqns=rep.lines)
-    return GeneratorRep(rays=rep.ineqs, lines=rep.eqns)
-
-
 def _key(vecs) -> tuple[Vec, ...]:
     # the memo's keys are tuples, whatever sequences the cone was given
     return tuple(map(tuple, vecs))
@@ -176,8 +164,8 @@ class Cone:
         dual system, so the side is minimal whatever the input was."""
         if self._con is None:
             gen = self._known_gen()
-            self._con = _flip(_dual_canon(_key(gen.rays), _key(gen.lines),
-                                          self.dim))
+            dual = _dual_canon(_key(gen.rays), _key(gen.lines), self.dim)
+            self._con = ConstraintRep(ineqs=dual.rays, eqns=dual.lines)
         return self._con
 
     def _known_gen(self) -> GeneratorRep:
@@ -388,29 +376,11 @@ def full_space(dim: int) -> Cone:
     return cone_from_constraints([], [], dim=dim)
 
 
-def zero_cone(dim: int) -> Cone:
-    return cone_from_rays([], [], dim=dim)
-
-
 def cone_complete(cone: Cone) -> Cone:
     """The cone itself, with both canonical sides read.  Idempotent."""
     cone.gen
     cone.con
     return cone
-
-
-def cone_dual(cone: Cone) -> Cone:
-    """The dual cone {f : f.v >= 0 for all v in the cone}.
-
-    A pure role swap of every side held, given or canonical, so no double
-    description runs and dual(dual(c)) == c bit-exactly.
-    """
-    out = Cone.__new__(Cone)
-    out.dim = cone.dim
-    out._given_gen = _flip(cone._given_con)
-    out._given_con = _flip(cone._given_gen)
-    out._gen, out._con = _flip(cone._con), _flip(cone._gen)
-    return out
 
 
 def _walk_down(rays: Sequence[Vec], ineqs: Sequence[Sequence[Rational]],
@@ -484,9 +454,14 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     out by the constraints held (`_walk_down`); `Fraction`s are built only
     for the coefficients returned.  Where the rays are linearly independent
     modulo the lines, as on every cone the package queries, the
-    certificate is the only one.
+    certificate is the only one.  A coordinate that is neither an `int` nor
+    a `Fraction` is refused, as no exact answer exists for it.
     """
     _check_dim(cone.dim, [vec])
+    for x in vec:
+        if not isinstance(x, Rational):
+            raise ValueError(f"coordinate {x!r} is not exact: membership "
+                             "takes an int or a Fraction")
     if _violated_form(cone._known_con(), vec) is not None:
         return MembershipCertificate(
             inside=False, violated_form=_violated_form(cone.con, vec))
@@ -504,38 +479,6 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
             "constraints accept the vector but no generator combination found")
     return MembershipCertificate(
         inside=True, ray_coeffs=ray_coeffs, line_coeffs=line_coeffs)
-
-
-def _indices_valid(coeffs: dict, vecs: Sequence[Vec]) -> bool:
-    """Every key is an index of `vecs` as an `int`: no negative index, none
-    past the end, no `bool`."""
-    return all(type(i) is int and 0 <= i < len(vecs) for i in coeffs)
-
-
-def certificate_valid(cone: Cone, vec: Sequence[Rational],
-                      cert: MembershipCertificate) -> bool:
-    """Re-verify a certificate against the cone's generators alone."""
-    gen = cone.gen
-    v = tuple(Fraction(x) for x in vec)
-    if cert.inside:
-        if cert.ray_coeffs is None or cert.line_coeffs is None:
-            return False
-        if not (_indices_valid(cert.ray_coeffs, gen.rays)
-                and _indices_valid(cert.line_coeffs, gen.lines)):
-            return False
-        if any(x < 0 for x in cert.ray_coeffs.values()):
-            return False
-        acc = [Fraction(0)] * cone.dim
-        for i, x in cert.ray_coeffs.items():
-            acc = [a + x * g for a, g in zip(acc, gen.rays[i])]
-        for j, x in cert.line_coeffs.items():
-            acc = [a + x * g for a, g in zip(acc, gen.lines[j])]
-        return tuple(acc) == v
-    f = cert.violated_form
-    if f is None or _dot(f, v) >= 0:
-        return False
-    return all(_dot(f, r) >= 0 for r in gen.rays) and all(
-        _dot(f, l) == 0 for l in gen.lines)
 
 
 def _same_dim(a: Cone, b: Cone) -> None:
@@ -577,23 +520,10 @@ def first_escape(inner: Cone, outer: Cone) -> tuple[Vec, Vec] | None:
     raise AssertionError("an escape without an escaping canonical generator")
 
 
-def cone_subset(inner: Cone, outer: Cone) -> bool:
-    """Is every point of `inner` inside `outer`?"""
-    return not _escapes(inner, outer)
-
-
 def cone_equal(a: Cone, b: Cone) -> bool:
     """Cones that contain each other are equal, and have equal canonical
     forms."""
     return not _escapes(a, b) and not _escapes(b, a)
-
-
-def cone_intersect(a: Cone, b: Cone) -> Cone:
-    """Intersection: concatenate the constraints held."""
-    _same_dim(a, b)
-    ca, cb = a._known_con(), b._known_con()
-    return cone_from_constraints([*ca.ineqs, *cb.ineqs],
-                                 [*ca.eqns, *cb.eqns], dim=a.dim)
 
 
 def cone_sum(a: Cone, b: Cone) -> Cone:
@@ -615,7 +545,3 @@ def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
     return cone_from_rays(map(apply, gen.rays), map(apply, gen.lines),
                           dim=len(rows))
 
-
-def cone_lineality(cone: Cone) -> list[Vec]:
-    """Canonical basis of the largest linear subspace inside the cone."""
-    return list(cone.gen.lines)

@@ -861,15 +861,20 @@ def partitions(d: int) -> Iterator[tuple[int, ...]]:
 def _config_tasks(config: SplittingConfig,
                   strata: Sequence[Stratum] | None = None) -> list[tuple]:
     """One record task per stratum (default: all 2^d strata of the
-    config), sorted by canonical key; a stratum of another configuration
-    is refused."""
+    config), sorted by canonical key; a stratum of another configuration,
+    or one given twice, is refused."""
     if strata is None:
         strata = _every_stratum(config)
+    keys = set()
     for s in strata:
+        key = s.key()
         if s.config != config:
-            raise ValueError(f"stratum '{s.key()}' is over {s.config}, "
+            raise ValueError(f"stratum '{key}' is over {s.config}, "
                              f"not over the report's {config}")
-    return [(config, key) for key in sorted(s.key() for s in strata)]
+        if key in keys:
+            raise ValueError(f"stratum '{key}' is given twice")
+        keys.add(key)
+    return [(config, key) for key in sorted(keys)]
 
 
 def _record_task(task: tuple[SplittingConfig, str]) -> tuple:

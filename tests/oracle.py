@@ -12,13 +12,15 @@ modulo it): together the reference for the kernel's pass from a row basis,
 which returns the canonical form itself; `phase1_coeffs` is the phase-1
 simplex on the full tableau, artificial columns included, the reference for
 the kernel's membership coefficients where they are unique, which `rank`
-decides; `chain_closure` builds the tilde closure, the sign and n of a
-stratum from its chains, the reference for their reading off mu,
-`admissible_by_cases` the admissible set by its per-cycle case analysis,
-the reference for its reading off n, and `divisor_functional_by_cases` and
-`distinguished_by_pairs` the divisibility functionals and the distinguished
-generators by cases over the closure, the references for their reading off
-the sign function.  `hasse_pairs` lists the Hasse-pair family, and
+decides, and `certificate_valid` re-checks a membership certificate
+against the canonical generators alone; `chain_closure` builds the tilde
+closure, the sign and n of a stratum from its chains, the reference for
+their reading off mu, `admissible_by_cases` the admissible set by its
+per-cycle case analysis, the reference for its reading off n, and
+`divisor_functional_by_cases` and `distinguished_by_pairs` the
+divisibility functionals and the distinguished generators by cases over
+the closure, the references for their reading off the sign function.
+`hasse_pairs` lists the Hasse-pair family, and
 `recipe_by_exit_parity` and `f_recipe_by_patch` build the section recipes
 by the exit-parity walk and the distinguished generator's recipe as a
 partial pair recipe times a patched b factor, the references for the
@@ -444,6 +446,41 @@ def phase1_coeffs(columns, target):
         if bv < n:
             out[bv] = tab[i][-1]
     return out
+
+
+def _indices_valid(coeffs, vecs):
+    """Every key is an index of `vecs` as an `int`: no negative index, none
+    past the end, no `bool`."""
+    return all(type(i) is int and 0 <= i < len(vecs) for i in coeffs)
+
+
+def certificate_valid(cone, vec, cert):
+    """Re-check a membership certificate against the cone's canonical
+    generators alone (`cone.gen`).  Inside: nonnegative ray coefficients and
+    line coefficients, keyed by generator index, that rebuild `vec`
+    exactly.  Outside: a form negative on `vec`, >= 0 on every ray and zero
+    on every line."""
+    gen = cone.gen
+    v = [Fraction(x) for x in vec]
+    if cert.inside:
+        if cert.ray_coeffs is None or cert.line_coeffs is None:
+            return False
+        if not (_indices_valid(cert.ray_coeffs, gen.rays)
+                and _indices_valid(cert.line_coeffs, gen.lines)):
+            return False
+        if any(x < 0 for x in cert.ray_coeffs.values()):
+            return False
+        acc = [Fraction(0)] * cone.dim
+        for coeffs, vecs in ((cert.ray_coeffs, gen.rays),
+                             (cert.line_coeffs, gen.lines)):
+            for i, x in coeffs.items():
+                acc = [a + x * g for a, g in zip(acc, vecs[i])]
+        return acc == v
+    f = cert.violated_form
+    if f is None or dot(f, v) >= 0:
+        return False
+    return all(dot(f, r) >= 0 for r in gen.rays) and all(
+        dot(f, l) == 0 for l in gen.lines)
 
 
 def admissible_by_cases(cycle_lengths, members):

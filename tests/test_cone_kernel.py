@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import (canon_basis, canon_gen, dot, dual_vrep, phase1_coeffs,
-                    rank, ray_enum, rref)
+from oracle import (canon_basis, canon_gen, certificate_valid, dot,
+                    dual_vrep, phase1_coeffs, rank, ray_enum, rref)
 
 from strata_cones import cone_kernel
 from strata_cones.cone_kernel import (
@@ -15,21 +15,15 @@ from strata_cones.cone_kernel import (
     GeneratorRep,
     MembershipCertificate,
     cone_complete,
-    cone_dual,
     cone_equal,
     cone_from_constraints,
     cone_from_rays,
     cone_image,
-    cone_intersect,
-    cone_lineality,
     cone_member,
-    cone_subset,
     cone_sum,
-    certificate_valid,
     first_escape,
     full_space,
     normalize_primitive,
-    zero_cone,
     _reduce_mod,
 )
 from strata_cones.splitting import SplittingConfig, stratum_from_text
@@ -49,6 +43,18 @@ def test_normalize_primitive():
         normalize_primitive((0, 0))
 
 
+def dual(c):
+    """The dual cone, generated by the canonical constraints of `c`: its
+    canonical sides are double description passes, not a role swap."""
+    return cone_from_rays(c.con.ineqs, c.con.eqns, dim=c.dim)
+
+
+def intersection(a, b):
+    """The cone cut out by the canonical constraints of both cones."""
+    return cone_from_constraints(a.con.ineqs + b.con.ineqs,
+                                 a.con.eqns + b.con.eqns, dim=a.dim)
+
+
 HALF_PLANE = cone_from_rays([(1, 0)], [(0, 1)])
 LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
 
@@ -62,12 +68,18 @@ LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
     (lambda: cone_from_constraints([], []), "ambient dimension required"),
     (lambda: cone_complete(Cone(dim=2)), "neither representation"),
     (lambda: cone_member(HALF_PLANE, (1, 0, 0)), "vector has length 3"),
+    # a float is refused whichever side of the orthant it would lie on
+    (lambda: cone_member(cone_from_rays([(1, 0), (0, 1)]), (0.5, 1)),
+     "coordinate 0.5 is not exact"),
+    (lambda: cone_member(cone_from_rays([(1, 0), (0, 1)]), (-0.5, 1)),
+     "coordinate -0.5 is not exact"),
     (lambda: cone_image([(1, 0, 0)], HALF_PLANE), "vector has length 3"),
     (lambda: first_escape(HALF_PLANE, LINE_IN_SPACE), "different ambient"),
     (lambda: cone_equal(LINE_IN_SPACE, HALF_PLANE), "different ambient"),
 ], ids=["ray", "line", "inequality", "equation", "rays-without-dim",
         "constraints-without-dim", "no-representation", "member",
-        "image-row", "first-escape", "equal"])
+        "member-float-inside", "member-float-outside", "image-row",
+        "first-escape", "equal"])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -97,11 +109,12 @@ def test_complete_idempotent_bitwise():
 
 def test_dual_examples():
     orthant = cone_from_rays([(1, 0), (0, 1)])
-    assert cone_equal(cone_dual(orthant), orthant)
-    assert cone_equal(cone_dual(full_space(2)), zero_cone(2))
-    assert cone_equal(cone_dual(zero_cone(2)), full_space(2))
+    zero = cone_from_rays([], [], dim=2)
+    assert cone_equal(dual(orthant), orthant)
+    assert cone_equal(dual(full_space(2)), zero)
+    assert cone_equal(dual(zero), full_space(2))
     pair = cone_complete(cone_from_rays([(-1, 3), (3, -1)]))
-    assert set(cone_complete(cone_dual(pair)).gen.rays) == {(3, 1), (1, 3)}
+    assert set(cone_complete(dual(pair)).gen.rays) == {(3, 1), (1, 3)}
 
 
 def test_member_orthant():
@@ -129,9 +142,9 @@ def test_member_pair_cone_outside():
     assert certificate_valid(pair, (-1, 0), cert)
 
 
-# the half-plane x >= 0: one ray and one line, each forgery below refused
-# by exactly one test of `certificate_valid`
-HALF_PLANE = cone_from_rays([(1, 0)], [(0, 1)])
+# on the half-plane x >= 0 (`HALF_PLANE`: one ray and one line), each
+# forgery below is refused by exactly one test of the oracle's
+# `certificate_valid`
 FORGERIES = {
     "no ray coefficients": ((0, 5), MembershipCertificate(
         inside=True, line_coeffs={0: Fraction(5)})),
@@ -183,8 +196,8 @@ def test_subset_and_equal():
     orthant_con = cone_from_constraints([(1, 0), (0, 1)])
     assert cone_equal(orthant_gen, orthant_con)
     ray = cone_from_rays([(1, 0)])
-    assert cone_subset(ray, orthant_gen)
-    assert not cone_subset(orthant_gen, ray)
+    assert first_escape(ray, orthant_gen) is None
+    assert first_escape(orthant_gen, ray) is not None
     assert not cone_equal(ray, orthant_gen)
     pair = cone_from_rays([(-1, 3), (3, -1)])
     halves = cone_from_constraints([(3, 1), (1, 3)])
@@ -194,12 +207,12 @@ def test_subset_and_equal():
 def test_intersect_and_sum():
     orthant = cone_from_rays([(1, 0), (0, 1)])
     left = cone_from_constraints([(-1, 0)])
-    meet = cone_complete(cone_intersect(orthant, left))
+    meet = cone_complete(intersection(orthant, left))
     assert meet.gen.rays == ((0, 1),) and meet.gen.lines == ()
     join = cone_sum(cone_from_rays([(1, 0)]), cone_from_rays([(0, 1)]))
     assert cone_equal(join, orthant)
-    wedge = cone_complete(cone_intersect(cone_from_constraints([(-1, 3)]),
-                                         cone_from_constraints([(1, 0)])))
+    wedge = cone_complete(intersection(cone_from_constraints([(-1, 3)]),
+                                       cone_from_constraints([(1, 0)])))
     assert set(wedge.gen.rays) == {(0, 1), (3, 1)}
 
 
@@ -216,11 +229,10 @@ def test_image_examples():
 
 
 def test_lineality_examples():
-    assert cone_lineality(cone_from_rays([(1, 0), (0, 1)])) == []
-    single = cone_lineality(cone_from_rays([], lines=[(3, 1)]))
-    assert single == [(3, 1)]
-    big = cone_lineality(cone_from_rays([(-1, 0, 0)],
-                                        lines=[(2, 1, 0), (0, 2, 1)]))
+    assert cone_from_rays([(1, 0), (0, 1)]).gen.lines == ()
+    single = cone_from_rays([], lines=[(3, 1)]).gen.lines
+    assert single == ((3, 1),)
+    big = cone_from_rays([(-1, 0, 0)], lines=[(2, 1, 0), (0, 2, 1)]).gen.lines
     # same plane as span{(2,1,0),(0,2,1)}, in canonical echelon form
     assert len(big) == 2
     plane = cone_from_rays([], lines=[(2, 1, 0), (0, 2, 1)])
@@ -231,10 +243,10 @@ def test_lineality_examples():
 
 
 def test_zero_and_full_space():
-    z = zero_cone(3)
+    z = cone_from_rays([], [], dim=3)
     f = full_space(3)
-    assert cone_subset(z, f)
-    assert cone_equal(cone_dual(f), z)
+    assert first_escape(z, f) is None
+    assert cone_equal(dual(f), z)
     assert cone_member(z, (0, 0, 0)).inside
     assert not cone_member(z, (1, 0, 0)).inside
     assert cone_member(f, (-7, 2, 5)).inside
@@ -242,7 +254,7 @@ def test_zero_and_full_space():
 
 def test_dim_zero():
     z = full_space(0)
-    assert cone_equal(z, zero_cone(0))
+    assert cone_equal(z, cone_from_rays([], [], dim=0))
     assert cone_member(z, ()).inside
 
 
@@ -312,7 +324,7 @@ def test_round_trip(c):
 @given(random_cones())
 def test_dual_involution(c):
     done = cone_complete(c)
-    assert cone_complete(cone_dual(cone_dual(done))) == done
+    assert cone_complete(dual(dual(done))) == done
 
 
 @given(st.data())
@@ -334,14 +346,14 @@ def test_de_morgan_duality(data):
     dim = data.draw(st.integers(1, 3))
     a = data.draw(random_cones(dim=dim))
     b = data.draw(random_cones(dim=dim))
-    lhs = cone_dual(cone_intersect(a, b))
-    rhs = cone_sum(cone_dual(a), cone_dual(b))
+    lhs = dual(intersection(a, b))
+    rhs = cone_sum(dual(a), dual(b))
     assert cone_equal(lhs, rhs)
 
 
 @given(random_cones())
 def test_lineality_is_inside_both_ways(c):
-    for v in cone_lineality(c):
+    for v in c.gen.lines:
         assert cone_member(c, v).inside
         assert cone_member(c, tuple(-x for x in v)).inside
 
@@ -365,7 +377,6 @@ def test_first_escape_agrees_with_membership_lps(data):
     b = data.draw(random_cones(dim=dim))
     escape = first_escape(a, b)
     assert escape == _lp_escape(a, b)
-    assert (escape is None) == cone_subset(a, b)
     if escape is not None:
         gen, form = escape
         assert sum(x * y for x, y in zip(form, gen)) < 0
@@ -403,15 +414,16 @@ def test_cone_equal_is_equality_of_canonical_forms(data):
 @st.composite
 def cone_recipes(draw, dim):
     """How to build a cone: a random system through either factory, then
-    kept as it is, dualised, mapped by a square matrix, or intersected with a
-    second random cone.  A recipe builds a fresh cone each time."""
+    kept as it is, mapped by a square matrix, or summed with a second random
+    cone, as the package combines cones.  A recipe builds a fresh cone each
+    time."""
     system = draw(random_systems(dim=dim))
-    step = draw(st.sampled_from(["plain", "dual", "image", "intersect"]))
+    step = draw(st.sampled_from(["plain", "image", "sum"]))
     extra = None
     if step == "image":
         extra = draw(st.lists(coord_vectors(dim, bound=2), min_size=dim,
                               max_size=dim))
-    elif step == "intersect":
+    elif step == "sum":
         extra = draw(random_systems(dim=dim))
     return system, step, extra
 
@@ -419,12 +431,10 @@ def cone_recipes(draw, dim):
 def build(recipe):
     system, step, extra = recipe
     cone = cone_of(system)
-    if step == "dual":
-        return cone_dual(cone)
     if step == "image":
         return cone_image(extra, cone)
-    if step == "intersect":
-        return cone_intersect(cone, cone_of(extra))
+    if step == "sum":
+        return cone_sum(cone, cone_of(extra))
     return cone
 
 
@@ -434,9 +444,8 @@ def test_lazy_cones_answer_as_completed_copies(data):
     dim = data.draw(st.integers(1, 4))
     a, b = data.draw(cone_recipes(dim)), data.draw(cone_recipes(dim))
     v = data.draw(coord_vectors(dim, bound=4))
-    queries = [first_escape, lambda x, y: first_escape(y, x), cone_subset,
-               cone_equal, lambda x, y: cone_member(x, v),
-               lambda x, y: cone_member(y, v)]
+    queries = [first_escape, lambda x, y: first_escape(y, x), cone_equal,
+               lambda x, y: cone_member(x, v), lambda x, y: cone_member(y, v)]
     # each query on fresh cones, so none reads a side another one computed
     lazy = [query(build(a), build(b)) for query in queries]
     done = [query(cone_complete(build(a)), cone_complete(build(b)))
@@ -451,12 +460,12 @@ def test_factories_run_no_double_description(monkeypatch):
     cone_kernel._dual_canon.cache_clear()
     a = cone_from_rays([(1, 0, 0), (0, 1, 0)], [(0, 0, 1)])
     b = cone_from_constraints([(1, 0, 0)], [(0, 1, -1)])
-    for c in (cone_dual(a), cone_image([(1, 1, 0), (0, 1, 0)], a),
-              cone_sum(a, a), cone_intersect(b, b)):
+    for c in (cone_image([(1, 1, 0), (0, 1, 0)], a), cone_sum(a, a)):
         assert isinstance(c, Cone)
-    # given generators against given constraints decide containment
-    assert not cone_subset(a, b)
-    assert cone_subset(cone_from_rays([(1, 2, 2)]), b)
+    # given generators against given constraints decide containment; only
+    # the witness of an escape reads the canonical sides
+    assert cone_kernel._escapes(a, b)
+    assert first_escape(cone_from_rays([(1, 2, 2)]), b) is None
 
 
 # ---------------------------------------------------------------------------

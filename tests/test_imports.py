@@ -63,6 +63,24 @@ def test_every_definition_has_a_caller():
     assert dead == []
 
 
+# the exports no package module refers to, each with the reason it stays
+UNREFERENCED_EXPORTS = {
+    "check_report": "library entry point, see README's Library section",
+    "explore": "library entry point, see README's Library section",
+    "cone_complete": "the benchmark traces it by name",
+    "cone_equal": "the benchmark traces it by name",
+}
+
+
+def test_every_export_has_a_user():
+    # `test_every_definition_has_a_caller` counts `__all__` as a caller, so
+    # an export is checked here against the other modules alone
+    referenced = set().union(*(
+        _referenced_names(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"))
+    assert set(strata_cones.__all__) - referenced == set(UNREFERENCED_EXPORTS)
+
+
 def test_the_command_line_loads_no_process_pool():
     # only --jobs above 1 starts a pool, so a fresh interpreter that imports
     # the command line and runs it with one job never loads the machinery

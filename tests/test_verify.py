@@ -932,6 +932,21 @@ def test_check_report_refuses_a_stratum_of_another_configuration(
                                  f"the report's {config}")
 
 
+def test_check_report_refuses_a_stratum_given_twice(monkeypatch):
+    # without the refusal the report would count the stratum twice and
+    # list its record twice
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused stratum reached the work")
+    monkeypatch.setattr(verify, "_run_tasks", unreachable)
+    config = SplittingConfig(2, (2,))
+    t = stratum_from_text(config, "0.1")
+    twin = stratum_from_text(config, "0.1")
+    for strata in ([t, t], [t, stratum_from_text(config, "0.0"), twin]):
+        with pytest.raises(ValueError, match=r"^stratum '0\.1' is given "
+                                             r"twice$"):
+            check_report(config, strata)
+
+
 @pytest.mark.parametrize("build", [
     lambda: check_report(CFG_A, []),
     lambda: check_report(CFG_B, [stratum_from_text(CFG_B, "0.1")]),
