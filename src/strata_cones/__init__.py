@@ -10,8 +10,9 @@ The package has five layers:
   descriptions of the weight cones, reductions, minimal cones, section
   recipes, and the bi-weight variant;
 * `verify`: theorem checkers and the exhaustive sweep explorer;
-* `cli`: the `strata-cones` command, which streams the sweep reports that
-  `check_report` and `explore` return as a `verify.Report`.
+* `cli`: the `strata-cones` command, which streams the report text that
+  `check_report` and `explore` keep in a `verify.Report`: `to_json()`
+  returns it, and `strata` and `to_dict()` decode it on each access.
 """
 
 from strata_cones.cone_kernel import (

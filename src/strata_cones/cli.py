@@ -158,10 +158,10 @@ def _sweep_reply(write, args, sweep: tuple, jobs: int, lines) -> int:
     """Write the report of `sweep`, a header and its record tasks, while
     the records are computed: as JSON under --json, else as the text
     `lines` makes of the record stream."""
-    summary = _write_report(write, *sweep, jobs,
-                            _json_layout if args.json else lines)
+    tail = _write_report(write, *sweep, jobs,
+                         _json_layout if args.json else lines)
     write("\n")
-    return EXIT_CHECK_FAILED if summary["fail"] else EXIT_OK
+    return EXIT_CHECK_FAILED if tail["summary"]["fail"] else EXIT_OK
 
 
 def _fmt_vec(vec) -> str:

@@ -64,11 +64,13 @@ def normalize_primitive(vec: Sequence[Rational]) -> Vec:
 
     Integer input is divided by its content directly; only rational input
     (which `gcd` refuses) has its denominators cleared through `Fraction`.
-    Raises ValueError on the zero vector, which has no direction.
+    Raises ValueError on the zero vector, which has no direction, and on a
+    coordinate that is not exact (`_check_exact`).
     """
     try:
         g = gcd(*vec)
     except TypeError:
+        _check_exact(vec)
         fr = [Fraction(x) for x in vec]
         den = lcm(*(f.denominator for f in fr))
         vec = [int(f * den) for f in fr]
@@ -204,6 +206,15 @@ class MembershipCertificate:
     ray_coeffs: dict[int, Fraction] | None = None
     line_coeffs: dict[int, Fraction] | None = None
     violated_form: Vec | None = None
+
+
+def _check_exact(coords: Iterable) -> None:
+    """Refuse a coordinate that is neither an `int` nor a `Fraction`, as no
+    exact answer exists for it."""
+    for x in coords:
+        if not isinstance(x, Rational):
+            raise ValueError(f"coordinate {x!r} is not exact: the kernel "
+                             "takes an int or a Fraction")
 
 
 def _check_dim(dim: int, vecs: Iterable[Sequence[Rational]]) -> None:
@@ -344,7 +355,8 @@ def _given(vecs: Iterable[Sequence[Rational]],
            flat: Iterable[Sequence[Rational]],
            dim: int | None) -> tuple[tuple[Vec, ...], tuple[Vec, ...], int]:
     """Vectors of a factory as tuples, zero vectors dropped, and the ambient
-    dimension, read off the first vector when not given."""
+    dimension, read off the first vector when not given; a coordinate that
+    is not exact is refused."""
     vecs = tuple(map(tuple, vecs))
     flat = tuple(map(tuple, flat))
     if dim is None:
@@ -353,6 +365,7 @@ def _given(vecs: Iterable[Sequence[Rational]],
                              "are given")
         dim = len((vecs or flat)[0])
     _check_dim(dim, vecs + flat)
+    _check_exact(chain.from_iterable(vecs + flat))
     return tuple(filter(any, vecs)), tuple(filter(any, flat)), dim
 
 
@@ -454,14 +467,11 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     out by the constraints held (`_walk_down`); `Fraction`s are built only
     for the coefficients returned.  Where the rays are linearly independent
     modulo the lines, as on every cone the package queries, the
-    certificate is the only one.  A coordinate that is neither an `int` nor
-    a `Fraction` is refused, as no exact answer exists for it.
+    certificate is the only one.  A coordinate that is not exact is
+    refused (`_check_exact`).
     """
     _check_dim(cone.dim, [vec])
-    for x in vec:
-        if not isinstance(x, Rational):
-            raise ValueError(f"coordinate {x!r} is not exact: membership "
-                             "takes an int or a Fraction")
+    _check_exact(vec)
     if _violated_form(cone._known_con(), vec) is not None:
         return MembershipCertificate(
             inside=False, violated_form=_violated_form(cone.con, vec))
@@ -538,6 +548,7 @@ def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
     """Image under a linear map, the generators held mapped one by one."""
     rows = [tuple(row) for row in matrix]
     _check_dim(cone.dim, rows)
+    _check_exact(chain.from_iterable(rows))
     gen = cone._known_gen()
 
     def apply(v):

@@ -9,11 +9,11 @@ Checks that compare objects block-diagonal over the cycles are decided on
 a multi-cycle stratum from its cycles' single-cycle strata (`_by_cycles`).
 
 The explorer sweeps all cycle partitions of all degrees up to a bound for a
-list of primes, runs every check on every stratum, and aggregates a
-deterministic JSON-ready report, or writes it in a layout, JSON or text, as
-the records arrive: strata are processed in sorted order and results merged
-positionally, so the output is byte-identical no matter how many worker
-processes are used.
+list of primes, runs every check on every stratum, and writes a
+deterministic report in a layout, JSON or text, as the records arrive; a
+`Report` keeps the JSON text.  Strata are processed in sorted order and
+results merged positionally, so the output is byte-identical no matter how
+many worker processes are used.
 """
 
 from __future__ import annotations
@@ -92,47 +92,23 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Report:
-    """Aggregated sweep results, each stratum record as its JSON fragment."""
+    """A sweep's report: its JSON text as the command writes it, with the
+    open question and summary the text ends with.  `strata` and `to_dict`
+    decode the text on each access."""
 
-    schema: int
-    config: dict
-    fragments: tuple[str, ...]
+    text: str
     open_question: dict
     summary: dict
 
     @property
     def strata(self) -> list[dict]:
-        return [json.loads(fragment) for fragment in self.fragments]
+        return self.to_dict()["strata"]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "strata": self.strata,
-            "open_question": self.open_question,
-            "summary": self.summary,
-        }
+        return json.loads(self.text)
 
     def to_json(self) -> str:
-        """`_dumps(self.to_dict())` without decoding a fragment."""
-        tail = {"open_question": self.open_question, "summary": self.summary}
-        return "".join(_document(self.schema, self.config, self.fragments,
-                                 lambda: tail))
-
-
-def _document(schema: int, config: dict, fragments: Iterable[str],
-              tail) -> Iterator[str]:
-    """The report text as `_dumps` lays it out, in pieces: the header with
-    the first fragment, then each further fragment, then the
-    `open_question` and `summary` of `tail()`, called after the last
-    fragment."""
-    head = _dumps({"schema": schema, "config": config})
-    opening = f'{head[:-2]},\n  "strata": ['
-    separator, closing = opening, f"{opening}]"
-    for fragment in fragments:
-        yield f"{separator}\n{fragment}"
-        separator, closing = ",", "\n  ]"
-    yield f"{closing},{_dumps(tail())[1:]}"
+        return self.text
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +143,8 @@ def _dumps(obj, newline: str = "\n") -> str:
     raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
-def _num(x) -> str:
-    return str(x)
-
-
 def _vec(v: Sequence) -> list[str]:
-    return [_num(x) for x in v]
+    return list(map(str, v))
 
 
 def _vecs(vs: Iterable[Sequence]) -> list[list[str]]:
@@ -182,7 +154,7 @@ def _vecs(vs: Iterable[Sequence]) -> list[list[str]]:
 def _certificate(cert: MembershipCertificate) -> dict:
     """The coefficients of an inside membership certificate, keyed by
     generator index."""
-    return {key: {_num(i): _num(x) for i, x in sorted(coeffs.items())}
+    return {key: {str(i): str(x) for i, x in sorted(coeffs.items())}
             for key, coeffs in (("ray_coeffs", cert.ray_coeffs),
                                 ("line_coeffs", cert.line_coeffs))}
 
@@ -333,14 +305,14 @@ def _check_biorthogonality(t: Stratum) -> CheckResult:
                     "generator_at": tau.key(),
                     "functional": _vec(form),
                     "generator": _vec(ray),
-                    "value": _num(value)})
+                    "value": str(value)})
         for line in lines:
             if _dot(form, line) != 0:
                 return CheckResult("biorthogonality", FAIL, {
                     "functional_at": beta.key(),
                     "functional": _vec(form),
                     "line": _vec(line),
-                    "value": _num(_dot(form, line))})
+                    "value": str(_dot(form, line))})
     return CheckResult("biorthogonality", PASS)
 
 
@@ -422,7 +394,7 @@ def _hasse_identity(config: SplittingConfig) -> dict | None:
                     for a, b in zip(weight_pair(config, "h", top, mid),
                                     weight_pair(config, "h", mid, beta)))
                 if long != split:
-                    return {"cycle": _num(c), "n": _num(n), "m": _num(m),
+                    return {"cycle": str(c), "n": str(n), "m": str(m),
                             "direct": _vec(long), "composed": _vec(split)}
     return None
 
@@ -529,7 +501,7 @@ def _check_divisor_functionals(t: Stratum) -> CheckResult:
                 "beta": beta.key(),
                 "functional": _vec(form),
                 "generator": _vec(fw),
-                "value": _num(value)})
+                "value": str(value)})
     return CheckResult(name, PASS)
 
 
@@ -630,15 +602,15 @@ def _delta_kernel(config: SplittingConfig) -> dict | None:
             cls = delta_class(config, weight)
             if cls.moduli != moduli or cls.residues != tuple(
                     value * (k == c) % m for k, m in enumerate(moduli)):
-                return {"cycle": _num(c), "embedding": emb.key(),
+                return {"cycle": str(c), "embedding": emb.key(),
                         "weight": _vec(weight), "residues": _vec(cls.residues),
                         "moduli": _vec(cls.moduli)}
         start = config.flat_index(cycle[0])
         rows = [weight_basis(config, "h", e)[start:start + f] for e in cycle]
         if abs(_determinant(rows)) != moduli[c]:
-            return {"cycle": _num(c), "rows": _vecs(rows),
-                    "determinant": _num(_determinant(rows)),
-                    "modulus": _num(moduli[c])}
+            return {"cycle": str(c), "rows": _vecs(rows),
+                    "determinant": str(_determinant(rows)),
+                    "modulus": str(moduli[c])}
     return None
 
 
@@ -727,7 +699,7 @@ def stratum_dossier(stratum: Stratum) -> dict:
     s, iw = places_and_iw(stratum)
     embeddings = config.embeddings()
     record = {
-        "p": _num(config.p),
+        "p": str(config.p),
         "cycles": _vec(config.cycle_lengths),
         "t": stratum.key(),
         "tilde": tilde_closure(stratum).key(),
@@ -737,7 +709,7 @@ def stratum_dossier(stratum: Stratum) -> dict:
         },
         "iw": _vec(sorted(iw)),
         "tables": {
-            name: {e.key(): _num(table[e]) for e in embeddings
+            name: {e.key(): str(table[e]) for e in embeddings
                    if e in table}
             for name, table in (("mu", tables.mu), ("nu", tables.nu),
                                 ("n", tables.n), ("epsilon", eps))},
@@ -802,40 +774,46 @@ class _Tally:
 
 
 def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
-    """Run the record tasks and aggregate their results under `config`."""
-    tally = _Tally()
-    fragments = tuple(fragment for *_, fragment
-                      in tally.count(_run_tasks(tasks, jobs)))
-    return Report(schema=SCHEMA_VERSION, config=config, fragments=fragments,
-                  **tally.tail())
+    """Run the record tasks and keep the report text they make under
+    `config`."""
+    pieces = []
+    tail = _write_report(pieces.append, config, tasks, jobs, _json_layout)
+    return Report("".join(pieces), **tail)
 
 
 def _json_layout(config: dict, results: Iterator[tuple],
                  tally: _Tally) -> Iterator[str]:
-    """The report's JSON text, in the pieces of `_document`."""
-    return _document(SCHEMA_VERSION, config,
-                     (fragment for *_, fragment in results), tally.tail)
+    """The report text as `_dumps` lays it out, in pieces: the header with
+    the first record's fragment, then each further fragment, then the
+    tally's open question and summary."""
+    head = _dumps({"schema": SCHEMA_VERSION, "config": config})
+    opening = f'{head[:-2]},\n  "strata": ['
+    separator, closing = opening, f"{opening}]"
+    for *_, fragment in results:
+        yield f"{separator}\n{fragment}"
+        separator, closing = ",", "\n  ]"
+    yield f"{closing},{_dumps(tally.tail())[1:]}"
 
 
 def _write_report(write, config: dict, tasks: Iterable[tuple], jobs: int,
                   layout) -> dict:
     """Run the record tasks and pass the text that `layout(config, results,
     tally)` makes of their results to `write` as it comes, in task order;
-    `tally` has counted the results taken so far.  Return the summary.
-    Nothing is written before the first record exists, and if `write`
-    raises, the work not yet started is dropped."""
+    `tally` has counted the results taken so far.  Return the tally's
+    open question and summary.  Nothing is written before the first record
+    exists, and if `write` raises, the work not yet started is dropped."""
     tally = _Tally()
     with contextlib.closing(_run_tasks(tasks, jobs)) as results:
         for piece in layout(config, tally.count(results), tally):
             write(piece)
-    return tally.tail()["summary"]
+    return tally.tail()
 
 
 def _check_sweep(config: SplittingConfig,
                  strata: Sequence[Stratum] | None) -> tuple:
     """The header and the record tasks of the report over the given strata
     (default: all strata of the config), sorted by canonical key."""
-    header = {"p": _num(config.p), "cycles": _vec(config.cycle_lengths)}
+    header = {"p": str(config.p), "cycles": _vec(config.cycle_lengths)}
     return header, _config_tasks(config, strata)
 
 
@@ -930,7 +908,7 @@ def _explore_sweep(p_list: Sequence[int], d_max: int) -> tuple:
     tasks = (task for p in primes for d in range(1, d_max + 1)
              for lengths in sorted(partitions(d))
              for task in _config_tasks(SplittingConfig(p, lengths)))
-    return {"p_list": _vec(primes), "d_max": _num(d_max)}, tasks
+    return {"p_list": _vec(primes), "d_max": str(d_max)}, tasks
 
 
 def explore(p_list: Sequence[int], d_max: int, jobs: int = 1) -> Report:

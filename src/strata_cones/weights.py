@@ -577,7 +577,8 @@ class BiWeight:
 
 
 @_memoised
-def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
+def gl2_generators(
+        stratum: Stratum) -> tuple[tuple[BiWeight, bool], ...]:
     """Generators of the bi-weight cone of the stratum: Hasse lines in the
     first slot, the paired (-e, b) lines on T, and one ray per embedding
     outside T carrying its distinguished generator, with first slot the
@@ -600,4 +601,4 @@ def gl2_generators(stratum: Stratum) -> list[tuple[BiWeight, bool]]:
         else:
             lam = zero
         out.append((BiWeight(lam, fw), False))
-    return out
+    return tuple(out)

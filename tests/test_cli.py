@@ -625,7 +625,9 @@ def test_json_replies_are_written_as_the_json_module_does(capsys,
 def test_the_report_is_written_as_its_records_arrive(monkeypatch):
     report = check_report(SplittingConfig(2, (2,)))
     text = report.to_json()
-    first = report.fragments[0]
+    # the first record as the `strata` list indents it
+    first = "    " + json.dumps(report.strata[0], indent=2).replace(
+        "\n", "\n    ")
     head = text[:text.index(first) + len(first)]
     out = io.StringIO()  # records every write
     seen = []

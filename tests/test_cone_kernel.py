@@ -73,12 +73,33 @@ LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
      "coordinate 0.5 is not exact"),
     (lambda: cone_member(cone_from_rays([(1, 0), (0, 1)]), (-0.5, 1)),
      "coordinate -0.5 is not exact"),
+    (lambda: cone_member(HALF_PLANE, ("1", 0)),
+     "coordinate '1' is not exact"),
+    # every other entry point that takes coordinates refuses them alike
+    (lambda: cone_from_rays([(0.1, 1), (1, 0)]),
+     "coordinate 0.1 is not exact"),
+    (lambda: cone_from_rays([(1, 0)], [("0", "1")]),
+     "coordinate '0' is not exact"),
+    (lambda: cone_from_constraints([], [(0.5, 1)]),
+     "coordinate 0.5 is not exact"),
+    (lambda: cone_from_constraints([("1", "0")], dim=2),
+     "coordinate '1' is not exact"),
+    (lambda: cone_image([(0.5, 0), (0, 1)], HALF_PLANE),
+     "coordinate 0.5 is not exact"),
+    (lambda: cone_image([("1", "0"), (0, 1)], HALF_PLANE),
+     "coordinate '1' is not exact"),
+    (lambda: normalize_primitive([0.5, 1]), "coordinate 0.5 is not exact"),
+    (lambda: normalize_primitive(["1/2", "1"]),
+     "coordinate '1/2' is not exact"),
     (lambda: cone_image([(1, 0, 0)], HALF_PLANE), "vector has length 3"),
     (lambda: first_escape(HALF_PLANE, LINE_IN_SPACE), "different ambient"),
     (lambda: cone_equal(LINE_IN_SPACE, HALF_PLANE), "different ambient"),
 ], ids=["ray", "line", "inequality", "equation", "rays-without-dim",
         "constraints-without-dim", "no-representation", "member",
-        "member-float-inside", "member-float-outside", "image-row",
+        "member-float-inside", "member-float-outside", "member-string",
+        "rays-float", "rays-string", "constraints-float",
+        "constraints-string", "image-float", "image-string",
+        "normalize-float", "normalize-string", "image-row",
         "first-escape", "equal"])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):

@@ -81,6 +81,46 @@ def test_every_export_has_a_user():
     assert set(strata_cones.__all__) - referenced == set(UNREFERENCED_EXPORTS)
 
 
+# what loading each package module imports: every launch of the command
+# pays for all of it, so a new module-level import is a reviewed edit here
+MODULE_LEVEL_IMPORTS = {
+    "__init__": {"strata_cones.cone_kernel", "strata_cones.verify"},
+    "cli": {"__future__", "argparse", "functools", "os", "sys", "typing",
+            ".cone_kernel", ".splitting", ".verify", ".weights"},
+    "cone_kernel": {"__future__", "functools", "dataclasses", "fractions",
+                    "itertools", "math", "operator", "typing"},
+    "splitting": {"__future__", "functools", "dataclasses", "typing"},
+    "verify": {"__future__", "contextlib", "functools", "json",
+               "dataclasses", "typing", ".cone_kernel", ".splitting",
+               ".weights"},
+    "weights": {"__future__", "dataclasses", "fractions", "typing",
+                ".cone_kernel", ".splitting"},
+}
+
+
+def _module_level_imports(tree: ast.Module) -> set[str]:
+    """The modules named by the imports that run when the module loads:
+    every import outside a function body, relative ones with their dots."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_imports_are_pinned():
+    found = {path.stem: _module_level_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found == MODULE_LEVEL_IMPORTS
+
+
 def test_the_command_line_loads_no_process_pool():
     # only --jobs above 1 starts a pool, so a fresh interpreter that imports
     # the command line and runs it with one job never loads the machinery

@@ -513,6 +513,14 @@ def test_gl2_generators_example():
     assert (BiWeight((1, 0), (-10, 0)), False) in gens
 
 
+def test_memoised_generator_families_are_tuples():
+    # each family stays in the stratum's memo, so a caller must not be
+    # able to extend it for every later caller
+    t = stratum(CFG_A, (0, 1))
+    for builder in (generators_G, generators_Gprime, gl2_generators):
+        assert type(builder(t)) is tuple, builder.__name__
+
+
 def test_gl2_cone_projects_onto_weight_cone():
     # forgetting the first slot recovers the full ambient space in slot one
     # and the weight cone in slot two
