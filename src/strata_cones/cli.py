@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Iterator, Sequence
 
-from .cone_kernel import _violated_form, cone_member
+from .cone_kernel import _check_vectors, _violated_form, cone_member
 from .splitting import SplittingConfig, Stratum, stratum_from_text
 from .verify import (
     FAIL,
@@ -57,11 +57,6 @@ DEGREE_MAX = 10
 P_LIST_MAX = 16
 
 
-class _UsageError(ValueError):
-    """An input the command line refuses; `main` maps it, and every library
-    ValueError raised while the inputs are checked, to exit code 3."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with this tool's usage-error exit code and full flag names."""
 
@@ -77,13 +72,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise _UsageError(f"{what} must be a comma-separated integer list, "
-                          f"got {text!r}") from None
+        raise ValueError(f"{what} must be a comma-separated integer list, "
+                         f"got {text!r}") from None
 
 
 def _at_most(what: str, value: int, bound: int) -> None:
     if value > bound:
-        raise _UsageError(f"{what} must be at most {bound}, got {value}")
+        raise ValueError(f"{what} must be at most {bound}, got {value}")
 
 
 def _config_from(args) -> SplittingConfig:
@@ -95,7 +90,7 @@ def _config_from(args) -> SplittingConfig:
 
 def _stratum_from(args, config: SplittingConfig) -> Stratum:
     if args.t is None:
-        raise _UsageError("--t is required for this subcommand")
+        raise ValueError("--t is required for this subcommand")
     return stratum_from_text(config, args.t)
 
 
@@ -103,17 +98,15 @@ def _weight_from(text: str | None, config: SplittingConfig, what: str,
                  missing: str | None = None) -> tuple:
     """The weight in `text`; `missing` is the error when there is none."""
     if text is None:
-        raise _UsageError(missing)
+        raise ValueError(missing)
     weight = tuple(_parse_int_list(text, what))
-    if len(weight) != config.degree:
-        raise _UsageError(
-            f"{what} has length {len(weight)}, expected {config.degree}")
+    _check_vectors((weight,), config.degree, what)
     return weight
 
 
 def _jobs_from(args) -> int:
     if not 1 <= args.jobs <= JOBS_MAX:
-        raise _UsageError(
+        raise ValueError(
             f"--jobs must be between 1 and {JOBS_MAX}, got {args.jobs}")
     return args.jobs
 
@@ -237,7 +230,7 @@ def _cmd_explore(args):
     for p in p_list:
         _at_most("--p-list entry", p, P_MAX)
     if args.d_max < 1:
-        raise _UsageError("--d-max must be at least 1")
+        raise ValueError("--d-max must be at least 1")
     _at_most("--d-max", args.d_max, DEGREE_MAX)
     sweep = _explore_sweep(p_list, args.d_max)  # refuses a composite entry
     jobs = _jobs_from(args)
@@ -326,7 +319,9 @@ def _minimal_lines(doc: dict) -> list[str]:
 
 def _cmd_gl2(args):
     if args.weight is not None and args.biweight is not None:
-        raise _UsageError("gl2 takes one of --weight and --biweight")
+        raise ValueError("gl2 takes one of --weight and --biweight")
+    if args.weight is not None and args.t is not None:
+        raise ValueError("gl2 takes --t only with --biweight")
     config = _config_from(args)
     if args.biweight is None:
         weight = _weight_from(args.weight, config, "--weight",
@@ -335,7 +330,7 @@ def _cmd_gl2(args):
     stratum = _stratum_from(args, config)
     parts = args.biweight.split(";")
     if len(parts) != 2:
-        raise _UsageError(
+        raise ValueError(
             "--biweight must be 'lam;kappa', two comma-separated "
             "integer lists")
     lam = _weight_from(parts[0], config, "--biweight first component")

@@ -65,12 +65,12 @@ def normalize_primitive(vec: Sequence[Rational]) -> Vec:
     Integer input is divided by its content directly; only rational input
     (which `gcd` refuses) has its denominators cleared through `Fraction`.
     Raises ValueError on the zero vector, which has no direction, and on a
-    coordinate that is not exact (`_check_exact`).
+    coordinate that is not exact (`_check_vectors`).
     """
     try:
         g = gcd(*vec)
     except TypeError:
-        _check_exact(vec)
+        _check_vectors((vec,), len(vec))
         fr = [Fraction(x) for x in vec]
         den = lcm(*(f.denominator for f in fr))
         vec = [int(f * den) for f in fr]
@@ -208,20 +208,18 @@ class MembershipCertificate:
     violated_form: Vec | None = None
 
 
-def _check_exact(coords: Iterable) -> None:
-    """Refuse a coordinate that is neither an `int` nor a `Fraction`, as no
-    exact answer exists for it."""
-    for x in coords:
-        if not isinstance(x, Rational):
-            raise ValueError(f"coordinate {x!r} is not exact: the kernel "
-                             "takes an int or a Fraction")
-
-
-def _check_dim(dim: int, vecs: Iterable[Sequence[Rational]]) -> None:
+def _check_vectors(vecs: Iterable[Sequence], dim: int,
+                   subject: str = "vector") -> None:
+    """Refuse a `subject` whose length is not `dim`, and a coordinate that
+    is neither an `int` nor a `Fraction`, as no exact answer exists for it;
+    the command line and `weights` refuse their vectors here too."""
     for v in vecs:
         if len(v) != dim:
-            raise ValueError(
-                f"vector has length {len(v)}, expected ambient dimension {dim}")
+            raise ValueError(f"{subject} has length {len(v)}, expected {dim}")
+        for x in v:
+            if not isinstance(x, Rational):
+                raise ValueError(f"coordinate {x!r} is not exact: the kernel "
+                                 "takes an int or a Fraction")
 
 
 def _ray_enum(ineqs: Sequence[Sequence[Rational]],
@@ -355,8 +353,8 @@ def _given(vecs: Iterable[Sequence[Rational]],
            flat: Iterable[Sequence[Rational]],
            dim: int | None) -> tuple[tuple[Vec, ...], tuple[Vec, ...], int]:
     """Vectors of a factory as tuples, zero vectors dropped, and the ambient
-    dimension, read off the first vector when not given; a coordinate that
-    is not exact is refused."""
+    dimension, read off the first vector when not given; a vector of another
+    length or a coordinate that is not exact is refused (`_check_vectors`)."""
     vecs = tuple(map(tuple, vecs))
     flat = tuple(map(tuple, flat))
     if dim is None:
@@ -364,8 +362,7 @@ def _given(vecs: Iterable[Sequence[Rational]],
             raise ValueError("ambient dimension required when no vectors "
                              "are given")
         dim = len((vecs or flat)[0])
-    _check_dim(dim, vecs + flat)
-    _check_exact(chain.from_iterable(vecs + flat))
+    _check_vectors(vecs + flat, dim)
     return tuple(filter(any, vecs)), tuple(filter(any, flat)), dim
 
 
@@ -467,11 +464,10 @@ def cone_member(cone: Cone, vec: Sequence[Rational]) -> MembershipCertificate:
     out by the constraints held (`_walk_down`); `Fraction`s are built only
     for the coefficients returned.  Where the rays are linearly independent
     modulo the lines, as on every cone the package queries, the
-    certificate is the only one.  A coordinate that is not exact is
-    refused (`_check_exact`).
+    certificate is the only one.  A vector of another length or a
+    coordinate that is not exact is refused (`_check_vectors`).
     """
-    _check_dim(cone.dim, [vec])
-    _check_exact(vec)
+    _check_vectors((vec,), cone.dim)
     if _violated_form(cone._known_con(), vec) is not None:
         return MembershipCertificate(
             inside=False, violated_form=_violated_form(cone.con, vec))
@@ -547,8 +543,7 @@ def cone_sum(a: Cone, b: Cone) -> Cone:
 def cone_image(matrix: Sequence[Sequence[Rational]], cone: Cone) -> Cone:
     """Image under a linear map, the generators held mapped one by one."""
     rows = [tuple(row) for row in matrix]
-    _check_dim(cone.dim, rows)
-    _check_exact(chain.from_iterable(rows))
+    _check_vectors(rows, cone.dim)
     gen = cone._known_gen()
 
     def apply(v):

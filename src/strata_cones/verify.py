@@ -899,6 +899,9 @@ def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
 def _explore_sweep(p_list: Sequence[int], d_max: int) -> tuple:
     """The header and the record tasks of the sweep over all cycle
     partitions of every degree up to d_max for every prime in p_list."""
+    # exactly int, as for p: a bool would reach the report as text
+    if type(d_max) is not int:
+        raise ValueError(f"the degree bound must be an integer, got {d_max!r}")
     if d_max < 1:
         raise ValueError("the degree bound must be at least 1")
     primes = sorted(set(p_list))

@@ -29,6 +29,7 @@ from .cone_kernel import (
     Cone,
     ConstraintRep,
     Vec,
+    _check_vectors,
     _dot,
     cone_complete,  # unused here; bench/test_bench.py traces it by this name
     cone_from_constraints,
@@ -266,19 +267,10 @@ def reduced_cone(stratum: Stratum) -> Cone:
     return cone_image(reduction_matrix(stratum), cone_D(stratum))
 
 
-def _check_length(weight: Sequence[Rational], expected: int,
-                  subject: str = "weight") -> None:
-    """Refuse a `subject` vector whose length is not `expected`: the
-    degree for a weight, |T^c| for a reduced weight."""
-    if len(weight) != expected:
-        raise ValueError(
-            f"{subject} has length {len(weight)}, expected {expected}")
-
-
 def reduce_iT(stratum: Stratum, weight: Sequence[Rational]) -> tuple:
     """Apply the reduction map, landing in coordinates on the complement
     of T."""
-    _check_length(weight, stratum.config.degree)
+    _check_vectors((weight,), stratum.config.degree, "weight")
     return tuple(_dot(row, weight) for row in reduction_matrix(stratum))
 
 
@@ -287,7 +279,7 @@ def lift_jT(stratum: Stratum, reduced: Sequence[Rational]) -> tuple:
     coordinates on the complement of T and zeros on T."""
     config = stratum.config
     outside = stratum.complement()
-    _check_length(reduced, len(outside), "reduced weight")
+    _check_vectors((reduced,), len(outside), "reduced weight")
     out = [0] * config.degree
     for beta, value in zip(outside, reduced):
         out[config.flat_index(beta)] = value
@@ -391,6 +383,7 @@ def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
 def in_minimal_cone(stratum: Stratum, reduced: Sequence[Rational],
                     variant: str = "min") -> bool:
     """Does the reduced weight satisfy every form of the minimal cone?"""
+    _check_vectors((reduced,), len(stratum.complement()), "reduced weight")
     return all(_dot(form, reduced) >= 0
                for form in minimal_forms(stratum, variant))
 
@@ -408,7 +401,7 @@ def forced_divisors(stratum: Stratum,
     """The admissible embeddings whose divisibility cone excludes the
     weight: any nonzero form of this weight on the stratum is divisible by
     the distinguished section of each returned embedding."""
-    _check_length(weight, stratum.config.degree)
+    _check_vectors((weight,), stratum.config.degree, "weight")
     out = set()
     for beta in sorted(admissible_set(stratum)):
         if any(_dot(form, weight) < 0 for form in _divisor_forms(stratum, beta)):
@@ -549,12 +542,10 @@ def delta_class(config: SplittingConfig,
                 weight: Sequence[Rational]) -> DeltaClass:
     """Reduce an integer weight: on each cycle, the p-power-weighted sum of
     its coordinates modulo p^f - 1, residues in [0, p^f - 2]."""
-    _check_length(weight, config.degree)
-    ints = []
-    for k in weight:
-        if k != int(k):
-            raise ValueError("delta classes are defined for integer weights")
-        ints.append(int(k))
+    _check_vectors((weight,), config.degree, "weight")
+    if any(k != int(k) for k in weight):
+        raise ValueError("delta classes are defined for integer weights")
+    ints = [int(k) for k in weight]
     residues = []
     moduli = []
     offset = 0

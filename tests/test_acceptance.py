@@ -64,6 +64,7 @@ from strata_cones.weights import (
     reduced_cone,
     weight_pair,
 )
+from test_cone_kernel import dual, intersection
 
 SWEEP_PRIMES = [2, 3, 5]
 SWEEP_DEGREE = 5
@@ -364,17 +365,6 @@ def test_criterion_09_pinned_fixtures():
           and explicit_constraints(c).ineqs == ((2, -4, 8, -1),))
     announce(9, "oracle-confirmed fixture values reproduce bit-exactly", ok)
     assert ok
-
-
-def dual(c):
-    """The dual cone, generated by the canonical constraints of `c`."""
-    return cone_from_rays(c.con.ineqs, c.con.eqns, dim=c.dim)
-
-
-def intersection(a, b):
-    """The cone cut out by the canonical constraints of both cones."""
-    return cone_from_constraints(a.con.ineqs + b.con.ineqs,
-                                 a.con.eqns + b.con.eqns, dim=a.dim)
 
 
 def test_criterion_10_kernel_properties():

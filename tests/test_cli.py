@@ -724,6 +724,9 @@ def test_inputs_beyond_the_bounds_are_usage_errors(capsys, monkeypatch):
             f"--d-max must be at most {DEGREE_MAX}, got 100000",
         ("explore", "--p-list", "", "--d-max", "1"):
             "--p-list must be a comma-separated integer list, got ''",
+        # --t beside --weight, before the configuration is built
+        ("gl2", "--p", "2", "--cycles", "2", "--weight", "1,1",
+         "--t", "9.9"): "gl2 takes --t only with --biweight",
     }
     for argv, message in refused.items():
         assert run(capsys, *argv) == (3, "", f"strata-cones: error: {message}\n")
@@ -866,6 +869,14 @@ def test_gl2_takes_one_of_weight_and_biweight(capsys, weights):
     assert run(capsys, "gl2", "--p", "3", "--cycles", "2", "--t", "0.1",
                *weights) == (3, "", "strata-cones: error: gl2 takes one of "
                                     "--weight and --biweight\n")
+
+
+# a delta class reads no stratum, so --t beside --weight was accepted and
+# ignored; a stratum that does not exist is refused in the bounds table
+def test_gl2_takes_t_only_with_biweight(capsys):
+    assert run(capsys, "gl2", "--p", "2", "--cycles", "2", "--weight", "1,1",
+               "--t", "0.1") == (3, "", "strata-cones: error: gl2 takes --t "
+                                        "only with --biweight\n")
 
 
 # the hostile-input contract as a property: argument vectors drawn from the

@@ -67,7 +67,8 @@ LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
     (lambda: cone_from_rays([]), "ambient dimension required"),
     (lambda: cone_from_constraints([], []), "ambient dimension required"),
     (lambda: cone_complete(Cone(dim=2)), "neither representation"),
-    (lambda: cone_member(HALF_PLANE, (1, 0, 0)), "vector has length 3"),
+    (lambda: cone_member(HALF_PLANE, (1, 0, 0)),
+     "vector has length 3, expected 2"),
     # a float is refused whichever side of the orthant it would lie on
     (lambda: cone_member(cone_from_rays([(1, 0), (0, 1)]), (0.5, 1)),
      "coordinate 0.5 is not exact"),

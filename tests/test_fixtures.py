@@ -11,16 +11,13 @@ import pathlib
 from oracle import dual_vrep, fm_project, minimal_h, same_cone_from_h
 
 from strata_cones.cone_kernel import cone_complete, cone_from_rays
-from strata_cones.splitting import EmbeddingId, SplittingConfig, Stratum
+from strata_cones.splitting import SplittingConfig
 from strata_cones.weights import cone_D, minimal_cone
+from test_splitting import stratum
 
 CFG_A = SplittingConfig(3, (2,))
 CFG_B = SplittingConfig(2, (3,))
 CFG_C = SplittingConfig(2, (4,))
-
-
-def stratum(config, *pos):
-    return Stratum(config, frozenset(EmbeddingId(c, i) for c, i in pos))
 
 
 def test_oracle_is_independent():

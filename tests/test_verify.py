@@ -1103,3 +1103,10 @@ def test_explore_with_no_primes_is_empty():
 def test_explore_rejects_a_zero_degree_bound():
     with pytest.raises(ValueError, match="degree bound"):
         explore([2, 3], 0)
+
+
+# a bool reached the report's config as 'True', a float raised TypeError
+@pytest.mark.parametrize("d_max", [True, 1.5])
+def test_explore_refuses_a_degree_bound_that_is_not_an_int(d_max):
+    with pytest.raises(ValueError, match=f"must be an integer, got {d_max}"):
+        explore([2], d_max)

@@ -76,15 +76,12 @@ from strata_cones.weights import (
     weight_basis,
     weight_pair,
 )
+from test_splitting import stratum
 
 CFG_A = SplittingConfig(3, (2,))
 CFG_B = SplittingConfig(2, (3,))
 CFG_C = SplittingConfig(2, (4,))
 CFG_D = SplittingConfig(3, (1, 1))
-
-
-def stratum(config, *pos):
-    return Stratum(config, frozenset(EmbeddingId(c, i) for c, i in pos))
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +421,45 @@ def test_delta_class_examples():
         delta_class(CFG_A, (Fraction(1, 2), 0))
 
 
+# every function that takes a weight refuses it as the kernel does: a
+# wrong length, a float and a string, each with the kernel's message
+T_B = stratum(CFG_B, (0, 1))  # its reduced weights have length 2
+WEIGHT_DOORS = {
+    "reduce-iT": (lambda w: reduce_iT(T_B, w), "weight", 3),
+    "lift-jT": (lambda w: lift_jT(T_B, w), "reduced weight", 2),
+    "forced-divisors": (lambda w: forced_divisors(T_B, w), "weight", 3),
+    "in-minimal-cone": (lambda w: in_minimal_cone(T_B, w),
+                        "reduced weight", 2),
+    "delta-class": (lambda w: delta_class(CFG_A, w), "weight", 2),
+}
+WEIGHT_REFUSALS = [
+    (lambda door=door, w=w: door(w), message)
+    for door, subject, n in WEIGHT_DOORS.values()
+    for w, message in (
+        ((1,) * (n + 1), f"{subject} has length {n + 1}, expected {n}"),
+        ((0.5,) + (0,) * (n - 1), "coordinate 0.5 is not exact"),
+        (("1",) + (0,) * (n - 1), "coordinate '1' is not exact"))]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: forced_divisors(stratum(CFG_B, (0, 1)), (1, 0)),
      "weight has length 2"),
     (lambda: delta_class(CFG_A, (1, 0, 0)), "weight has length 3"),
     (lambda: f_recipe(stratum(CFG_B, (0, 1)), EmbeddingId(0, 1)),
      "lies in the stratum"),
-], ids=["forced-divisors", "delta-class", "f-recipe-on-T"])
+    # the minimal cone of p = 2, cycles (3), T = 0.1 is cut out by
+    # (-1, 0), (-1, 4), (1, 4): these once read as inside it
+    (lambda: in_minimal_cone(T_B, ()),
+     "reduced weight has length 0, expected 2"),
+    (lambda: in_minimal_cone(T_B, (-1, 1, -100, -100)),
+     "reduced weight has length 4, expected 2"),
+    # an integral float is refused too: no exact answer is read off a float
+    (lambda: delta_class(CFG_A, (1.0, 0)), "coordinate 1.0 is not exact"),
+    *WEIGHT_REFUSALS,
+], ids=["forced-divisors", "delta-class", "f-recipe-on-T",
+        "in-minimal-cone-empty", "in-minimal-cone-long", "delta-class-1.0",
+        *(f"{name}-{kind}" for name in WEIGHT_DOORS
+          for kind in ("length", "float", "string"))])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
