@@ -2,14 +2,15 @@
 opt-in and outside tier-1: `python3 -m pytest gate`.
 
 `explore --p-list 2,3,5 --d-max 4 --json` runs with this checkout's `src`
-under each CPython 3.10-3.13 that starts, and every run must write the same
-pinned bytes.  So must the replies to each value flag joined to "--", which
-argparse reads as an empty list of values up to 3.12 and as the value "--"
-from 3.13, to a weight with a leading minus sign, to an empty -o path and
-to a composite --p-list entry: the same exit code, stdout and stderr from
-every interpreter.  Each interpreter is looked up as `python3.X` on PATH,
-then as `~/.pyenv/versions/3.X.*/bin/python3.X`; one that is absent or does
-not start is skipped, and a test fails if none starts.
+under each CPython 3.10-3.13 that starts, with one job and with two, and
+every run must write the same pinned bytes.  So must the replies to each
+value flag joined to "--", which argparse reads as an empty list of values
+up to 3.12 and as the value "--" from 3.13, to a weight with a leading
+minus sign, to an empty -o path and to a composite --p-list entry: the
+same exit code, stdout and stderr from every interpreter.  Each interpreter
+is looked up as `python3.X` on PATH, then as
+`~/.pyenv/versions/3.X.*/bin/python3.X`; one that is absent or does not
+start is skipped, and a test fails if none starts.
 """
 
 import glob
@@ -65,15 +66,28 @@ def interpreters() -> dict[str, str]:
     return paths
 
 
-def test_report_bytes_are_the_same_on_every_interpreter():
+def report_digests(argv) -> dict[str, str]:
+    """The sha256 of the report `argv` writes, on each interpreter."""
     digests = {}
     for version, path in interpreters().items():
         run = subprocess.run(
-            [path, *ARGV], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            [path, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, timeout=TIMEOUT_SECONDS)
         # exit code 2: the report holds the failures of criterion 3
         assert run.returncode == 2, (version, path, run.stderr[-2000:])
         digests[version] = hashlib.sha256(run.stdout).hexdigest()
+    return digests
+
+
+def test_report_bytes_are_the_same_on_every_interpreter():
+    digests = report_digests(ARGV)
+    assert digests == dict.fromkeys(digests, REPORT_SHA256)
+
+
+def test_report_bytes_with_two_jobs_are_the_same_on_every_interpreter():
+    # the record tasks are pickled to the workers, and how a class without
+    # `__dict__` pickles has changed between versions
+    digests = report_digests((*ARGV, "--jobs", "2"))
     assert digests == dict.fromkeys(digests, REPORT_SHA256)
 
 

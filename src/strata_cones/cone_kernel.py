@@ -33,8 +33,7 @@ when they are read.  The pass decides adjacency combinatorially from the
 tight sets of its rays.  Its canonical result is memoised (`_dual_canon`,
 the 256 most recently used), keyed on the vector tuples and the dimension.
 Sharing it is safe: it depends only on the cone, equal keys (an `int` and an
-equal `Fraction`) describe the same cone, and it is a frozen dataclass of
-tuples.
+equal `Fraction`) describe the same cone, and it is a NamedTuple of tuples.
 
 Containment is decided from the given sides (`first_escape`): the inner
 cone's generators against the outer cone's constraints, whatever form either
@@ -48,12 +47,11 @@ left; it works in integers over one scale.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[int, ...]
 Rational = int | Fraction
@@ -111,16 +109,14 @@ def _reduce_mod(vec, basis: Sequence[Vec]):
     return v, steps
 
 
-@dataclass(frozen=True)
-class GeneratorRep:
+class GeneratorRep(NamedTuple):
     """Rays and lineality lines generating a cone."""
 
     rays: tuple[Vec, ...]
     lines: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class ConstraintRep:
+class ConstraintRep(NamedTuple):
     """Inequalities (form >= 0) and equations (form = 0) cutting out a cone."""
 
     ineqs: tuple[Vec, ...]
@@ -192,8 +188,7 @@ class Cone:
         return f"Cone(dim={self.dim!r}, gen={self.gen!r}, con={self.con!r})"
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """Re-checkable answer to a membership query.
 
     Inside: `ray_coeffs` / `line_coeffs` map generator indices to rational

@@ -11,8 +11,7 @@ read off n, the admissible set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class EmbeddingId(NamedTuple):
@@ -58,30 +57,66 @@ def _memoised(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class SplittingConfig:
+class _Frozen:
+    """Base of the hand-written frozen records: `SplittingConfig`, `Stratum`
+    and `weights.FormalMonomial`.
+
+    A record lists its fields in `_fields`, sets them in its constructor
+    through `object.__setattr__`, and writes `__eq__` and `__hash__` on the
+    tuple of its fields.  Assignment is refused, so hashes stay stable; the
+    repr shows the fields alone; and pickling rebuilds the record from its
+    fields, so a memo stays behind.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class SplittingConfig(_Frozen):
     """A prime p and the cycle lengths of the primes above it; data derived
     from them alone is kept in `_memo`, as on a `Stratum`."""
 
-    p: int
-    cycle_lengths: tuple[int, ...]
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    __slots__ = ("p", "cycle_lengths", "_memo")
+    _fields = ("p", "cycle_lengths")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, cycle_lengths: Iterable[int]) -> None:
         # exactly int: a float or a bool would reach the report as text
-        if type(self.p) is not int:
-            raise ValueError(f"p must be an integer, got {self.p!r}")
-        if not _is_prime(self.p):
+        if type(p) is not int:
+            raise ValueError(f"p must be an integer, got {p!r}")
+        if not _is_prime(p):
             raise ValueError("p must be prime")
-        lengths = tuple(self.cycle_lengths)
+        lengths = tuple(cycle_lengths)
         if not lengths:
             raise ValueError("at least one cycle is required")
         if any(type(f) is not int for f in lengths):
             raise ValueError(f"cycle lengths must be integers, got {lengths}")
         if any(f < 1 for f in lengths):
             raise ValueError("cycle lengths must be positive")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "cycle_lengths", lengths)
+        object.__setattr__(self, "_memo", {})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.cycle_lengths) == (other.p, other.cycle_lengths)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.cycle_lengths))
 
     @property
     def degree(self) -> int:
@@ -124,8 +159,7 @@ def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
     return EmbeddingId(emb[0], (emb[1] + steps) % f)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Frozen):
     """A subset T of the embeddings of a fixed configuration.
 
     Data derived from T alone, the sorted complement included, is computed
@@ -133,18 +167,29 @@ class Stratum:
     the memo takes no part in equality, hashing or the repr.
     """
 
-    config: SplittingConfig
-    members: frozenset[EmbeddingId]
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    __slots__ = ("config", "members", "_memo")
+    _fields = ("config", "members")
 
-    def __post_init__(self) -> None:
-        for emb in self.members:
+    def __init__(self, config: SplittingConfig,
+                 members: Iterable[EmbeddingId]) -> None:
+        # frozen before the checks walk it: a generator is read once
+        members = frozenset(members)
+        for emb in members:
             if not isinstance(emb, EmbeddingId):
                 raise ValueError(f"stratum member {emb!r} is not an "
                                  "EmbeddingId")
-            self.config._check(emb)
-        object.__setattr__(self, "members", frozenset(self.members))
+            config._check(emb)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_memo", {})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.config, self.members) == (other.config, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.config, self.members))
 
     def __contains__(self, emb: EmbeddingId) -> bool:
         return emb in self.members
@@ -218,8 +263,7 @@ def tilde_closure(stratum: Stratum) -> Stratum:
         beta for beta, m in mu.items() if beta not in stratum and m % 2 == 0})
 
 
-@dataclass(frozen=True)
-class PlacesS:
+class PlacesS(NamedTuple):
     """The ramification set S(T): embeddings from the tilde closure plus the
     primes whose cycle is entirely in T and has odd length."""
 
@@ -245,8 +289,7 @@ def places_and_iw(stratum: Stratum) -> tuple[PlacesS, frozenset[int]]:
     return s, frozenset(iw)
 
 
-@dataclass(frozen=True)
-class StratumTables:
+class StratumTables(NamedTuple):
     """Index tables of a stratum.
 
     mu[beta]: smallest i > 0 with shift^i(beta) outside T (0 on full cycles).

@@ -21,8 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cone_kernel import (
     Cone,
@@ -81,8 +80,7 @@ FAIL = "fail"
 INFO = "info"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check on one stratum."""
 
     name: str
@@ -90,8 +88,7 @@ class CheckResult:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """A sweep's report: its JSON text as the command writes it, with the
     open question and summary the text ends with.  `strata` and `to_dict`
     decode the text on each access."""

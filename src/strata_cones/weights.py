@@ -21,9 +21,8 @@ The central objects, for a stratum T:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cone_kernel import (
     Cone,
@@ -40,6 +39,7 @@ from .splitting import (
     EmbeddingId,
     SplittingConfig,
     Stratum,
+    _Frozen,
     _memoised,
     admissible_set,
     frobenius_shift,
@@ -409,23 +409,25 @@ def forced_divisors(stratum: Stratum,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FormalMonomial:
+class FormalMonomial(_Frozen):
     """A product of named foundational sections on a base stratum.
 
     Factors are (kind, embedding, exponent) with kind 'h' or 'b'; negative
     exponents are only allowed on b factors, which are nowhere vanishing.
     """
 
-    base: Stratum
-    factors: tuple[tuple[str, EmbeddingId, int], ...]
+    __slots__ = ("base", "factors")
+    _fields = ("base", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: Stratum,
+                 factors: Iterable[tuple[str, EmbeddingId, int]]) -> None:
+        # a tuple before the checks walk it: a generator is read once
+        factors = tuple(factors)
         seen = set()
-        for kind, emb, exp in self.factors:
+        for kind, emb, exp in factors:
             if kind not in ("h", "b"):
                 raise ValueError(f"unknown factor kind {kind!r}")
-            self.base.config._check(emb)
+            base.config._check(emb)
             if exp == 0:
                 raise ValueError(f"zero exponent on {kind} at {emb}")
             if exp < 0 and kind != "b":
@@ -435,6 +437,16 @@ class FormalMonomial:
             if (kind, emb) in seen:
                 raise ValueError(f"repeated factor {kind} at {emb}")
             seen.add((kind, emb))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.factors) == (other.base, other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.factors))
 
 
 def monomial_weight(monomial: FormalMonomial) -> Vec:
@@ -526,8 +538,7 @@ def f_recipe(stratum: Stratum,
     return monomial, tag
 
 
-@dataclass(frozen=True)
-class DeltaClass:
+class DeltaClass(NamedTuple):
     """Per-cycle residues of a weight modulo p^f - 1, the discrete invariant
     that kills exactly the lattice spanned by the Hasse weights."""
 
@@ -558,8 +569,7 @@ def delta_class(config: SplittingConfig,
     return DeltaClass(residues=tuple(residues), moduli=tuple(moduli))
 
 
-@dataclass(frozen=True)
-class BiWeight:
+class BiWeight(NamedTuple):
     """A pair of weights over one configuration: the exponent of the
     discrete-invariant line bundle and the exponent of the modular one."""
 

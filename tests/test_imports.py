@@ -87,14 +87,13 @@ MODULE_LEVEL_IMPORTS = {
     "__init__": {"strata_cones.cone_kernel", "strata_cones.verify"},
     "cli": {"__future__", "argparse", "functools", "os", "sys", "typing",
             ".cone_kernel", ".splitting", ".verify", ".weights"},
-    "cone_kernel": {"__future__", "functools", "dataclasses", "fractions",
-                    "itertools", "math", "operator", "typing"},
-    "splitting": {"__future__", "functools", "dataclasses", "typing"},
-    "verify": {"__future__", "contextlib", "functools", "json",
-               "dataclasses", "typing", ".cone_kernel", ".splitting",
-               ".weights"},
-    "weights": {"__future__", "dataclasses", "fractions", "typing",
-                ".cone_kernel", ".splitting"},
+    "cone_kernel": {"__future__", "functools", "fractions", "itertools",
+                    "math", "operator", "typing"},
+    "splitting": {"__future__", "functools", "typing"},
+    "verify": {"__future__", "contextlib", "functools", "json", "typing",
+               ".cone_kernel", ".splitting", ".weights"},
+    "weights": {"__future__", "fractions", "typing", ".cone_kernel",
+                ".splitting"},
 }
 
 
@@ -138,3 +137,21 @@ def test_the_command_line_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n[]\n"
+
+
+def test_the_command_line_loads_no_introspection_machinery():
+    # every launch of the command pays for what it imports; `dataclasses`
+    # would bring `inspect`, `ast`, `dis` and `tokenize` with it
+    script = (
+        "import sys\n"
+        "import strata_cones.cli as cli\n"
+        "code = cli.main(['describe', '--p', '2', '--cycles', '3', '--t',\n"
+        "                 '0.1', '--json'])\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+        "print(code, [name for name in heavy if name in sys.modules],\n"
+        "      file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert '"t": "0.1"' in done.stdout
+    assert done.stderr == "0 []\n"

@@ -1,6 +1,7 @@
 """Combinatorics of strata: index tables, closures, signs, admissible sets."""
 
 import inspect
+import pickle
 import re
 
 import pytest
@@ -122,6 +123,16 @@ def test_frobenius_shift_validates_by_arithmetic_alone():
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             frobenius_shift(config, emb, 1)
     assert config._memo == {}
+
+
+def test_a_stratum_reads_its_members_once():
+    # the members are frozen before the checks walk them, so a generator
+    # gives the stratum it lists, not the empty one
+    t = Stratum(CFG_B, (EmbeddingId(0, i) for i in (0, 1)))
+    assert t.key() == "0.0,0.1"
+    assert t == stratum(CFG_B, (0, 0), (0, 1))
+    with pytest.raises(ValueError, match="^position 3 out of range"):
+        Stratum(CFG_B, (EmbeddingId(0, i) for i in (0, 3)))
 
 
 def test_stratum_text_round_trip():
@@ -476,3 +487,50 @@ def test_memo_is_invisible_to_equality_and_hashing(t):
     assert config == bare and hash(config) == hash(bare)
     assert repr(config) == repr(bare)
     assert {config: "found"}[bare] == "found"
+    # and a monomial reads its base's fields, not its memo
+    factors = (("h", EmbeddingId(0, 0), 1),)
+    monomial = weights.FormalMonomial(filled, factors)
+    twin = weights.FormalMonomial(empty, factors)
+    assert monomial == twin and hash(monomial) == hash(twin)
+    assert repr(monomial) == repr(twin) == (
+        f"FormalMonomial(base={empty!r}, factors={factors!r})")
+
+
+def test_records_refuse_assignment():
+    # assignment and deletion are refused, so a hash read once stays valid
+    config = SplittingConfig(2, (3,))
+    t = stratum(config, (0, 1))
+    monomial = weights.FormalMonomial(t, (("h", EmbeddingId(0, 0), 1),))
+    hashes = list(map(hash, (config, t, monomial)))
+    for record, name, value in [
+            (config, "p", 3), (config, "cycle_lengths", (1,)),
+            (config, "_memo", {}), (t, "config", CFG_A),
+            (t, "members", frozenset()), (t, "_memo", {}),
+            (monomial, "base", stratum(config)), (monomial, "factors", ()),
+            (monomial, "other", 1)]:
+        with pytest.raises(AttributeError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert list(map(hash, (config, t, monomial))) == hashes
+    assert t.members == {EmbeddingId(0, 1)} and config.p == 2
+
+
+def test_a_pickled_record_leaves_its_memo_behind():
+    # `--jobs 2` sends configurations to the workers: a record is rebuilt
+    # from its fields, so the memo does not travel with it
+    t = stratum(SplittingConfig(3, (2, 1)), (0, 1), (1, 0))
+    index_tables(t)
+    t.config.flat_index(EmbeddingId(1, 0))
+    monomial = weights.FormalMonomial(t, (("h", EmbeddingId(0, 0), 1),))
+    assert t._memo and t.config._memo
+    for record in (t.config, t, monomial):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        assert repr(copy) == repr(record)
+    config, copy = pickle.loads(pickle.dumps((t.config, t)))
+    assert config._memo == {} and copy._memo == {}
+    assert copy.config is config
+    assert pickle.loads(pickle.dumps(monomial)).base._memo == {}

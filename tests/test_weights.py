@@ -381,6 +381,19 @@ def test_formal_monomial_validation():
     FormalMonomial(base, (("b", EmbeddingId(0, 0), -3),))
 
 
+def test_a_monomial_reads_its_factors_once():
+    # the factors are stored as a tuple before the checks walk them, so a
+    # generator gives the monomial it lists
+    base = stratum(CFG_B, (0, 1))
+    factors = (("b", EmbeddingId(0, 1), -2), ("h", EmbeddingId(0, 2), 1))
+    monomial = FormalMonomial(base, (factor for factor in factors))
+    assert monomial.factors == factors
+    assert monomial_weight(monomial) == monomial_weight(
+        FormalMonomial(base, factors))
+    with pytest.raises(ValueError, match="repeated factor"):
+        FormalMonomial(base, (factor for factor in factors + factors))
+
+
 def test_f_recipe_examples():
     t = stratum(CFG_B, (0, 1))
     m, tag = f_recipe(t, EmbeddingId(0, 2))
