@@ -11,8 +11,6 @@ failed, 3 usage error.
 Mathematical integers in JSON output are decimal strings.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os
@@ -25,6 +23,7 @@ from .verify import (
     FAIL,
     SCHEMA_VERSION,
     _certificate,
+    _check_jobs,
     _check_sweep,
     _dumps,
     _explore_sweep,
@@ -47,8 +46,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 3
 
-# every worker process is started up front, so the count is bounded
-JOBS_MAX = 64
 # primality is decided by trial division, and a configuration has 2^degree
 # strata, so both are bounded before any configuration is built
 P_MAX = 10**6
@@ -102,13 +99,6 @@ def _weight_from(text: str | None, config: SplittingConfig, what: str,
     weight = tuple(_parse_int_list(text, what))
     _check_vectors((weight,), config.degree, what)
     return weight
-
-
-def _jobs_from(args) -> int:
-    if not 1 <= args.jobs <= JOBS_MAX:
-        raise ValueError(
-            f"--jobs must be between 1 and {JOBS_MAX}, got {args.jobs}")
-    return args.jobs
 
 
 def _fail(error, code: int) -> int:
@@ -209,9 +199,9 @@ def _describe_lines(dossier: dict) -> list[str]:
 def _cmd_check(args):
     config = _config_from(args)
     strata = None if args.t is None else [_stratum_from(args, config)]
-    jobs = _jobs_from(args)
+    _check_jobs(args.jobs, "--jobs")
     return lambda write: _sweep_reply(write, args,
-                                      _check_sweep(config, strata), jobs,
+                                      _check_sweep(config, strata), args.jobs,
                                       _check_lines)
 
 
@@ -233,8 +223,8 @@ def _cmd_explore(args):
         raise ValueError("--d-max must be at least 1")
     _at_most("--d-max", args.d_max, DEGREE_MAX)
     sweep = _explore_sweep(p_list, args.d_max)  # refuses a composite entry
-    jobs = _jobs_from(args)
-    return lambda write: _sweep_reply(write, args, sweep, jobs,
+    _check_jobs(args.jobs, "--jobs")
+    return lambda write: _sweep_reply(write, args, sweep, args.jobs,
                                       _explore_lines)
 
 

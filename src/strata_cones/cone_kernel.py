@@ -44,8 +44,6 @@ holds the point, as far as the constraints held allow, until nothing is
 left; it works in integers over one scale.
 """
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 from itertools import chain
@@ -129,12 +127,11 @@ def _key(vecs) -> tuple[Vec, ...]:
 
 
 class Cone:
-    """A rational polyhedral cone, given by generators, constraints or both.
+    """A rational polyhedral cone, given by generators or by constraints.
 
-    A cone given one side keeps it, and computes each canonical side (`gen`,
-    `con`) by one double description pass the first time it is read.  A cone
-    given both takes them as its canonical sides.  Equality and hashing read
-    the canonical sides.
+    A cone keeps the side it was given, and computes each canonical side
+    (`gen`, `con`) by one double description pass the first time it is
+    read.  Equality and hashing read the canonical sides.
     """
 
     __slots__ = ("dim", "_given_gen", "_given_con", "_gen", "_con")
@@ -143,10 +140,11 @@ class Cone:
                  con: ConstraintRep | None = None):
         if gen is None and con is None:
             raise ValueError("cone has neither representation")
+        if gen is not None and con is not None:
+            raise ValueError("cone takes one representation, not both")
         self.dim = dim
         self._given_gen, self._given_con = gen, con
-        both = gen is not None and con is not None
-        self._gen, self._con = (gen, con) if both else (None, None)
+        self._gen = self._con = None
 
     @property
     def gen(self) -> GeneratorRep:

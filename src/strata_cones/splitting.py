@@ -8,8 +8,6 @@ sign function; then the ramification set S(T), the Iwahori primes Iw(T) and,
 read off n, the admissible set.
 """
 
-from __future__ import annotations
-
 import functools
 from typing import Iterable, Mapping, NamedTuple
 
@@ -61,15 +59,19 @@ class _Frozen:
     """Base of the hand-written frozen records: `SplittingConfig`, `Stratum`
     and `weights.FormalMonomial`.
 
-    A record lists its fields in `_fields`, sets them in its constructor
-    through `object.__setattr__`, and writes `__eq__` and `__hash__` on the
-    tuple of its fields.  Assignment is refused, so hashes stay stable; the
-    repr shows the fields alone; and pickling rebuilds the record from its
-    fields, so a memo stays behind.
+    A record lists its fields in `_fields` and sets them in its constructor
+    through `object.__setattr__`.  The base owns the rest, all read off the
+    tuple of the fields (`_values`): equality, with records of the same class
+    only; hashing; the repr; and pickling, which rebuilds the record from its
+    fields, so a memo stays behind.  Assignment is refused, so hashes stay
+    stable.
     """
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,13 +79,20 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._values()
 
 
 class SplittingConfig(_Frozen):
@@ -109,14 +118,6 @@ class SplittingConfig(_Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "cycle_lengths", lengths)
         object.__setattr__(self, "_memo", {})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.cycle_lengths) == (other.p, other.cycle_lengths)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.cycle_lengths))
 
     @property
     def degree(self) -> int:
@@ -154,7 +155,10 @@ class SplittingConfig(_Frozen):
 
 def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
                     steps: int = 1) -> EmbeddingId:
-    """Apply the Frobenius shift `steps` times (negative steps go backward)."""
+    """Apply the Frobenius shift `steps` times (negative steps go backward);
+    `steps` is exactly an `int`, as a position is."""
+    if type(steps) is not int:
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     f = config._check(emb)
     return EmbeddingId(emb[0], (emb[1] + steps) % f)
 
@@ -182,14 +186,6 @@ class Stratum(_Frozen):
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_memo", {})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.config, self.members) == (other.config, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.config, self.members))
 
     def __contains__(self, emb: EmbeddingId) -> bool:
         return emb in self.members

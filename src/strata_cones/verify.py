@@ -16,8 +16,6 @@ results merged positionally, so the output is byte-identical no matter how
 many worker processes are used.
 """
 
-from __future__ import annotations
-
 import contextlib
 import functools
 import json
@@ -74,6 +72,9 @@ from .weights import (
 SCHEMA_VERSION = 1
 _encode_str = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+
+# every worker process is started up front, so the count is bounded
+JOBS_MAX = 64
 
 PASS = "pass"
 FAIL = "fail"
@@ -773,6 +774,7 @@ class _Tally:
 def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     """Run the record tasks and keep the report text they make under
     `config`."""
+    _check_jobs(jobs)
     pieces = []
     tail = _write_report(pieces.append, config, tasks, jobs, _json_layout)
     return Report("".join(pieces), **tail)
@@ -864,6 +866,15 @@ def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
     fragment = "    " + _dumps(record, "\n    ")
     return ({k: record[k] for k in ("p", "cycles", "t")},
             tuple((c["name"], c["status"]) for c in checks), differ, fragment)
+
+
+def _check_jobs(jobs: int, subject: str = "jobs") -> None:
+    """Refuse a worker count that is not exactly an `int` from 1 to
+    `JOBS_MAX`, before any task starts; the command line refuses its
+    `--jobs` here too."""
+    if type(jobs) is not int or not 1 <= jobs <= JOBS_MAX:
+        raise ValueError(
+            f"{subject} must be between 1 and {JOBS_MAX}, got {jobs!r}")
 
 
 def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:

@@ -19,8 +19,6 @@ The central objects, for a stratum T:
   product-cone generators.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -439,14 +437,6 @@ class FormalMonomial(_Frozen):
             seen.add((kind, emb))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.factors) == (other.base, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.factors))
 
 
 def monomial_weight(monomial: FormalMonomial) -> Vec:

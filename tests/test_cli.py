@@ -19,12 +19,11 @@ from strata_cones import cli, verify, weights
 from strata_cones.cli import (
     DEGREE_MAX,
     EXIT_CHECK_FAILED,
-    JOBS_MAX,
     P_LIST_MAX,
     P_MAX,
     main,
 )
-from strata_cones.verify import check_report, explore, partitions
+from strata_cones.verify import JOBS_MAX, check_report, explore, partitions
 from strata_cones.splitting import SplittingConfig, stratum_from_text
 
 

@@ -67,6 +67,10 @@ LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
     (lambda: cone_from_rays([]), "ambient dimension required"),
     (lambda: cone_from_constraints([], []), "ambient dimension required"),
     (lambda: cone_complete(Cone(dim=2)), "neither representation"),
+    # two sides given would be trusted as canonical, whatever they hold
+    (lambda: Cone(2, gen=GeneratorRep(((2, 0), (0, 1)), ()),
+                  con=ConstraintRep(((1, 0), (0, 1)), ())),
+     "^cone takes one representation, not both$"),
     (lambda: cone_member(HALF_PLANE, (1, 0, 0)),
      "vector has length 3, expected 2"),
     # a float is refused whichever side of the orthant it would lie on
@@ -96,7 +100,8 @@ LINE_IN_SPACE = cone_from_rays([], [(1, 0, 0)])
     (lambda: first_escape(HALF_PLANE, LINE_IN_SPACE), "different ambient"),
     (lambda: cone_equal(LINE_IN_SPACE, HALF_PLANE), "different ambient"),
 ], ids=["ray", "line", "inequality", "equation", "rays-without-dim",
-        "constraints-without-dim", "no-representation", "member",
+        "constraints-without-dim", "no-representation",
+        "both-representations", "member",
         "member-float-inside", "member-float-outside", "member-string",
         "rays-float", "rays-string", "constraints-float",
         "constraints-string", "image-float", "image-string",

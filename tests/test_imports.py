@@ -85,15 +85,14 @@ def test_every_export_has_a_user():
 # pays for all of it, so a new module-level import is a reviewed edit here
 MODULE_LEVEL_IMPORTS = {
     "__init__": {"strata_cones.cone_kernel", "strata_cones.verify"},
-    "cli": {"__future__", "argparse", "functools", "os", "sys", "typing",
+    "cli": {"argparse", "functools", "os", "sys", "typing",
             ".cone_kernel", ".splitting", ".verify", ".weights"},
-    "cone_kernel": {"__future__", "functools", "fractions", "itertools",
-                    "math", "operator", "typing"},
-    "splitting": {"__future__", "functools", "typing"},
-    "verify": {"__future__", "contextlib", "functools", "json", "typing",
+    "cone_kernel": {"functools", "fractions", "itertools", "math",
+                    "operator", "typing"},
+    "splitting": {"functools", "typing"},
+    "verify": {"contextlib", "functools", "json", "typing",
                ".cone_kernel", ".splitting", ".weights"},
-    "weights": {"__future__", "fractions", "typing", ".cone_kernel",
-                ".splitting"},
+    "weights": {"fractions", "typing", ".cone_kernel", ".splitting"},
 }
 
 

@@ -122,6 +122,12 @@ def test_frobenius_shift_validates_by_arithmetic_alone():
             (EmbeddingId(False, 1), "no cycle False in this configuration")]:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             frobenius_shift(config, emb, 1)
+    # a step count is exactly an int too: 1.0 would make the position 1.0
+    for steps in (1.0, True, "1"):
+        with pytest.raises(ValueError,
+                           match=f"^steps must be an integer, got "
+                                 f"{re.escape(repr(steps))}$"):
+            frobenius_shift(config, EmbeddingId(0, 0), steps)
     assert config._memo == {}
 
 
@@ -494,6 +500,14 @@ def test_memo_is_invisible_to_equality_and_hashing(t):
     assert monomial == twin and hash(monomial) == hash(twin)
     assert repr(monomial) == repr(twin) == (
         f"FormalMonomial(base={empty!r}, factors={factors!r})")
+    # a record equals only a record of its own class, never a plain tuple
+    # of its fields, and hashes as that tuple
+    for record in (filled, config, monomial):
+        fields = tuple(getattr(record, name) for name in record._fields)
+        other = type("Other", (type(record),), {"__slots__": ()})(*fields)
+        assert record != other and other != record
+        assert record.__eq__(fields) is NotImplemented and record != fields
+        assert hash(record) == hash(fields)
 
 
 def test_records_refuse_assignment():

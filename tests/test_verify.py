@@ -1105,6 +1105,24 @@ def test_explore_rejects_a_zero_degree_bound():
         explore([2, 3], 0)
 
 
+# 0 and True ran on one process, 2.5 raised TypeError inside the pool, and
+# any larger count would start that many workers up front
+@pytest.mark.parametrize("jobs", [0, 65, 2.5, True])
+def test_a_worker_count_outside_the_bound_is_refused_before_any_work(
+        jobs, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused worker count reached the work")
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        unreachable)
+    monkeypatch.setattr(verify, "stratum_record", unreachable)
+    for build in (lambda: check_report(CFG_A, jobs=jobs),
+                  lambda: explore([2, 3], 2, jobs=jobs)):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == (
+            f"jobs must be between 1 and {verify.JOBS_MAX}, got {jobs!r}")
+
+
 # a bool reached the report's config as 'True', a float raised TypeError
 @pytest.mark.parametrize("d_max", [True, 1.5])
 def test_explore_refuses_a_degree_bound_that_is_not_an_int(d_max):
