@@ -20,7 +20,15 @@ multi-cycle stratum against its direct check, sound and under a
 cycle-local fault (`tests/test_verify.py`), on all 2748 multi-cycle strata.
 On every stratum, the weight cone and the Hasse-type cone that
 `cone_member` is asked about have linearly independent canonical rays and
-lines, so each membership certificate is unique.
+lines, so each membership certificate is unique.  The report decides each
+check once per Frobenius orbit: the classes of `splitting.orbit_key` are
+the 888 orbits of degree up to 6, and every record's checks equal the
+direct checks, witnesses included, for p in {2, 3, 5} and for p = 7.
+
+Degree 8 runs through the command line with two workers (25782 strata,
+about 25 s): the report's sha256, summary, failing check and unequal
+count are pinned, the 258 MB report is read one stratum record at a time,
+and its largest process is held to the same 50 MB bound.
 
 A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
@@ -30,6 +38,7 @@ single embedding.
 """
 
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -43,7 +52,11 @@ import pytest
 from oracle import dot
 from strata_cones.verify import explore
 from test_acceptance import dichotomy_message, dichotomy_rows
-from test_symmetry import equivariance_counts
+from test_symmetry import (
+    equivariance_counts,
+    key_classes,
+    orbit_path_against_direct,
+)
 from test_verify import (
     ROUTED_CHECKS,
     dependent_membership_cones,
@@ -91,6 +104,16 @@ P7_SUMMARY = {"strata": 1042, "checks": 14588, "pass": 12021, "fail": 294,
               "info": 2273}
 P7_DICHOTOMY_COUNTS = {"closed": 461, "strict": 287, "degenerate": 294}
 P7_UNEQUAL = [{"p": "7", "cycles": ["6"], "t": f"0.{i}"} for i in range(6)]
+# p in {2, 3, 5} up to degree 8 through the command line with two workers,
+# where 84% of the strata take a result from the first stratum of their
+# orbit: 22.6 s against 31.0 s when every stratum ran every check, largest
+# process 26 MB, with Python 3.11 on a 2-core machine; the report is 258 MB
+D8_DEGREE = 8
+D8_REPORT_SHA256 = (
+    "a59ebe726134263c511ad7fe7c0d5cc517413fb5cfa32ed6d7f2383355185519")
+D8_SUMMARY = {"strata": 25782, "checks": 360948, "pass": 299634,
+              "fail": 7194, "info": 54120}
+D8_UNEQUAL = 615
 
 
 @pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
@@ -190,17 +213,12 @@ def test_p7_to_degree_6_is_pinned():
     assert recheck_unequal_witnesses(report, P7_UNEQUAL) == 6
 
 
-@pytest.mark.parametrize("jobs", GATE_JOBS, ids=lambda j: f"jobs{j}")
-@pytest.mark.parametrize("layout, sha256", [
-    (("--json",), GATE_REPORT_SHA256), ((), GATE_TEXT_SHA256)],
-    ids=["json", "text"])
-def test_command_line_sweep_bytes_and_memory(layout, sha256, jobs, tmp_path):
-    # the memory of the command and its workers as `wait4` reports it, the
-    # RUSAGE_CHILDREN figure of a parent with this one child
-    target = tmp_path / "report"
-    argv = [sys.executable, "-m", "strata_cones.cli", "explore", "--p-list",
-            ",".join(map(str, GATE_PRIMES)), "--d-max", str(GATE_DEGREE),
-            *layout, "-o", str(target), "--jobs", str(jobs)]
+def run_command(*args) -> tuple[int, float]:
+    """Run the command line with `args` under the time budget; return its
+    exit code and the peak RSS in MB of the command and its workers as
+    `wait4` reports it, the RUSAGE_CHILDREN figure of a parent with this one
+    child."""
+    argv = [sys.executable, "-m", "strata_cones.cli", *args]
     start = time.monotonic()
     # a session of its own, so that the watchdog stops the command as well
     launcher = subprocess.Popen(
@@ -217,12 +235,82 @@ def test_command_line_sweep_bytes_and_memory(layout, sha256, jobs, tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < GATE_BUDGET_SECONDS, f"{elapsed:.1f}s"
     returncode, peak_kb = map(int, out.split())
+    return returncode, peak_kb / 1024
+
+
+@pytest.mark.parametrize("jobs", GATE_JOBS, ids=lambda j: f"jobs{j}")
+@pytest.mark.parametrize("layout, sha256", [
+    (("--json",), GATE_REPORT_SHA256), ((), GATE_TEXT_SHA256)],
+    ids=["json", "text"])
+def test_command_line_sweep_bytes_and_memory(layout, sha256, jobs, tmp_path):
+    target = tmp_path / "report"
+    returncode, peak_mb = run_command(
+        "explore", "--p-list", ",".join(map(str, GATE_PRIMES)), "--d-max",
+        str(GATE_DEGREE), *layout, "-o", str(target), "--jobs", str(jobs))
     # exit code 2: the report holds the failures of criterion 3
     assert returncode == 2
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == sha256
-    peak_mb = peak_kb / 1024
     assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
+
+
+def read_streamed(path, visit) -> tuple[str, dict]:
+    """Pass each stratum record of the JSON report at `path` to `visit`,
+    decoded one at a time: the layout writes a record from a line "    {"
+    to a line "    }", with a comma after all but the last.  Return the
+    sha256 of the file and the report's tail, its open question and
+    summary."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as report:
+        lines = iter(report)
+        for line in lines:
+            digest.update(line)
+            if line == b'  "strata": [\n':
+                break
+        record = []
+        for line in lines:
+            digest.update(line)
+            if line == b"  ],\n":
+                break
+            record.append(line)
+            if line in (b"    }\n", b"    },\n"):
+                visit(json.loads(b"".join(record).rstrip(b",\n")))
+                record = []
+        rest = b"".join(lines)
+    digest.update(rest)
+    assert record == []
+    return digest.hexdigest(), json.loads(b"{" + rest)
+
+
+def test_degree_8_report_is_pinned_through_the_command_line(tmp_path):
+    target = tmp_path / "report"
+    try:
+        returncode, peak_mb = run_command(
+            "explore", "--p-list", ",".join(map(str, GATE_PRIMES)),
+            "--d-max", str(D8_DEGREE), "--json", "-o", str(target),
+            "--jobs", "2")
+        assert returncode == 2
+        assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
+        counts = {"pass": 0, "fail": 0, "info": 0}
+        seen = {"strata": 0, "unequal": 0, "failing": set()}
+
+        def visit(record):
+            seen["strata"] += 1
+            for check in record["checks"]:
+                counts[check["status"]] += 1
+                if check["status"] == "fail":
+                    seen["failing"].add(check["name"])
+            seen["unequal"] += not record["checks"][-1]["witness"]["equal"]
+
+        digest, tail = read_streamed(target, visit)
+    finally:
+        # 258 MB: not left behind for the kept temporary directories
+        target.unlink(missing_ok=True)
+    assert digest == D8_REPORT_SHA256
+    assert tail["summary"] == D8_SUMMARY == {
+        "strata": seen["strata"], "checks": sum(counts.values()), **counts}
+    assert seen["failing"] == {"admissible_dichotomy"}
+    assert tail["open_question"]["unequal"] == seen["unequal"] == D8_UNEQUAL
 
 
 def test_membership_certificates_are_unique_to_degree_6():
@@ -236,6 +324,18 @@ def test_every_construction_moves_with_the_frobenius_rotation():
     # 3126 strata of p in {2, 3, 5} and degree at most 6, 13542 (stratum,
     # move) pairs, 888 orbits
     assert equivariance_counts(GATE_PRIMES, GATE_DEGREE) == (13542, 888)
+
+
+def test_orbit_key_classes_are_the_symmetry_orbits_to_degree_6():
+    assert key_classes(GATE_PRIMES, GATE_DEGREE) == (888, [])
+
+
+@pytest.mark.parametrize("primes, counts", [
+    (GATE_PRIMES, (3126, 888)), ([7], (1042, 296))], ids=["p235", "p7"])
+def test_the_orbit_path_gives_the_direct_checks_to_degree_6(monkeypatch,
+                                                            primes, counts):
+    assert orbit_path_against_direct(primes, GATE_DEGREE, monkeypatch) == (
+        *counts, [])
 
 
 @pytest.mark.parametrize("faulty", [False, True],

@@ -5,7 +5,8 @@ Frobenius shift acts on each cycle by rotation.  A stratum is a subset T of
 the embeddings.  This module computes the derived combinatorial data: the
 index tables mu / n / nu, and from mu the even-parity tilde closure and the
 sign function; then the ramification set S(T), the Iwahori primes Iw(T) and,
-read off n, the admissible set.
+read off n, the admissible set; and the key of T's orbit under the rotations
+of each cycle and the swaps of cycles of equal length (`orbit_key`).
 """
 
 import functools
@@ -205,6 +206,22 @@ class Stratum(_Frozen):
         """The embeddings outside T in (cycle, pos) order: the order of the
         reduced coordinates on the complement of T."""
         return tuple(e for e in self.config.embeddings() if e not in self)
+
+
+def orbit_key(stratum: Stratum) -> tuple:
+    """The same key for two strata of a configuration iff one is the other
+    rotated on some cycles and with cycles of equal length swapped.
+
+    Each cycle gives its length and the least of the rotations of its
+    membership mask (bit i for position i), and the pairs are sorted, so
+    cycles of equal length compare as a multiset."""
+    lengths = stratum.config.cycle_lengths
+    masks = [0] * len(lengths)
+    for c, i in stratum.members:
+        masks[c] |= 1 << i
+    return tuple(sorted(
+        (f, min((m >> k | m << f - k) & ((1 << f) - 1) for k in range(f)))
+        for f, m in zip(lengths, masks)))
 
 
 def _component(piece: str) -> EmbeddingId:

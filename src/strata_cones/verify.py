@@ -7,6 +7,11 @@ together with a violated constraint of the cone it was claimed to lie in,
 or a full membership certificate for a vector claimed to lie outside.
 Checks that compare objects block-diagonal over the cycles are decided on
 a multi-cycle stratum from its cycles' single-cycle strata (`_by_cycles`).
+A record decides its checks once per Frobenius orbit (`_orbit_checks`): a
+result that is not a fail and whose witness names nothing of its stratum
+moves from the orbit's first stratum to the rest of the orbit, and every
+other result is the check's own on each stratum.  `check_stratum` stays the
+direct path.
 
 The explorer sweeps all cycle partitions of all degrees up to a bound for a
 list of primes, runs every check on every stratum, and writes a
@@ -41,6 +46,7 @@ from .splitting import (
     admissible_set,
     frobenius_shift,
     index_tables,
+    orbit_key,
     places_and_iw,
     sign_epsilon,
     stratum_from_text,
@@ -724,10 +730,47 @@ def stratum_dossier(stratum: Stratum) -> dict:
     return record
 
 
+# the witnesses that name nothing of their stratum
+_STRATUM_FREE = (None, {"reason": "single cycle"},
+                 {"reason": "no admissible embeddings"},
+                 {"reason": "tilde closure differs from T"}, {"equal": True})
+
+
+def _moves_along_orbit(result: CheckResult) -> bool:
+    """Does the result hold, witness and all, on every stratum of its
+    Frobenius orbit?  Yes when it is not a fail and its witness names
+    nothing of its stratum; `tests/test_symmetry.py` pins that such results
+    are equal across every move."""
+    return result.status != FAIL and result.witness in _STRATUM_FREE
+
+
+def _orbit_checks(t: Stratum) -> list[CheckResult]:
+    """`check_stratum(t) + [check_min_question(t)]`, decided once per
+    Frobenius orbit.
+
+    Rotating a cycle and swapping two cycles of equal length commute with
+    the shift, so every status is constant on an orbit (`orbit_key`).  The
+    first stratum of an orbit runs every check, and its configuration keeps
+    each result that moves along the orbit (`_moves_along_orbit`).  A later
+    stratum takes those and runs every other check itself, so each fail,
+    each witness that names a vector or an embedding, and the dichotomy's
+    `strict_via` pass are the direct check's."""
+    memo = t.config._memo
+    key = ("verify._orbit_checks", orbit_key(t))
+    kept = memo.get(key)
+    if kept is None:
+        results = check_stratum(t) + [check_min_question(t)]
+        memo[key] = [r if _moves_along_orbit(r) else None for r in results]
+        return results
+    return [r or check(t)
+            for r, check in zip(kept, _CHECKS + (check_min_question,))]
+
+
 def stratum_record(stratum: Stratum) -> dict:
-    """A stratum dossier extended with all check results."""
+    """A stratum dossier extended with all check results, each decided once
+    per Frobenius orbit (`_orbit_checks`)."""
     record = stratum_dossier(stratum)
-    results = check_stratum(stratum) + [check_min_question(stratum)]
+    results = _orbit_checks(stratum)
     record["checks"] = [
         {"name": r.name, "status": r.status}
         | ({"witness": r.witness} if r.witness is not None else {})

@@ -11,19 +11,43 @@ or wrap-around fault in the library cannot cancel out of the comparison.
 A permuted cone is brought back to canonical form with the oracle's
 `canon_gen` on each side (sorted primitive rays, canonical basis of the
 lines) before it is compared.
+
+The report decides each check once per orbit (`verify._orbit_checks`), so
+two more properties are pinned here: every result that moves along an
+orbit (`verify._moves_along_orbit`) is equal, witness and all, across each
+move, and the classes of `splitting.orbit_key` are exactly the orbits.  The
+report path is compared with the direct checks on every stratum, sound and
+under planted faults.
 """
 
+import collections
+
+import pytest
 from oracle import canon_gen
 
+from strata_cones import verify
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
     admissible_set,
     index_tables,
+    orbit_key,
     sign_epsilon,
+    stratum_from_text,
     tilde_closure,
 )
-from strata_cones.verify import _every_stratum, check_stratum, partitions
+from strata_cones.verify import (
+    FAIL,
+    PASS,
+    CheckResult,
+    _config_tasks,
+    _every_stratum,
+    _moves_along_orbit,
+    check_min_question,
+    check_stratum,
+    partitions,
+    stratum_record,
+)
 from strata_cones.weights import cone_D, explicit_constraints, minimal_cone
 
 PRIMES = (2, 3)
@@ -107,8 +131,8 @@ def configurations(primes, degree):
                 yield SplittingConfig(p, lengths)
 
 
-def orbit_count(edges, nodes) -> int:
-    """The number of connected components of the graph."""
+def orbit_components(edges, nodes) -> list[set]:
+    """The connected components of the graph."""
     root = {x: x for x in nodes}
 
     def find(x):
@@ -118,27 +142,42 @@ def orbit_count(edges, nodes) -> int:
 
     for a, b in edges:
         root[find(a)] = find(b)
-    return len({find(x) for x in nodes})
+    components = collections.defaultdict(set)
+    for x in nodes:
+        components[find(x)].add(x)
+    return list(components.values())
+
+
+def image(g, members) -> frozenset:
+    return frozenset(g[e] for e in members)
+
+
+def all_results(t) -> list:
+    """Every result of a record, computed directly."""
+    return check_stratum(t) + [check_min_question(t)]
 
 
 def equivariance_counts(primes, degree) -> tuple[int, int]:
     """Compare every stratum of every configuration up to `degree` with its
-    image under each move; return the number of (stratum, move) pairs and
-    of orbits."""
+    image under each move: every construction, every status, and every
+    result that moves along its orbit, witness and all.  Return the number
+    of (stratum, move) pairs and of orbits."""
     pairs = orbits = 0
     for config in configurations(primes, degree):
         strata = {t.members: t for t in _every_stratum(config)}
-        status = {members: [r.status for r in check_stratum(t)]
-                  for members, t in strata.items()}
+        results = {members: all_results(t) for members, t in strata.items()}
         edges = []
         for g in moves(config):
             for members, t in strata.items():
-                image = frozenset(g[e] for e in members)
-                assert_equivariant(t, strata[image], g)
-                assert status[image] == status[members], (t, g)
-                edges.append((members, image))
+                moved = image(g, members)
+                assert_equivariant(t, strata[moved], g)
+                for before, after in zip(results[members], results[moved]):
+                    assert after.status == before.status, (t, g, before)
+                    if _moves_along_orbit(before):
+                        assert after == before, (t, g, before)
+                edges.append((members, moved))
         pairs += len(edges)
-        orbits += orbit_count(edges, strata)
+        orbits += len(orbit_components(edges, strata))
     return pairs, orbits
 
 
@@ -146,3 +185,163 @@ def test_every_construction_moves_with_the_frobenius_rotation():
     # 676 strata of p in {2, 3} and degree at most 5, 2500 (stratum, move)
     # pairs, 260 orbits
     assert equivariance_counts(PRIMES, DEGREE) == (2500, 260)
+
+
+# ---------------------------------------------------------------------------
+# the orbit key and the report path that reads it
+
+
+def orbits(config) -> list[list]:
+    """The strata of `config` in classes under the moves, each class in
+    report order, so that its first stratum is the one the report meets
+    first."""
+    strata = {t.members: t for t in _every_stratum(config)}
+    edges = [(members, image(g, members))
+             for g in moves(config) for members in strata]
+    return [sorted((strata[m] for m in component), key=lambda t: t.key())
+            for component in orbit_components(edges, strata)]
+
+
+def key_classes(primes, degree, key=orbit_key) -> tuple[int, list]:
+    """The number of orbits up to `degree`, and the configurations where
+    the classes of `key` are not exactly the orbits."""
+    count, wrong = 0, []
+    for config in configurations(primes, degree):
+        expected = orbits(config)
+        classes = collections.defaultdict(set)
+        for t in _every_stratum(config):
+            classes[key(t)].add(t.members)
+        if set(map(frozenset, classes.values())) != {
+                frozenset(t.members for t in orbit) for orbit in expected}:
+            wrong.append(config)
+        count += len(expected)
+    return count, wrong
+
+
+def least_rotation(bits: tuple) -> tuple:
+    return min(bits[k:] + bits[:k] for k in range(len(bits)))
+
+
+def cycle_patterns(t) -> list[tuple]:
+    return [(f, tuple(EmbeddingId(c, i) in t for i in range(f)))
+            for c, f in enumerate(t.config.cycle_lengths)]
+
+
+def key_leaving_the_last_cycle_unrotated(t) -> tuple:
+    """A planted fault: the last cycle's pattern is keyed as it stands, so
+    the rotations of the last cycle split an orbit."""
+    *rest, last = cycle_patterns(t)
+    return tuple(sorted([(f, least_rotation(bits)) for f, bits in rest]
+                        + [last]))
+
+
+def key_skipping_the_last_cycle(t) -> tuple:
+    """A planted fault: the loop over the cycles stops one short, so strata
+    that differ on the last cycle alone share a key."""
+    return tuple(sorted((f, least_rotation(bits))
+                        for f, bits in cycle_patterns(t)[:-1]))
+
+
+KEY_FAULTS = [key_leaving_the_last_cycle_unrotated,
+              key_skipping_the_last_cycle]
+
+
+def test_orbit_key_classes_are_the_symmetry_orbits():
+    assert key_classes(PRIMES, DEGREE) == (260, [])
+
+
+@pytest.mark.parametrize("fault", KEY_FAULTS, ids=lambda f: f.__name__)
+def test_orbit_key_faults_are_caught_by_the_orbits(fault):
+    count, wrong = key_classes(PRIMES, DEGREE, fault)
+    assert count == 260 and wrong
+
+
+def record_entry(result) -> dict:
+    """A result as its record lists it."""
+    return {"name": result.name, "status": result.status} | (
+        {"witness": result.witness} if result.witness is not None else {})
+
+
+def orbit_path_against_direct(primes, degree, monkeypatch,
+                              reverse=False) -> tuple[int, int, list]:
+    """Make the record of every stratum up to `degree` through the report
+    path, the strata of each configuration in report order (or reversed),
+    and compare its check list with the direct checks, witnesses included.
+
+    Return the number of strata, the runs of `delta_kernel` made for the
+    records, and the strata whose checks differ.  `delta_kernel` passes
+    without a witness everywhere, so its result moves along each orbit and
+    it runs for the first stratum of each orbit alone."""
+    runs = []
+    direct = verify._check_delta_kernel
+
+    def counted(t):
+        runs.append(t)
+        return direct(t)
+
+    monkeypatch.setattr(verify, "_CHECKS", tuple(
+        counted if check is direct else check for check in verify._CHECKS))
+    strata = first = 0
+    differ = []
+    for config in configurations(primes, degree):
+        tasks = _config_tasks(config)
+        for _, text in reversed(tasks) if reverse else tasks:
+            t = stratum_from_text(config, text)
+            before = len(runs)
+            checks = stratum_record(t)["checks"]
+            first += len(runs) - before
+            if checks != list(map(record_entry, all_results(t))):
+                differ.append((config, text))
+            strata += 1
+    return strata, first, differ
+
+
+def test_the_orbit_path_gives_the_direct_checks(monkeypatch):
+    # 1014 strata of p in {2, 3, 5} and degree at most 5, 130 orbits a prime
+    assert orbit_path_against_direct([2, 3, 5], DEGREE, monkeypatch) == (
+        1014, 390, [])
+
+
+def asymmetric_check(t) -> CheckResult:
+    """A planted fault: a check that fails exactly when T holds the
+    embedding 0.0, which no move fixes."""
+    if EmbeddingId(0, 0) in t:
+        return CheckResult("asymmetric", FAIL, {"at": "0.0"})
+    return CheckResult("asymmetric", PASS)
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["report-order", "reversed"])
+def test_an_asymmetric_check_is_caught(monkeypatch, reverse):
+    # caught by the symmetry pin first of all, on the orbit of T = {0.0}
+    monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS + (
+        asymmetric_check,))
+    with pytest.raises(AssertionError, match="asymmetric"):
+        equivariance_counts([2], 2)
+    # 34 strata of p = 2 and degree at most 3, 22 orbits
+    strata, first, differ = orbit_path_against_direct([2], 3, monkeypatch,
+                                                      reverse)
+    assert (strata, first) == (34, 22)
+    if reverse:
+        # met first, a stratum without 0.0 passes, and its pass would hide
+        # the fault on the strata of its orbit that hold 0.0
+        assert differ
+    else:
+        # in report order the first stratum of an orbit that meets 0.0
+        # holds it ('0.0' sorts first) and fails, and a fail never moves
+        assert differ == []
+
+
+def test_a_key_that_merges_orbits_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "orbit_key", key_skipping_the_last_cycle)
+    strata, first, differ = orbit_path_against_direct([2], 4, monkeypatch)
+    assert strata == 114 and first < key_classes([2], 4)[0] and differ
+
+
+def test_a_key_that_splits_orbits_is_caught_by_its_runs(monkeypatch):
+    # the records stay right, but an orbit is decided more than once
+    monkeypatch.setattr(verify, "orbit_key",
+                        key_leaving_the_last_cycle_unrotated)
+    strata, first, differ = orbit_path_against_direct([2], 4, monkeypatch)
+    assert strata == 114 and first > key_classes([2], 4)[0] == 56
+    assert differ == []

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracle import dot, f_recipe_tag_by_cases, rank, raw_weight
+from test_symmetry import orbits
 
 from strata_cones import cone_kernel, verify, weights
 from strata_cones.cone_kernel import (
@@ -804,9 +805,11 @@ def test_planted_faults_fail_through_the_cycles(monkeypatch, fault):
 
 
 def test_each_routed_check_runs_once_per_cycle_pattern(monkeypatch):
-    # over explore([2], 4): directly on each stratum of one cycle, and on
+    # over explore([2], 4), for the first stratum of each Frobenius orbit
+    # alone, as a routed check passes without a witness and its pass moves
+    # along the orbit: directly on each such stratum of one cycle, and on
     # the sub-strata of the others' cycles, once per (configuration, cycle
-    # length, cycle pattern)
+    # length, cycle pattern) met among those first strata
     runs = {name: [] for name in ROUTED_CHECKS}
 
     def counted(name):
@@ -826,10 +829,15 @@ def test_each_routed_check_runs_once_per_cycle_pattern(monkeypatch):
     monkeypatch.setattr(verify, "_CHECKS",
                         tuple(routed.get(c, c) for c in verify._CHECKS))
     explore([2], 4)
-    expected = sum(2 ** lengths[0] if len(lengths) == 1
-                   else sum(2 ** f for f in set(lengths))
-                   for d in range(1, 5) for lengths in partitions(d))
-    assert expected == 30 + 32  # of the 114 strata, 84 on several cycles
+    expected = 0
+    for d in range(1, 5):
+        for lengths in partitions(d):
+            # the classes under the moves, not `orbit_key`
+            firsts = [orbit[0] for orbit in orbits(SplittingConfig(2,
+                                                                   lengths))]
+            expected += len(firsts) if len(lengths) == 1 else len({
+                (f, t.cycle_members(c))
+                for t in firsts for c, f in enumerate(lengths)})
     for name, strata in runs.items():
         # `runs` holds every configuration, so no id is reused
         assert len({(id(t.config), t.key()) for t in strata}) == \
