@@ -7,7 +7,9 @@ every run must write the same pinned bytes.  So must the replies to each
 value flag joined to "--", which argparse reads as an empty list of values
 up to 3.12 and as the value "--" from 3.13, to a weight with a leading
 minus sign, to an empty -o path and to a composite --p-list entry: the
-same exit code, stdout and stderr from every interpreter.  Each interpreter
+same exit code, stdout and stderr from every interpreter.  So must each
+usage error of the pinned replies, two top-level refusals and the
+top-level help, which argparse writes at 80 columns.  Each interpreter
 is looked up as `python3.X` on PATH, then as
 `~/.pyenv/versions/3.X.*/bin/python3.X`; one that is absent or does not
 start is skipped, and a test fails if none starts.
@@ -20,7 +22,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from test_cli import DASH_DASH_ARGVS
+from test_cli import DASH_DASH_ARGVS, REPLIES, TOP_HELP, TOP_USAGE
 
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 ARGV = ("-m", "strata_cones.cli", "explore", "--p-list", "2,3,5",
@@ -36,6 +38,11 @@ NEGATIVE_WEIGHT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
 EMPTY_OUTPUT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
                 "--weight", "1,0,0", "-o", "")
 COMPOSITE_P_LIST = ("explore", "--p-list", "4", "--d-max", "1")
+# refused under the top-level usage: no subcommand, and a leftover; an
+# unknown subcommand is left out, as later 3.13 releases (3.13.13, not
+# 3.13.0) list the choices without quotes
+TOP_LEVEL_REFUSALS = ((), ("describe", "--p", "2", "--cycles", "3", "--t",
+                           "0.1", "--bogus"))
 
 
 def starts(path: str, version: str) -> bool:
@@ -91,23 +98,46 @@ def test_report_bytes_with_two_jobs_are_the_same_on_every_interpreter():
     assert digests == dict.fromkeys(digests, REPORT_SHA256)
 
 
+def replies(paths: dict[str, str], argv, cwd) -> tuple:
+    """The exit code, stdout and stderr of `argv` at 80 columns, the same
+    from each interpreter in `paths`, none of which writes a file."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    by_version = {}
+    for version, path in paths.items():
+        run = subprocess.run(
+            [path, "-m", "strata_cones.cli", *argv], cwd=cwd,
+            env=env, capture_output=True, timeout=TIMEOUT_SECONDS)
+        by_version[version] = (run.returncode, run.stdout, run.stderr)
+        assert list(cwd.iterdir()) == [], (version, argv)
+    reply = next(iter(by_version.values()))
+    assert by_version == dict.fromkeys(by_version, reply), argv
+    return reply
+
+
 def test_replies_are_the_same_on_every_interpreter(tmp_path):
     paths = interpreters()
-    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     for argv in [*(argv for argv, _ in DASH_DASH_ARGVS), NEGATIVE_WEIGHT,
                  EMPTY_OUTPUT, COMPOSITE_P_LIST]:
-        replies = {}
-        for version, path in paths.items():
-            run = subprocess.run(
-                [path, "-m", "strata_cones.cli", *argv], cwd=tmp_path,
-                env=env, capture_output=True, timeout=TIMEOUT_SECONDS)
-            replies[version] = (run.returncode, run.stdout, run.stderr)
-            assert list(tmp_path.iterdir()) == [], (version, argv)
-        reply = next(iter(replies.values()))
-        assert replies == dict.fromkeys(replies, reply), argv
+        reply = replies(paths, argv, tmp_path)
         if argv == NEGATIVE_WEIGHT:
             assert reply[0] == 0 and reply[2] == b"", reply
         else:
             errors = [line for line in reply[2].splitlines()
                       if b"error:" in line]
             assert reply[:2] == (3, b"") and len(errors) == 1, reply
+
+
+def test_usage_lines_and_the_help_are_the_same_on_every_interpreter(
+        tmp_path):
+    # the walk finds each refusal, and argparse writes its usage line; a
+    # subcommand's help is left out: 3.13 writes "-o, --output OUTPUT"
+    paths = interpreters()
+    for argv, pinned in REPLIES.items():
+        if pinned[0] == 3:
+            assert replies(paths, argv, tmp_path) == (
+                3, b"", pinned[2].encode()), argv
+    for argv in TOP_LEVEL_REFUSALS:
+        reply = replies(paths, argv, tmp_path)
+        assert reply[:2] == (3, b"") and reply[2].startswith(
+            TOP_USAGE.encode()), reply
+    assert replies(paths, ["-h"], tmp_path) == (0, TOP_HELP.encode(), b"")

@@ -9,12 +9,19 @@ cone membership).
 Exit codes: 0 success, 1 the worker pool failed, 2 at least one check
 failed, 3 usage error.
 Mathematical integers in JSON output are decimal strings.
+
+The command line is read by one walk over its tokens (`_parse`), from one
+table of subcommands and flags (`_SUBCOMMANDS`, `_FLAGS`).  argparse is
+built from the same table and loaded only to write text: the help, the
+usage line above a refusal, and the reply to an argv that does not name a
+subcommand first.
 """
 
-import argparse
 import functools
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .cone_kernel import _check_vectors, _violated_form, cone_member
@@ -52,17 +59,6 @@ P_MAX = 10**6
 DEGREE_MAX = 10
 # every --p-list entry adds a configuration per partition up to --d-max
 P_LIST_MAX = 16
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with this tool's usage-error exit code and full flag names."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -103,7 +99,10 @@ def _weight_from(text: str | None, config: SplittingConfig, what: str,
 
 def _fail(error, code: int) -> int:
     """Print `error` as the command's one error line; return `code`."""
-    print(f"strata-cones: error: {error}", file=sys.stderr)
+    try:
+        print(f"strata-cones: error: {error}", file=sys.stderr)
+    except OSError:  # stderr is closed too, as under `2>&1 | head`
+        sys.stderr = open(os.devnull, "w")  # and so is its flush at exit
     return code
 
 
@@ -383,70 +382,221 @@ _FLAGS = {
                     help="largest total degree (default %(default)s)"),
     "--jobs": dict(type=int, default=1,
                    help="worker processes (default %(default)s)"),
-    "--json": dict(action="store_true", help="emit JSON instead of text"),
+    "--json": dict(action="store_true", default=False,
+                   help="emit JSON instead of text"),
     "-o": dict(help="write output to this path instead of stdout"),
 }
+_STRATUM, _OUT = ("--p", "--cycles", "--t"), ("--json", "-o")
+# every subcommand: its handler, its help and its flags in usage order
+_SUBCOMMANDS = {
+    "describe": (_cmd_describe, "stratum dossier", (*_STRATUM, *_OUT)),
+    "check": (_cmd_check, "run all checks", (*_STRATUM, *_OUT, "--jobs")),
+    "explore": (_cmd_explore, "sweep primes and degrees",
+                ("--p-list", "--d-max", "--jobs", *_OUT)),
+    "member": (_cmd_member, "weight-cone membership",
+               (*_STRATUM, "--weight", *_OUT)),
+    "minimal": (_cmd_minimal, "reduction and minimal-cone data",
+                (*_STRATUM, "--weight", *_OUT)),
+    "gl2": (_cmd_gl2, "delta class / bi-weight membership",
+            (*_STRATUM, "--weight", *_OUT, "--biweight")),
+}
+# the flags that take a value: all but --json
+_VALUE_FLAGS = {flag for flag, spec in _FLAGS.items() if "action" not in spec}
+# argparse's test for a token that starts with "-" but is a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# where `_parse` stops for -h, to write the subcommand's help
+_HELP = object()
+
+
+def _names(flag: str | None) -> tuple[str, ...]:
+    """The option strings of `flag`; None is -h."""
+    return {None: ("-h", "--help"), "-o": ("-o", "--output")}.get(
+        flag, (flag,))
+
+
+def _label(flag: str | None) -> str:
+    """The flag as argparse names it in a refusal."""
+    return "/".join(_names(flag))
+
+
+# each flag's attribute in the parsed command line
+_DESTS = {flag: _names(flag)[-1][2:].replace("-", "_") for flag in _FLAGS}
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The parser and each subcommand's parser by name, built once."""
-    parser = _Parser(prog="strata-cones",
-                     description="Exact weight-cone computations for "
-                                 "Goren-Oort strata.")
+def _grammar(name: str) -> tuple[dict, dict, tuple]:
+    """Subcommand `name`'s option strings, each mapped to its flag; its
+    attributes before any token is read, the handler's included; and its
+    required flags."""
+    handler, _, flags = _SUBCOMMANDS[name]
+    return ({option: flag for flag in (None, *flags)
+             for option in _names(flag)},
+            {_DESTS[flag]: _FLAGS[flag].get("default") for flag in flags}
+            | {"handler": handler},
+            tuple(flag for flag in flags if _FLAGS[flag].get("required")))
+
+
+def _option(token: str, options: dict) -> tuple[str, str | None] | None:
+    """argparse's reading of `token`: None for a value, else the option
+    string it names (the token itself when `options` lacks it) and the
+    value written into the token, or None."""
+    if token in options:
+        return token, None
+    if not token.startswith("-") or len(token) == 1:
+        return None
+    head, equals, tail = token.partition("=")
+    if equals and head in options:
+        return head, tail
+    if token[1] != "-" and token[:2] in options:  # "-oVALUE"
+        return token[:2], token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return token, None
+
+
+def _parse(argv: Sequence[str]):
+    """The command line, read by one walk over a subcommand's tokens under
+    argparse's rules: flags are spelled in full, a one-letter flag may carry
+    its value ("-oVALUE"), a repeated flag keeps its last value, a token
+    that starts with "-" is a value only where it reads as a negative
+    number, and after "--" every token is left over.  The tokens are read
+    left to right until the first refusal or -h; then missing required
+    flags are refused, then leftovers, with the top-level usage.
+
+    The walk also joins a declared --weight or --biweight to a following
+    value that starts with a minus sign, and refuses a value flag joined to
+    "--" before anything else: argparse up to 3.12 reads "--p=--" as an
+    empty list of values.  An argv that does not name a subcommand first
+    goes to argparse, which writes the help or refuses it."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return _top_level(argv)
+    name = argv[0]
+    options, defaults, required = _grammar(name)
+    values = dict(defaults)
+    seen, extras = set(), []
+    stop = None  # the first refusal, or _HELP: read on only to refuse "=--"
+    dashes = False
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if (token in ("--weight", "--biweight") and token in options
+                and i < len(argv) and argv[i].startswith("-")):
+            token = f"{token}={argv[i]}"
+            i += 1
+        flag, _, value = token.partition("=")
+        if flag not in options:  # "-o--": a short flag joined to its value
+            flag, value = token[:2], token[2:]
+        if value == "--" and options.get(flag) in _VALUE_FLAGS:
+            _refuse(name, f"argument {_label(options[flag])}: expected one "
+                          "argument")
+        if stop is not None:
+            continue
+        if dashes or token == "--":  # after "--", every token is left over
+            dashes = True
+            extras.append(token)
+            continue
+        option = _option(token, options)
+        if option is None or option[0] not in options:
+            extras.append(token)
+            continue
+        string, value = option
+        flag = options[string]
+        helped = flag is None
+        if helped and value and string == "-h":  # "-hX": X is more flags
+            value = value.lstrip("h") or None
+            if value is not None and value[0] == "o":  # help once -o is read
+                flag, value = "-o", value[1:] or None
+        if flag not in _VALUE_FLAGS:
+            if value is not None:
+                stop = (f"argument {_label(flag)}: ignored explicit argument "
+                        f"{value!r}")
+            elif helped:
+                stop = _HELP
+            else:
+                values[_DESTS[flag]] = True
+            continue
+        if value is None:
+            if i == len(argv) or _option(argv[i], options) is not None:
+                stop = f"argument {_label(flag)}: expected one argument"
+                continue
+            value = argv[i]
+            i += 1
+        kind = _FLAGS[flag].get("type")
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                stop = (f"argument {_label(flag)}: invalid {kind.__name__} "
+                        f"value: {value!r}")
+                continue
+        values[_DESTS[flag]] = value
+        seen.add(flag)
+        if helped:
+            stop = _HELP
+    if stop is _HELP:
+        _help(name)
+    if stop is not None:
+        _refuse(name, stop)
+    missing = [_label(flag) for flag in required if flag not in seen]
+    if missing:
+        _refuse(name, "the following arguments are required: "
+                      + ", ".join(missing))
+    if extras:
+        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+# ---------------------------------------------------------------------------
+# help and usage: argparse writes them, from the same declarations
+
+
+@functools.cache
+def _build_parser():
+    """argparse's parser and each subcommand's parser by name, built once
+    from `_SUBCOMMANDS` and `_FLAGS`.  Only the text paths below build it,
+    so a subcommand that is read without a refusal never loads argparse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse with this tool's usage-error exit code and full flag
+        names."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="strata-cones",
+                    description="Exact weight-cone computations for "
+                                "Goren-Oort strata.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, handler, help, *flags):
-        cmd = sub.add_parser(name, help=help)
-        cmd.set_defaults(handler=handler)
+    for name, (handler, help, flags) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        command.set_defaults(handler=handler)
         for flag in flags:
-            names = (flag, "--output") if flag == "-o" else (flag,)
-            cmd.add_argument(*names, **_FLAGS[flag])
-
-    stratum, out = ("--p", "--cycles", "--t"), ("--json", "-o")
-    command("describe", _cmd_describe, "stratum dossier", *stratum, *out)
-    command("check", _cmd_check, "run all checks", *stratum, *out, "--jobs")
-    command("explore", _cmd_explore, "sweep primes and degrees",
-            "--p-list", "--d-max", "--jobs", *out)
-    command("member", _cmd_member, "weight-cone membership",
-            *stratum, "--weight", *out)
-    command("minimal", _cmd_minimal, "reduction and minimal-cone data",
-            *stratum, "--weight", *out)
-    command("gl2", _cmd_gl2, "delta class / bi-weight membership",
-            *stratum, "--weight", *out, "--biweight")
+            command.add_argument(*_names(flag), **_FLAGS[flag])
     return parser, sub.choices
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """A subcommand named first is parsed by its own parser, after one walk
-    over its tokens; arguments it leaves over get the top-level parser's
-    error.  Anything else is parsed, and refused, by the top-level parser.
+def _top_level(argv: Sequence[str]):
+    """argparse's parse of an argv that does not name a subcommand first:
+    the top-level help, or a refusal under the top-level usage."""
+    return _build_parser()[0].parse_args(argv)
 
-    The walk joins a declared --weight or --biweight to a following value
-    that starts with a minus sign, which argparse would read as an option,
-    and refuses a declared value flag joined to "--", which argparse up to
-    3.12 reads as an empty list of values."""
+
+def _help(name: str) -> None:
+    """Write subcommand `name`'s help and exit 0."""
+    _build_parser()[1][name].parse_args(["-h"])
+
+
+def _refuse(name: str | None, message: str) -> None:
+    """Refuse with `message` under subcommand `name`'s usage, or under the
+    top-level usage for None, and exit with the usage-error code."""
     parser, commands = _build_parser()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    command = commands[argv[0]]
-    declared = command._option_string_actions  # argparse's table of flags
-    tokens = []
-    for token in argv[1:]:
-        if (tokens and tokens[-1] in ("--weight", "--biweight")
-                and tokens[-1] in declared and token.startswith("-")):
-            token = f"{tokens.pop()}={token}"
-        flag, _, value = token.partition("=")
-        if flag not in declared:  # "-o--": a short flag joined to its value
-            flag, value = token[:2], token[2:]
-        if value == "--" and flag in declared and declared[flag].nargs is None:
-            command.error(f"argument {'/'.join(declared[flag].option_strings)}"
-                          ": expected one argument")
-        tokens.append(token)
-    args, extras = command.parse_known_args(tokens)
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    (parser if name is None else commands[name]).error(message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,7 +1,9 @@
 """End-to-end runs of the command line through main()."""
 
+import argparse
 import concurrent.futures.process
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,6 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import parse_oracle
 from strata_cones import cli, verify, weights
 from strata_cones.cli import (
     DEGREE_MAX,
@@ -33,11 +36,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def command(*argv, **kwargs) -> subprocess.Popen:
+def command(*argv, stderr=subprocess.PIPE, **kwargs) -> subprocess.Popen:
     """The command line in a process of its own."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.Popen([sys.executable, "-m", "strata_cones.cli", *argv],
-                            env=env, stderr=subprocess.PIPE, **kwargs)
+                            env=env, stderr=stderr, **kwargs)
 
 
 # the full describe text: T = all with nonempty S primes and Iw (one and
@@ -233,15 +236,17 @@ def test_replies_are_pinned(capsys, monkeypatch):
 
 
 def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
+    # argparse is built for the two refusals alone, and only once: the
+    # other calls are read by the walk
     built = []
+    init = argparse.ArgumentParser.__init__
 
-    class CountingParser(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     cli._build_parser.cache_clear()
     try:
         calls = [("member", "--p", "2", "--cycles", "3", "--t", "0.1",
@@ -255,7 +260,7 @@ def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
             assert run(capsys, *argv) == REPLIES[argv], argv
     finally:
         cli._build_parser.cache_clear()
-    assert len(built) <= 7
+    assert len(built) == 1 + len(cli._SUBCOMMANDS)
 
 
 def test_describe_json(capsys):
@@ -512,6 +517,16 @@ def test_a_pipe_closed_early_is_a_usage_error():
     _, err = proc.communicate(timeout=60)
     assert (len(head), proc.returncode, err) == (
         100, 3, b"strata-cones: error: cannot write stdout: Broken pipe\n")
+
+
+def test_a_pipe_closed_early_on_stdout_and_stderr_is_a_usage_error():
+    # as `2>&1 | head`: the error line meets the closed pipe too, and the
+    # exit code stays the usage error's, not the failed pool's
+    proc = command("explore", "--p-list", "2", "--d-max", "4", "--json",
+                   stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    assert (len(head), proc.wait(timeout=60)) == (100, 3)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -798,9 +813,8 @@ def test_a_declared_dash_value_flag_still_takes_its_value(capsys):
     assert out.startswith("(-1, 0, 0) lies in the weight cone of [0.1]\n")
 
 
-def test_help_lists_the_subcommands(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert run(capsys, "-h") == (0, TOP_USAGE + """
+# the top-level help at 80 columns
+TOP_HELP = TOP_USAGE + """
 Exact weight-cone computations for Goren-Oort strata.
 
 positional arguments:
@@ -814,17 +828,24 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-""", "")
+"""
+
+
+def test_help_lists_the_subcommands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "-h") == (0, TOP_HELP, "")
 
 
 def test_a_named_subcommand_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    # the walk reads it: argparse is neither built nor, in a fresh
+    # interpreter, imported (`tests/test_imports.py`)
     def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser parsed a subcommand")
+        raise AssertionError("argparse was built for a named subcommand")
 
-    parser, _ = cli._build_parser()
-    monkeypatch.setattr(parser, "parse_known_args", refuse)
-    argv = ("gl2", "--p", "3", "--cycles", "2", "--weight", "1,1")
-    assert run(capsys, *argv) == REPLIES[argv]
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for argv, reply in REPLIES.items():
+        if reply[0] == 0:
+            assert run(capsys, *argv) == reply, argv
 
 
 # flags are spelled in full: every prefix of a dash-value flag is refused as
@@ -889,7 +910,7 @@ HOSTILE = (str(10**100), "0", "-5", "4", "1", "", "\u0663", "\uff12", "x",
 VALUES = {
     "--p": (("2", "3", "7", "999983"), (str(P_MAX + 1), "-2", "9")),
     "--cycles": (("3", "2,1"), ("6,6", ",".join(["1"] * 11), "3,-1",
-                                "1,,1", "\u0663")),
+                                "1,,1", "\u0663", "-3,1")),
     "--t": (("0.1", "", "all", "0.0,1.0"),
             ("0.0,0.0", "1.0", "0.9", "0.a", "0.1.2")),
     "--weight": (("1,0,0", "-1,0,0"), ("1,2", f"{10**100},0,0", "1,x,0")),
@@ -901,7 +922,9 @@ VALUES = {
     "--json": ((), ("1",)),
     "--output": (("report.json",), ("",)),
 }
-STRAY = ("--bogus", "-x", "--", "-", "--p=2", "--cycles")
+# how a flag and its value are written; a one-letter flag may also carry it
+FORMS = {False: ("split", "equals"), True: ("split", "equals", "attached")}
+STRAY = ("--bogus", "-x", "--", "-", "--p=2", "--cycles", "-h", "--help")
 ERROR_LINE = re.compile(
     rf"strata-cones(?: (?:{'|'.join(COMMAND_NAMES)}))?: error: ")
 QUOTED = re.compile(r"'([^']*)'")
@@ -909,9 +932,7 @@ QUOTED = re.compile(r"'([^']*)'")
 
 def declared_flags(name: str) -> list[str]:
     """The long flags a subcommand declares, in declaration order."""
-    _, commands = cli._build_parser()
-    return [action.option_strings[-1] for action in commands[name]._actions
-            if action.option_strings[-1] != "--help"]
+    return [cli._names(flag)[-1] for flag in cli._SUBCOMMANDS[name][2]]
 
 
 def abbreviations(name: str) -> set[str]:
@@ -924,8 +945,10 @@ def abbreviations(name: str) -> set[str]:
 
 @st.composite
 def hostile_argvs(draw) -> list[str]:
-    """A command line of the grammar, each flag spelled in full, then up to
-    three hostile edits, among them an abbreviated spelling."""
+    """A command line of the grammar, each flag spelled in full ("-o" may
+    carry its value, "-oVALUE" or "-o=VALUE"), then up to three hostile
+    edits, among them an abbreviated spelling, and at times a token after
+    "--"."""
     name = draw(st.sampled_from(COMMAND_NAMES if draw(st.integers(0, 4))
                                 else ("bogus", "desc", "", "--p")))
     flags = (declared_flags(name) if name in COMMAND_NAMES
@@ -933,9 +956,11 @@ def hostile_argvs(draw) -> list[str]:
     items = []  # [flag, spelling, value, form]
     for flag in draw(st.permutations(flags)):
         good = VALUES[flag][0]
+        spelled = draw(st.sampled_from(("--output", "-o"))) \
+            if flag == "--output" else flag
         if good:
-            items.append([flag, flag, draw(st.sampled_from(good)),
-                          draw(st.sampled_from(("split", "equals")))])
+            items.append([flag, spelled, draw(st.sampled_from(good)),
+                          draw(st.sampled_from(FORMS[spelled == "-o"]))])
         else:  # --json takes no value
             items.append([flag, flag, None, "flag"])
     strays = []
@@ -958,44 +983,63 @@ def hostile_argvs(draw) -> list[str]:
         if edit in ("value", "repeat") or item[2] is None:
             item[2] = draw(st.sampled_from(
                 VALUES[item[0]][1] if draw(st.booleans()) else HOSTILE))
-        item[3] = draw(st.sampled_from(("split", "equals") if edit != "form"
+        item[3] = draw(st.sampled_from(FORMS[item[1] == "-o"] if edit != "form"
                                        else ("flag", "value")))
     argv = [name]
     for _, spelled, value, form in items:
         argv += {"split": [spelled, value], "equals": [f"{spelled}={value}"],
-                 "flag": [spelled], "value": [value]}[form]
+                 "attached": [f"{spelled}{value}"], "flag": [spelled],
+                 "value": [value]}[form]
     for token in strays:
         argv.insert(draw(st.integers(0, len(argv))), token)
+    if not draw(st.integers(0, 4)):  # left over, whatever it reads as
+        argv += ["--", draw(st.sampled_from((*flags, *STRAY, *HOSTILE)))]
     return argv
 
 
 def parser_vocabulary() -> set[str]:
     """The names the parser owns: its subcommands, every flag, and the
     quoted formats of its help texts ('cycle.pos', 'lam;kappa')."""
-    _, commands = cli._build_parser()
-    words = set(commands)
-    for command in commands.values():
-        for action in command._actions:
-            words.update(action.option_strings)
-            words.update(QUOTED.findall(action.help or ""))
+    words = set(cli._SUBCOMMANDS)
+    for name, (_, _, flags) in cli._SUBCOMMANDS.items():
+        words.update(cli._grammar(name)[0])
+        for flag in flags:
+            words.update(QUOTED.findall(cli._FLAGS[flag]["help"]))
     return words
 
 
-def assert_within_bounds(args) -> None:
-    declared = vars(args)
+def assert_within_bounds(declared: dict) -> None:
+    """The attributes of a validated command lie within every bound."""
     if "p" in declared:
-        assert 2 <= args.p <= P_MAX
+        assert 2 <= declared["p"] <= P_MAX
     if "cycles" in declared:
-        lengths = [int(x) for x in args.cycles.split(",")]
+        lengths = [int(x) for x in declared["cycles"].split(",")]
         assert min(lengths) >= 1 and sum(lengths) <= DEGREE_MAX
     if "jobs" in declared:
-        assert 1 <= args.jobs <= JOBS_MAX
+        assert 1 <= declared["jobs"] <= JOBS_MAX
     if "d_max" in declared:
-        assert 1 <= args.d_max <= DEGREE_MAX
+        assert 1 <= declared["d_max"] <= DEGREE_MAX
     if declared.get("p_list") is not None:
-        p_list = [int(x) for x in args.p_list.split(",")]
+        p_list = [int(x) for x in declared["p_list"].split(",")]
         assert 1 <= len(p_list) <= P_LIST_MAX
         assert all(2 <= p <= P_MAX for p in p_list)
+
+
+def replies(argv, parse) -> tuple:
+    """`main`'s exit code, stdout and stderr for `argv` read by `parse`, and
+    the attributes of each command it validated, which `_emit` records
+    rather than runs."""
+    emitted = []
+
+    def record(args, work):
+        emitted.append(vars(args))
+        return 0
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_parse", parse), \
+            mock.patch.object(cli, "_emit", record), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), emitted
 
 
 # the vectors that crashed the command while argparse up to 3.12 read a flag
@@ -1015,18 +1059,13 @@ def assert_within_bounds(args) -> None:
 def test_hostile_input_is_refused_or_kept_within_the_bounds(argv):
     # `_emit` records the validated command and runs nothing: no -o file
     # is opened, no sweep runs and no worker pool starts
-    emitted = []
-
-    def record(args, work):
-        emitted.append(args)
-        return 0
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "_emit", record), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    err = err.getvalue()
+    code, out, err, emitted = replies(argv, cli._parse)
     assert "Traceback" not in err
-    assert code in (0, 3) and out.getvalue() == "", (code, err)
+    # -h read before any refusal writes the help, and nothing else
+    if "show this help message and exit" in out:
+        assert (code, err, emitted) == (0, "", [])
+        return
+    assert code in (0, 3) and out == "", (code, err)
     if argv and argv[0] in COMMAND_NAMES and any(
             token.partition("=")[0] in abbreviations(argv[0])
             for token in argv[1:]):
@@ -1042,6 +1081,41 @@ def test_hostile_input_is_refused_or_kept_within_the_bounds(argv):
     for span in QUOTED.findall(errors[0]):
         assert span in vocabulary or any(span in token for token in argv), \
             (span, errors[0])
+
+
+# the walk against argparse's parse, kept in `tests/parse_oracle.py`: the
+# same reply to every command line, and on exit 0 the same attributes
+@settings(max_examples=500, deadline=None)
+@given(hostile_argvs())
+@example("describe --p 2 --cycles 3 --p 3 --t 0.1".split())
+@example("describe --p 2 --cycles -3,1 --t 0.1".split())
+@example("describe --p x -h".split())
+@example("describe -h --p x".split())
+@example("describe --bogus -h".split())
+@example("describe --p 2 -- --cycles 3".split())
+@example("describe --p 2 --cycles 3 --t 0.1 --json=x".split())
+@example("member --p 2 --cycles 3 --t 0.1 -o=a --weight -1,0,0 -ob".split())
+@example("member --p 2 --cycles 3 --t 0.1 -- --weight -1,0,0".split())
+@example(["describe", "-hx"])
+@example(["describe", "-ho", "a"])
+def test_the_walk_replies_as_argparse_does(argv):
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        assert replies(argv, cli._parse) == replies(argv, parse_oracle.parse)
+
+
+def test_the_walk_replies_to_the_benchmark_inputs_as_argparse_does(
+        monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(root / "bench")
+    workloads = importlib.import_module("workloads")
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    argvs = {argv for seed in range(4) for name in workloads.WORKLOADS
+             for argv in workloads.build_inputs(name, seed, seconds)}
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in sorted(argvs):
+        reply = replies(argv, cli._parse)
+        assert reply[:3] == (0, "", "") and len(reply[3]) == 1, argv
+        assert reply == replies(argv, parse_oracle.parse), argv
 
 
 def dash_dash_argvs() -> list[tuple[list[str], str]]:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import strata_cones
+from test_cli import TOP_HELP
 
 PACKAGE = Path(strata_cones.__file__).parent
 
@@ -85,7 +86,7 @@ def test_every_export_has_a_user():
 # pays for all of it, so a new module-level import is a reviewed edit here
 MODULE_LEVEL_IMPORTS = {
     "__init__": {"strata_cones.cone_kernel", "strata_cones.verify"},
-    "cli": {"argparse", "functools", "os", "sys", "typing",
+    "cli": {"functools", "os", "re", "sys", "types", "typing",
             ".cone_kernel", ".splitting", ".verify", ".weights"},
     "cone_kernel": {"functools", "fractions", "itertools", "math",
                     "operator", "typing"},
@@ -140,17 +141,30 @@ def test_the_command_line_loads_no_process_pool():
 
 def test_the_command_line_loads_no_introspection_machinery():
     # every launch of the command pays for what it imports; `dataclasses`
-    # would bring `inspect`, `ast`, `dis` and `tokenize` with it
-    script = (
-        "import sys\n"
-        "import strata_cones.cli as cli\n"
-        "code = cli.main(['describe', '--p', '2', '--cycles', '3', '--t',\n"
-        "                 '0.1', '--json'])\n"
-        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
-        "print(code, [name for name in heavy if name in sys.modules],\n"
-        "      file=sys.stderr)\n")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    assert '"t": "0.1"' in done.stdout
-    assert done.stderr == "0 []\n"
+    # would bring `inspect`, `ast`, `dis` and `tokenize` with it, and
+    # `argparse` brings `gettext`: the walk reads a named subcommand, and
+    # argparse is loaded only to write the help or a usage line
+    for argv in (["describe", "--p", "2", "--cycles", "3", "--t", "0.1",
+                  "--json"],
+                 ["check", "--p", "2", "--cycles", "3", "--t", "0.1",
+                  "--json"]):
+        script = (
+            "import sys\n"
+            "import strata_cones.cli as cli\n"
+            f"code = cli.main({argv!r})\n"
+            "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize',\n"
+            "         'argparse', 'gettext')\n"
+            "print(code, [name for name in heavy if name in sys.modules],\n"
+            "      file=sys.stderr)\n")
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert '"t": "0.1"' in done.stdout, argv
+        assert done.stderr == "0 []\n", argv
+
+
+def test_the_help_loads_argparse_when_it_is_asked_for():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "strata_cones.cli", "-h"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, TOP_HELP, "")
