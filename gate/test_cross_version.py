@@ -8,11 +8,12 @@ value flag joined to "--", which argparse reads as an empty list of values
 up to 3.12 and as the value "--" from 3.13, to a weight with a leading
 minus sign, to an empty -o path and to a composite --p-list entry: the
 same exit code, stdout and stderr from every interpreter.  So must each
-usage error of the pinned replies, two top-level refusals and the
-top-level help, which argparse writes at 80 columns.  Each interpreter
-is looked up as `python3.X` on PATH, then as
-`~/.pyenv/versions/3.X.*/bin/python3.X`; one that is absent or does not
-start is skipped, and a test fails if none starts.
+usage error of the pinned replies, the top-level refusals, the top-level
+help and each subcommand's help, which the command writes itself at 80
+columns whatever COLUMNS says.  Each interpreter is looked up as
+`python3.X` on PATH, then as `~/.pyenv/versions/3.X.*/bin/python3.X`; one
+that is absent or does not start is skipped, and a test fails if none
+starts.
 """
 
 import glob
@@ -22,7 +23,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from test_cli import DASH_DASH_ARGVS, REPLIES, TOP_HELP, TOP_USAGE
+from test_cli import DASH_DASH_ARGVS, HELPS, REPLIES, TOP_HELP, TOP_USAGE
 
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 ARGV = ("-m", "strata_cones.cli", "explore", "--p-list", "2,3,5",
@@ -38,11 +39,13 @@ NEGATIVE_WEIGHT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
 EMPTY_OUTPUT = ("member", "--p", "2", "--cycles", "3", "--t", "0.1",
                 "--weight", "1,0,0", "-o", "")
 COMPOSITE_P_LIST = ("explore", "--p-list", "4", "--d-max", "1")
-# refused under the top-level usage: no subcommand, and a leftover; an
-# unknown subcommand is left out, as later 3.13 releases (3.13.13, not
-# 3.13.0) list the choices without quotes
+# refused under the top-level usage: no subcommand, a leftover, an unknown
+# subcommand (whose choices argparse 3.13.13 lists without quotes) and a
+# "--" before the subcommand (which argparse 3.13.13 drops and runs)
 TOP_LEVEL_REFUSALS = ((), ("describe", "--p", "2", "--cycles", "3", "--t",
-                           "0.1", "--bogus"))
+                           "0.1", "--bogus"), ("bogus",),
+                      ("--", "describe", "--p", "2", "--cycles", "3", "--t",
+                       "0.1"))
 
 
 def starts(path: str, version: str) -> bool:
@@ -129,8 +132,8 @@ def test_replies_are_the_same_on_every_interpreter(tmp_path):
 
 def test_usage_lines_and_the_help_are_the_same_on_every_interpreter(
         tmp_path):
-    # the walk finds each refusal, and argparse writes its usage line; a
-    # subcommand's help is left out: 3.13 writes "-o, --output OUTPUT"
+    # the walk finds each refusal and writes its usage line, and writes the
+    # help, where argparse 3.13 wrote "-o, --output OUTPUT"
     paths = interpreters()
     for argv, pinned in REPLIES.items():
         if pinned[0] == 3:
@@ -141,3 +144,6 @@ def test_usage_lines_and_the_help_are_the_same_on_every_interpreter(
         assert reply[:2] == (3, b"") and reply[2].startswith(
             TOP_USAGE.encode()), reply
     assert replies(paths, ["-h"], tmp_path) == (0, TOP_HELP.encode(), b"")
+    for name, text in HELPS.items():
+        assert replies(paths, [name, "-h"], tmp_path) == (
+            0, text.encode(), b""), name

@@ -10,11 +10,10 @@ Exit codes: 0 success, 1 the worker pool failed, 2 at least one check
 failed, 3 usage error.
 Mathematical integers in JSON output are decimal strings.
 
-The command line is read by one walk over its tokens (`_parse`), from one
-table of subcommands and flags (`_SUBCOMMANDS`, `_FLAGS`).  argparse is
-built from the same table and loaded only to write text: the help, the
-usage line above a refusal, and the reply to an argv that does not name a
-subcommand first.
+The command line is read by one walk over its tokens (`_parse`) and its
+help, usage lines and refusals are written (`_stop`) from one table
+(`_SUBCOMMANDS`, `_FLAGS`), with the rules and the 80-column layout of
+the standard library's parser on CPython 3.10-3.12, whatever COLUMNS says.
 """
 
 import functools
@@ -97,10 +96,10 @@ def _weight_from(text: str | None, config: SplittingConfig, what: str,
     return weight
 
 
-def _fail(error, code: int) -> int:
-    """Print `error` as the command's one error line; return `code`."""
+def _fail(error, code: int, head: str = "strata-cones") -> int:
+    """Print `error` as the error line after `head`; return `code`."""
     try:
-        print(f"strata-cones: error: {error}", file=sys.stderr)
+        print(f"{head}: error: {error}", file=sys.stderr)
     except OSError:  # stderr is closed too, as under `2>&1 | head`
         sys.stderr = open(os.devnull, "w")  # and so is its flush at exit
     return code
@@ -368,8 +367,9 @@ def _biweight_lines(doc: dict) -> list[str]:
 # wiring
 
 
-# every flag, declared once; "-o" also answers to "--output"
+# every flag, declared once; None is -h, and "-o" also answers to "--output"
 _FLAGS = {
+    None: dict(action="help", help="show this help message and exit"),
     "--p": dict(type=int, required=True, help="the rational prime"),
     "--cycles": dict(required=True, help="comma-separated cycle lengths"),
     "--t": dict(help="stratum: 'cycle.pos' comma list, '' for the empty "
@@ -402,9 +402,9 @@ _SUBCOMMANDS = {
 }
 # the flags that take a value: all but --json
 _VALUE_FLAGS = {flag for flag, spec in _FLAGS.items() if "action" not in spec}
-# argparse's test for a token that starts with "-" but is a value
+# the standard parser's test for a token that starts with "-" but is a value
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-# where `_parse` stops for -h, to write the subcommand's help
+# where `_parse` stops for -h, to write the help
 _HELP = object()
 
 
@@ -415,12 +415,15 @@ def _names(flag: str | None) -> tuple[str, ...]:
 
 
 def _label(flag: str | None) -> str:
-    """The flag as argparse names it in a refusal."""
+    """The flag as a refusal names it."""
     return "/".join(_names(flag))
 
 
 # each flag's attribute in the parsed command line
 _DESTS = {flag: _names(flag)[-1][2:].replace("-", "_") for flag in _FLAGS}
+# the top level's grammar as `_grammar` gives one: -h, and a subcommand
+_TOP_LEVEL = (dict.fromkeys(_names(None)), {}, ("subcommand",))
+_CHOICES = "{" + ",".join(_SUBCOMMANDS) + "}"
 
 
 @functools.cache
@@ -437,7 +440,7 @@ def _grammar(name: str) -> tuple[dict, dict, tuple]:
 
 
 def _option(token: str, options: dict) -> tuple[str, str | None] | None:
-    """argparse's reading of `token`: None for a value, else the option
+    """The standard reading of `token`: None for a value, else the option
     string it names (the token itself when `options` lacks it) and the
     value written into the token, or None."""
     if token in options:
@@ -455,57 +458,59 @@ def _option(token: str, options: dict) -> tuple[str, str | None] | None:
 
 
 def _parse(argv: Sequence[str]):
-    """The command line, read by one walk over a subcommand's tokens under
-    argparse's rules: flags are spelled in full, a one-letter flag may carry
-    its value ("-oVALUE"), a repeated flag keeps its last value, a token
-    that starts with "-" is a value only where it reads as a negative
-    number, and after "--" every token is left over.  The tokens are read
-    left to right until the first refusal or -h; then missing required
-    flags are refused, then leftovers, with the top-level usage.
+    """The command line, read by one walk over its tokens under the standard
+    rules: flags are spelled in full, a one-letter flag may carry its value
+    ("-oVALUE"), a repeated flag keeps its last value, a token that starts
+    with "-" is a value only where it reads as a negative number, and after
+    "--" every token is left over.  The top level's first value, or a "--"
+    before one, names the subcommand.  The tokens are read until the first
+    refusal or -h; then missing required flags are refused, then leftovers.
 
-    The walk also joins a declared --weight or --biweight to a following
-    value that starts with a minus sign, and refuses a value flag joined to
-    "--" before anything else: argparse up to 3.12 reads "--p=--" as an
-    empty list of values.  An argv that does not name a subcommand first
-    goes to argparse, which writes the help or refuses it."""
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return _top_level(argv)
-    name = argv[0]
-    options, defaults, required = _grammar(name)
-    values = dict(defaults)
-    seen, extras = set(), []
+    For a subcommand named first, the walk also joins a declared --weight
+    or --biweight to a following value that starts with "-", and refuses a
+    value flag joined to "--" at once; the standard parser reads "--p=--"
+    as no value, and so does the walk after tokens before the name."""
+    own = bool(argv) and argv[0] in _SUBCOMMANDS  # the walk's own two rules
+    name, i = (argv[0], 1) if own else (None, 0)
+    options, defaults, required = _grammar(name) if own else _TOP_LEVEL
+    values, seen, extras = {}, set(), []
     stop = None  # the first refusal, or _HELP: read on only to refuse "=--"
     dashes = False
-    i = 1
     while i < len(argv):
         token = argv[i]
         i += 1
-        if (token in ("--weight", "--biweight") and token in options
+        if (token in ("--weight", "--biweight") and own and token in options
                 and i < len(argv) and argv[i].startswith("-")):
             token = f"{token}={argv[i]}"
             i += 1
         flag, _, value = token.partition("=")
         if flag not in options:  # "-o--": a short flag joined to its value
             flag, value = token[:2], token[2:]
-        if value == "--" and options.get(flag) in _VALUE_FLAGS:
-            _refuse(name, f"argument {_label(options[flag])}: expected one "
-                          "argument")
+        if value == "--" and own and options.get(flag) in _VALUE_FLAGS:
+            _stop(name, f"argument {_label(options[flag])}: expected one "
+                        "argument")
         if stop is not None:
             continue
-        if dashes or token == "--":  # after "--", every token is left over
-            dashes = True
+        if dashes or token == "--" and (name or i == len(argv)):
+            dashes = True  # after "--", every token is left over
             extras.append(token)
             continue
         option = _option(token, options)
         if option is None or option[0] not in options:
-            extras.append(token)
+            if name or option is not None and token != "--":
+                extras.append(token)
+            elif token not in _SUBCOMMANDS:
+                stop = (f"argument subcommand: invalid choice: {token!r} "
+                        f"(choose from {', '.join(map(repr, _SUBCOMMANDS))})")
+            else:
+                options, defaults, required = _grammar(name := token)
             continue
         string, value = option
         flag = options[string]
         helped = flag is None
         if helped and value and string == "-h":  # "-hX": X is more flags
             value = value.lstrip("h") or None
-            if value is not None and value[0] == "o":  # help once -o is read
+            if value is not None and f"-{value[0]}" in options:  # -o first
                 flag, value = "-o", value[1:] or None
         if flag not in _VALUE_FLAGS:
             if value is not None:
@@ -527,76 +532,71 @@ def _parse(argv: Sequence[str]):
             try:
                 value = kind(value)
             except ValueError:
-                stop = (f"argument {_label(flag)}: invalid {kind.__name__} "
-                        f"value: {value!r}")
-                continue
+                if value != "--":  # "=--" is no value, as above
+                    stop = (f"argument {_label(flag)}: invalid "
+                            f"{kind.__name__} value: {value!r}")
+                    continue
         values[_DESTS[flag]] = value
         seen.add(flag)
         if helped:
             stop = _HELP
-    if stop is _HELP:
-        _help(name)
     if stop is not None:
-        _refuse(name, stop)
+        _stop(name, stop)
     missing = [_label(flag) for flag in required if flag not in seen]
     if missing:
-        _refuse(name, "the following arguments are required: "
-                      + ", ".join(missing))
+        _stop(name, "the following arguments are required: "
+                    + ", ".join(missing))
     if extras:
-        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**values)
+        _stop(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**(defaults | values))
 
 
-# ---------------------------------------------------------------------------
-# help and usage: argparse writes them, from the same declarations
+def _wrap(words, line: str, indent: int) -> list[str]:
+    """`line` and `words`, one space apart, wrapped as the standard parser
+    does at 80 columns: a word ending past column 78 begins a new line."""
+    lines = [line]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(" " * (indent - 1))
+        lines[-1] += " " + word
+    return lines
 
 
-@functools.cache
-def _build_parser():
-    """argparse's parser and each subcommand's parser by name, built once
-    from `_SUBCOMMANDS` and `_FLAGS`.  Only the text paths below build it,
-    so a subcommand that is read without a refusal never loads argparse."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """argparse with this tool's usage-error exit code and full flag
-        names."""
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, allow_abbrev=False, **kwargs)
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    parser = Parser(prog="strata-cones",
-                    description="Exact weight-cone computations for "
-                                "Goren-Oort strata.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (handler, help, flags) in _SUBCOMMANDS.items():
-        command = sub.add_parser(name, help=help)
-        command.set_defaults(handler=handler)
-        for flag in flags:
-            command.add_argument(*_names(flag), **_FLAGS[flag])
-    return parser, sub.choices
+def _entry(head: str, help: str) -> list[str]:
+    """An argument's lines in a help section: `head`, then its help."""
+    if len(head) > 22:
+        return [head, *_wrap(help.split(), " " * 23, 24)]
+    return _wrap(help.split(), head.ljust(23), 24)
 
 
-def _top_level(argv: Sequence[str]):
-    """argparse's parse of an argv that does not name a subcommand first:
-    the top-level help, or a refusal under the top-level usage."""
-    return _build_parser()[0].parse_args(argv)
-
-
-def _help(name: str) -> None:
-    """Write subcommand `name`'s help and exit 0."""
-    _build_parser()[1][name].parse_args(["-h"])
-
-
-def _refuse(name: str | None, message: str) -> None:
-    """Refuse with `message` under subcommand `name`'s usage, or under the
-    top-level usage for None, and exit with the usage-error code."""
-    parser, commands = _build_parser()
-    (parser if name is None else commands[name]).error(message)
+def _stop(name: str | None, stop) -> None:
+    """Exit the walk at `stop` for subcommand `name` (None: the top level),
+    printing the help at `_HELP`, else refusing `stop` under the usage."""
+    prog = f"strata-cones {name}" if name else "strata-cones"
+    lines = [] if name else [
+        "Exact weight-cone computations for Goren-Oort strata.", "",
+        "positional arguments:", f"  {_CHOICES}",
+        *(line for command, (_, help, _) in _SUBCOMMANDS.items()
+          for line in _entry(f"    {command}", help)), ""]
+    lines.append("options:")
+    words = []
+    for flag in (None, *_SUBCOMMANDS[name][2]) if name else (None,):
+        spec = _FLAGS[flag]
+        metavar = f" {_DESTS[flag].upper()}" if flag in _VALUE_FLAGS else ""
+        part = _names(flag)[0] + metavar
+        words += part.split() if "required" in spec else [f"[{part}]"]
+        lines += _entry("  " + ", ".join(option + metavar
+                                         for option in _names(flag)),
+                        spec["help"] % spec)
+    words += [] if name else [_CHOICES, "..."]
+    usage = "\n".join(_wrap(words, f"usage: {prog}", len(prog) + 8))
+    if stop is not _HELP:
+        sys.exit(_fail(stop, EXIT_USAGE, f"{usage}\n{prog}"))
+    try:
+        print(usage, "", *lines, sep="\n", flush=True)
+    except OSError:  # stdout is closed: the help goes, with no error
+        sys.stdout = open(os.devnull, "w")  # and so is its flush at exit
+    sys.exit(EXIT_OK)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -604,8 +604,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # the help, or a refusal of the command line
+        return exc.code
     try:  # every input is checked, and -o is not open yet
         work = args.handler(args)
     except ValueError as exc:  # the command line's refusals and the library's

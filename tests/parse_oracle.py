@@ -1,5 +1,7 @@
-"""The command line's argparse parse, as `strata_cones.cli` read argv before
-its own walk: the reference for `cli._parse`.
+"""The command line as argparse read it and wrote its replies, before
+`strata_cones.cli` walked argv itself: the test-only reference for
+`cli._parse`, for its parse and for the text it writes (the help, the usage
+lines and every refusal), which the package no longer asks argparse for.
 
 `parse` hands a subcommand named first to that subcommand's argparse
 parser, after one walk that joins a declared --weight or --biweight to a
@@ -8,7 +10,9 @@ joined to "--"; arguments it leaves over get the top-level parser's error.
 Anything else is parsed, and refused, by the top-level parser.  The flags
 and subcommands are declared here a second time, as argparse takes them,
 so that agreement with the command's own table is meaningful; only the
-handlers are the command's.
+handlers are the command's.  The reference is argparse on CPython 3.10 to
+3.12 at 80 columns (COLUMNS=80): 3.13 writes some of these replies
+differently, and the command keeps the earlier text.
 """
 
 import argparse

@@ -1,6 +1,5 @@
 """End-to-end runs of the command line through main()."""
 
-import argparse
 import concurrent.futures.process
 import contextlib
 import importlib
@@ -236,8 +235,11 @@ def test_replies_are_pinned(capsys, monkeypatch):
 
 
 def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
-    # argparse is built for the two refusals alone, and only once: the
-    # other calls are read by the walk
+    # each subcommand's grammar is read from `_SUBCOMMANDS` and `_FLAGS`
+    # once, on its first call, refusals included; no call builds a
+    # standard parser
+    import argparse
+
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -247,7 +249,7 @@ def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
 
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli._build_parser.cache_clear()
+    cli._grammar.cache_clear()
     try:
         calls = [("member", "--p", "2", "--cycles", "3", "--t", "0.1",
                   "--weight", "1,0,0"),
@@ -258,9 +260,11 @@ def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
                   "--weight", "1,0,0")]
         for argv in calls:
             assert run(capsys, *argv) == REPLIES[argv], argv
+        grammars = cli._grammar.cache_info()
     finally:
-        cli._build_parser.cache_clear()
-    assert len(built) == 1 + len(cli._SUBCOMMANDS)
+        cli._grammar.cache_clear()
+    assert (grammars.misses, grammars.hits) == (3, 2)
+    assert built == []
 
 
 def test_describe_json(capsys):
@@ -506,6 +510,14 @@ def test_a_failed_write_to_stdout_is_a_usage_error():
     assert (proc.returncode, err) == (
         3, b"strata-cones: error: cannot write stdout: "
         b"No space left on device\n")
+
+
+def test_a_help_that_cannot_be_written_is_dropped():
+    # as argparse did: no traceback and no error line, and exit 0
+    with open("/dev/full", "w") as full:
+        proc = command("describe", "-h", stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_a_pipe_closed_early_is_a_usage_error():
@@ -836,13 +848,83 @@ def test_help_lists_the_subcommands(capsys, monkeypatch):
     assert run(capsys, "-h") == (0, TOP_HELP, "")
 
 
-def test_a_named_subcommand_is_parsed_by_its_own_parser(capsys, monkeypatch):
-    # the walk reads it: argparse is neither built nor, in a fresh
-    # interpreter, imported (`tests/test_imports.py`)
-    def refuse(*args, **kwargs):
-        raise AssertionError("argparse was built for a named subcommand")
+# each subcommand's help as argparse 3.10-3.12 writes it at 80 columns
+OPTIONS_HELP = """
+options:
+  -h, --help            show this help message and exit
+"""
+STRATUM_HELP = """\
+  --p P                 the rational prime
+  --cycles CYCLES       comma-separated cycle lengths
+  --t T                 stratum: 'cycle.pos' comma list, '' for the empty
+                        stratum, 'all' for everything
+"""
+WEIGHT_HELP = """\
+  --weight WEIGHT       comma-separated integer weight
+"""
+OUTPUT_HELP = """\
+  --json                emit JSON instead of text
+  -o OUTPUT, --output OUTPUT
+                        write output to this path instead of stdout
+"""
+JOBS_HELP = """\
+  --jobs JOBS           worker processes (default 1)
+"""
+HELPS = {
+    "describe": """\
+usage: strata-cones describe [-h] --p P --cycles CYCLES [--t T] [--json]
+                             [-o OUTPUT]
+""" + OPTIONS_HELP + STRATUM_HELP + OUTPUT_HELP,
+    "check": """\
+usage: strata-cones check [-h] --p P --cycles CYCLES [--t T] [--json]
+                          [-o OUTPUT] [--jobs JOBS]
+""" + OPTIONS_HELP + STRATUM_HELP + OUTPUT_HELP + JOBS_HELP,
+    "explore": """\
+usage: strata-cones explore [-h] [--p-list P_LIST] [--d-max D_MAX]
+                            [--jobs JOBS] [--json] [-o OUTPUT]
+""" + OPTIONS_HELP + """\
+  --p-list P_LIST       comma-separated primes (default 2,3,5)
+  --d-max D_MAX         largest total degree (default 5)
+""" + JOBS_HELP + OUTPUT_HELP,
+    "member": """\
+usage: strata-cones member [-h] --p P --cycles CYCLES [--t T]
+                           [--weight WEIGHT] [--json] [-o OUTPUT]
+""" + OPTIONS_HELP + STRATUM_HELP + WEIGHT_HELP + OUTPUT_HELP,
+    "minimal": """\
+usage: strata-cones minimal [-h] --p P --cycles CYCLES [--t T]
+                            [--weight WEIGHT] [--json] [-o OUTPUT]
+""" + OPTIONS_HELP + STRATUM_HELP + WEIGHT_HELP + OUTPUT_HELP,
+    "gl2": """\
+usage: strata-cones gl2 [-h] --p P --cycles CYCLES [--t T] [--weight WEIGHT]
+                        [--json] [-o OUTPUT] [--biweight BIWEIGHT]
+""" + OPTIONS_HELP + STRATUM_HELP + WEIGHT_HELP + OUTPUT_HELP + """\
+  --biweight BIWEIGHT   'lam;kappa' pair of comma-separated lists
+""",
+}
 
-    monkeypatch.setattr(cli, "_build_parser", refuse)
+
+# the help and the usage lines are written at 80 columns, whatever COLUMNS
+# says, as every interpreter writes them (`gate/test_cross_version.py`)
+@pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+def test_help_and_usage_do_not_follow_columns(capsys, monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert run(capsys, "-h") == (0, TOP_HELP, "")
+    for name, text in HELPS.items():
+        assert run(capsys, name, "-h") == (0, text, ""), name
+    argv = ("gl2", "--p", "x")
+    assert run(capsys, *argv) == REPLIES[argv]
+
+
+def test_a_named_subcommand_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    # the walk reads it and writes no text: no usage line and no help is
+    # built, and no reply imports argparse (`tests/test_imports.py`)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text was built for an accepted subcommand")
+
+    monkeypatch.setattr(cli, "_stop", refuse)
     for argv, reply in REPLIES.items():
         if reply[0] == 0:
             assert run(capsys, *argv) == reply, argv
@@ -925,6 +1007,8 @@ VALUES = {
 # how a flag and its value are written; a one-letter flag may also carry it
 FORMS = {False: ("split", "equals"), True: ("split", "equals", "attached")}
 STRAY = ("--bogus", "-x", "--", "-", "--p=2", "--cycles", "-h", "--help")
+# what may stand before the subcommand's name
+PREFIX = ("-h", "--json", "--", "-1", "--bogus", *COMMAND_NAMES)
 ERROR_LINE = re.compile(
     rf"strata-cones(?: (?:{'|'.join(COMMAND_NAMES)}))?: error: ")
 QUOTED = re.compile(r"'([^']*)'")
@@ -947,8 +1031,11 @@ def abbreviations(name: str) -> set[str]:
 def hostile_argvs(draw) -> list[str]:
     """A command line of the grammar, each flag spelled in full ("-o" may
     carry its value, "-oVALUE" or "-o=VALUE"), then up to three hostile
-    edits, among them an abbreviated spelling, and at times a token after
-    "--"."""
+    edits, among them an abbreviated spelling, at times a token after "--"
+    and at times up to two tokens before the subcommand's name; or, now and
+    then, an empty one."""
+    if not draw(st.integers(0, 19)):
+        return []
     name = draw(st.sampled_from(COMMAND_NAMES if draw(st.integers(0, 4))
                                 else ("bogus", "desc", "", "--p")))
     flags = (declared_flags(name) if name in COMMAND_NAMES
@@ -994,6 +1081,9 @@ def hostile_argvs(draw) -> list[str]:
         argv.insert(draw(st.integers(0, len(argv))), token)
     if not draw(st.integers(0, 4)):  # left over, whatever it reads as
         argv += ["--", draw(st.sampled_from((*flags, *STRAY, *HOSTILE)))]
+    if not draw(st.integers(0, 2)):  # read by the top level
+        argv[:0] = draw(st.lists(st.sampled_from(PREFIX), min_size=1,
+                                 max_size=2))
     return argv
 
 
@@ -1098,6 +1188,10 @@ def test_hostile_input_is_refused_or_kept_within_the_bounds(argv):
 @example("member --p 2 --cycles 3 --t 0.1 -- --weight -1,0,0".split())
 @example(["describe", "-hx"])
 @example(["describe", "-ho", "a"])
+@example(["-h", "describe"])
+@example("--json describe --p 2 --cycles 3 --t 0.1".split())
+@example("-- describe --p 2 --cycles 3 --t 0.1".split())
+@example("--json member --p 2 --cycles 3 --t 0.1 --weight -1,0,0".split())
 def test_the_walk_replies_as_argparse_does(argv):
     with mock.patch.dict(os.environ, COLUMNS="80"):
         assert replies(argv, cli._parse) == replies(argv, parse_oracle.parse)

@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import strata_cones
-from test_cli import TOP_HELP
 
 PACKAGE = Path(strata_cones.__file__).parent
 
@@ -163,8 +162,22 @@ def test_the_command_line_loads_no_introspection_machinery():
         assert done.stderr == "0 []\n", argv
 
 
-def test_the_help_loads_argparse_when_it_is_asked_for():
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), COLUMNS="80")
-    done = subprocess.run([sys.executable, "-m", "strata_cones.cli", "-h"],
-                          env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, TOP_HELP, "")
+def test_no_reply_loads_argparse_or_gettext():
+    # the walk writes the help, the usage lines and every refusal itself
+    argvs = [[], ["bogus"], ["--", "describe"], ["-hx"],
+             ["--json", "describe", "--p", "2", "--cycles", "3"],
+             ["describe", "--p", "x"], ["describe", "--bogus"], ["-h"],
+             *([name, "-h"] for name in ("describe", "check", "explore",
+                                         "member", "minimal", "gl2"))]
+    script = (
+        "import contextlib, io, sys\n"
+        "import strata_cones.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, [name for name in ('argparse', 'gettext')\n"
+        "              if name in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == f"{[3] * 7 + [0] * 7} []\n"

@@ -902,6 +902,98 @@ def test_min_is_min0_plus_the_off_tilde_divisor_forms():
     assert (strata, extra) == (1014, 372)
 
 
+def verdicts_by_pattern(report) -> dict:
+    """Each (cycles, T) pattern of a report's records, with the set of its
+    verdicts over the primes: the status vector of the checks and whether
+    the two minimal cones are equal."""
+    verdicts = collections.defaultdict(set)
+    for record in report.strata:
+        checks = record["checks"]
+        assert checks[-1]["name"] == "minimal_equality"
+        verdicts[tuple(record["cycles"]), record["t"]].add(
+            (tuple(check["status"] for check in checks),
+             checks[-1]["witness"] == {"equal": True}))
+    return verdicts
+
+
+def test_verdicts_do_not_depend_on_p():
+    verdicts = verdicts_by_pattern(explore([2, 3, 5, 7], 5))
+    assert len(verdicts) == 338
+    assert sum(map(len, verdicts.values())) == 338
+
+
+def test_a_fault_that_depends_on_p_splits_the_verdicts(monkeypatch):
+    # each diagonal divisor form writes p^i as 2 p^(i-1), right at p = 2
+    # alone, on a coordinate where the reduction's kernel lines stay
+    # annihilated
+    real = weights.functional_Lf
+
+    def faulty(t, beta, tau):
+        form = list(real(t, beta, tau))
+        config = t.config
+        for i, emb in enumerate(config.embeddings()):
+            if tau == beta and abs(form[i]) > 1 and emb not in t \
+                    and frobenius_shift(config, emb, 1) not in t:
+                form[i] = form[i] // config.p * 2
+                break
+        return tuple(form)
+
+    monkeypatch.setattr(weights, "functional_Lf", faulty)
+    verdicts = verdicts_by_pattern(explore([2, 3], 3))
+    split = [pattern for pattern, seen in verdicts.items() if len(seen) > 1]
+    assert (("2",), "") in split
+
+
+def assembled_sides(parts, dim: int) -> tuple:
+    """The canonical sides of a product over the cycles: each cycle's
+    canonical sides embedded at its offset among `dim` coordinates, rays
+    and inequalities sorted, lines and equations in cycle order."""
+    rays, lines, ineqs, eqns = [], [], [], []
+    for cone, offset in parts:
+        def embed(vecs, offset=offset, width=cone.dim):
+            return [(0,) * offset + v + (0,) * (dim - offset - width)
+                    for v in vecs]
+        rays += embed(cone.gen.rays)
+        lines += embed(cone.gen.lines)
+        ineqs += embed(cone.con.ineqs)
+        eqns += embed(cone.con.eqns)
+    return ((tuple(sorted(rays)), tuple(lines)),
+            (tuple(sorted(ineqs)), tuple(eqns)))
+
+
+def test_product_cones_are_their_cycles_cones_side_by_side():
+    # the Hasse-type cone in the full coordinates, and both minimal cones in
+    # the reduced ones, where a cycle takes as many as it has outside T
+    strata = 0
+    for p, d_max in ((2, 5), (3, 5), (5, 5), (7, 3)):
+        for d in range(2, d_max + 1):
+            for lengths in partitions(d):
+                if len(lengths) < 2:
+                    continue
+                config = SplittingConfig(p, lengths)
+                for t in _every_stratum(config):
+                    cycles = [verify._cycle_stratum(config, f,
+                                                    t.cycle_members(c))
+                              for c, f in enumerate(lengths)]
+                    offsets = [config.flat_index(EmbeddingId(c, 0))
+                               for c in range(len(lengths))]
+                    cone = verify._hasse_type_cone(t)
+                    assert (cone.gen, cone.con) == assembled_sides(
+                        [(verify._hasse_type_cone(sub), offset)
+                         for sub, offset in zip(cycles, offsets)], d), t
+                    reduced = list(itertools.accumulate(
+                        (len(sub.complement()) for sub in cycles),
+                        initial=0))
+                    for variant in ("min", "min0"):
+                        cone = weights.minimal_cone(t, variant)
+                        assert (cone.gen, cone.con) == assembled_sides(
+                            [(weights.minimal_cone(sub, variant), offset)
+                             for sub, offset in zip(cycles, reduced)],
+                            reduced[-1]), (t, variant)
+                    strata += 1
+    assert strata == 848
+
+
 def test_stratum_record_serializes_math_integers_as_strings():
     record = stratum_record(stratum_from_text(CFG_B, "0.1"))
     assert record["p"] == "2"
