@@ -34,9 +34,12 @@ A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
 unequal strata pinned in the same way.  Its minimal-cone variants differ on
 the same six strata as for p in {2, 3, 5}: one cycle of length 6 with T a
-single embedding.
+single embedding.  Grouped by (cycles, T), the 1042 patterns of degree up
+to 6 take one status vector and one `minimal_equality` verdict each over
+p in {2, 3, 5}, p = 7, p = 101 and p = 7919.
 """
 
+import collections
 import hashlib
 import json
 import os
@@ -62,6 +65,7 @@ from test_verify import (
     dependent_membership_cones,
     multi_cycle_strata,
     routed_against_direct,
+    verdicts_by_pattern,
 )
 
 GATE_PRIMES = [2, 3, 5]
@@ -104,6 +108,9 @@ P7_SUMMARY = {"strata": 1042, "checks": 14588, "pass": 12021, "fail": 294,
               "info": 2273}
 P7_DICHOTOMY_COUNTS = {"closed": 461, "strict": 287, "degenerate": 294}
 P7_UNEQUAL = [{"p": "7", "cycles": ["6"], "t": f"0.{i}"} for i in range(6)]
+# primes far above the others, whose verdicts are compared pattern by
+# pattern with those of p in {2, 3, 5, 7}
+LARGE_PRIMES = (101, 7919)
 # p in {2, 3, 5} up to degree 8 through the command line with two workers,
 # where 84% of the strata take a result from the first stratum of their
 # orbit: 22.6 s against 31.0 s when every stratum ran every check, largest
@@ -197,8 +204,13 @@ def test_dichotomy_classes_are_pinned(sweep):
     assert degenerate == failing(report)[1]
 
 
-def test_p7_to_degree_6_is_pinned():
-    report = explore([7], GATE_DEGREE)
+@pytest.fixture(scope="module")
+def p7_report():
+    return explore([7], GATE_DEGREE)
+
+
+def test_p7_to_degree_6_is_pinned(p7_report):
+    report = p7_report
     text = report.to_json() + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == P7_REPORT_SHA256
     assert report.summary == P7_SUMMARY
@@ -211,6 +223,26 @@ def test_p7_to_degree_6_is_pinned():
     assert report.open_question == {"equal": 1042 - 6, "unequal": 6,
                                     "instances": P7_UNEQUAL}
     assert recheck_unequal_witnesses(report, P7_UNEQUAL) == 6
+
+
+@pytest.fixture(scope="module")
+def large_prime_reports():
+    return [explore([p], GATE_DEGREE) for p in LARGE_PRIMES]
+
+
+def test_verdicts_do_not_depend_on_p_to_degree_6(sweep, p7_report,
+                                                 large_prime_reports):
+    # 3126 + 3 * 1042 strata in the 1042 (cycles, T) patterns of degree at
+    # most 6, six primes: 6.7 s in process with Python 3.11 on a 2-core
+    # machine, the sweeps of p in {2, 3, 5} and of p = 7 included
+    report, _ = sweep
+    verdicts = collections.defaultdict(set)
+    for one in (report, p7_report, *large_prime_reports):
+        for pattern, seen in verdicts_by_pattern(one).items():
+            verdicts[pattern] |= seen
+    assert len(verdicts) == P7_SUMMARY["strata"] == 1042
+    assert [pattern for pattern, seen in verdicts.items()
+            if len(seen) != 1] == []
 
 
 def run_command(*args) -> tuple[int, float]:

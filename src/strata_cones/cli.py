@@ -483,19 +483,17 @@ def _parse(argv: Sequence[str]):
                 and i < len(argv) and argv[i].startswith("-")):
             token = f"{token}={argv[i]}"
             i += 1
-        flag, _, value = token.partition("=")
-        if flag not in options:  # "-o--": a short flag joined to its value
-            flag, value = token[:2], token[2:]
-        if value == "--" and own and options.get(flag) in _VALUE_FLAGS:
-            _stop(name, f"argument {_label(options[flag])}: expected one "
-                        "argument")
+        option = _option(token, options)
+        if own and option is not None and option[1] == "--" \
+                and options.get(option[0]) in _VALUE_FLAGS:
+            _stop(name, f"argument {_label(options[option[0]])}: expected "
+                        "one argument")
         if stop is not None:
             continue
         if dashes or token == "--" and (name or i == len(argv)):
             dashes = True  # after "--", every token is left over
             extras.append(token)
             continue
-        option = _option(token, options)
         if option is None or option[0] not in options:
             if name or option is not None and token != "--":
                 extras.append(token)

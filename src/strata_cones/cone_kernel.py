@@ -131,7 +131,8 @@ class Cone:
 
     A cone keeps the side it was given, and computes each canonical side
     (`gen`, `con`) by one double description pass the first time it is
-    read.  Equality and hashing read the canonical sides.
+    read.  Equality is `cone_equal`, containment on the sides held, and
+    hashing reads the canonical generators.
     """
 
     __slots__ = ("dim", "_given_gen", "_given_con", "_gen", "_con")
@@ -176,11 +177,10 @@ class Cone:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
             return NotImplemented
-        return self.dim == other.dim and self.gen == other.gen \
-            and self.con == other.con
+        return self.dim == other.dim and cone_equal(self, other)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.gen, self.con))
+        return hash((self.dim, self.gen))
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.dim!r}, gen={self.gen!r}, con={self.con!r})"

@@ -53,6 +53,7 @@ from .splitting import (
     tilde_closure,
 )
 from .weights import (
+    _as_vec,
     cone_D,
     delta_class,
     explicit_constraints,
@@ -639,9 +640,8 @@ def _check_product_structure(t: Stratum) -> CheckResult:
     gens = []
     for c, f in enumerate(config.cycle_lengths):
         sub = _cycle_stratum(config, f, t.cycle_members(c))
-        offset = config.flat_index(EmbeddingId(c, 0))
-        before, after = (0,) * offset, (0,) * (config.degree - offset - f)
-        gens += [(before + w + after, is_line)
+        cycle = [EmbeddingId(c, i) for i in range(f)]
+        gens += [(_as_vec(config, zip(cycle, w)), is_line)
                  for w, is_line in generators_Gprime(sub)]
     return _equality_result(name, family_cone(gens, config.degree), cone_D(t),
                             "per-cycle product cone", "weight cone")
@@ -680,11 +680,13 @@ def check_min_question(stratum: Stratum) -> CheckResult:
     of degree up to 5 for p = 2, 3, 5, but at degree 6 differ on 18:
     cycles (6), T a single embedding, each p.
 
-    As sets of forms, "min" is "min0" plus functional_Lf(t, beta, tau),
-    restricted to the coordinates outside T, for beta admissible and tau on
-    beta's cycle, off the tilde closure, not beta or shift^n(beta); every
-    other divisibility functional is a facet functional (tau off beta's
-    cycle or on tilde minus T) or the diagonal one (tau = beta)."""
+    As sets of forms, "min" is "min0" plus, for each admissible beta, the
+    facets whose window meets beta's run, negated there and restricted to
+    the coordinates outside T: functional_Lf(t, beta, tau) for tau on
+    beta's cycle, off the tilde closure, not beta or shift^n(beta).  Every
+    other divisibility functional is a facet functional, whose window
+    misses the run (tau off beta's cycle or on tilde minus T), or the
+    diagonal one (tau = beta)."""
     witness = _escape_witness(minimal_cone(stratum, "min0"),
                               minimal_cone(stratum, "min"), equal=False)
     return CheckResult("minimal_equality", INFO, witness or {"equal": True})

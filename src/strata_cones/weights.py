@@ -209,23 +209,18 @@ def functional_window(config: SplittingConfig,
     return _as_vec(config, coeffs.items())
 
 
-def _facet(stratum: Stratum, eps: Mapping[EmbeddingId, int],
-           emb: EmbeddingId) -> Vec:
-    """The facet functional at emb outside T, read with the signs eps."""
-    config = stratum.config
-    mu = index_tables(stratum).mu[emb]
-    start = 0 if emb in tilde_closure(stratum) else mu
-    return functional_window(config, eps, frobenius_shift(config, emb, start),
-                             frobenius_shift(config, emb, mu - 1))
-
-
 def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
     """The facet functional of the weight cone at an embedding outside T:
     a full window from shift^mu(emb) when emb is outside the tilde closure,
     else the partial window from emb of length mu."""
     if emb in stratum:
         raise ValueError(f"no facet functional at {emb}: it lies in T")
-    return _facet(stratum, sign_epsilon(stratum), emb)
+    config = stratum.config
+    mu = index_tables(stratum).mu[emb]
+    start = 0 if emb in tilde_closure(stratum) else mu
+    return functional_window(config, sign_epsilon(stratum),
+                             frobenius_shift(config, emb, start),
+                             frobenius_shift(config, emb, mu - 1))
 
 
 @_memoised
@@ -275,37 +270,24 @@ def reduce_iT(stratum: Stratum, weight: Sequence[Rational]) -> tuple:
 def lift_jT(stratum: Stratum, reduced: Sequence[Rational]) -> tuple:
     """The zero-filled section of the reduction: place the reduced
     coordinates on the complement of T and zeros on T."""
-    config = stratum.config
     outside = stratum.complement()
     _check_vectors((reduced,), len(outside), "reduced weight")
-    out = [0] * config.degree
-    for beta, value in zip(outside, reduced):
-        out[config.flat_index(beta)] = value
-    return tuple(out)
-
-
-def _flipped_epsilon(stratum: Stratum, beta: EmbeddingId) -> dict[EmbeddingId, int]:
-    tables = index_tables(stratum)
-    eps = dict(sign_epsilon(stratum))
-    for i in range(tables.mu[beta]):
-        tau = frobenius_shift(stratum.config, beta, i)
-        eps[tau] = -eps[tau]
-    return eps
+    return _as_vec(stratum.config, zip(outside, reduced))
 
 
 def functional_Lf(stratum: Stratum, beta: EmbeddingId,
                   tau: EmbeddingId) -> Vec:
     """The facet functional at tau of the divisibility cone attached to the
-    admissible embedding beta.
+    admissible embedding beta: a window read with the sign function flipped
+    on beta's run (beta and the members of T after it), that is, by
+    linearity, the window read with the sign function and negated on the
+    run's coordinates.
 
-    It is read with the sign function flipped on beta's run (beta and the
-    members of T after it).  At tau != beta it is the facet functional at
-    tau; off beta's cycle, and on tilde minus T, the window of tau misses
-    the run and this is `functional_LT`.  At tau = beta, with beta2 =
-    shift^n(beta) and btilde = shift^mu(beta2): on tilde minus T it is the
-    facet functional at beta2 (beta2 lies off the tilde closure, so this is
-    the full window from btilde); off the tilde closure it is the window
-    from beta to one step behind btilde.
+    At tau != beta the window is the facet at tau (`explicit_constraints`),
+    which misses the run off beta's cycle and on tilde minus T.  At tau =
+    beta, with beta2 = shift^n(beta) and btilde = shift^mu(beta2), it is
+    the diagonal window from beta to one step behind btilde, from btilde
+    (the facet at beta2) when beta lies on the tilde closure.
     """
     config = stratum.config
     if beta not in admissible_set(stratum):
@@ -318,14 +300,17 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
         raise ValueError(
             f"no divisibility functional at {tau}: it is the n-step shift "
             "of the admissible embedding")
-    eps = _flipped_epsilon(stratum, beta)
     if tau != beta:
-        return _facet(stratum, eps, tau)
-    if beta in tilde_closure(stratum):
-        return _facet(stratum, eps, beta2)
-    btilde = frobenius_shift(config, beta2, tables.mu[beta2])
-    return functional_window(config, eps, beta,
-                             frobenius_shift(config, btilde, -1))
+        form = explicit_constraints(stratum).ineqs[
+            stratum.complement().index(tau)]
+    else:
+        btilde = frobenius_shift(config, beta2, tables.mu[beta2])
+        start = btilde if beta in tilde_closure(stratum) else beta
+        form = functional_window(config, sign_epsilon(stratum), start,
+                                 frobenius_shift(config, btilde, -1))
+    run = {config.flat_index(frobenius_shift(config, beta, i))
+           for i in range(tables.mu[beta])}
+    return tuple(-c if i in run else c for i, c in enumerate(form))
 
 
 @_memoised

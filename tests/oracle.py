@@ -26,8 +26,9 @@ by the exit-parity walk and the distinguished generator's recipe as a
 partial pair recipe times a patched b factor, the references for the
 telescoping walk; `f_recipe_tag_by_cases` gives that recipe's discrete tag
 by cases over the closure, the reference for its reading off the walk.
-`dot` and `raw_weight`, the basis weights e, h and b written out by hand,
-are the one copy of each that every test file uses.
+`dot`, `raw_weight` (the basis weights e, h and b written out by hand)
+and `sides` (a cone's canonical form) are the one copy of each that every
+test file uses.
 
 Intended for ambient dimension <= 4 and a handful of generators; costs grow
 exponentially beyond that.
@@ -63,6 +64,13 @@ def dot(a, b):
 
 def _number(x):
     return int(x) if isinstance(x, str) else x
+
+
+def sides(cone):
+    """A cone's dimension and both canonical sides: what a test compares
+    where it pins the canonical form itself, as `Cone.__eq__` decides
+    containment only."""
+    return cone.dim, cone.gen, cone.con
 
 
 def raw_weight(p, lengths, kind, c, i):

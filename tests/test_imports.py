@@ -68,7 +68,6 @@ UNREFERENCED_EXPORTS = {
     "check_report": "library entry point, see README's Library section",
     "explore": "library entry point, see README's Library section",
     "cone_complete": "the benchmark traces it by name",
-    "cone_equal": "the benchmark traces it by name",
 }
 
 
@@ -141,8 +140,8 @@ def test_the_command_line_loads_no_process_pool():
 def test_the_command_line_loads_no_introspection_machinery():
     # every launch of the command pays for what it imports; `dataclasses`
     # would bring `inspect`, `ast`, `dis` and `tokenize` with it, and
-    # `argparse` brings `gettext`: the walk reads a named subcommand, and
-    # argparse is loaded only to write the help or a usage line
+    # `argparse` brings `gettext`: the walk reads the command line and
+    # writes its help, usage lines and refusals itself
     for argv in (["describe", "--p", "2", "--cycles", "3", "--t", "0.1",
                   "--json"],
                  ["check", "--p", "2", "--cycles", "3", "--t", "0.1",

@@ -17,13 +17,14 @@ two more properties are pinned here: every result that moves along an
 orbit (`verify._moves_along_orbit`) is equal, witness and all, across each
 move, and the classes of `splitting.orbit_key` are exactly the orbits.  The
 report path is compared with the direct checks on every stratum, sound and
-under planted faults.
+under planted faults, and the runs of each check made for the records are
+pinned, so a result that stops moving along its orbit shows.
 """
 
 import collections
 
 import pytest
-from oracle import canon_gen
+from oracle import canon_gen, sides
 
 from strata_cones import verify
 from strata_cones.splitting import (
@@ -82,12 +83,6 @@ def permuted(vecs, source, target, g):
             w[where[g[e]]] = x
         out.append(tuple(w))
     return out
-
-
-def sides(cone):
-    """What cone equality compares: the dimension and both canonical
-    sides."""
-    return cone.dim, cone.gen, cone.con
 
 
 def moved_cone(cone, source, target, g):
@@ -262,44 +257,98 @@ def record_entry(result) -> dict:
         {"witness": result.witness} if result.witness is not None else {})
 
 
-def orbit_path_against_direct(primes, degree, monkeypatch,
-                              reverse=False) -> tuple[int, int, list]:
+def orbit_path_runs(primes, degree, monkeypatch,
+                    reverse=False) -> tuple[int, collections.Counter, list]:
     """Make the record of every stratum up to `degree` through the report
     path, the strata of each configuration in report order (or reversed),
     and compare its check list with the direct checks, witnesses included.
 
-    Return the number of strata, the runs of `delta_kernel` made for the
-    records, and the strata whose checks differ.  `delta_kernel` passes
-    without a witness everywhere, so its result moves along each orbit and
-    it runs for the first stratum of each orbit alone."""
-    runs = []
-    direct = verify._check_delta_kernel
+    Return the number of strata, the runs of each check made for the
+    records, counted by the name of its result (`minimal_equality` for
+    `check_min_question`), and the strata whose checks differ.  The checks
+    counted are those `verify` holds when this is called, planted faults
+    included."""
+    calls = collections.Counter()
 
-    def counted(t):
-        runs.append(t)
-        return direct(t)
+    def counted(check):
+        def run(t):
+            result = check(t)
+            calls[result.name] += 1
+            return result
+        return run
 
-    monkeypatch.setattr(verify, "_CHECKS", tuple(
-        counted if check is direct else check for check in verify._CHECKS))
-    strata = first = 0
+    monkeypatch.setattr(verify, "_CHECKS", tuple(map(counted,
+                                                     verify._CHECKS)))
+    monkeypatch.setattr(verify, "check_min_question",
+                        counted(verify.check_min_question))
+    strata = 0
+    runs = collections.Counter()
     differ = []
     for config in configurations(primes, degree):
         tasks = _config_tasks(config)
         for _, text in reversed(tasks) if reverse else tasks:
             t = stratum_from_text(config, text)
-            before = len(runs)
+            before = calls.copy()
             checks = stratum_record(t)["checks"]
-            first += len(runs) - before
+            runs += calls - before
             if checks != list(map(record_entry, all_results(t))):
                 differ.append((config, text))
             strata += 1
-    return strata, first, differ
+    return strata, runs, differ
+
+
+def orbit_path_against_direct(primes, degree, monkeypatch,
+                              reverse=False) -> tuple[int, int, list]:
+    """`orbit_path_runs` with the runs of `delta_kernel` alone: it passes
+    without a witness everywhere, so its result moves along each orbit and
+    it runs for the first stratum of each orbit alone."""
+    strata, runs, differ = orbit_path_runs(primes, degree, monkeypatch,
+                                           reverse)
+    return strata, runs["delta_kernel"], differ
+
+
+# the runs of each check for the records of the 1014 strata of p in
+# {2, 3, 5} and degree at most 5, 390 orbits: a result moves along its orbit
+# unless it fails or its witness names its stratum, and only the dichotomy
+# fails or names its stratum (its `strict_via` pass) on a later stratum of
+# an orbit
+RECORD_PATH_RUNS = {name: 390 for name in (
+    "optimal_basis", "explicit_halfspaces", "biorthogonality",
+    "hasse_identity", "reduction_identities", "recipe_weights",
+    "divisor_functionals", "minimal_nesting", "diagonal_minimal",
+    "gl2_product", "delta_kernel", "product_structure",
+    "minimal_equality")} | {"admissible_dichotomy": 735}
 
 
 def test_the_orbit_path_gives_the_direct_checks(monkeypatch):
     # 1014 strata of p in {2, 3, 5} and degree at most 5, 130 orbits a prime
     assert orbit_path_against_direct([2, 3, 5], DEGREE, monkeypatch) == (
         1014, 390, [])
+
+
+def test_the_record_path_runs_each_check_once_per_orbit(monkeypatch):
+    assert orbit_path_runs([2, 3, 5], DEGREE, monkeypatch) == (
+        1014, RECORD_PATH_RUNS, [])
+
+
+def test_a_result_that_stops_moving_is_caught_by_the_runs(monkeypatch):
+    # a planted fault: product_structure words its reason differently, so
+    # the result names nothing of its stratum yet no longer moves along
+    # its orbit; every record stays right, and only the runs show it
+    direct = verify._check_product_structure
+
+    def reworded(t):
+        result = direct(t)
+        if result.witness == {"reason": "single cycle"}:
+            return result._replace(witness={"reason": "one cycle"})
+        return result
+
+    monkeypatch.setattr(verify, "_CHECKS", tuple(
+        reworded if check is direct else check for check in verify._CHECKS))
+    strata, runs, differ = orbit_path_runs([2, 3, 5], DEGREE, monkeypatch)
+    assert strata == 1014 and differ == []
+    assert runs["product_structure"] > 390
+    assert dict(runs, product_structure=390) == RECORD_PATH_RUNS
 
 
 def asymmetric_check(t) -> CheckResult:
