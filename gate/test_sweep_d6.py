@@ -28,7 +28,9 @@ direct checks, witnesses included, for p in {2, 3, 5} and for p = 7.
 Degree 8 runs through the command line with two workers (25782 strata,
 about 25 s): the report's sha256, summary, failing check and unequal
 count are pinned, the 258 MB report is read one stratum record at a time,
-and its largest process is held to the same 50 MB bound.
+and its largest process is held to the same 50 MB bound.  Its records,
+grouped by (cycles, T), take one status vector and one `minimal_equality`
+verdict per pattern over p in {2, 3, 5}: 8594 patterns, none split.
 
 A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
@@ -64,14 +66,16 @@ from test_verify import (
     ROUTED_CHECKS,
     dependent_membership_cones,
     multi_cycle_strata,
+    pattern_verdict,
     routed_against_direct,
     verdicts_by_pattern,
 )
 
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
-# one process, and two workers that each receive the configuration with
-# its memo inside their tasks
+# one process, and two workers; a task's configuration crosses to a worker
+# without its memo (`_Frozen.__reduce__` leaves it behind), so each chunk
+# of tasks builds the memo again
 GATE_JOBS = (1, 2)
 GATE_BUDGET_SECONDS = 240.0
 # sha256 of `strata-cones explore --p-list 2,3,5 --d-max 6 --json`, which
@@ -121,6 +125,8 @@ D8_REPORT_SHA256 = (
 D8_SUMMARY = {"strata": 25782, "checks": 360948, "pass": 299634,
               "fail": 7194, "info": 54120}
 D8_UNEQUAL = 615
+# the (cycles, T) patterns of degree at most 8
+D8_PATTERNS = 8594
 
 
 @pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
@@ -325,8 +331,11 @@ def test_degree_8_report_is_pinned_through_the_command_line(tmp_path):
         assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
         counts = {"pass": 0, "fail": 0, "info": 0}
         seen = {"strata": 0, "unequal": 0, "failing": set()}
+        verdicts = collections.defaultdict(set)
 
         def visit(record):
+            pattern, verdict = pattern_verdict(record)
+            verdicts[pattern].add(verdict)
             seen["strata"] += 1
             for check in record["checks"]:
                 counts[check["status"]] += 1
@@ -343,6 +352,11 @@ def test_degree_8_report_is_pinned_through_the_command_line(tmp_path):
         "strata": seen["strata"], "checks": sum(counts.values()), **counts}
     assert seen["failing"] == {"admissible_dichotomy"}
     assert tail["open_question"]["unequal"] == seen["unequal"] == D8_UNEQUAL
+    # one status vector and one `minimal_equality` verdict per pattern
+    # over p in {2, 3, 5}
+    assert len(verdicts) == D8_PATTERNS
+    assert [pattern for pattern, found in verdicts.items()
+            if len(found) != 1] == []
 
 
 def test_membership_certificates_are_unique_to_degree_6():

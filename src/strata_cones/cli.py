@@ -31,9 +31,11 @@ from .verify import (
     _certificate,
     _check_jobs,
     _check_sweep,
+    _checks_task,
     _dumps,
     _explore_sweep,
     _json_layout,
+    _reads,
     _vec,
     _vecs,
     _write_report,
@@ -203,8 +205,9 @@ def _cmd_check(args):
                                       _check_lines)
 
 
+@_reads(_checks_task)
 def _check_lines(config: dict, results, tally) -> Iterator[str]:
-    for head, checks, _, _ in results:
+    for head, checks, _ in results:
         yield "".join(f"[{head['t']}] {name}: {status}\n"
                       for name, status in checks)
     summary = tally.tail()["summary"]
@@ -226,11 +229,12 @@ def _cmd_explore(args):
                                       _explore_lines)
 
 
+@_reads(_checks_task)
 def _explore_lines(config: dict, results, tally) -> Iterator[str]:
     """The summary comes first, so only the failures are held."""
     fails = [f"\nFAIL p={head['p']} cycles=({','.join(head['cycles'])}) "
              f"[{head['t']}] {name}"
-             for head, checks, _, _ in results
+             for head, checks, _ in results
              for name, status in checks if status == FAIL]
     tail = tally.tail()
     summary = tail["summary"]

@@ -673,20 +673,21 @@ def check_min_question(stratum: Stratum) -> CheckResult:
     """Compare the two minimal-cone variants.
 
     Informational either way; an unequal pair comes with a witness ray.
-    Every admissible beta lies outside T and differs from shift^n(beta), so
-    each form of the diagonal variant is also a form of the minimal cone:
-    the minimal cone lies inside the diagonal one, and they are equal iff
-    no generator of the diagonal one escapes.  They agree on every stratum
-    of degree up to 5 for p = 2, 3, 5, but at degree 6 differ on 18:
-    cycles (6), T a single embedding, each p.
+    The list of forms of the diagonal variant is the start of the list of
+    the minimal cone (`minimal_forms`), so the minimal cone lies inside the
+    diagonal one, and they are equal iff no generator of the diagonal one
+    escapes.  They agree on every stratum of degree up to 5 for p = 2, 3,
+    5, but at degree 6 differ on 18: cycles (6), T a single embedding,
+    each p.
 
-    As sets of forms, "min" is "min0" plus, for each admissible beta, the
-    facets whose window meets beta's run, negated there and restricted to
-    the coordinates outside T: functional_Lf(t, beta, tau) for tau on
-    beta's cycle, off the tilde closure, not beta or shift^n(beta).  Every
-    other divisibility functional is a facet functional, whose window
-    misses the run (tau off beta's cycle or on tilde minus T), or the
-    diagonal one (tau = beta)."""
+    The rest of the list of "min", each form once, is, for each admissible
+    beta, the facets whose window meets beta's run, negated there and
+    restricted to the coordinates outside T: functional_Lf(t, beta, tau)
+    for tau on beta's cycle, off the tilde closure, not beta or
+    shift^n(beta).  Every other divisibility functional is a facet
+    functional, whose window misses the run (tau off beta's cycle or on
+    tilde minus T), or the diagonal one (tau = beta), both listed in
+    "min0"."""
     witness = _escape_witness(minimal_cone(stratum, "min0"),
                               minimal_cone(stratum, "min"), equal=False)
     return CheckResult("minimal_equality", INFO, witness or {"equal": True})
@@ -696,18 +697,22 @@ def check_min_question(stratum: Stratum) -> CheckResult:
 # stratum records and reports
 
 
+def _head(stratum: Stratum) -> dict:
+    """The fields that name a stratum, first in its dossier and its checks:
+    `p`, `cycles` and `t`."""
+    config = stratum.config
+    return {"p": str(config.p), "cycles": _vec(config.cycle_lengths),
+            "t": stratum.key()}
+
+
 def stratum_dossier(stratum: Stratum) -> dict:
     """The JSON-ready dossier of one stratum: derived combinatorial data,
     generators, half-spaces, and minimal cones."""
-    config = stratum.config
     tables = index_tables(stratum)
     eps = sign_epsilon(stratum)
     s, iw = places_and_iw(stratum)
-    embeddings = config.embeddings()
-    record = {
-        "p": str(config.p),
-        "cycles": _vec(config.cycle_lengths),
-        "t": stratum.key(),
+    embeddings = stratum.config.embeddings()
+    return _head(stratum) | {
         "tilde": tilde_closure(stratum).key(),
         "S": {
             "embeddings": [e.key() for e in sorted(s.embeddings)],
@@ -729,7 +734,6 @@ def stratum_dossier(stratum: Stratum) -> dict:
         "minimal": _cone_record(minimal_cone(stratum, "min")),
         "minimal0": _cone_record(minimal_cone(stratum, "min0")),
     }
-    return record
 
 
 # the witnesses that name nothing of their stratum
@@ -768,16 +772,18 @@ def _orbit_checks(t: Stratum) -> list[CheckResult]:
             for r, check in zip(kept, _CHECKS + (check_min_question,))]
 
 
-def stratum_record(stratum: Stratum) -> dict:
-    """A stratum dossier extended with all check results, each decided once
-    per Frobenius orbit (`_orbit_checks`)."""
-    record = stratum_dossier(stratum)
-    results = _orbit_checks(stratum)
-    record["checks"] = [
+def stratum_checks(stratum: Stratum) -> dict:
+    """The stratum's `_head` and all check results, each decided once per
+    Frobenius orbit (`_orbit_checks`)."""
+    return _head(stratum) | {"checks": [
         {"name": r.name, "status": r.status}
         | ({"witness": r.witness} if r.witness is not None else {})
-        for r in results]
-    return record
+        for r in _orbit_checks(stratum)]}
+
+
+def stratum_record(stratum: Stratum) -> dict:
+    """A stratum dossier extended with all check results."""
+    return stratum_dossier(stratum) | stratum_checks(stratum)
 
 
 class _Tally:
@@ -791,7 +797,7 @@ class _Tally:
 
     def count(self, results: Iterable[tuple]) -> Iterator[tuple]:
         for result in results:
-            head, checks, differ, _ = result
+            head, checks, differ, *_ = result
             for _, status in checks:
                 self.counts[status] += 1
             if differ:
@@ -816,6 +822,40 @@ class _Tally:
         }
 
 
+def _verdicts(record: dict) -> tuple:
+    """What every report layout reads of a stratum's checks: its head
+    (`p`, `cycles`, `t`), its checks' (name, status) pairs, and whether its
+    two minimal-cone variants differ."""
+    checks = record["checks"]
+    # the last check is the result of `check_min_question`
+    differ = not checks[-1]["witness"]["equal"]
+    return ({k: record[k] for k in ("p", "cycles", "t")},
+            tuple((c["name"], c["status"]) for c in checks), differ)
+
+
+def _checks_task(task: tuple[SplittingConfig, str]) -> tuple:
+    """One stratum as the text layouts read it: the `_verdicts` of its
+    `stratum_checks`, with no dossier built."""
+    return _verdicts(stratum_checks(stratum_from_text(*task)))
+
+
+def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
+    """One stratum as the JSON layout reads it: the `_verdicts` of its
+    record, and the record's JSON fragment, indented as in the `strata`
+    list."""
+    record = stratum_record(stratum_from_text(*task))
+    return (*_verdicts(record), "    " + _dumps(record, "\n    "))
+
+
+def _reads(task):
+    """Declare the record task whose results a report layout reads:
+    `_write_report` runs it on every stratum, and only it."""
+    def declare(layout):
+        layout.task = task
+        return layout
+    return declare
+
+
 def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     """Run the record tasks and keep the report text they make under
     `config`."""
@@ -825,6 +865,7 @@ def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     return Report("".join(pieces), **tail)
 
 
+@_reads(_record_task)
 def _json_layout(config: dict, results: Iterator[tuple],
                  tally: _Tally) -> Iterator[str]:
     """The report text as `_dumps` lays it out, in pieces: the header with
@@ -841,13 +882,15 @@ def _json_layout(config: dict, results: Iterator[tuple],
 
 def _write_report(write, config: dict, tasks: Iterable[tuple], jobs: int,
                   layout) -> dict:
-    """Run the record tasks and pass the text that `layout(config, results,
-    tally)` makes of their results to `write` as it comes, in task order;
-    `tally` has counted the results taken so far.  Return the tally's
+    """Run the record tasks through the task the layout reads
+    (`layout.task`) and pass the text that `layout(config, results, tally)`
+    makes of their results to `write` as it comes, in task order; `tally`
+    has counted the results taken so far.  Return the tally's
     open question and summary.  Nothing is written before the first record
     exists, and if `write` raises, the work not yet started is dropped."""
     tally = _Tally()
-    with contextlib.closing(_run_tasks(tasks, jobs)) as results:
+    with contextlib.closing(_run_tasks(layout.task, tasks,
+                                       jobs)) as results:
         for piece in layout(config, tally.count(results), tally):
             write(piece)
     return tally.tail()
@@ -899,20 +942,6 @@ def _config_tasks(config: SplittingConfig,
     return [(config, key) for key in sorted(keys)]
 
 
-def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
-    """One stratum as every report layout reads it: its head (`p`,
-    `cycles`, `t`), its checks' (name, status) pairs, whether its two
-    minimal-cone variants differ, and its record's JSON fragment, indented
-    as in the `strata` list."""
-    record = stratum_record(stratum_from_text(*task))
-    checks = record["checks"]
-    # the last check is the result of `check_min_question`
-    differ = not checks[-1]["witness"]["equal"]
-    fragment = "    " + _dumps(record, "\n    ")
-    return ({k: record[k] for k in ("p", "cycles", "t")},
-            tuple((c["name"], c["status"]) for c in checks), differ, fragment)
-
-
 def _check_jobs(jobs: int, subject: str = "jobs") -> None:
     """Refuse a worker count that is not exactly an `int` from 1 to
     `JOBS_MAX`, before any task starts; the command line refuses its
@@ -922,15 +951,16 @@ def _check_jobs(jobs: int, subject: str = "jobs") -> None:
             f"{subject} must be between 1 and {JOBS_MAX}, got {jobs!r}")
 
 
-def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
-    """The results of the record tasks, in task order, as they are
-    computed; closing the iterator early drops the work not yet started."""
+def _run_tasks(run, tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
+    """The results of `run`, `_record_task` or `_checks_task`, on the record
+    tasks, in task order, as they are computed; closing the iterator early
+    drops the work not yet started."""
     if jobs > 1:
         # the pool starts all workers up front: never more than one per task
         tasks = list(tasks)
         jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        yield from map(_record_task, tasks)
+        yield from map(run, tasks)
         return
     # imported here: a run with one job never loads the process machinery
     from concurrent.futures.process import (
@@ -942,7 +972,7 @@ def _run_tasks(tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
             # a constant cap: a chunk's results cross back as one list
             chunk = max(1, min(32, len(tasks) // (jobs * 8)))
             # closing pool.map's iterator cancels the calls not yet started
-            yield from pool.map(_record_task, tasks, chunksize=chunk)
+            yield from pool.map(run, tasks, chunksize=chunk)
     except (OSError, BrokenProcessPool) as exc:
         raise RuntimeError(
             f"parallel execution with {jobs} workers failed: {exc}; "

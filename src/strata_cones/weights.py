@@ -325,42 +325,42 @@ def _divisor_forms(stratum: Stratum, beta: EmbeddingId) -> tuple[Vec, ...]:
                 if tau not in (beta, beta2))))
 
 
-def minimal_forms(stratum: Stratum, variant: str = "min") -> tuple[Vec, ...]:
-    """The forms cutting out the minimal cone, in reduced coordinates on the
-    complement of T.
-
-    Variant "min" intersects the weight cone with every divisibility cone;
-    variant "min0" keeps only the diagonal functional of each admissible
-    embedding, the first of its `_divisor_forms`, so each form of "min0" is
-    a form of "min", built once for both.  Either lists the facets first,
-    then the diagonal functionals; "min" then lists the other divisor
-    forms, so the cone's double description meets the forms that cut
-    first.  The collected forms are restricted to the coordinates outside
-    T in sorted order (composed with `lift_jT`).  This is exact because
-    every form vanishes on the b lines on T, asserted here:
-    `reduce_iT` after `lift_jT` is the identity and the b lines span the
-    kernel of the reduction, so every form agrees on x and lift(reduce(x)).
-    A reduced weight lies in the minimal cone exactly when every form is
-    nonnegative on it.
-    """
+@_memoised
+def minimal_forms(stratum: Stratum, variant: str) -> tuple[Vec, ...]:
+    """The forms cutting out the minimal cone in reduced coordinates on the
+    complement of T, one list per stratum: "min0" is the facets, then each
+    admissible embedding's diagonal functional (the first of its
+    `_divisor_forms`); "min", the weight cone met with every divisibility
+    cone, is that list, then the other divisor forms not yet listed, each
+    once (a divisor form whose window misses beta's run is its facet).
+    Each form is restricted to the coordinates outside T in sorted order
+    (composed with `lift_jT`), which is exact because every form vanishes
+    on the b lines on T, asserted once per form: `reduce_iT` after `lift_jT`
+    is the identity and the b lines span the reduction's kernel, so every
+    form agrees on x and lift(reduce(x)).  A reduced weight lies in the
+    minimal cone exactly when every form is nonnegative on it."""
     if variant not in ("min", "min0"):
         raise ValueError(f"unknown variant {variant!r}, "
                          "expected 'min' or 'min0'")
-    ineqs = list(explicit_constraints(stratum).ineqs)
+    facets = explicit_constraints(stratum).ineqs
     divisor = [_divisor_forms(stratum, beta)
                for beta in sorted(admissible_set(stratum))]
-    ineqs += [forms[0] for forms in divisor]
-    if variant == "min":
-        ineqs += [form for forms in divisor for form in forms[1:]]
+    diagonal = [forms[0] for forms in divisor]
+    if variant == "min0":
+        listed, forms = (), (*facets, *diagonal)
+    else:
+        listed, seen = minimal_forms(stratum, "min0"), {*facets, *diagonal}
+        forms = [form for form in dict.fromkeys(
+            form for row in divisor for form in row[1:]) if form not in seen]
     config = stratum.config
     for emb in sorted(stratum.members):
         b = weight_basis(config, "b", emb)
-        if any(_dot(form, b) != 0 for form in ineqs):
+        if any(_dot(form, b) != 0 for form in forms):
             raise AssertionError(
                 f"reduction kernel line at {emb} is not annihilated by the "
                 "minimal-cone constraints")
     keep = [config.flat_index(beta) for beta in stratum.complement()]
-    return tuple(tuple(form[i] for i in keep) for form in ineqs)
+    return listed + tuple(tuple(form[i] for i in keep) for form in forms)
 
 
 def in_minimal_cone(stratum: Stratum, reduced: Sequence[Rational],
@@ -374,7 +374,7 @@ def in_minimal_cone(stratum: Stratum, reduced: Sequence[Rational],
 @_memoised
 def minimal_cone(stratum: Stratum, variant: str) -> Cone:
     """The minimal cone in reduced coordinates on the complement of T, cut
-    out by `minimal_forms`."""
+    out by the variant's `minimal_forms`, where "min" extends "min0"."""
     return cone_from_constraints(minimal_forms(stratum, variant),
                                  dim=len(stratum.complement()))
 

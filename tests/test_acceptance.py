@@ -27,7 +27,8 @@ Hasse-type cone.  The sweep has 264 degenerate strata, the refutation of
 the strong form.
 
 The sweep's report bytes are pinned by their sha256, so any change to
-the report shows up in tier-1.
+the report shows up in tier-1, and so are the bytes of the same sweep's
+text reply, which reads each stratum's checks without its dossier.
 """
 
 import hashlib
@@ -38,6 +39,7 @@ from fractions import Fraction
 import pytest
 from oracle import certificate_valid, dot, raw_weight
 
+from strata_cones.cli import main
 from strata_cones.cone_kernel import (
     cone_complete,
     cone_equal,
@@ -73,6 +75,9 @@ SWEEP_BUDGET_SECONDS = 300.0
 # `strata-cones explore --p-list 2,3,5 --json` without the final newline
 SWEEP_REPORT_SHA256 = (
     "1e934b093bcb47a217feefd3ff052ba4a88dbc7e0d2ee64e4033794744d1236f")
+# sha256 of `strata-cones explore --p-list 2,3,5 --d-max 5`, the text reply
+SWEEP_TEXT_SHA256 = (
+    "e03ee6c229452538fda48d34a6e116dc4bdb6fb1b44bad5afc4fc9162ecac4ea")
 
 
 @pytest.fixture(scope="session")
@@ -442,6 +447,15 @@ def test_sweep_report_bytes_are_pinned(sweep):
     report, _ = sweep
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == SWEEP_REPORT_SHA256
+
+
+def test_sweep_text_bytes_are_pinned(capsys):
+    code = main(["explore", "--p-list", ",".join(map(str, SWEEP_PRIMES)),
+                 "--d-max", str(SWEEP_DEGREE)])
+    out, err = capsys.readouterr()
+    # exit code 2: the report holds the failures of criterion 3
+    assert (code, err) == (2, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_TEXT_SHA256
 
 
 def test_a_fourth_prime_keeps_the_patterns():

@@ -675,16 +675,36 @@ def test_the_check_text_is_written_as_its_records_arrive(monkeypatch):
                    for check in first["checks"])
     out = io.StringIO()  # records every write
     seen = []
-    real = verify.stratum_record
+    # the text reads each stratum's checks alone, built by `stratum_checks`
+    real = verify.stratum_checks
 
     def spy(stratum):
         seen.append(out.getvalue())
         return real(stratum)
     monkeypatch.setattr(sys, "stdout", out)
-    monkeypatch.setattr(verify, "stratum_record", spy)
+    monkeypatch.setattr(verify, "stratum_checks", spy)
     code = main(["check", "--p", "2", "--cycles", "2"])
     assert (code, seen[:2], out.getvalue()) == (
         2, ["", head], check_text(report))
+
+
+def test_text_replies_build_no_dossier(capsys, monkeypatch):
+    # the replies, built by the library first, which builds every dossier
+    replies = []
+    for argv, build, text in (
+            (("check", "--p", "2", "--cycles", "2"),
+             lambda: check_report(SplittingConfig(2, (2,))), check_text),
+            (("explore", "--p-list", "2,3", "--d-max", "3"),
+             lambda: explore([2, 3], 3), explore_text)):
+        report = build()
+        code = EXIT_CHECK_FAILED if report.summary["fail"] else 0
+        replies.append((argv, (code, text(report), "")))
+
+    def unreachable(stratum):
+        raise AssertionError("a text reply built a dossier")
+    monkeypatch.setattr(verify, "stratum_dossier", unreachable)
+    for argv, reply in replies:
+        assert run(capsys, *argv) == reply
 
 
 def test_check_with_two_jobs_matches_the_library(capsys):

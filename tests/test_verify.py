@@ -39,6 +39,7 @@ from strata_cones.verify import (
     _equality_result,
     _every_stratum,
     _explore_sweep,
+    _record_task,
     _run_tasks,
     check_min_question,
     check_report,
@@ -889,30 +890,56 @@ def off_tilde_divisor_forms(t) -> set:
 
 
 def test_min_is_min0_plus_the_off_tilde_divisor_forms():
-    strata = extra = 0
+    # one list: "min0" first, then each form "min" adds, none twice
+    strata = extra = rows = 0
     for p in (2, 3, 5):
         for d in range(1, 6):
             for lengths in partitions(d):
                 for t in _every_stratum(SplittingConfig(p, lengths)):
-                    forms = set(minimal_forms(t, "min"))
-                    base = set(minimal_forms(t, "min0"))
-                    assert forms == base | off_tilde_divisor_forms(t), t
+                    forms = minimal_forms(t, "min")
+                    base = minimal_forms(t, "min0")
+                    assert forms[:len(base)] == base, t
+                    assert len(set(forms)) == len(forms), t
+                    rest = forms[len(base):]
+                    assert set(rest) == off_tilde_divisor_forms(t) - set(
+                        base), t
                     strata += 1
-                    extra += len(forms - base)
-    assert (strata, extra) == (1014, 372)
+                    extra += len(rest)
+                    rows += len(forms)
+    assert (strata, extra, rows) == (1014, 372, 3543)
+
+
+def test_min_extends_the_min0_forms_it_built():
+    # each variant is built once per stratum, and "min" reads "min0"'s
+    # forms themselves, whichever variant is asked for first
+    config = SplittingConfig(2, (6,))
+    for first, then in (("min", "min0"), ("min0", "min")):
+        t = stratum_from_text(config, "0.0")
+        built = {first: minimal_forms(t, first)}
+        built[then] = minimal_forms(t, then)
+        assert minimal_forms(t, "min0") is built["min0"]
+        assert minimal_forms(t, "min") is built["min"]
+        assert len(built["min"]) > len(built["min0"])
+        assert all(a is b for a, b in zip(built["min0"], built["min"]))
+
+
+def pattern_verdict(record) -> tuple:
+    """A stratum record's (cycles, T) pattern and its verdict: the status
+    vector of the checks and whether the two minimal cones are equal."""
+    checks = record["checks"]
+    assert checks[-1]["name"] == "minimal_equality"
+    return ((tuple(record["cycles"]), record["t"]),
+            (tuple(check["status"] for check in checks),
+             checks[-1]["witness"] == {"equal": True}))
 
 
 def verdicts_by_pattern(report) -> dict:
     """Each (cycles, T) pattern of a report's records, with the set of its
-    verdicts over the primes: the status vector of the checks and whether
-    the two minimal cones are equal."""
+    verdicts over the primes (`pattern_verdict`)."""
     verdicts = collections.defaultdict(set)
     for record in report.strata:
-        checks = record["checks"]
-        assert checks[-1]["name"] == "minimal_equality"
-        verdicts[tuple(record["cycles"]), record["t"]].add(
-            (tuple(check["status"] for check in checks),
-             checks[-1]["witness"] == {"equal": True}))
+        pattern, verdict = pattern_verdict(record)
+        verdicts[pattern].add(verdict)
     return verdicts
 
 
@@ -1176,7 +1203,8 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
                         FakePool)
     tasks = _config_tasks(SplittingConfig(2, (1,)))
-    assert list(_run_tasks(tasks, 64)) == list(_run_tasks(tasks, 1))
+    assert list(_run_tasks(_record_task, tasks, 64)) == list(
+        _run_tasks(_record_task, tasks, 1))
     assert started == [len(tasks)] == [2]
 
 
