@@ -74,8 +74,9 @@ from test_verify import (
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
 # one process, and two workers; a task's configuration crosses to a worker
-# without its memo (`_Frozen.__reduce__` leaves it behind), so each chunk
-# of tasks builds the memo again
+# without the sender's memo, and a worker keeps its own from one chunk of
+# tasks to the next while the configuration stays the same
+# (`splitting._unpickled_config`)
 GATE_JOBS = (1, 2)
 GATE_BUDGET_SECONDS = 240.0
 # sha256 of `strata-cones explore --p-list 2,3,5 --d-max 6 --json`, which

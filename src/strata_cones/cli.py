@@ -35,7 +35,7 @@ from .verify import (
     _dumps,
     _explore_sweep,
     _json_layout,
-    _reads,
+    _record_task,
     _vec,
     _vecs,
     _write_report,
@@ -137,12 +137,13 @@ def _reply(write, args, doc: dict, lines) -> int:
     return EXIT_OK
 
 
-def _sweep_reply(write, args, sweep: tuple, jobs: int, lines) -> int:
+def _sweep_reply(write, args, sweep: tuple, lines) -> int:
     """Write the report of `sweep`, a header and its record tasks, while
     the records are computed: as JSON under --json, else as the text
-    `lines` makes of the record stream."""
-    tail = _write_report(write, *sweep, jobs,
-                         _json_layout if args.json else lines)
+    `lines` makes of each stratum's checks, with no dossier built."""
+    layout = ((_json_layout, _record_task) if args.json
+              else (lines, _checks_task))
+    tail = _write_report(write, *sweep, args.jobs, *layout)
     write("\n")
     return EXIT_CHECK_FAILED if tail["summary"]["fail"] else EXIT_OK
 
@@ -201,11 +202,10 @@ def _cmd_check(args):
     strata = None if args.t is None else [_stratum_from(args, config)]
     _check_jobs(args.jobs, "--jobs")
     return lambda write: _sweep_reply(write, args,
-                                      _check_sweep(config, strata), args.jobs,
+                                      _check_sweep(config, strata),
                                       _check_lines)
 
 
-@_reads(_checks_task)
 def _check_lines(config: dict, results, tally) -> Iterator[str]:
     for head, checks, _ in results:
         yield "".join(f"[{head['t']}] {name}: {status}\n"
@@ -225,11 +225,9 @@ def _cmd_explore(args):
     _at_most("--d-max", args.d_max, DEGREE_MAX)
     sweep = _explore_sweep(p_list, args.d_max)  # refuses a composite entry
     _check_jobs(args.jobs, "--jobs")
-    return lambda write: _sweep_reply(write, args, sweep, args.jobs,
-                                      _explore_lines)
+    return lambda write: _sweep_reply(write, args, sweep, _explore_lines)
 
 
-@_reads(_checks_task)
 def _explore_lines(config: dict, results, tally) -> Iterator[str]:
     """The summary comes first, so only the failures are held."""
     fails = [f"\nFAIL p={head['p']} cycles=({','.join(head['cycles'])}) "

@@ -64,8 +64,8 @@ class _Frozen:
     through `object.__setattr__`.  The base owns the rest, all read off the
     tuple of the fields (`_values`): equality, with records of the same class
     only; hashing; the repr; and pickling, which rebuilds the record from its
-    fields, so a memo stays behind.  Assignment is refused, so hashes stay
-    stable.
+    fields, so a memo stays behind (a configuration unpickles through
+    `_unpickled_config`).  Assignment is refused, so hashes stay stable.
     """
 
     __slots__ = ("__weakref__",)
@@ -120,6 +120,9 @@ class SplittingConfig(_Frozen):
         object.__setattr__(self, "cycle_lengths", lengths)
         object.__setattr__(self, "_memo", {})
 
+    def __reduce__(self):
+        return _unpickled_config, self._values()
+
     @property
     def degree(self) -> int:
         return sum(self.cycle_lengths)
@@ -152,6 +155,15 @@ class SplittingConfig(_Frozen):
             raise ValueError(f"position {pos} out of range for cycle {cycle} "
                              f"of length {f}")
         return f
+
+
+@functools.lru_cache(maxsize=1)
+def _unpickled_config(p: int, lengths: tuple[int, ...]) -> SplittingConfig:
+    """The configuration `SplittingConfig(p, lengths)`, the same object as
+    the last one unpickled in this process when the two are equal: the
+    record tasks come sorted by configuration, so a worker of the pool keeps
+    its configuration's memo from one chunk of tasks to the next."""
+    return SplittingConfig(p, lengths)
 
 
 def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,

@@ -54,13 +54,13 @@ from .splitting import (
 )
 from .weights import (
     _as_vec,
+    _divisor_forms,
     cone_D,
     delta_class,
     explicit_constraints,
     f_recipe,
     f_weight,
     family_cone,
-    functional_Lf,
     generators_G,
     generators_Gprime,
     gl2_generators,
@@ -447,8 +447,9 @@ def _check_reduction_identities(t: Stratum) -> CheckResult:
 
 @_by_cycles
 def _check_recipe_weights(t: Stratum) -> CheckResult:
-    """Every recipe checks its own weight (AssertionError on a mismatch), and
-    a generator's tag is the class of the first slot of its bi-weight ray.
+    """Every recipe checks its own weight (AssertionError) and walk
+    (ValueError), a fail naming the error either way, and a generator's tag
+    is the class of the first slot of its bi-weight ray.
 
     A pair walks one cycle, and a generator's monomial, tag and first slot
     lie on its cycle, with residue 0 on every other cycle, so the check
@@ -461,7 +462,7 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
         for emb, target in pair_family(t, c):
             try:
                 section_recipe(t, emb, target)
-            except AssertionError as exc:
+            except (AssertionError, ValueError) as exc:
                 return CheckResult(name, FAIL, {
                     "pair": [emb.key(), target.key()],
                     "error": str(exc)})
@@ -469,7 +470,7 @@ def _check_recipe_weights(t: Stratum) -> CheckResult:
     for beta, lam in zip(t.complement(), slots):
         try:
             _, tag = f_recipe(t, beta)
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             return CheckResult(name, FAIL, {
                 "generator_at": beta.key(), "error": str(exc)})
         if tag != delta_class(t.config, lam):
@@ -491,7 +492,7 @@ def _check_divisor_functionals(t: Stratum) -> CheckResult:
     p = t.config.p
     for beta in adm:
         fw = f_weight(t, beta)
-        form = functional_Lf(t, beta, beta)
+        form = _divisor_forms(t, beta)[0]
         value = _dot(form, fw)
         n = index_tables(t).n[beta]
         power = -value
@@ -847,25 +848,16 @@ def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
     return (*_verdicts(record), "    " + _dumps(record, "\n    "))
 
 
-def _reads(task):
-    """Declare the record task whose results a report layout reads:
-    `_write_report` runs it on every stratum, and only it."""
-    def declare(layout):
-        layout.task = task
-        return layout
-    return declare
-
-
 def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
     """Run the record tasks and keep the report text they make under
     `config`."""
     _check_jobs(jobs)
     pieces = []
-    tail = _write_report(pieces.append, config, tasks, jobs, _json_layout)
+    tail = _write_report(pieces.append, config, tasks, jobs, _json_layout,
+                         _record_task)
     return Report("".join(pieces), **tail)
 
 
-@_reads(_record_task)
 def _json_layout(config: dict, results: Iterator[tuple],
                  tally: _Tally) -> Iterator[str]:
     """The report text as `_dumps` lays it out, in pieces: the header with
@@ -881,16 +873,15 @@ def _json_layout(config: dict, results: Iterator[tuple],
 
 
 def _write_report(write, config: dict, tasks: Iterable[tuple], jobs: int,
-                  layout) -> dict:
-    """Run the record tasks through the task the layout reads
-    (`layout.task`) and pass the text that `layout(config, results, tally)`
-    makes of their results to `write` as it comes, in task order; `tally`
-    has counted the results taken so far.  Return the tally's
-    open question and summary.  Nothing is written before the first record
+                  layout, task) -> dict:
+    """Run `task` (`_record_task` or `_checks_task`, as the layout reads)
+    on the record tasks and pass the text that `layout(config, results,
+    tally)` makes of its results to `write` as it comes, in task order;
+    `tally` has counted the results taken so far.  Return the tally's open
+    question and summary.  Nothing is written before the first record
     exists, and if `write` raises, the work not yet started is dropped."""
     tally = _Tally()
-    with contextlib.closing(_run_tasks(layout.task, tasks,
-                                       jobs)) as results:
+    with contextlib.closing(_run_tasks(task, tasks, jobs)) as results:
         for piece in layout(config, tally.count(results), tally):
             write(piece)
     return tally.tail()

@@ -20,7 +20,7 @@ The central objects, for a stratum T:
 """
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cone_kernel import (
     Cone,
@@ -192,11 +192,12 @@ def cone_D(stratum: Stratum) -> Cone:
     return family_cone(generators_Gprime(stratum), stratum.config.degree)
 
 
-def functional_window(config: SplittingConfig,
-                      eps: Mapping[EmbeddingId, int], emb: EmbeddingId,
+def functional_window(stratum: Stratum, emb: EmbeddingId,
                       other: EmbeddingId) -> Vec:
     """The sign-window functional sum of eps(shift^i emb) p^i k_{shift^i emb}
-    walking forward from emb to other."""
+    walking forward from emb to other, eps the stratum's sign function."""
+    config = stratum.config
+    eps = sign_epsilon(stratum)
     config._check(emb)
     config._check(other)
     if emb.cycle != other.cycle:
@@ -218,8 +219,7 @@ def functional_LT(stratum: Stratum, emb: EmbeddingId) -> Vec:
     config = stratum.config
     mu = index_tables(stratum).mu[emb]
     start = 0 if emb in tilde_closure(stratum) else mu
-    return functional_window(config, sign_epsilon(stratum),
-                             frobenius_shift(config, emb, start),
+    return functional_window(stratum, frobenius_shift(config, emb, start),
                              frobenius_shift(config, emb, mu - 1))
 
 
@@ -306,7 +306,7 @@ def functional_Lf(stratum: Stratum, beta: EmbeddingId,
     else:
         btilde = frobenius_shift(config, beta2, tables.mu[beta2])
         start = btilde if beta in tilde_closure(stratum) else beta
-        form = functional_window(config, sign_epsilon(stratum), start,
+        form = functional_window(stratum, start,
                                  frobenius_shift(config, btilde, -1))
     run = {config.flat_index(frobenius_shift(config, beta, i))
            for i in range(tables.mu[beta])}

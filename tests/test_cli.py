@@ -479,15 +479,16 @@ def test_output_is_created_when_the_work_starts(tmp_path, capsys,
         assert not target.exists()
     seen = []
 
-    def write_report_spy(*args, **kwargs):
-        seen.append(target.exists())
-        return verify._write_report(*args, **kwargs)
+    def write_report_spy(write, config, tasks, jobs, layout, task):
+        seen.append((target.exists(), layout, task))
+        return verify._write_report(write, config, tasks, jobs, layout, task)
     monkeypatch.setattr(cli, "_write_report", write_report_spy)
     code, out, err = run(capsys, "check", "--p", "2", "--cycles", "1",
                          "--json", "-o", str(target))
     report = check_report(SplittingConfig(2, (1,)))
     assert (code, out, err, seen) == (
-        2 if report.summary["fail"] else 0, "", "", [True])
+        2 if report.summary["fail"] else 0, "", "",
+        [(True, verify._json_layout, verify._record_task)])
     assert target.read_text() == report.to_json() + "\n"
 
 

@@ -534,7 +534,9 @@ def test_records_refuse_assignment():
 
 def test_a_pickled_record_leaves_its_memo_behind():
     # `--jobs 2` sends configurations to the workers: a record is rebuilt
-    # from its fields, so the memo does not travel with it
+    # from its fields, so the sender's memo does not travel with it (the
+    # receiving process keeps its own; no configuration is warm here)
+    splitting._unpickled_config.cache_clear()
     t = stratum(SplittingConfig(3, (2, 1)), (0, 1), (1, 0))
     index_tables(t)
     t.config.flat_index(EmbeddingId(1, 0))
@@ -548,3 +550,21 @@ def test_a_pickled_record_leaves_its_memo_behind():
     assert config._memo == {} and copy._memo == {}
     assert copy.config is config
     assert pickle.loads(pickle.dumps(monomial)).base._memo == {}
+    splitting._unpickled_config.cache_clear()
+
+
+def test_an_equal_configuration_unpickles_as_the_last_one():
+    # a worker of the pool unpickles each chunk of tasks on its own: an
+    # equal configuration is the one unpickled before, memo and all, and
+    # another configuration takes its place
+    splitting._unpickled_config.cache_clear()
+    sent = SplittingConfig(3, (2, 1))
+    first = pickle.loads(pickle.dumps(sent))
+    assert first is not sent and first == sent and first._memo == {}
+    first.flat_index(EmbeddingId(1, 0))
+    again = pickle.loads(pickle.dumps(SplittingConfig(3, (2, 1))))
+    assert again is first and again._memo
+    other = pickle.loads(pickle.dumps(SplittingConfig(3, (1, 2))))
+    assert other != first and other._memo == {}
+    assert pickle.loads(pickle.dumps(sent)) is not first
+    splitting._unpickled_config.cache_clear()

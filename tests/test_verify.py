@@ -8,6 +8,9 @@ import gc
 import itertools
 import json
 import math
+import pickle
+import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import dot, f_recipe_tag_by_cases, rank, raw_weight
 from test_symmetry import orbits
 
-from strata_cones import cone_kernel, verify, weights
+from strata_cones import cone_kernel, splitting, verify, weights
 from strata_cones.cone_kernel import (
     cone_equal,
     cone_from_constraints,
@@ -34,6 +37,7 @@ from strata_cones.splitting import (
 )
 from strata_cones.verify import (
     _check_gl2_product,
+    _checks_task,
     _config_tasks,
     _dumps,
     _equality_result,
@@ -619,9 +623,9 @@ PLANTED_FAULTS = {
         lambda t, w: any(_ints(w["tag_residues"]))
         and _tag_is_not_the_class_of_the_first_slot(t, w)),
     "divisor_functionals": (
-        "_check_divisor_functionals", "functional_Lf",
-        lambda real: lambda t, beta, tau: tuple(
-            -x for x in real(t, beta, tau)),
+        "_check_divisor_functionals", "_divisor_forms",
+        lambda real: lambda t, beta: tuple(
+            tuple(-x for x in form) for form in real(t, beta)),
         AT_B,
         ["beta", "functional", "generator", "value"],
         lambda t, w: int(w["value"]) == dot(w["functional"], w["generator"])
@@ -805,6 +809,30 @@ def test_planted_faults_fail_through_the_cycles(monkeypatch, fault):
     assert holds(t, result.witness), result.witness
 
 
+def test_a_refused_recipe_is_a_fail_with_a_witness(monkeypatch):
+    # with the tilde closure planted as T itself, some walks put a negative
+    # exponent on an h factor, which the monomial refuses with a ValueError:
+    # the check fails as on a weight mismatch and raises nothing
+    monkeypatch.setattr(weights, "tilde_closure", lambda t: t)
+    seen = collections.Counter()
+    for p in (2, 3):
+        for lengths in ((3,), (4,), (5,), (2, 2), (4, 1)):
+            for t in _every_stratum(SplittingConfig(p, lengths)):
+                result = verify._check_recipe_weights.__wrapped__(t)
+                if result.status == "pass":
+                    seen["pass"] += 1
+                    continue
+                assert result.status == "fail"
+                assert list(result.witness) == ["pair", "error"]
+                emb, target = map(_emb, result.witness["pair"])
+                refused = "non-invertible" in result.witness["error"]
+                with pytest.raises(ValueError if refused else AssertionError,
+                                   match=re.escape(result.witness["error"])):
+                    weights.section_recipe(t, emb, target)
+                seen["refused" if refused else "mismatch"] += 1
+    assert seen == {"refused": 64, "mismatch": 66, "pass": 78}
+
+
 def test_each_routed_check_runs_once_per_cycle_pattern(monkeypatch):
     # over explore([2], 4), for the first stratum of each Frobenius orbit
     # alone, as a routed check passes without a witness and its pass moves
@@ -921,6 +949,41 @@ def test_min_extends_the_min0_forms_it_built():
         assert minimal_forms(t, "min") is built["min"]
         assert len(built["min"]) > len(built["min0"])
         assert all(a is b for a, b in zip(built["min0"], built["min"]))
+
+
+def calls_of(code, run) -> int:
+    """How many frames of `code` start while `run()` runs, whatever name
+    they are called through."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_the_divisor_check_reads_the_memoised_diagonal_forms():
+    # `_divisor_forms` lists each admissible beta's diagonal form first, and
+    # the check reads it there: once the lists are built, no form is built
+    # again (fresh configurations: no form is built before the count)
+    code = weights.functional_Lf.__code__
+    admissible = 0
+    for config in (SplittingConfig(2, (3,)), SplittingConfig(2, (6,)),
+                   SplittingConfig(3, (3, 2))):
+        for t in _every_stratum(config):
+            adm = admissible_set(t)
+            assert calls_of(code, lambda: [
+                weights._divisor_forms(t, beta) for beta in adm]) >= len(adm)
+            assert calls_of(
+                code, lambda: verify._check_divisor_functionals(t)) == 0, t
+            admissible += len(adm)
+    assert admissible > 0
 
 
 def pattern_verdict(record) -> tuple:
@@ -1206,6 +1269,46 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     assert list(_run_tasks(_record_task, tasks, 64)) == list(
         _run_tasks(_record_task, tasks, 1))
     assert started == [len(tasks)] == [2]
+
+
+def test_pool_chunks_keep_the_configuration_memo(monkeypatch):
+    # the pool's chunks, run one after another in one process: each chunk
+    # of tasks crosses pickled, as to a worker, and an equal configuration
+    # unpickles as the one before, memo and all, so each Frobenius orbit's
+    # first stratum runs the checks once (a fresh configuration per chunk
+    # ran them 488 times)
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            for i in range(0, len(tasks), chunksize):
+                yield from map(fn, pickle.loads(
+                    pickle.dumps(tasks[i:i + chunksize])))
+
+    runs = 0
+    direct = verify.check_stratum
+
+    def counted(t):
+        nonlocal runs
+        runs += 1
+        return direct(t)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        PicklingPool)
+    monkeypatch.setattr(verify, "check_stratum", counted)
+    splitting._unpickled_config.cache_clear()
+    _, tasks = _explore_sweep([2, 3, 5], 5)
+    try:
+        assert sum(1 for _ in _run_tasks(_checks_task, tasks, 2)) == 1014
+    finally:
+        splitting._unpickled_config.cache_clear()
+    assert runs == 390
 
 
 def test_explore_orders_configurations_by_degree_then_partition():

@@ -209,14 +209,16 @@ def test_cone_d_multi_cycle():
 
 
 def test_functional_window_examples():
-    ones = {e: 1 for e in CFG_A.embeddings()}
-    assert functional_window(CFG_A, ones, EmbeddingId(0, 1),
+    # the sign function of the empty stratum is +1 everywhere
+    empty = stratum(CFG_A)
+    assert set(sign_epsilon(empty).values()) == {1}
+    assert functional_window(empty, EmbeddingId(0, 1),
                              EmbeddingId(0, 0)) == (3, 1)
-    assert functional_window(CFG_A, ones, EmbeddingId(0, 1),
+    assert functional_window(empty, EmbeddingId(0, 1),
                              EmbeddingId(0, 1)) == (0, 1)
     with pytest.raises(ValueError, match="same cycle"):
-        functional_window(CFG_D, {e: 1 for e in CFG_D.embeddings()},
-                          EmbeddingId(0, 0), EmbeddingId(1, 0))
+        functional_window(stratum(CFG_D), EmbeddingId(0, 0),
+                          EmbeddingId(1, 0))
 
 
 def test_functional_lt_examples():
