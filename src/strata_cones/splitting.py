@@ -41,17 +41,19 @@ def _memoised(fn):
     """Keep fn(owner, *args) in the memo of its owner, a stratum or a
     configuration, keyed by fn's module-qualified name and the positional
     arguments: memoised functions take required positional parameters only,
-    and a keyword call is a TypeError.  Later calls return the stored value
-    itself, so callers must not mutate it."""
+    and a keyword call is a TypeError.  Later calls, a stored None included,
+    return the stored value itself, so callers must not mutate it."""
     name = f"{fn.__module__}.{fn.__qualname__}"
+    missing = object()
 
     @functools.wraps(fn)
     def wrapper(owner, *args):
         key = (name, *args)
         memo = owner._memo
-        if key not in memo:
-            memo[key] = fn(owner, *args)
-        return memo[key]
+        value = memo.get(key, missing)
+        if value is missing:
+            value = memo[key] = fn(owner, *args)
+        return value
 
     return wrapper
 
@@ -97,10 +99,10 @@ class _Frozen:
 
 
 class SplittingConfig(_Frozen):
-    """A prime p and the cycle lengths of the primes above it; data derived
-    from them alone is kept in `_memo`, as on a `Stratum`."""
+    """A prime p and the cycle lengths of the primes above it, with the
+    degree and each embedding's coordinate; other data is in `_memo`."""
 
-    __slots__ = ("p", "cycle_lengths", "_memo")
+    __slots__ = ("p", "cycle_lengths", "degree", "_coordinate_of", "_memo")
     _fields = ("p", "cycle_lengths")
 
     def __init__(self, p: int, cycle_lengths: Iterable[int]) -> None:
@@ -116,29 +118,25 @@ class SplittingConfig(_Frozen):
             raise ValueError(f"cycle lengths must be integers, got {lengths}")
         if any(f < 1 for f in lengths):
             raise ValueError("cycle lengths must be positive")
+        embeddings = [EmbeddingId(c, i)
+                      for c, f in enumerate(lengths) for i in range(f)]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "cycle_lengths", lengths)
+        object.__setattr__(self, "degree", len(embeddings))
+        object.__setattr__(self, "_coordinate_of",
+                           {emb: i for i, emb in enumerate(embeddings)})
         object.__setattr__(self, "_memo", {})
 
     def __reduce__(self):
         return _unpickled_config, self._values()
 
-    @property
-    def degree(self) -> int:
-        return sum(self.cycle_lengths)
-
     def embeddings(self) -> list[EmbeddingId]:
-        """All embeddings in (cycle, pos) lexicographic order."""
-        return [EmbeddingId(c, i)
-                for c, f in enumerate(self.cycle_lengths) for i in range(f)]
-
-    @_memoised
-    def _coordinates(self) -> dict[EmbeddingId, int]:
-        return {emb: i for i, emb in enumerate(self.embeddings())}
+        """All embeddings in (cycle, pos) lexicographic order, a new list."""
+        return list(self._coordinate_of)
 
     def flat_index(self, emb: EmbeddingId) -> int:
         """Coordinate of an embedding in the (cycle, pos) lex order."""
-        coordinates = self._coordinates()
+        coordinates = self._coordinate_of
         if emb not in coordinates:
             self._check(emb)
         return coordinates[emb]
@@ -179,32 +177,36 @@ def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,
 class Stratum(_Frozen):
     """A subset T of the embeddings of a fixed configuration.
 
+    The walk that checks the members also sets T's positions on each cycle.
     Data derived from T alone, the sorted complement included, is computed
     once per stratum and kept in `_memo` (see `_memoised`); at both levels
     the memo takes no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("config", "members", "_memo")
+    __slots__ = ("config", "members", "_positions", "_memo")
     _fields = ("config", "members")
 
     def __init__(self, config: SplittingConfig,
                  members: Iterable[EmbeddingId]) -> None:
         # frozen before the checks walk it: a generator is read once
         members = frozenset(members)
+        on_cycle = [set() for _ in config.cycle_lengths]
         for emb in members:
             if not isinstance(emb, EmbeddingId):
                 raise ValueError(f"stratum member {emb!r} is not an "
                                  "EmbeddingId")
             config._check(emb)
+            on_cycle[emb.cycle].add(emb.pos)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_positions", tuple(map(frozenset, on_cycle)))
         object.__setattr__(self, "_memo", {})
 
     def __contains__(self, emb: EmbeddingId) -> bool:
         return emb in self.members
 
     def cycle_members(self, cycle: int) -> frozenset[int]:
-        return frozenset(e.pos for e in self.members if e.cycle == cycle)
+        return self._positions[cycle]
 
     def cycle_full(self, cycle: int) -> bool:
         return len(self.cycle_members(cycle)) == self.config.cycle_lengths[cycle]
@@ -227,13 +229,11 @@ def orbit_key(stratum: Stratum) -> tuple:
     Each cycle gives its length and the least of the rotations of its
     membership mask (bit i for position i), and the pairs are sorted, so
     cycles of equal length compare as a multiset."""
-    lengths = stratum.config.cycle_lengths
-    masks = [0] * len(lengths)
-    for c, i in stratum.members:
-        masks[c] |= 1 << i
+    masks = (sum(1 << i for i in positions)
+             for positions in stratum._positions)
     return tuple(sorted(
         (f, min((m >> k | m << f - k) & ((1 << f) - 1) for k in range(f)))
-        for f, m in zip(lengths, masks)))
+        for f, m in zip(stratum.config.cycle_lengths, masks)))
 
 
 def _component(piece: str) -> EmbeddingId:

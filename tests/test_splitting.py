@@ -1,5 +1,6 @@
 """Combinatorics of strata: index tables, closures, signs, admissible sets."""
 
+import functools
 import inspect
 import pickle
 import re
@@ -67,11 +68,11 @@ def test_embedding_order_and_flat_index():
     assert CFG_D.degree == 2
     assert CFG_D.embeddings() == [EmbeddingId(0, 0), EmbeddingId(1, 0)]
     assert [CFG_C.flat_index(e) for e in CFG_C.embeddings()] == [0, 1, 2, 3]
-    # the memoised coordinate table takes no part in equality, hashing or
-    # the repr
+    # the memo takes no part in equality, hashing or the repr
     config = SplittingConfig(3, [2, 1, 3])
     assert [config.flat_index(e) for e in config.embeddings()] == \
         list(range(6))
+    weights.weight_basis(config, "h", EmbeddingId(2, 1))
     assert config._memo
     assert config == SplittingConfig(3, (2, 1, 3))
     assert hash(config) == hash(SplittingConfig(3, (2, 1, 3)))
@@ -104,8 +105,7 @@ def test_frobenius_shift_wraps():
 
 
 def test_frobenius_shift_validates_by_arithmetic_alone():
-    # a fresh configuration: the shift and its refusals leave the memo, and
-    # with it the coordinate table, unbuilt
+    # a fresh configuration: the shift and its refusals leave the memo empty
     config = SplittingConfig(5, (3, 2))
     assert frobenius_shift(config, EmbeddingId(1, 1), 3) == EmbeddingId(1, 0)
     for emb, msg in [
@@ -452,8 +452,8 @@ def memoised_functions() -> dict:
 def test_memoised_functions_take_required_positional_arguments_only():
     found = memoised_functions()
     assert {"index_tables", "cone_D", "minimal_cone", "f_weight",
-            "SplittingConfig._coordinates", "weight_basis", "weight_pair",
-            "_cycle_config", "_cycle_stratum"} <= set(found)
+            "weight_basis", "weight_pair", "_cycle_config",
+            "_cycle_stratum"} <= set(found)
     positional = (inspect.Parameter.POSITIONAL_ONLY,
                   inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for name, fn in found.items():
@@ -474,6 +474,55 @@ def test_memo_keys_tell_modules_apart():
     assert splitting.index_tables(t) is tables
 
 
+def test_a_memoised_none_is_built_once_per_owner(monkeypatch):
+    # `_hasse_identity` returns None when every identity holds; a memo that
+    # read None as missing would build it again for every stratum checked
+    built = verify._hasse_identity.__wrapped__
+    config = SplittingConfig(2, (2, 1))
+    assert built(config) is None
+    calls = []
+
+    @functools.wraps(built)
+    def counted(config):
+        calls.append(config)
+        return built(config)
+
+    monkeypatch.setattr(verify, "_hasse_identity", _memoised(counted))
+    report = verify.check_report(config)
+    assert report.summary["strata"] == 8
+    assert calls == [config]
+
+
+@given(random_strata(max_degree=10))
+def test_constructor_fields_equal_their_definitions(t):
+    config = t.config
+    lengths = config.cycle_lengths
+    assert config.degree == sum(lengths)
+    order = [EmbeddingId(c, i) for c, f in enumerate(lengths)
+             for i in range(f)]
+    listed = config.embeddings()
+    assert listed == order and listed is not config.embeddings()
+    listed.clear()
+    assert [config.flat_index(e) for e in config.embeddings()] == \
+        list(range(config.degree))
+    for c in range(len(lengths)):
+        assert t.cycle_members(c) == frozenset(
+            e.pos for e in t.members if e.cycle == c)
+    # a pickled pair leaves its memos behind and builds its fields anew
+    index_tables(t)
+    weights.weight_basis(config, "h", EmbeddingId(0, 0))
+    splitting._unpickled_config.cache_clear()
+    config_copy, copy = pickle.loads(pickle.dumps((config, t)))
+    splitting._unpickled_config.cache_clear()
+    assert config_copy is not config and copy.config is config_copy
+    assert config_copy.degree == config.degree
+    assert config_copy.embeddings() == order
+    assert config_copy._coordinate_of == config._coordinate_of
+    assert [copy.cycle_members(c) for c in range(len(lengths))] == \
+        [t.cycle_members(c) for c in range(len(lengths))]
+    assert config_copy._memo == {} and copy._memo == {}
+
+
 @given(random_strata())
 def test_memo_is_invisible_to_equality_and_hashing(t):
     filled = Stratum(t.config, t.members)
@@ -487,7 +536,7 @@ def test_memo_is_invisible_to_equality_and_hashing(t):
     assert {filled: "found"}[empty] == "found"
     # and so does the configuration's
     config = SplittingConfig(t.config.p, t.config.cycle_lengths)
-    config.flat_index(EmbeddingId(0, 0))
+    weights.weight_basis(config, "h", EmbeddingId(0, 0))
     bare = SplittingConfig(t.config.p, t.config.cycle_lengths)
     assert config._memo and not bare._memo
     assert config == bare and hash(config) == hash(bare)
@@ -539,7 +588,7 @@ def test_a_pickled_record_leaves_its_memo_behind():
     splitting._unpickled_config.cache_clear()
     t = stratum(SplittingConfig(3, (2, 1)), (0, 1), (1, 0))
     index_tables(t)
-    t.config.flat_index(EmbeddingId(1, 0))
+    weights.weight_basis(t.config, "h", EmbeddingId(1, 0))
     monomial = weights.FormalMonomial(t, (("h", EmbeddingId(0, 0), 1),))
     assert t._memo and t.config._memo
     for record in (t.config, t, monomial):
@@ -561,7 +610,7 @@ def test_an_equal_configuration_unpickles_as_the_last_one():
     sent = SplittingConfig(3, (2, 1))
     first = pickle.loads(pickle.dumps(sent))
     assert first is not sent and first == sent and first._memo == {}
-    first.flat_index(EmbeddingId(1, 0))
+    weights.weight_basis(first, "h", EmbeddingId(1, 0))
     again = pickle.loads(pickle.dumps(SplittingConfig(3, (2, 1))))
     assert again is first and again._memo
     other = pickle.loads(pickle.dumps(SplittingConfig(3, (1, 2))))

@@ -9,14 +9,17 @@ import itertools
 import json
 import math
 import pickle
+import random
 import re
 import sys
+import types
 import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracle import dot, f_recipe_tag_by_cases, rank, raw_weight
+from test_acceptance import dichotomy_rows
 from test_symmetry import orbits
 
 from strata_cones import cone_kernel, splitting, verify, weights
@@ -29,6 +32,7 @@ from strata_cones.cone_kernel import (
 from strata_cones.splitting import (
     EmbeddingId,
     SplittingConfig,
+    Stratum,
     admissible_set,
     frobenius_shift,
     index_tables,
@@ -50,6 +54,7 @@ from strata_cones.verify import (
     check_stratum,
     explore,
     partitions,
+    stratum_checks,
     stratum_record,
 )
 from strata_cones.weights import (
@@ -1012,12 +1017,10 @@ def test_verdicts_do_not_depend_on_p():
     assert sum(map(len, verdicts.values())) == 338
 
 
-def test_a_fault_that_depends_on_p_splits_the_verdicts(monkeypatch):
-    # each diagonal divisor form writes p^i as 2 p^(i-1), right at p = 2
-    # alone, on a coordinate where the reduction's kernel lines stay
-    # annihilated
-    real = weights.functional_Lf
-
+def p_written_as_two(real):
+    """`functional_Lf` with each diagonal divisor form writing p^i as
+    2 p^(i-1), right at p = 2 alone, on a coordinate where the reduction's
+    kernel lines stay annihilated."""
     def faulty(t, beta, tau):
         form = list(real(t, beta, tau))
         config = t.config
@@ -1028,10 +1031,97 @@ def test_a_fault_that_depends_on_p_splits_the_verdicts(monkeypatch):
                 break
         return tuple(form)
 
-    monkeypatch.setattr(weights, "functional_Lf", faulty)
+    return faulty
+
+
+def test_a_fault_that_depends_on_p_splits_the_verdicts(monkeypatch):
+    monkeypatch.setattr(weights, "functional_Lf",
+                        p_written_as_two(weights.functional_Lf))
     verdicts = verdicts_by_pattern(explore([2, 3], 3))
     split = [pattern for pattern, seen in verdicts.items() if len(seen) > 1]
     assert (("2",), "") in split
+
+
+# the top of the accepted input range: degree 9 and 10, p up to 999,983
+RANGE_PRIMES = (2, 3, 5, 7, 999983)
+
+
+def range_sample(size: int = 400, seed: int = 46) -> list[tuple]:
+    """A seeded sample of (p, cycle lengths, T) at degree 9 and 10: a cycle
+    partition drawn uniformly, each embedding in T with probability 1/2,
+    and p from `RANGE_PRIMES` and twenty primes drawn below 999,983."""
+    rng = random.Random(seed)
+    shapes = [lengths for d in (9, 10) for lengths in partitions(d)]
+    primes = list(RANGE_PRIMES)
+    while len(primes) < len(RANGE_PRIMES) + 20:
+        q = rng.randrange(11, 999983)
+        if splitting._is_prime(q):
+            primes.append(q)
+    sample = []
+    for _ in range(size):
+        lengths = rng.choice(shapes)
+        members = frozenset(
+            EmbeddingId(c, i) for c, f in enumerate(lengths)
+            for i in range(f) if rng.random() < 0.5)
+        sample.append((rng.choice(primes), lengths, members))
+    return sample
+
+
+def range_problems(sample):
+    """Each problem of the sample as it is found: a row that criterion 3's
+    `dichotomy_rows` finds wrong, another check that fails, or a (cycles,
+    T) whose status vector or `minimal_equality` verdict differs at p = 2.
+    The configurations are built here, so no memo of an earlier run can
+    hide a fault."""
+    configs = {}
+
+    def checks(p, lengths, members):
+        if (p, lengths) not in configs:
+            configs[p, lengths] = SplittingConfig(p, lengths)
+        return stratum_checks(Stratum(configs[p, lengths], members))
+
+    for p, lengths, members in sample:
+        record = checks(p, lengths, members)
+        _, bad, _ = dichotomy_rows(types.SimpleNamespace(strata=[record]))
+        if bad:
+            yield "dichotomy", bad
+        failed = [c["name"] for c in record["checks"] if c["status"] == "fail"
+                  and c["name"] != "admissible_dichotomy"]
+        if failed:
+            yield "fails", p, lengths, record["t"], failed
+        if pattern_verdict(record) != pattern_verdict(
+                checks(2, lengths, members)):
+            yield "split", p, lengths, record["t"]
+
+
+def test_the_top_of_the_input_range_holds_on_a_sample():
+    # 400 strata and their 400 patterns at p = 2: about 4 s with Python
+    # 3.11 on a 2-core machine
+    sample = range_sample()
+    assert {sum(lengths) for _, lengths, _ in sample} == {9, 10}
+    assert max(p for p, _, _ in sample) == 999983
+    assert sum(p < 10 for p, _, _ in sample) == 75
+    assert list(range_problems(sample)) == []
+
+
+def test_a_fault_past_the_eighth_coordinate_fails_the_sample(monkeypatch):
+    # the per-cycle product cone placed in an eight-wide buffer: only a
+    # stratum of degree 9 or more has a coordinate past the eighth
+    real = verify._as_vec
+
+    def eight_wide(config, pairs):
+        return real(config, [(emb, c) for emb, c in pairs
+                             if config.flat_index(emb) < 8])
+
+    monkeypatch.setattr(verify, "_as_vec", eight_wide)
+    kind, *_, failed = next(range_problems(range_sample()))
+    assert (kind, failed) == ("fails", ["product_structure"])
+
+
+def test_p_written_as_two_splits_the_sample(monkeypatch):
+    monkeypatch.setattr(weights, "functional_Lf",
+                        p_written_as_two(weights.functional_Lf))
+    assert any(kind == "split" for kind, *_ in range_problems(range_sample()))
 
 
 def assembled_sides(parts, dim: int) -> tuple:

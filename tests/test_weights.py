@@ -928,7 +928,6 @@ def _every_cycle_subset(config):
 
 # the same for the builders memoised on a configuration
 CONFIG_MEMOISED_CALLS = (
-    (SplittingConfig._coordinates, _no_args),
     (weight_basis, _every_basis_weight),
     (weight_pair, _every_pair_weight),
     (_cycle_config, _every_cycle_length),
@@ -942,7 +941,7 @@ def test_configuration_memo_values_survive_a_full_record(t):
     stratum_record(t)
     config = t.config
     names = {key[0].rsplit(".", 1)[-1] for key in config._memo}
-    assert {"_coordinates", "weight_basis", "weight_pair"} <= names
+    assert {"weight_basis", "weight_pair"} <= names
     fresh = SplittingConfig(config.p, config.cycle_lengths)
     for builder, calls in CONFIG_MEMOISED_CALLS:
         for args in calls(config):
