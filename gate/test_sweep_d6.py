@@ -32,6 +32,13 @@ and its largest process is held to the same 50 MB bound.  Its records,
 grouped by (cycles, T), take one status vector and one `minimal_equality`
 verdict per pattern over p in {2, 3, 5}: 8594 patterns, none split.
 
+The top of the accepted input range runs too.  p = 2 at every degree up to
+10 runs through the command line as text with two workers (66962 strata,
+about 30 s): its sha256, summary, failing check and 3426 unequal strata are
+pinned, within the same 50 MB bound.  At degree 9 the largest accepted
+prime, p = 999983, takes the verdict of p = 2 on each of the 15360
+(cycles, T) patterns, from the checks alone in this process.
+
 A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
 unequal strata pinned in the same way.  Its minimal-cone variants differ on
@@ -55,7 +62,13 @@ from pathlib import Path
 import pytest
 
 from oracle import dot
-from strata_cones.verify import explore
+from strata_cones.splitting import SplittingConfig, stratum_from_text
+from strata_cones.verify import (
+    _config_tasks,
+    explore,
+    partitions,
+    stratum_checks,
+)
 from test_acceptance import dichotomy_message, dichotomy_rows
 from test_symmetry import (
     equivariance_counts,
@@ -74,9 +87,9 @@ from test_verify import (
 GATE_PRIMES = [2, 3, 5]
 GATE_DEGREE = 6
 # one process, and two workers; a task's configuration crosses to a worker
-# without the sender's memo, and a worker keeps its own from one chunk of
-# tasks to the next while the configuration stays the same
-# (`splitting._unpickled_config`)
+# without the sender's memo, and a worker runs each task on the equal
+# configuration it ran last, so it keeps that one's memo from one chunk of
+# tasks to the next (`verify._worker_step`)
 GATE_JOBS = (1, 2)
 GATE_BUDGET_SECONDS = 240.0
 # sha256 of `strata-cones explore --p-list 2,3,5 --d-max 6 --json`, which
@@ -128,6 +141,17 @@ D8_SUMMARY = {"strata": 25782, "checks": 360948, "pass": 299634,
 D8_UNEQUAL = 615
 # the (cycles, T) patterns of degree at most 8
 D8_PATTERNS = 8594
+# p = 2 at every degree up to 10, the top of the accepted range, through the
+# command line as text with two workers: 28.6 s, largest process 35 MB, with
+# Python 3.11 on a 2-core machine
+D10_TEXT_SHA256 = (
+    "7d7d013421db23d4994306d61952996e564df6331a74bda926c03b3e077c0728")
+D10_SUMMARY_LINE = "checked 66962 strata: 783056 pass, 17026 fail, 137386 info"
+D10_UNEQUAL = 3426
+# the largest accepted prime, compared pattern by pattern with p = 2 on the
+# (cycles, T) patterns of degree 9
+TOP_PRIME = 999983
+D9_PATTERNS = 15360
 
 
 @pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
@@ -358,6 +382,45 @@ def test_degree_8_report_is_pinned_through_the_command_line(tmp_path):
     assert len(verdicts) == D8_PATTERNS
     assert [pattern for pattern, found in verdicts.items()
             if len(found) != 1] == []
+
+
+def test_degree_10_text_is_pinned_through_the_command_line(tmp_path):
+    target = tmp_path / "report"
+    returncode, peak_mb = run_command(
+        "explore", "--p-list", "2", "--d-max", "10", "-o", str(target),
+        "--jobs", "2")
+    assert returncode == 2
+    assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
+    text = target.read_bytes()
+    assert hashlib.sha256(text).hexdigest() == D10_TEXT_SHA256
+    summary, *failures, question = text.decode().splitlines()
+    assert summary == D10_SUMMARY_LINE
+    assert {line.rsplit(" ", 1)[1] for line in failures} == {
+        "admissible_dichotomy"}
+    assert question == (f"open question: {D10_UNEQUAL} strata with distinct "
+                        "minimal-cone variants")
+
+
+def degree_verdicts(p: int, d: int) -> dict:
+    """Each (cycles, T) pattern of degree d with its `pattern_verdict` at
+    p, from the checks alone, one configuration at a time."""
+    verdicts = {}
+    for lengths in partitions(d):
+        config = SplittingConfig(p, lengths)
+        for _, key in _config_tasks(config):
+            pattern, verdict = pattern_verdict(
+                stratum_checks(stratum_from_text(config, key)))
+            verdicts[pattern] = verdict
+    return verdicts
+
+
+def test_verdicts_at_the_top_prime_are_those_of_p_2_at_degree_9():
+    # one status vector and one `minimal_equality` verdict per pattern
+    verdicts = degree_verdicts(2, 9)
+    top = degree_verdicts(TOP_PRIME, 9)
+    assert len(verdicts) == len(top) == D9_PATTERNS
+    assert [pattern for pattern, verdict in verdicts.items()
+            if top[pattern] != verdict] == []
 
 
 def test_membership_certificates_are_unique_to_degree_6():

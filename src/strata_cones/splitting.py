@@ -65,9 +65,9 @@ class _Frozen:
     A record lists its fields in `_fields` and sets them in its constructor
     through `object.__setattr__`.  The base owns the rest, all read off the
     tuple of the fields (`_values`): equality, with records of the same class
-    only; hashing; the repr; and pickling, which rebuilds the record from its
-    fields, so a memo stays behind (a configuration unpickles through
-    `_unpickled_config`).  Assignment is refused, so hashes stay stable.
+    only; hashing; the repr; and pickling and copying, which rebuild the
+    record from its fields, so each copy is a new record and its memo starts
+    empty.  Assignment is refused, so hashes stay stable.
     """
 
     __slots__ = ("__weakref__",)
@@ -127,9 +127,6 @@ class SplittingConfig(_Frozen):
                            {emb: i for i, emb in enumerate(embeddings)})
         object.__setattr__(self, "_memo", {})
 
-    def __reduce__(self):
-        return _unpickled_config, self._values()
-
     def embeddings(self) -> list[EmbeddingId]:
         """All embeddings in (cycle, pos) lexicographic order, a new list."""
         return list(self._coordinate_of)
@@ -153,15 +150,6 @@ class SplittingConfig(_Frozen):
             raise ValueError(f"position {pos} out of range for cycle {cycle} "
                              f"of length {f}")
         return f
-
-
-@functools.lru_cache(maxsize=1)
-def _unpickled_config(p: int, lengths: tuple[int, ...]) -> SplittingConfig:
-    """The configuration `SplittingConfig(p, lengths)`, the same object as
-    the last one unpickled in this process when the two are equal: the
-    record tasks come sorted by configuration, so a worker of the pool keeps
-    its configuration's memo from one chunk of tasks to the next."""
-    return SplittingConfig(p, lengths)
 
 
 def frobenius_shift(config: SplittingConfig, emb: EmbeddingId,

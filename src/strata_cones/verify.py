@@ -208,17 +208,10 @@ def _equality_result(name: str, left: Cone, right: Cone,
 
 
 @_memoised
-def _cycle_config(config: SplittingConfig, f: int) -> SplittingConfig:
-    """The single cycle (p, (f,)), one per f, so that the strata over it
-    share its memo."""
-    return SplittingConfig(config.p, (f,))
-
-
-@_memoised
 def _cycle_stratum(config: SplittingConfig, f: int,
                    positions: frozenset[int]) -> Stratum:
     """The stratum of the single cycle (p, (f,)) at the given positions."""
-    return Stratum(_cycle_config(config, f),
+    return Stratum(SplittingConfig(config.p, (f,)),
                    frozenset(EmbeddingId(0, i) for i in positions))
 
 
@@ -942,6 +935,23 @@ def _check_jobs(jobs: int, subject: str = "jobs") -> None:
             f"{subject} must be between 1 and {JOBS_MAX}, got {jobs!r}")
 
 
+# the configuration of the task that this worker of the pool ran last
+# (`_worker_step`); a run with one job never sets it
+_worker_config = None
+
+
+def _worker_step(run, task: tuple[SplittingConfig, str]) -> tuple:
+    """`run` on the record task, with its configuration replaced by the
+    equal one this worker ran last: the tasks come sorted by configuration
+    and each chunk of them crosses to a worker pickled, so the worker keeps
+    its configuration's memo from one chunk to the next."""
+    global _worker_config
+    config, key = task
+    if config != _worker_config:
+        _worker_config = config
+    return run((_worker_config, key))
+
+
 def _run_tasks(run, tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
     """The results of `run`, `_record_task` or `_checks_task`, on the record
     tasks, in task order, as they are computed; closing the iterator early
@@ -963,7 +973,8 @@ def _run_tasks(run, tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
             # a constant cap: a chunk's results cross back as one list
             chunk = max(1, min(32, len(tasks) // (jobs * 8)))
             # closing pool.map's iterator cancels the calls not yet started
-            yield from pool.map(run, tasks, chunksize=chunk)
+            yield from pool.map(functools.partial(_worker_step, run), tasks,
+                                chunksize=chunk)
     except (OSError, BrokenProcessPool) as exc:
         raise RuntimeError(
             f"parallel execution with {jobs} workers failed: {exc}; "

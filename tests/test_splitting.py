@@ -1,5 +1,6 @@
 """Combinatorics of strata: index tables, closures, signs, admissible sets."""
 
+import copy
 import functools
 import inspect
 import pickle
@@ -452,8 +453,7 @@ def memoised_functions() -> dict:
 def test_memoised_functions_take_required_positional_arguments_only():
     found = memoised_functions()
     assert {"index_tables", "cone_D", "minimal_cone", "f_weight",
-            "weight_basis", "weight_pair", "_cycle_config",
-            "_cycle_stratum"} <= set(found)
+            "weight_basis", "weight_pair", "_cycle_stratum"} <= set(found)
     positional = (inspect.Parameter.POSITIONAL_ONLY,
                   inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for name, fn in found.items():
@@ -511,9 +511,7 @@ def test_constructor_fields_equal_their_definitions(t):
     # a pickled pair leaves its memos behind and builds its fields anew
     index_tables(t)
     weights.weight_basis(config, "h", EmbeddingId(0, 0))
-    splitting._unpickled_config.cache_clear()
     config_copy, copy = pickle.loads(pickle.dumps((config, t)))
-    splitting._unpickled_config.cache_clear()
     assert config_copy is not config and copy.config is config_copy
     assert config_copy.degree == config.degree
     assert config_copy.embeddings() == order
@@ -583,9 +581,7 @@ def test_records_refuse_assignment():
 
 def test_a_pickled_record_leaves_its_memo_behind():
     # `--jobs 2` sends configurations to the workers: a record is rebuilt
-    # from its fields, so the sender's memo does not travel with it (the
-    # receiving process keeps its own; no configuration is warm here)
-    splitting._unpickled_config.cache_clear()
+    # from its fields, so the sender's memo does not travel with it
     t = stratum(SplittingConfig(3, (2, 1)), (0, 1), (1, 0))
     index_tables(t)
     weights.weight_basis(t.config, "h", EmbeddingId(1, 0))
@@ -599,21 +595,21 @@ def test_a_pickled_record_leaves_its_memo_behind():
     assert config._memo == {} and copy._memo == {}
     assert copy.config is config
     assert pickle.loads(pickle.dumps(monomial)).base._memo == {}
-    splitting._unpickled_config.cache_clear()
 
 
-def test_an_equal_configuration_unpickles_as_the_last_one():
-    # a worker of the pool unpickles each chunk of tasks on its own: an
-    # equal configuration is the one unpickled before, memo and all, and
-    # another configuration takes its place
-    splitting._unpickled_config.cache_clear()
-    sent = SplittingConfig(3, (2, 1))
-    first = pickle.loads(pickle.dumps(sent))
-    assert first is not sent and first == sent and first._memo == {}
-    weights.weight_basis(first, "h", EmbeddingId(1, 0))
-    again = pickle.loads(pickle.dumps(SplittingConfig(3, (2, 1))))
-    assert again is first and again._memo
-    other = pickle.loads(pickle.dumps(SplittingConfig(3, (1, 2))))
-    assert other != first and other._memo == {}
-    assert pickle.loads(pickle.dumps(sent)) is not first
-    splitting._unpickled_config.cache_clear()
+def round_trip(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, round_trip],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_each_copy_of_a_configuration_is_new_with_an_empty_memo(duplicate):
+    # every record copies by one rule, its fields: a copy taken right after
+    # an equal configuration was copied, and warmed, is still a new record
+    sent = SplittingConfig(2, (3,))
+    first = duplicate(sent)
+    assert first == sent and first is not sent and first._memo == {}
+    weights.weight_basis(first, "h", EmbeddingId(0, 0))
+    for again in (duplicate(sent), duplicate(SplittingConfig(2, (3,)))):
+        assert again == first and again is not first
+        assert again._memo == {}

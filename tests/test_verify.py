@@ -1361,12 +1361,11 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     assert started == [len(tasks)] == [2]
 
 
-def test_pool_chunks_keep_the_configuration_memo(monkeypatch):
-    # the pool's chunks, run one after another in one process: each chunk
-    # of tasks crosses pickled, as to a worker, and an equal configuration
-    # unpickles as the one before, memo and all, so each Frobenius orbit's
-    # first stratum runs the checks once (a fresh configuration per chunk
-    # ran them 488 times)
+def pool_check_runs(monkeypatch) -> int:
+    """The `check_stratum` runs of the d <= 5 sweep of p in {2, 3, 5} under
+    a pool whose chunks run one after another in this process, each chunk
+    of tasks crossing pickled, as to a worker, with the worker's slot
+    empty at the start."""
     class PicklingPool:
         def __init__(self, max_workers):
             pass
@@ -1392,13 +1391,32 @@ def test_pool_chunks_keep_the_configuration_memo(monkeypatch):
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
                         PicklingPool)
     monkeypatch.setattr(verify, "check_stratum", counted)
-    splitting._unpickled_config.cache_clear()
+    monkeypatch.setattr(verify, "_worker_config", None)
     _, tasks = _explore_sweep([2, 3, 5], 5)
-    try:
-        assert sum(1 for _ in _run_tasks(_checks_task, tasks, 2)) == 1014
-    finally:
-        splitting._unpickled_config.cache_clear()
-    assert runs == 390
+    assert sum(1 for _ in _run_tasks(_checks_task, tasks, 2)) == 1014
+    return runs
+
+
+def test_pool_chunks_keep_the_configuration_memo(monkeypatch):
+    # the worker step runs each task on the configuration it ran last when
+    # the two are equal, so a configuration's memo outlives its chunk and
+    # each Frobenius orbit's first stratum runs the checks once
+    assert pool_check_runs(monkeypatch) == 390
+
+
+def test_a_pass_through_worker_step_reruns_orbits(monkeypatch):
+    # a step that runs each task on the configuration its chunk brought
+    # starts each chunk with an empty memo: 488 runs, not the 390 orbits
+    monkeypatch.setattr(verify, "_worker_step", lambda run, task: run(task))
+    assert pool_check_runs(monkeypatch) == 488
+
+
+def test_one_job_leaves_the_worker_slot_empty(monkeypatch):
+    # only a worker of the pool keeps a configuration: a sweep in one
+    # process holds none of them after it ends
+    monkeypatch.setattr(verify, "_worker_config", None)
+    explore([2, 3, 5], 3, jobs=1)
+    assert verify._worker_config is None
 
 
 def test_explore_orders_configurations_by_degree_then_partition():

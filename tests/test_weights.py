@@ -40,7 +40,6 @@ from strata_cones.splitting import (
     tilde_closure,
 )
 from strata_cones.verify import (
-    _cycle_config,
     _cycle_stratum,
     _every_stratum,
     partitions,
@@ -916,10 +915,6 @@ def _every_pair_weight(config):
             if emb.cycle == other.cycle]
 
 
-def _every_cycle_length(config):
-    return [(f,) for f in sorted(set(config.cycle_lengths))]
-
-
 def _every_cycle_subset(config):
     return [(f, frozenset(i for i in range(f) if mask >> i & 1))
             for f in sorted(set(config.cycle_lengths))
@@ -930,7 +925,6 @@ def _every_cycle_subset(config):
 CONFIG_MEMOISED_CALLS = (
     (weight_basis, _every_basis_weight),
     (weight_pair, _every_pair_weight),
-    (_cycle_config, _every_cycle_length),
     (_cycle_stratum, _every_cycle_subset),
 )
 
