@@ -37,7 +37,10 @@ The top of the accepted input range runs too.  p = 2 at every degree up to
 about 30 s): its sha256, summary, failing check and 3426 unequal strata are
 pinned, within the same 50 MB bound.  At degree 9 the largest accepted
 prime, p = 999983, takes the verdict of p = 2 on each of the 15360
-(cycles, T) patterns, from the checks alone in this process.
+(cycles, T) patterns, from the checks alone in this process.  The largest
+input, p in {2, 3, 5, 7} at every degree up to 10 as JSON with two workers
+(267848 strata), writes its first bytes with its parent process's peak RSS
+under the same bound, and is stopped there.
 
 A prime above 5 has a test of its own: p = 7 up to degree 6 (1042 strata),
 swept once in one process, with its report, summary, dichotomy classes and
@@ -62,7 +65,7 @@ from pathlib import Path
 import pytest
 
 from oracle import dot
-from strata_cones.splitting import SplittingConfig, stratum_from_text
+from strata_cones.splitting import SplittingConfig
 from strata_cones.verify import (
     _config_tasks,
     explore,
@@ -152,6 +155,12 @@ D10_UNEQUAL = 3426
 # (cycles, T) patterns of degree 9
 TOP_PRIME = 999983
 D9_PATTERNS = 15360
+# the largest input the command line accepts with two workers; the parent
+# reads the sweep's strata a slice at a time, so it writes its first bytes
+# after 0.2-0.3 s at 20 MB, where holding every task took 4-6 s and 87 MB,
+# with Python 3.11 on a 2-core machine
+TOP_INPUT = ("explore", "--p-list", "2,3,5,7", "--d-max", "10", "--json",
+             "--jobs", "2")
 
 
 @pytest.fixture(scope="module", params=GATE_JOBS, ids=lambda j: f"jobs{j}")
@@ -401,15 +410,38 @@ def test_degree_10_text_is_pinned_through_the_command_line(tmp_path):
                         "minimal-cone variants")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS of a running process")
+def test_the_top_input_writes_its_first_bytes_within_the_bound(tmp_path):
+    target = tmp_path / "report"
+    # a session of its own, so that the workers are stopped with it
+    command = subprocess.Popen(
+        [sys.executable, "-m", "strata_cones.cli", *TOP_INPUT, "-o",
+         str(target)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True)
+    deadline = time.monotonic() + GATE_BUDGET_SECONDS
+    try:
+        while not (target.exists() and target.stat().st_size):
+            assert command.poll() is None, "ended before its first bytes"
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        status = Path(f"/proc/{command.pid}/status").read_text()
+    finally:
+        os.killpg(command.pid, signal.SIGKILL)
+        command.wait()
+    fields = dict(line.split(":", 1) for line in status.splitlines())
+    peak_mb = int(fields["VmHWM"].split()[0]) / 1024
+    assert peak_mb < CLI_PEAK_RSS_MB, f"{peak_mb:.1f} MB"
+
+
 def degree_verdicts(p: int, d: int) -> dict:
     """Each (cycles, T) pattern of degree d with its `pattern_verdict` at
     p, from the checks alone, one configuration at a time."""
     verdicts = {}
     for lengths in partitions(d):
         config = SplittingConfig(p, lengths)
-        for _, key in _config_tasks(config):
-            pattern, verdict = pattern_verdict(
-                stratum_checks(stratum_from_text(config, key)))
+        for t in _config_tasks(config):
+            pattern, verdict = pattern_verdict(stratum_checks(t))
             verdicts[pattern] = verdict
     return verdicts
 

@@ -23,6 +23,7 @@ many worker processes are used.
 
 import contextlib
 import functools
+import itertools
 import json
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -49,7 +50,6 @@ from .splitting import (
     orbit_key,
     places_and_iw,
     sign_epsilon,
-    stratum_from_text,
     tilde_closure,
 )
 from .weights import (
@@ -827,21 +827,21 @@ def _verdicts(record: dict) -> tuple:
             tuple((c["name"], c["status"]) for c in checks), differ)
 
 
-def _checks_task(task: tuple[SplittingConfig, str]) -> tuple:
+def _checks_task(stratum: Stratum) -> tuple:
     """One stratum as the text layouts read it: the `_verdicts` of its
     `stratum_checks`, with no dossier built."""
-    return _verdicts(stratum_checks(stratum_from_text(*task)))
+    return _verdicts(stratum_checks(stratum))
 
 
-def _record_task(task: tuple[SplittingConfig, str]) -> tuple:
+def _record_task(stratum: Stratum) -> tuple:
     """One stratum as the JSON layout reads it: the `_verdicts` of its
     record, and the record's JSON fragment, indented as in the `strata`
     list."""
-    record = stratum_record(stratum_from_text(*task))
+    record = stratum_record(stratum)
     return (*_verdicts(record), "    " + _dumps(record, "\n    "))
 
 
-def _report(config: dict, tasks: Iterable[tuple], jobs: int) -> Report:
+def _report(config: dict, tasks: Iterable[Stratum], jobs: int) -> Report:
     """Run the record tasks and keep the report text they make under
     `config`."""
     _check_jobs(jobs)
@@ -865,7 +865,7 @@ def _json_layout(config: dict, results: Iterator[tuple],
     yield f"{closing},{_dumps(tally.tail())[1:]}"
 
 
-def _write_report(write, config: dict, tasks: Iterable[tuple], jobs: int,
+def _write_report(write, config: dict, tasks: Iterable[Stratum], jobs: int,
                   layout, task) -> dict:
     """Run `task` (`_record_task` or `_checks_task`, as the layout reads)
     on the record tasks and pass the text that `layout(config, results,
@@ -908,22 +908,22 @@ def partitions(d: int) -> Iterator[tuple[int, ...]]:
 
 
 def _config_tasks(config: SplittingConfig,
-                  strata: Sequence[Stratum] | None = None) -> list[tuple]:
-    """One record task per stratum (default: all 2^d strata of the
-    config), sorted by canonical key; a stratum of another configuration,
-    or one given twice, is refused."""
+                  strata: Sequence[Stratum] | None = None) -> list[Stratum]:
+    """One record task per stratum (default: all 2^d strata of the config),
+    sorted by canonical key and rebuilt on `config`, which keeps the memo;
+    a stratum of another configuration, or one given twice, is refused."""
     if strata is None:
         strata = _every_stratum(config)
-    keys = set()
+    members = {}
     for s in strata:
         key = s.key()
         if s.config != config:
             raise ValueError(f"stratum '{key}' is over {s.config}, "
                              f"not over the report's {config}")
-        if key in keys:
+        if key in members:
             raise ValueError(f"stratum '{key}' is given twice")
-        keys.add(key)
-    return [(config, key) for key in sorted(keys)]
+        members[key] = s.members
+    return [Stratum(config, members[key]) for key in sorted(members)]
 
 
 def _check_jobs(jobs: int, subject: str = "jobs") -> None:
@@ -940,28 +940,28 @@ def _check_jobs(jobs: int, subject: str = "jobs") -> None:
 _worker_config = None
 
 
-def _worker_step(run, task: tuple[SplittingConfig, str]) -> tuple:
-    """`run` on the record task, with its configuration replaced by the
-    equal one this worker ran last: the tasks come sorted by configuration
+def _worker_step(run, stratum: Stratum) -> tuple:
+    """`run` on the record task, rebuilt on the configuration this worker
+    ran last when the two are equal: the tasks come sorted by configuration
     and each chunk of them crosses to a worker pickled, so the worker keeps
     its configuration's memo from one chunk to the next."""
     global _worker_config
-    config, key = task
-    if config != _worker_config:
-        _worker_config = config
-    return run((_worker_config, key))
+    if stratum.config != _worker_config:
+        _worker_config = stratum.config
+    return run(Stratum(_worker_config, stratum.members))
 
 
-def _run_tasks(run, tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
+def _run_tasks(run, tasks: Iterable[Stratum], jobs: int) -> Iterator[tuple]:
     """The results of `run`, `_record_task` or `_checks_task`, on the record
-    tasks, in task order, as they are computed; closing the iterator early
-    drops the work not yet started."""
-    if jobs > 1:
-        # the pool starts all workers up front: never more than one per task
-        tasks = list(tasks)
-        jobs = min(jobs, len(tasks))
+    tasks in task order as computed, a pool reading a slice of 1024 tasks at
+    a time; closing the iterator early drops the work not yet started."""
+    tasks = iter(tasks)
+    slices = iter(lambda: list(itertools.islice(tasks, 1024)), [])
+    batch = next(slices, []) if jobs > 1 else []
+    # the pool starts all workers up front: never more than one per task
+    jobs = min(jobs, len(batch))
     if jobs <= 1:
-        yield from map(run, tasks)
+        yield from map(run, itertools.chain(batch, tasks))
         return
     # imported here: a run with one job never loads the process machinery
     from concurrent.futures.process import (
@@ -970,11 +970,14 @@ def _run_tasks(run, tasks: Iterable[tuple], jobs: int) -> Iterator[tuple]:
     )
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # a constant cap: a chunk's results cross back as one list
-            chunk = max(1, min(32, len(tasks) // (jobs * 8)))
-            # closing pool.map's iterator cancels the calls not yet started
-            yield from pool.map(functools.partial(_worker_step, run), tasks,
-                                chunksize=chunk)
+            step = functools.partial(_worker_step, run)
+            while batch:
+                # a constant cap: a chunk's results cross back as one list
+                chunk = max(1, min(32, len(batch) // (jobs * 8)))
+                # closing pool.map's iterator cancels the calls not yet started
+                yield from pool.map(step, batch, chunksize=chunk)
+                batch.clear()  # one slice is held at a time
+                batch = next(slices, [])
     except (OSError, BrokenProcessPool) as exc:
         raise RuntimeError(
             f"parallel execution with {jobs} workers failed: {exc}; "
@@ -992,7 +995,7 @@ def _explore_sweep(p_list: Sequence[int], d_max: int) -> tuple:
     primes = sorted(set(p_list))
     for p in primes:
         SplittingConfig(p, (1,))  # refuse a bad prime before any work
-    # lazy: one process releases each configuration after its last stratum
+    # lazy: read a slice ahead at most; no configuration outlives its strata
     tasks = (task for p in primes for d in range(1, d_max + 1)
              for lengths in sorted(partitions(d))
              for task in _config_tasks(SplittingConfig(p, lengths)))

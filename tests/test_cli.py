@@ -309,6 +309,29 @@ def test_check_single_stratum_fails(capsys):
     assert "[0.1] admissible_dichotomy: fail" in out
 
 
+@pytest.mark.parametrize("layout", [("--json",), ()], ids=["json", "text"])
+def test_check_t_builds_its_stratum_from_text_once(layout, capsys,
+                                                   monkeypatch):
+    # the record task is the stratum the command line parsed, so nothing
+    # after the command line reads the text of --t again
+    parsed = []
+    real = stratum_from_text
+
+    def spy(config, text):
+        parsed.append(text)
+        return real(config, text)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "strata_cones" and vars(module).get(
+                "stratum_from_text") is real:
+            monkeypatch.setattr(module, "stratum_from_text", spy)
+    code, out, _ = run(capsys, "check", "--p", "3", "--cycles", "2", "--t",
+                       "0.1", *layout)
+    assert (code, parsed) == (2, ["0.1"])
+    config = SplittingConfig(3, (2,))
+    report = check_report(config, [real(config, "0.1")])
+    assert out == (report.to_json() + "\n" if layout else check_text(report))
+
+
 def test_check_json_matches_the_library(capsys):
     code, out, _ = run(capsys, "check", "--p", "2", "--cycles", "2",
                        "--json")

@@ -89,7 +89,7 @@ MODULE_LEVEL_IMPORTS = {
     "cone_kernel": {"functools", "fractions", "itertools", "math",
                     "operator", "typing"},
     "splitting": {"functools", "typing"},
-    "verify": {"contextlib", "functools", "json", "typing",
+    "verify": {"contextlib", "functools", "itertools", "json", "typing",
                ".cone_kernel", ".splitting", ".weights"},
     "weights": {"fractions", "typing", ".cone_kernel", ".splitting"},
 }

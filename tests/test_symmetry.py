@@ -34,7 +34,6 @@ from strata_cones.splitting import (
     index_tables,
     orbit_key,
     sign_epsilon,
-    stratum_from_text,
     tilde_closure,
 )
 from strata_cones.verify import (
@@ -286,13 +285,12 @@ def orbit_path_runs(primes, degree, monkeypatch,
     differ = []
     for config in configurations(primes, degree):
         tasks = _config_tasks(config)
-        for _, text in reversed(tasks) if reverse else tasks:
-            t = stratum_from_text(config, text)
+        for t in reversed(tasks) if reverse else tasks:
             before = calls.copy()
             checks = stratum_record(t)["checks"]
             runs += calls - before
             if checks != list(map(record_entry, all_results(t))):
-                differ.append((config, text))
+                differ.append((config, t.key()))
             strata += 1
     return strata, runs, differ
 

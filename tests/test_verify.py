@@ -1247,8 +1247,8 @@ def test_report_json_is_the_one_call_encoding_of_its_records(build):
 
 def test_dumps_writes_every_record_as_the_json_module_does():
     _, tasks = _explore_sweep([2, 3], 3)
-    for task in tasks:
-        record = stratum_record(stratum_from_text(*task))
+    for t in tasks:
+        record = stratum_record(t)
         text = json.dumps(record, indent=2)
         assert _dumps(record) == text
         assert _dumps(record, "\n    ") == text.replace("\n", "\n    ")
@@ -1337,10 +1337,13 @@ def test_check_report_is_deterministic_across_jobs():
     assert sequential == parallel
 
 
-def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch) -> list[int]:
+    """A process pool that runs each call in this process, in task order;
+    the list of the worker counts it is started with."""
     started = []
 
-    class FakePool:
+    class SerialPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -1354,11 +1357,49 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
-                        FakePool)
+                        SerialPool)
+    monkeypatch.setattr(verify, "_worker_config", None)
+    return started
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(serial_pool):
     tasks = _config_tasks(SplittingConfig(2, (1,)))
     assert list(_run_tasks(_record_task, tasks, 64)) == list(
         _run_tasks(_record_task, tasks, 1))
-    assert started == [len(tasks)] == [2]
+    assert serial_pool == [len(tasks)] == [2]
+
+
+def test_a_pool_reads_the_tasks_one_slice_at_a_time(serial_pool):
+    # a sweep is a stream of strata: the parent of a pool holds a slice of
+    # 1024 of them at a time, not the whole stream before its first result
+    drawn = 0
+
+    def tasks():
+        nonlocal drawn
+        for t in itertools.islice(itertools.cycle(_every_stratum(CFG_B)),
+                                  10 * 1024):
+            drawn += 1
+            yield t
+    # each result is the number of tasks drawn when it was computed
+    seen = list(_run_tasks(lambda t: drawn, tasks(), 2))
+    assert len(seen) == drawn == 10 * 1024
+    assert seen[0] == 1024
+    assert all(n - i <= 1024 for i, n in enumerate(seen))
+    assert serial_pool == [2]
+
+
+@pytest.mark.parametrize("own", [True, False], ids=["same", "equal"])
+def test_a_report_keeps_its_memo_on_its_configuration(own):
+    # each record task is rebuilt on the report's configuration: the
+    # caller's stratum, and a configuration equal to the report's, keep
+    # nothing of the report
+    config = SplittingConfig(2, (2, 1))
+    t = stratum_from_text(config if own else SplittingConfig(2, (2, 1)),
+                          "0.1")
+    check_report(config, [t])
+    assert t._memo == {}
+    assert config._memo != {}
+    assert t.config is config or t.config._memo == {}
 
 
 def pool_check_runs(monkeypatch) -> int:
